@@ -20,20 +20,34 @@ Bessel factor.  Two regimes:
   an expansion X^(1-gamma) (c0 + c1/X + c2/X^2 + ...), and a small least
   squares fit over trailing partial sums extrapolates to the limit with
   residual O(X^(1-gamma-m)).
+
+One engine, ``_integrate_block``, runs the adaptive rule over several
+intervals at once, each with its own heap, and evaluates every round's new
+panels with one call of an array integrand.  ``integrate_finite`` is that
+engine on one interval with an opaque scalar callable mapped over the
+nodes; it serves radial transforms and norms, ``sum_over_partition`` and
+everything built on them.  The arches of ``integrate_oscillatory_bessel``
+have a known Bessel factor, so all arches between two checkpoints of the
+arch sum go to the engine together and each round is one call of
+``special_fns.bessel_j_array``.  Every interval's result is the one it
+gets alone, evaluation counts included, and equals a one-node-at-a-time
+scalar rule bit for bit: the tail fit at tight tolerances amplifies
+last-digit differences ~1000-fold.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, DivergenceError, DomainError
-from .special_fns import BesselOrder, bessel_j, bessel_j_zero
+from .special_fns import BesselOrder, bessel_j_array, bessel_j_zero
 
 __all__ = [
     "QuadResult",
@@ -76,6 +90,10 @@ _WG = (
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 )
+# Offsets of the 15 nodes from a panel's centre, in units of its half-width.
+_NODE_OFFSETS = np.array((0.0,) + tuple(-x for x in _XGK[:7]) + _XGK[:7])
+_EPS50 = 50.0 * 2.220446049250313e-16
+_MAX_INTERVALS = 4000
 
 
 @dataclass
@@ -96,19 +114,17 @@ class QuadResult:
         return self
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fc = f(c)
+def _gk15_rule(fs: Sequence[float], h: float) -> tuple[float, float]:
+    """(G7, K15) value and error of a panel of half-width h from its 15
+    integrand values: the centre, then the left nodes c - h x_j, then the
+    right nodes c + h x_j, j = 0..6."""
+    fc = fs[0]
     resg = fc * _WG[3]
     resk = fc * _WGK[7]
     resabs = abs(fc) * _WGK[7]
-    pairs = []
     for j in range(7):
-        dx = h * _XGK[j]
-        f1 = f(c - dx)
-        f2 = f(c + dx)
-        pairs.append((f1, f2))
+        f1 = fs[1 + j]
+        f2 = fs[8 + j]
         fsum = f1 + f2
         if j % 2 == 1:
             resg += _WG[j // 2] * fsum
@@ -117,7 +133,7 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     mean = 0.5 * resk
     resasc = _WGK[7] * abs(fc - mean)
     for j in range(7):
-        resasc += _WGK[j] * (abs(pairs[j][0] - mean) + abs(pairs[j][1] - mean))
+        resasc += _WGK[j] * (abs(fs[1 + j] - mean) + abs(fs[8 + j] - mean))
     resk *= h
     resg *= h
     resabs *= abs(h)
@@ -126,10 +142,22 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     # Round-off floor, as in QUADPACK.
-    eps50 = 50.0 * 2.220446049250313e-16
     if resabs > 1e-290:
-        err = max(err, eps50 * resabs)
+        err = max(err, _EPS50 * resabs)
     return resk, err
+
+
+def _gk15_batch(
+    f: Callable[[np.ndarray], np.ndarray], a: list[float], b: list[float]
+) -> list[tuple[float, float]]:
+    """(G7, K15) value and error of each panel [a_i, b_i]: one call of the
+    array integrand ``f`` on all 15 n nodes, then ``_gk15_rule`` panel by
+    panel.  The node c + (-x_j) h is exactly the double c - x_j h."""
+    c = [0.5 * (lo + hi) for lo, hi in zip(a, b)]
+    h = [0.5 * (hi - lo) for lo, hi in zip(a, b)]
+    ch = np.array((c, h)).T
+    fv = f((ch[:, :1] + ch[:, 1:] * _NODE_OFFSETS).ravel())
+    return list(map(_gk15_rule, fv.reshape(len(a), 15).tolist(), h))
 
 
 def integrate_finite(
@@ -138,36 +166,89 @@ def integrate_finite(
     b: float,
     tol: float = DEFAULT_REL_TOL,
     abs_tol: float = ABS_FLOOR,
-    max_intervals: int = 4000,
+    max_intervals: int = _MAX_INTERVALS,
 ) -> QuadResult:
     """Adaptive Gauss-Kronrod integral of f over [a, b].
 
     Converged when the summed error estimate drops below
     ``max(tol * |value|, abs_tol)``.  Non-convergence is reported in the
-    result, never raised.
+    result, never raised.  The scalar callable ``f`` is mapped over the
+    nodes of each round of ``_integrate_block``.
     """
-    if not (a < b):
-        raise DomainError(f"integrate_finite requires a < b, got [{a!r}, {b!r}]")
+
+    def f_array(x: np.ndarray) -> np.ndarray:
+        return _floats(map(f, x.tolist()), x.size)
+
+    return _integrate_block(f_array, [(a, b)], tol, abs_tol, max_intervals)[0]
+
+
+def _integrate_block(
+    f: Callable[[np.ndarray], np.ndarray],
+    edges: Sequence[tuple[float, float]],
+    tol: float,
+    abs_tol: float,
+    max_intervals: int,
+) -> list[QuadResult]:
+    """The adaptive rule over each interval of ``edges`` at once, for an
+    array-valued integrand ``f``.
+
+    Every interval keeps its own heap and refines worst-panel-first until
+    its error estimate drops below ``max(tol * |value|, abs_tol)``, its
+    heap holds ``max_intervals`` panels or its worst panel sits at machine
+    resolution.  Each round splits one panel of every interval still
+    refining and evaluates all new panels with one call of ``f``, so each
+    interval's result is the one it would get alone, field for field.
+    """
+    for a, b in edges:
+        if not (a < b):
+            raise DomainError(f"integrate_finite requires a < b, got [{a!r}, {b!r}]")
     if tol <= 0.0:
         raise DomainError("tolerance must be positive")
-    v, e = _gk15(f, a, b)
-    evals = 15
-    heap = [(-e, a, b, v, e)]
-    total_v, total_e = v, e
-    while total_e > max(tol * abs(total_v), abs_tol) and len(heap) < max_intervals:
-        neg_e, aa, bb, vv, ee = heapq.heappop(heap)
-        mid = 0.5 * (aa + bb)
-        if mid <= aa or mid >= bb:
-            # Interval at machine resolution; cannot be refined.
-            heapq.heappush(heap, (neg_e, aa, bb, vv, ee))
+    lo = [a for a, _ in edges]
+    hi = [b for _, b in edges]
+    rules = _gk15_batch(f, lo, hi)
+    heaps = [[(-e, a, b, v, e)] for a, b, (v, e) in zip(lo, hi, rules)]
+    totals = [list(rule) for rule in rules]
+    evals = [15] * len(edges)
+    results: list = [None] * len(edges)
+    live = range(len(edges))
+    while True:
+        splits = []
+        for i in live:
+            heap = heaps[i]
+            total_v, total_e = totals[i]
+            if total_e > max(tol * abs(total_v), abs_tol) and len(heap) < max_intervals:
+                item = heapq.heappop(heap)
+                mid = 0.5 * (item[1] + item[2])
+                if not (mid <= item[1] or mid >= item[2]):
+                    splits.append((i, item, mid))
+                    continue
+                # Interval at machine resolution; cannot be refined.
+                heapq.heappush(heap, item)
+            results[i] = _heap_result(heap, evals[i], tol, abs_tol)
+            heaps[i] = []
+        if not splits:
             break
-        v1, e1 = _gk15(f, aa, mid)
-        v2, e2 = _gk15(f, mid, bb)
-        evals += 30
-        total_v += v1 + v2 - vv
-        total_e += e1 + e2 - ee
-        heapq.heappush(heap, (-e1, aa, mid, v1, e1))
-        heapq.heappush(heap, (-e2, mid, bb, v2, e2))
+        lo = []
+        hi = []
+        for _, item, mid in splits:
+            lo += (item[1], mid)
+            hi += (mid, item[2])
+        rules = _gk15_batch(f, lo, hi)
+        for n, (i, (_, aa, bb, vv, ee), mid) in enumerate(splits):
+            v1, e1 = rules[2 * n]
+            v2, e2 = rules[2 * n + 1]
+            evals[i] += 30
+            total = totals[i]
+            total[0] += v1 + v2 - vv
+            total[1] += e1 + e2 - ee
+            heapq.heappush(heaps[i], (-e1, aa, mid, v1, e1))
+            heapq.heappush(heaps[i], (-e2, mid, bb, v2, e2))
+        live = [i for i, _, _ in splits]
+    return results
+
+
+def _heap_result(heap: list, evals: int, tol: float, abs_tol: float) -> QuadResult:
     total_v = math.fsum(item[3] for item in heap)
     total_e = math.fsum(item[4] for item in heap)
     converged = total_e <= max(tol * abs(total_v), abs_tol)
@@ -306,17 +387,26 @@ class OscillatoryIntegrand:
             )
 
 
+@dataclass(frozen=True)
+class _PowerEnvelope:
+    """The envelope r^beta; its logarithm stands in where r^beta overflows."""
+
+    beta: float
+
+    def __call__(self, r: float) -> float:
+        return r**self.beta
+
+    def log(self, r: float) -> float:
+        return self.beta * math.log(r)
+
+
 def power_envelope_integrand(
     order: BesselOrder, beta: float, power: float, signed: bool = False
 ) -> OscillatoryIntegrand:
     """The workhorse integrand r^beta |J_nu(r)|^power."""
-
-    def envelope(r: float) -> float:
-        return r**beta
-
     return OscillatoryIntegrand(
         order=order,
-        envelope=envelope,
+        envelope=_PowerEnvelope(beta),
         power=power,
         tail_exponent=0.5 * power - beta,
         zero_exponent=beta,
@@ -324,12 +414,65 @@ def power_envelope_integrand(
     )
 
 
-@lru_cache(maxsize=64)
-def _zero_stream(nu: float):
-    def zero(k: int) -> float:
-        return bessel_j_zero(nu, k)
+def _integrand_values(spec: OscillatoryIntegrand, r: np.ndarray) -> np.ndarray:
+    """The integrand of ``spec`` at the nodes ``r``, one array call.
 
-    return zero
+    Equals, node for node, envelope(r) * J^power (signed) or
+    envelope(r) * |J|^power, with 0 at r <= 0 and where J vanishes, and
+    the product taken in log space below r = 1e-3, where a negative-power
+    envelope meets a vanishing Bessel factor.  A node where a power
+    envelope r^beta overflows also goes through log space.
+    The envelope stays a scalar callable and is mapped over the nodes;
+    powers are Python's own ``**`` (see ``special_fns._pow_each``).
+    """
+    if not r.min() > 0.0:
+        out = np.zeros(r.size)
+        positive = r > 0.0
+        if positive.any():
+            out[positive] = _integrand_values(spec, r[positive])
+        return out
+    j = bessel_j_array(spec.order, r)
+    if spec.signed:
+        powered = map(operator.pow, j.tolist(), repeat(int(round(spec.power))))
+        envelope = map(spec.envelope, r.tolist())
+        return _floats(envelope, r.size) * _floats(powered, r.size)
+    aj = np.abs(j)
+    nonzero = aj != 0.0
+    direct = nonzero & (r >= 1e-3)
+    out = np.zeros(r.size)
+    rs = r[direct].tolist()
+    rest = nonzero & ~direct
+    try:
+        envelope = _floats(map(spec.envelope, rs), len(rs))
+    except OverflowError:
+        rest = nonzero
+    else:
+        powered = map(operator.pow, aj[direct].tolist(), repeat(spec.power))
+        out[direct] = envelope * _floats(powered, len(rs))
+    for i in np.flatnonzero(rest).tolist():
+        out[i] = _node_value(spec, float(r[i]), float(aj[i]))
+    return out
+
+
+def _floats(items: Iterable[float], count: int) -> np.ndarray:
+    return np.fromiter(items, float, count=count)
+
+
+def _node_value(spec: OscillatoryIntegrand, r: float, aj: float) -> float:
+    """The nonnegative integrand at one node below r = 1e-3, or at one where
+    a power envelope r^beta overflows."""
+    power = spec.power
+    try:
+        env = spec.envelope(r)
+    except OverflowError:
+        if not isinstance(spec.envelope, _PowerEnvelope):
+            raise
+        return math.exp(spec.envelope.log(r) + power * math.log(aj))
+    if r >= 1e-3:
+        return env * aj**power
+    if env == 0.0:
+        return 0.0
+    return math.copysign(math.exp(math.log(abs(env)) + power * math.log(aj)), env)
 
 
 def _algebraic_tail_fit(
@@ -377,8 +520,29 @@ def _estimate_tail_exponent(
     return float(sol[1]), gamma_unc
 
 
+_ArchBlock = Callable[[int, int], Sequence[tuple[float, float, int]]]
+
+
+def _arch_stream(
+    arch_block: _ArchBlock, count: int, min_arches: int, check_every: int
+) -> Iterator[tuple[float, float, int]]:
+    """(value, error, evaluations) of arches 0, 1, ..., count - 1.
+
+    ``arch_block(k0, k1)`` computes arches k0..k1-1 together.  Each block
+    ends at the next checkpoint of the summation (arch counts
+    >= ``min_arches`` divisible by ``check_every``), so a sum that stops
+    at a checkpoint never computes an arch past it.
+    """
+    first = -(-min_arches // check_every) * check_every
+    k = 0
+    while k < count:
+        end = min(max(first, (k // check_every + 1) * check_every), count)
+        yield from arch_block(k, end)
+        k = end
+
+
 def _sum_arches_positive(
-    arch_integral: Callable[[int], tuple[float, float, int]],
+    arch_block: _ArchBlock,
     boundary: Callable[[int], float],
     gamma_exp: Optional[float],
     tol: float,
@@ -401,8 +565,8 @@ def _sum_arches_positive(
     evals = 0
     prev_est: Optional[float] = None
     best: Optional[tuple[float, float]] = None
-    for k in range(max_arches):
-        v, e, n = arch_integral(k)
+    arches = _arch_stream(arch_block, max_arches, min_arches, check_every)
+    for k, (v, e, n) in enumerate(arches):
         evals += n
         total += v
         quad_err += e
@@ -445,7 +609,7 @@ def _sum_arches_positive(
 
 
 def _sum_arches_alternating(
-    arch_integral: Callable[[int], tuple[float, float, int]],
+    arch_block: _ArchBlock,
     tol: float,
     max_arches: int,
     min_arches: int = 14,
@@ -457,8 +621,8 @@ def _sum_arches_alternating(
     quad_err = 0.0
     evals = 0
     best: Optional[tuple[float, float]] = None
-    for k in range(max_arches):
-        v, e, n = arch_integral(k)
+    arches = _arch_stream(arch_block, max_arches, min_arches, check_every)
+    for k, (v, e, n) in enumerate(arches):
         evals += n
         total += v
         quad_err += e
@@ -488,47 +652,25 @@ def integrate_oscillatory_bessel(
     """
     spec.check_integrable()
     nu = spec.order.nu
-    zero = _zero_stream(nu)
-    power = spec.power
-    envelope = spec.envelope
-    signed = spec.signed
-    int_power = int(round(power))
-
-    def integrand(r: float) -> float:
-        if r <= 0.0:
-            return 0.0
-        j = bessel_j(nu, r)
-        if signed:
-            return envelope(r) * j**int_power
-        aj = abs(j)
-        if aj == 0.0:
-            return 0.0
-        if r < 1e-3:
-            # Avoid overflow of a negative-power envelope against a
-            # vanishing Bessel factor; combine in log space.
-            env = envelope(r)
-            if env == 0.0:
-                return 0.0
-            return math.copysign(
-                math.exp(math.log(abs(env)) + power * math.log(aj)), env
-            )
-        return envelope(r) * aj**power
-
     arch_tol = min(1e-12, tol * 1e-2)
 
-    def arch_integral(k: int) -> tuple[float, float, int]:
-        a = 0.0 if k == 0 else zero(k)
-        b = zero(k + 1)
-        res = integrate_finite(integrand, a, b, arch_tol, 1e-16)
-        return res.value, res.error_estimate, res.evaluations
+    def integrand(r: np.ndarray) -> np.ndarray:
+        return _integrand_values(spec, r)
 
     def boundary(k: int) -> float:
-        return zero(k)
+        return bessel_j_zero(nu, k)
 
-    if signed and int_power % 2 == 1:
-        return _sum_arches_alternating(arch_integral, tol, min(max_arches, 200))
+    def arch_block(k0: int, k1: int) -> list[tuple[float, float, int]]:
+        edges = [
+            (0.0 if k == 0 else boundary(k), boundary(k + 1)) for k in range(k0, k1)
+        ]
+        results = _integrate_block(integrand, edges, arch_tol, 1e-16, _MAX_INTERVALS)
+        return [(res.value, res.error_estimate, res.evaluations) for res in results]
+
+    if spec.signed and int(round(spec.power)) % 2 == 1:
+        return _sum_arches_alternating(arch_block, tol, min(max_arches, 200))
     return _sum_arches_positive(
-        arch_integral, boundary, spec.tail_exponent, tol, max_arches
+        arch_block, boundary, spec.tail_exponent, tol, max_arches
     )
 
 
@@ -581,15 +723,18 @@ def sum_over_partition(
             return v, e, 0
         return cell_integral(k)
 
+    def cached_cells(k0: int, k1: int) -> list[tuple[float, float, int]]:
+        return [cached_cell(k) for k in range(k0, k1)]
+
     if alternating:
-        result = _sum_arches_alternating(cached_cell, tol, min(max_cells, 200))
+        result = _sum_arches_alternating(cached_cells, tol, min(max_cells, 200))
         return QuadResult(
             result.value, result.error_estimate, result.evaluations + probe_evals,
             result.converged,
         )
 
     result = _sum_arches_positive(
-        cached_cell, boundary, tail_exponent, tol, max_cells
+        cached_cells, boundary, tail_exponent, tol, max_cells
     )
     return QuadResult(
         result.value, result.error_estimate, result.evaluations + probe_evals,

@@ -1,5 +1,5 @@
-"""Scalar special functions: Gamma, sphere areas, Bessel J of real order, and
-its positive zeros.
+"""Special functions: Gamma, sphere areas, Bessel J of real order, and its
+positive zeros.
 
 Everything downstream (Hankel-type transforms, kernel integrals, sharp
 constants) reduces to these four primitives, so they are implemented here
@@ -22,6 +22,17 @@ The regime boundaries were chosen by measuring absolute error against
 40-digit references; each regime stays below ~1e-15 absolute, comfortably
 inside the 1e-12 contract, and below 1e-13 relative away from zeros.
 
+``bessel_j`` evaluates one point; ``bessel_j_array`` evaluates many at once
+and returns, element for element, exactly the double ``bessel_j`` returns:
+same regimes and thresholds, same term loops with each element frozen at
+the term where its scalar loop stops, same operation order.  The kernel
+integrals' arch quadrature (``quadrature.integrate_oscillatory_bessel``)
+is the array path's caller; everything that evaluates J at one point at a
+time (the zero finder, radial transforms, extremal profiles, the test
+oracle) stays on the scalar path.  Bit identity, not mere accuracy, is
+required because the kernel integrals' tail fit amplifies 1e-16
+differences in partial sums to ~1e-13 in the extrapolated value.
+
 References: Watson, "A Treatise on the Theory of Bessel Functions";
 Abramowitz & Stegun ch. 9; DLMF ch. 10; Lanczos (1964) for the Gamma
 approximation.
@@ -32,6 +43,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
@@ -41,6 +55,7 @@ __all__ = [
     "gamma",
     "sphere_area",
     "bessel_j",
+    "bessel_j_array",
     "bessel_j_zero",
     "bessel_j_derivative",
 ]
@@ -125,6 +140,11 @@ def sphere_area(d: int) -> float:
     return 2.0 * math.pow(math.pi, 0.5 * d) / _gamma_half_integer(d)
 
 
+def _is_half_integer(nu: float) -> bool:
+    twice = 2.0 * nu
+    return twice == round(twice) and int(round(twice)) % 2 == 1
+
+
 @dataclass(frozen=True)
 class BesselOrder:
     """A nonnegative real Bessel order; flags half-integers for the fast path."""
@@ -135,10 +155,7 @@ class BesselOrder:
     def __post_init__(self) -> None:
         if not math.isfinite(self.nu) or self.nu < 0.0:
             raise DomainError(f"Bessel order must be a finite real >= 0, got {self.nu!r}")
-        twice = 2.0 * self.nu
-        object.__setattr__(
-            self, "is_half_integer", twice == round(twice) and int(round(twice)) % 2 == 1
-        )
+        object.__setattr__(self, "is_half_integer", _is_half_integer(self.nu))
 
 
 @dataclass(frozen=True)
@@ -166,15 +183,17 @@ def _as_nu(order: "BesselOrder | float") -> float:
     return nu
 
 
-def _is_half_integer(nu: float) -> bool:
-    twice = 2.0 * nu
-    return twice == round(twice) and int(round(twice)) % 2 == 1
+@lru_cache(maxsize=64)
+def _gamma_order_plus_one(nu: float) -> float:
+    # Gamma(nu + 1) normalises the series and Miller's sum at every point of
+    # a fixed order; compute it once per order.
+    return gamma(nu + 1.0)
 
 
 def _bessel_series(nu: float, x: float) -> float:
     # J_nu(x) = sum_k (-1)^k (x/2)^(nu+2k) / (k! Gamma(nu+k+1))
     q = 0.25 * x * x
-    term = math.pow(0.5 * x, nu) / gamma(nu + 1.0)
+    term = math.pow(0.5 * x, nu) / _gamma_order_plus_one(nu)
     total = term
     for k in range(1, 400):
         term *= -q / (k * (nu + k))
@@ -210,7 +229,7 @@ def _bessel_miller(nu: float, x: float) -> float:
         if abs(fs[m - 1]) > 1e250:
             for i in range(m - 1, m_start + 2):
                 fs[i] *= 1e-250
-    g1 = gamma(nu + 1.0)
+    g1 = _gamma_order_plus_one(nu)
     total = g1 * fs[0]  # c_0 = Gamma(nu+1)
     ck = (nu + 2.0) * g1  # c_1 = (nu+2) Gamma(nu+1)
     if m_start >= 2:
@@ -278,6 +297,197 @@ def bessel_j(order: "BesselOrder | float", x: float) -> float:
     if x >= _hankel_threshold(nu):
         return _bessel_hankel(nu, x)
     return _bessel_miller(nu, x)
+
+
+# The array path mirrors the scalar regimes above operation for operation.
+# Elementwise +, -, *, /, sqrt, sin and cos run in numpy: on x86-64 with
+# numpy 2.4 they matched libm (``math``) on every one of 900,000 inputs.
+# pow, exp and log stay on scalar libm: numpy's SIMD versions differ from
+# it by one ulp on about 5% of inputs (exp on 49,653 and pow(x, 6.0) on
+# 49,622 of 900,000), and one ulp in an arch value is enough to move a
+# tight-tolerance kernel integral through its tail fit.
+def _pow_each(base: np.ndarray, exponent: float) -> np.ndarray:
+    return np.fromiter(
+        map(math.pow, base.tolist(), repeat(exponent)), float, count=base.size
+    )
+
+
+def _series_array(nu: float, x: np.ndarray) -> np.ndarray:
+    q = 0.25 * x * x
+    term = _pow_each(0.5 * x, nu) / _gamma_order_plus_one(nu)
+    total = term.copy()
+    out = np.empty_like(x)
+    live = np.arange(x.size)
+    for k in range(1, 400):
+        term *= -q / (k * (nu + k))
+        total += term
+        if k > 3:
+            # Freeze each element at the term where its scalar loop stops.
+            done = np.abs(term) <= 1e-18 * (np.abs(total) + 1e-300)
+            if done.any():
+                out[live[done]] = total[done]
+                keep = ~done
+                live, q, term, total = live[keep], q[keep], term[keep], total[keep]
+                if live.size == 0:
+                    return out
+    out[live] = total
+    return out
+
+
+def _half_integer_array(nu: float, x: np.ndarray) -> np.ndarray:
+    envelope = _SQRT_2_OVER_PI / np.sqrt(x)
+    jm = envelope * np.cos(x)
+    jc = envelope * np.sin(x)
+    mu = 0.5
+    for _ in range(int(round(nu - 0.5))):
+        jm, jc = jc, (2.0 * mu / x) * jc - jm
+        mu += 1.0
+    return jc
+
+
+def _miller_array(nu: float, x: np.ndarray) -> np.ndarray:
+    # One downward recurrence from the largest starting index serves every
+    # element: above its own m_start an element's column stays exactly
+    # zero, and it is seeded with 1e-280 when the sweep reaches m_start.
+    m_start = (x + max(nu, 1.0) + 40.0).astype(np.int64)
+    m_start += m_start % 2
+    top = int(m_start.max())
+    seeds = {m: np.flatnonzero(m_start == m) for m in range(int(m_start.min()), top + 1, 2)}
+    fs = np.zeros((top + 2, x.size))
+    inv_x = 2.0 / x
+    max_inv_x = float(inv_x.max())
+    # bound >= max |fs[m]| and bound_hi >= max |fs[m + 1]|, kept in plain
+    # floats so the 1e250 test runs on the array only when it can fire.
+    bound = bound_hi = 0.0
+    for m in range(top, 0, -1):
+        seeded = seeds.get(m)
+        if seeded is not None:
+            fs[m, seeded] = 1e-280
+            bound = max(bound, 1e-280)
+        row = fs[m - 1]
+        np.multiply(inv_x, nu + m, out=row)
+        row *= fs[m]
+        row -= fs[m + 1]
+        bound, bound_hi = 1.001 * ((nu + m) * max_inv_x * bound + bound_hi), bound
+        if bound > 1e250:
+            big = np.abs(row) > 1e250
+            if big.any():
+                fs[m - 1:, big] *= 1e-250
+            bound = float(np.abs(row).max())
+            bound_hi = float(np.abs(fs[m]).max())
+    g1 = _gamma_order_plus_one(nu)
+    total = g1 * fs[0]
+    ck = (nu + 2.0) * g1
+    shortest = int(m_start.min())
+    k = 1
+    while True:
+        # Term k belongs to the elements whose scalar sum reaches it.
+        if 2 * k <= shortest:
+            total += ck * fs[2 * k]
+        else:
+            total = np.where(2 * k <= m_start, total + ck * fs[2 * k], total)
+        if 2 * (k + 1) > top:
+            break
+        k += 1
+        ck *= (nu + 2.0 * k) * (nu + k - 1.0) / ((nu + 2.0 * k - 2.0) * k)
+    return fs[0] * _pow_each(0.5 * x, nu) / total
+
+
+def _hankel_array(nu: float, x: np.ndarray) -> np.ndarray:
+    mu = 4.0 * nu * nu
+    p = np.ones_like(x)
+    q = np.zeros_like(x)
+    term = np.ones_like(x)
+    p_out = np.empty_like(x)
+    q_out = np.empty_like(x)
+    live = np.arange(x.size)
+    xl = x
+    for k in range(60):
+        j = 2 * k + 1
+        term *= (mu - j * j) / (8.0 * xl * (k + 1))
+        contrib = term if ((k + 1) // 2) % 2 == 0 else -term
+        if (k + 1) % 2 == 1:
+            q += contrib
+        else:
+            p += contrib
+        done = np.abs(term) < 1e-18
+        if done.any():
+            p_out[live[done]] = p[done]
+            q_out[live[done]] = q[done]
+            keep = ~done
+            live, xl, p, q, term = live[keep], xl[keep], p[keep], q[keep], term[keep]
+            if live.size == 0:
+                break
+    p_out[live] = p
+    q_out[live] = q
+    theta = 0.5 * nu + 0.25
+    shift = -theta * _PI_HI
+    s = x + shift
+    bb = s - x
+    corr = ((x - (s - bb)) + (shift - bb)) - theta * _PI_LO
+    cos_s = np.cos(s)
+    sin_s = np.sin(s)
+    cos_chi = cos_s - corr * sin_s
+    sin_chi = sin_s + corr * cos_s
+    return _SQRT_2_OVER_PI / np.sqrt(x) * (p_out * cos_chi - q_out * sin_chi)
+
+
+# Smallest batch for which each array regime beats its scalar loop, measured
+# on one core of a 2-vCPU x86-64 VM (Python 3.11, numpy 2.4).
+_MIN_ARRAY_BATCH = {
+    _series_array: 32,
+    _half_integer_array: 8,
+    _hankel_array: 48,
+    _miller_array: 24,
+}
+
+
+def bessel_j_array(order: "BesselOrder | float", x) -> np.ndarray:
+    """J_nu at every point of the array ``x`` (all >= 0).
+
+    Each element equals ``bessel_j(order, x_i)`` exactly, not just to
+    rounding: the regimes, thresholds, term loops and operation order are
+    those of the scalar path.
+    """
+    nu = _as_nu(order)
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    if flat.size == 0:
+        return np.empty_like(x)
+    # bessel_j's regimes are consecutive intervals of x, so on sorted
+    # points each regime is one slice.
+    perm = np.argsort(flat, kind="stable")
+    xs = flat[perm]
+    if not (xs[0] >= 0.0 and xs[-1] < math.inf):
+        raise DomainError("bessel_j_array requires finite x >= 0")
+    zero_end = int(np.searchsorted(xs, 0.0, "right"))
+    series_end = int(np.searchsorted(xs, 2.0, "right"))
+    if _is_half_integer(nu):
+        upper = (_half_integer_array, _bessel_half_integer)
+        miller_end = int(np.searchsorted(xs, nu, "left"))
+    else:
+        upper = (_hankel_array, _bessel_hankel)
+        miller_end = int(np.searchsorted(xs, _hankel_threshold(nu), "left"))
+    miller_end = max(miller_end, series_end)
+    slices = (
+        (zero_end, series_end, _series_array, _bessel_series),
+        (series_end, miller_end, _miller_array, _bessel_miller),
+        (miller_end, xs.size) + upper,
+    )
+    values = np.empty_like(xs)
+    values[:zero_end] = 1.0 if nu == 0.0 else 0.0
+    # Python floats overflow to inf silently; so do these arrays.
+    with np.errstate(all="ignore"):
+        for lo, hi, array_fn, scalar_fn in slices:
+            if hi - lo >= _MIN_ARRAY_BATCH[array_fn]:
+                values[lo:hi] = array_fn(nu, xs[lo:hi])
+            elif hi > lo:
+                # Below these sizes the per-step numpy overhead costs more
+                # than the scalar loop; both give the same doubles.
+                values[lo:hi] = [scalar_fn(nu, v) for v in xs[lo:hi].tolist()]
+    out = np.empty_like(flat)
+    out[perm] = values
+    return out.reshape(x.shape)
 
 
 def bessel_j_general_path(order: "BesselOrder | float", x: float) -> float:

@@ -1,0 +1,348 @@
+"""The array paths equal the scalar paths exactly, not to a tolerance.
+
+Kernel integrals evaluate J_nu with ``bessel_j_array`` and integrate a
+block of arches at once with ``_integrate_block``; every other caller
+stays on ``bessel_j``, and ``integrate_finite`` is the same engine on one
+interval with a scalar callable.  The references here are the scalar
+Bessel function and a one-node-at-a-time adaptive GK15.  The tail fit of a
+tight kernel integral turns 1e-16 differences in the partial sums into
+~1e-13 in the result, so these tests compare with ``==``.  They are also
+what catches a numpy or libm whose elementwise sin, cos or sqrt stops
+matching ``math``.
+"""
+
+import heapq
+import math
+
+import numpy as np
+import pytest
+
+from sphrestrict.errors import DomainError
+from sphrestrict.quadrature import (
+    QuadResult,
+    _XGK,
+    _arch_stream,
+    _gk15_batch,
+    _gk15_rule,
+    _heap_result,
+    _integrand_values,
+    _integrate_block,
+    _sum_arches_alternating,
+    _sum_arches_positive,
+    integrate_finite,
+    integrate_oscillatory_bessel,
+    power_envelope_integrand,
+)
+from sphrestrict.special_fns import (
+    BesselOrder,
+    _bessel_miller,
+    _miller_array,
+    bessel_j,
+    bessel_j_array,
+    bessel_j_zero,
+)
+
+ORDERS = [0.0, 0.3, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 6.5, 7.0]
+HALF_INTEGER_ORDERS = [nu for nu in ORDERS if nu % 1.0 == 0.5]
+
+
+def hankel_threshold(nu):
+    return max(30.0, nu * (nu + 1.0))
+
+
+def assert_same_as_scalar(nu, xs):
+    xs = np.asarray(xs, dtype=float)
+    got = bessel_j_array(nu, xs)
+    want = np.array([bessel_j(nu, x) for x in xs.tolist()])
+    mismatch = np.flatnonzero(got != want)
+    assert mismatch.size == 0, (nu, xs[mismatch][:5], got[mismatch][:5], want[mismatch][:5])
+
+
+class TestBesselArray:
+    @pytest.mark.parametrize("nu", ORDERS)
+    def test_series(self, nu):
+        xs = np.concatenate([np.linspace(0.0, 2.0, 4001), np.geomspace(1e-12, 1.0, 500)])
+        assert_same_as_scalar(nu, xs)
+
+    @pytest.mark.parametrize("nu", HALF_INTEGER_ORDERS)
+    def test_half_integer(self, nu):
+        lo = max(2.0, nu)
+        xs = np.concatenate([[lo, np.nextafter(lo, 3.0)], np.linspace(lo, 200.0, 4000)])
+        assert_same_as_scalar(nu, xs)
+
+    @pytest.mark.parametrize("nu", [nu for nu in HALF_INTEGER_ORDERS if nu > 2.0])
+    def test_half_integer_below_order_falls_to_miller(self, nu):
+        xs = np.concatenate(
+            [[np.nextafter(2.0, 3.0), np.nextafter(nu, 0.0)], np.linspace(2.0, nu, 2001)[1:-1]]
+        )
+        assert_same_as_scalar(nu, xs)
+
+    @pytest.mark.parametrize("nu", [nu for nu in ORDERS if nu not in HALF_INTEGER_ORDERS])
+    def test_miller(self, nu):
+        top = hankel_threshold(nu)
+        xs = np.concatenate(
+            [[np.nextafter(2.0, 3.0), np.nextafter(top, 0.0)], np.linspace(2.0, top, 4001)[1:-1]]
+        )
+        assert_same_as_scalar(nu, xs)
+
+    @pytest.mark.parametrize("nu", [nu for nu in ORDERS if nu not in HALF_INTEGER_ORDERS])
+    def test_hankel(self, nu):
+        top = hankel_threshold(nu)
+        xs = np.concatenate([[top], np.linspace(top, 2000.0, 4000), np.geomspace(top, 1e6, 300)])
+        assert_same_as_scalar(nu, xs)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 3.0, 7.0])
+    def test_miller_rescale(self, nu):
+        # At these arguments the downward recurrence grows by more than
+        # 1e530 from its 1e-280 seed, so it must pass the 1e250 rescale.
+        # bessel_j sends x <= 2 to the series, so the regime functions are
+        # compared directly.
+        xs = np.geomspace(1e-15, 1e-12, 1000)
+        m_start = int(xs[-1] + max(nu, 1.0) + 40.0)
+        growth = sum(math.log10((nu + m) * 2.0 / xs[-1]) for m in range(1, m_start + 1))
+        assert growth > 530.0
+        want = np.array([_bessel_miller(nu, x) for x in xs.tolist()])
+        assert np.array_equal(_miller_array(nu, xs), want)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 2.5, 7.0])
+    def test_mixed_unsorted_with_zero(self, nu):
+        rng = np.random.default_rng(int(10 * nu))
+        xs = np.concatenate([[0.0, 0.0, 2.0, hankel_threshold(nu)], rng.uniform(0.0, 400.0, 3000)])
+        rng.shuffle(xs)
+        assert_same_as_scalar(nu, xs)
+        assert bessel_j_array(nu, np.zeros(3)).tolist() == [bessel_j(nu, 0.0)] * 3
+
+    @pytest.mark.parametrize("n", [1, 5, 20, 40])
+    def test_small_batches(self, n):
+        # Small regime slices take the scalar loop; the result is the same.
+        for nu in (0.0, 0.5, 1.0, 7.0):
+            assert_same_as_scalar(nu, np.linspace(0.1, 80.0, n))
+
+    def test_shape_kept(self):
+        xs = np.linspace(0.5, 50.0, 60).reshape(3, 4, 5)
+        got = bessel_j_array(1.0, xs)
+        assert got.shape == xs.shape
+        assert got.ravel().tolist() == [bessel_j(1.0, x) for x in xs.ravel().tolist()]
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_points(self, bad):
+        with pytest.raises(DomainError):
+            bessel_j_array(0.0, np.array([1.0, bad]))
+
+
+def scalar_integrand(spec):
+    """The per-node integrand the oscillatory integral used before it was
+    batched; kept here as the reference."""
+    nu = spec.order.nu
+    power = spec.power
+    envelope = spec.envelope
+    int_power = int(round(power))
+
+    def integrand(r):
+        if r <= 0.0:
+            return 0.0
+        j = bessel_j(nu, r)
+        if spec.signed:
+            return envelope(r) * j**int_power
+        aj = abs(j)
+        if aj == 0.0:
+            return 0.0
+        if r < 1e-3:
+            env = envelope(r)
+            if env == 0.0:
+                return 0.0
+            return math.copysign(math.exp(math.log(abs(env)) + power * math.log(aj)), env)
+        return envelope(r) * aj**power
+
+    return integrand
+
+
+def reference_gk15(f, a, b):
+    """One GK15 panel with the nodes formed and evaluated one at a time."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    left = [f(c - h * x) for x in _XGK[:7]]
+    right = [f(c + h * x) for x in _XGK[:7]]
+    return _gk15_rule([f(c)] + left + right, h)
+
+
+def reference_finite(f, a, b, tol, abs_tol, max_intervals=4000):
+    """Worst-panel-first adaptive GK15 on one interval, one panel at a time."""
+    v, e = reference_gk15(f, a, b)
+    evals = 15
+    heap = [(-e, a, b, v, e)]
+    total_v, total_e = v, e
+    while total_e > max(tol * abs(total_v), abs_tol) and len(heap) < max_intervals:
+        neg_e, aa, bb, vv, ee = heapq.heappop(heap)
+        mid = 0.5 * (aa + bb)
+        if mid <= aa or mid >= bb:
+            heapq.heappush(heap, (neg_e, aa, bb, vv, ee))
+            break
+        v1, e1 = reference_gk15(f, aa, mid)
+        v2, e2 = reference_gk15(f, mid, bb)
+        evals += 30
+        total_v += v1 + v2 - vv
+        total_e += e1 + e2 - ee
+        heapq.heappush(heap, (-e1, aa, mid, v1, e1))
+        heapq.heappush(heap, (-e2, mid, bb, v2, e2))
+    return _heap_result(heap, evals, tol, abs_tol)
+
+
+def kernel_spec(d, p):
+    p_prime = p / (p - 1.0)
+    beta = (2.0 + d * (p - 2.0)) / (2.0 * (p - 1.0))
+    return power_envelope_integrand(BesselOrder((d - 2) / 2.0), beta, p_prime)
+
+
+def arch_edges(nu, k0, k1):
+    return [
+        (0.0 if k == 0 else bessel_j_zero(nu, k), bessel_j_zero(nu, k + 1))
+        for k in range(k0, k1)
+    ]
+
+
+def assert_block_matches_finite(spec, edges, tol, abs_tol=1e-16):
+    block = _integrate_block(lambda r: _integrand_values(spec, r), edges, tol, abs_tol, 4000)
+    f = scalar_integrand(spec)
+    scalar = [reference_finite(f, a, b, tol, abs_tol) for a, b in edges]
+    assert block == scalar
+    assert [integrate_finite(f, a, b, tol, abs_tol) for a, b in edges] == scalar
+    return block
+
+
+class TestBlockEngine:
+    @pytest.mark.parametrize("d, p", [(2, 1.2), (3, 1.4), (4, 1.3), (8, 1.5)])
+    def test_integrand_values(self, d, p):
+        spec = kernel_spec(d, p)
+        rng = np.random.default_rng(d)
+        edge = [0.0, 1e-6, 1e-3, np.nextafter(1e-3, 0.0)]
+        r = np.concatenate([edge, rng.uniform(0.0, 120.0, 3000)])
+        f = scalar_integrand(spec)
+        assert _integrand_values(spec, r).tolist() == [f(x) for x in r.tolist()]
+
+    @pytest.mark.parametrize("n", [1, 5, 400])
+    def test_gk15_batch(self, n):
+        # A polynomial integrand pins the error at the round-off floor, the
+        # Bessel one exercises QUADPACK's (200 err / resasc)^1.5 scaling.
+        rng = np.random.default_rng(n)
+        a = rng.uniform(0.0, 50.0, n).tolist()
+        b = [lo + w for lo, w in zip(a, rng.uniform(1e-6, 5.0, n).tolist())]
+        spec = kernel_spec(3, 1.3)
+        for batch_f, scalar_f in [
+            (lambda r: r * r * r, lambda r: r * r * r),
+            (lambda r: _integrand_values(spec, r), scalar_integrand(spec)),
+        ]:
+            want = [reference_gk15(scalar_f, lo, hi) for lo, hi in zip(a, b)]
+            assert _gk15_batch(batch_f, a, b) == want
+
+    def test_arch_stopped_at_max_intervals(self):
+        # Arch 0 of (d, p) = (2, 1.2) at tol 1e-12: its arch tolerance 1e-14
+        # sits below GK15's round-off floor, so it refines to the limit.
+        spec = kernel_spec(2, 1.2)
+        (res,) = assert_block_matches_finite(spec, arch_edges(0.0, 0, 1), 1e-14)
+        assert not res.converged
+        assert res.evaluations == 15 + 30 * (4000 - 1)
+
+    @pytest.mark.parametrize("d, p", [(2, 1.2), (3, 1.4), (4, 1.1), (16, 1.3)])
+    def test_block_of_arches(self, d, p):
+        spec = kernel_spec(d, p)
+        results = assert_block_matches_finite(spec, arch_edges(spec.order.nu, 0, 24), 1e-11)
+        assert len({res.evaluations for res in results}) > 1
+
+    def test_machine_resolution_stop(self):
+        # A jump inside a few-ulp interval: bisection reaches adjacent
+        # doubles and stops there, unconverged, long before the budget.
+        a = 1.0 / 3.0
+        b = a
+        for _ in range(16):
+            b = math.nextafter(b, 1.0)
+        jump = 0.5 * (a + b)
+
+        def step(x):
+            return 1.0 if x > jump else -1.0
+
+        block = _integrate_block(
+            lambda r: np.where(r > jump, 1.0, -1.0), [(a, b), (0.0, 1.0)], 1e-15, 0.0, 4000
+        )
+        scalar = [reference_finite(step, lo, hi, 1e-15, 0.0) for lo, hi in [(a, b), (0.0, 1.0)]]
+        assert block == scalar
+        assert not block[0].converged
+        assert block[0].evaluations < 30 * 100
+
+    def test_signed_alternating(self):
+        spec = power_envelope_integrand(BesselOrder(1.0), 0.0, 1.0, signed=True)
+        results = assert_block_matches_finite(spec, arch_edges(1.0, 0, 16), 1e-12)
+        signs = [math.copysign(1.0, res.value) for res in results]
+        assert all(s != t for s, t in zip(signs, signs[1:]))
+
+    def test_bad_interval_rejected(self):
+        with pytest.raises(DomainError):
+            _integrate_block(lambda r: r, [(0.0, 1.0), (2.0, 2.0)], 1e-9, 1e-16, 4000)
+
+
+def scalar_oscillatory(spec, tol, max_arches=800):
+    """integrate_oscillatory_bessel with one scalar adaptive GK15 per arch."""
+    nu = spec.order.nu
+    f = scalar_integrand(spec)
+    arch_tol = min(1e-12, tol * 1e-2)
+
+    def arch_block(k0, k1):
+        out = []
+        for a, b in arch_edges(nu, k0, k1):
+            res = reference_finite(f, a, b, arch_tol, 1e-16)
+            out.append((res.value, res.error_estimate, res.evaluations))
+        return out
+
+    if spec.signed and int(round(spec.power)) % 2 == 1:
+        return _sum_arches_alternating(arch_block, tol, min(max_arches, 200))
+    return _sum_arches_positive(
+        arch_block, lambda k: bessel_j_zero(nu, k), spec.tail_exponent, tol, max_arches
+    )
+
+
+class TestKernelIntegral:
+    @pytest.mark.parametrize(
+        "d, p, tol", [(2, 1.2, 1e-9), (3, 1.4, 1e-9), (4, 1.3, 1e-10), (8, 1.5, 1e-9)]
+    )
+    def test_same_result_as_per_arch_engine(self, d, p, tol):
+        spec = kernel_spec(d, p)
+        assert integrate_oscillatory_bessel(spec, tol) == scalar_oscillatory(spec, tol)
+
+    @pytest.mark.parametrize(
+        "count, min_arches, check_every, blocks",
+        [
+            (100, 24, 8, [(0, 24), (24, 32), (32, 40)]),
+            (200, 14, 4, [(0, 16), (16, 20), (20, 24)]),
+            (30, 24, 8, [(0, 24), (24, 30)]),
+        ],
+    )
+    def test_blocks_end_at_checkpoints(self, count, min_arches, check_every, blocks):
+        # A sum that stops at a checkpoint must not have computed an arch
+        # past it; evaluation counts cannot show that, they count only the
+        # arches summed.
+        requested = []
+
+        def arch_block(k0, k1):
+            requested.append((k0, k1))
+            return [(0.0, 0.0, 15)] * (k1 - k0)
+
+        stream = _arch_stream(arch_block, count, min_arches, check_every)
+        for _ in range(blocks[-1][1]):
+            next(stream)
+        assert requested == blocks
+
+    def test_same_result_signed(self):
+        spec = power_envelope_integrand(BesselOrder(0.5), 0.0, 1.0, signed=True)
+        assert integrate_oscillatory_bessel(spec, 1e-10) == scalar_oscillatory(spec, 1e-10)
+
+
+class TestEnvelopeOverflow:
+    def test_power_envelope_goes_through_log_space(self):
+        # (d, p) = (3, 1.001): beta = -498.5, so r**beta overflows below
+        # r ~ 0.24 while |J_1/2|^1001 vanishes faster.
+        spec = kernel_spec(3, 1.001)
+        r = np.array([1e-4, 0.01, 0.2, 1.0])
+        values = _integrand_values(spec, r)
+        assert np.all(np.isfinite(values)) and np.all(values > 0.0)
+        res = integrate_oscillatory_bessel(spec)
+        assert isinstance(res, QuadResult)

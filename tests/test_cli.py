@@ -47,6 +47,20 @@ class TestConstant:
         assert code == 3
         assert "did not converge" in err
 
+    @pytest.mark.parametrize("d, p", [(3, 1.001), (2, 1.0005)])
+    def test_near_p_one_ends_typed(self, capsys, d, p):
+        # Near p = 1 the envelope r**beta overflows for small r; the point
+        # must converge or fail with a typed error, never a traceback.
+        code, out, err = run_cli(
+            capsys, "constant", "--d", str(d), "--p", str(p), "--q", "2"
+        )
+        assert code in (0, 3)
+        assert "Traceback" not in err
+        if code == 0:
+            assert json.loads(out)["kernel_integral"]["converged"] is True
+        else:
+            assert "did not converge" in err
+
     def test_fifteen_significant_digits(self, capsys):
         code, out, _ = run_cli(
             capsys, "constant", "--d", "3", "--p", "1.2", "--q", "2"
