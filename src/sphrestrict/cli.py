@@ -15,7 +15,8 @@ point output is printed with 15 significant digits.  No arithmetic happens
 here beyond formatting; every number is produced by a library operation.
 
 A flat ``key=value`` config file can pre-set any long flag (for example
-``tol=1e-10`` or ``workers=4``); explicit flags win over the file.
+``tol=1e-10`` or ``format=csv``); explicit flags win over the file.
+Grids run serially, in grid order.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -33,7 +33,6 @@ from .errors import ConvergenceError, DomainError
 from .gls import PsiWeight, verify_transfer, zeta_from_psi
 from .radial_fourier import gaussian_profile
 from .restriction import (
-    ConsistencyRow,
     RestrictionParams,
     consistency_report,
     gaussian_lower_bound,
@@ -122,13 +121,6 @@ def _load_config(path: str) -> dict[str, str]:
     return config
 
 
-def _default_workers() -> int:
-    env = os.environ.get("SPHRESTRICT_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
         with open(output, "w", newline="") as fh:
@@ -150,18 +142,17 @@ def _json_text(payload) -> str:
     return json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n"
 
 
-def _check_admissibility_diagnostics(params: RestrictionParams) -> None:
-    if not radial_convergence_admissible(params.d, params.p):
-        upper = 2.0 * params.d / (params.d + 1.0)
-        raise DomainError(
-            f"(d={params.d}, p={_fmt(params.p)}) is outside the kernel "
-            f"convergence window 1 < p < 2d/(d+1) = {_fmt(upper)}"
-        )
+def _grid(args) -> list[RestrictionParams]:
+    return [
+        RestrictionParams(d, p, q)
+        for d in _parse_range(args.d, integer=True)
+        for p in _parse_range(args.p)
+        for q in _parse_range(args.q)
+    ]
 
 
 def _cmd_constant(args) -> int:
     params = RestrictionParams(args.d, args.p, args.q)
-    _check_admissibility_diagnostics(params)
     result = sharp_radial_constant(params, args.tol)
     payload = {
         "d": params.d,
@@ -241,20 +232,7 @@ def _sweep_row(params: RestrictionParams, tol: float):
 
 
 def _cmd_sweep(args) -> int:
-    grid = [
-        RestrictionParams(d, p, q)
-        for d in _parse_range(args.d, integer=True)
-        for p in _parse_range(args.p)
-        for q in _parse_range(args.q)
-    ]
-    workers = args.workers
-    if workers > 1 and len(grid) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda prm: _sweep_row(prm, args.tol), grid))
-    else:
-        rows = [_sweep_row(params, args.tol) for params in grid]
+    rows = [_sweep_row(params, args.tol) for params in _grid(args)]
     if args.format == "csv":
         _emit(_csv_text(SWEEP_COLUMNS, rows), args.output)
     else:
@@ -271,17 +249,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    grid = [
-        RestrictionParams(d, p, q)
-        for d in _parse_range(args.d, integer=True)
-        for p in _parse_range(args.p)
-        for q in _parse_range(args.q)
-    ]
-    for params in grid:
-        _check_admissibility_diagnostics(params)
     spec = RandomRadialSpec(seed=args.seed, family=args.family, count=args.trials)
     report = run_dominance_suite(
-        grid, spec, tol=args.ratio_tol, quad_tol=args.tol, workers=args.workers
+        _grid(args), spec, tol=args.ratio_tol, quad_tol=args.tol
     )
     # Dominance violations are report content, not process failures.
     _emit(report.to_json() + "\n", args.output)
@@ -325,13 +295,7 @@ def _parse_profile(text: str, d: int):
 
 
 def _cmd_report(args) -> int:
-    grid = [
-        RestrictionParams(d, p, q)
-        for d in _parse_range(args.d, integer=True)
-        for p in _parse_range(args.p)
-        for q in _parse_range(args.q)
-    ]
-    rows = consistency_report(grid, args.tol, workers=args.workers)
+    rows = consistency_report(_grid(args), args.tol)
     if args.format == "csv":
         table = [
             (
@@ -380,7 +344,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", help="output path (default stdout)")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker pool size (default: available parallelism)")
+                       help="accepted for compatibility; jobs run serially")
 
     p_const = sub.add_parser("constant", help="sharp radial constant at one point")
     p_const.add_argument("--d", type=int, required=True)
@@ -481,8 +445,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
         _apply_config(registry, config)
     args = parser.parse_args(argv)
-    if getattr(args, "workers", None) is None:
-        args.workers = _default_workers()
     try:
         return args.func(args)
     except DomainError as exc:

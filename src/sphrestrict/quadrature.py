@@ -47,7 +47,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DivergenceError, DomainError
-from .special_fns import BesselOrder, bessel_j_array, bessel_j_zero
+from .special_fns import BesselOrder, bessel_j, bessel_j_array, bessel_j_zero
 
 __all__ = [
     "QuadResult",
@@ -96,7 +96,7 @@ _EPS50 = 50.0 * 2.220446049250313e-16
 _MAX_INTERVALS = 4000
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadResult:
     """Numeric value with an error estimate and the evaluation count."""
 
@@ -370,6 +370,18 @@ class OscillatoryIntegrand:
         if self.signed and self.power != round(self.power):
             raise DomainError("signed integrands need an integer power")
 
+    def __call__(self, r: float) -> float:
+        """The integrand at one node, valued as ``_integrand_values`` does."""
+        if r <= 0.0:
+            return 0.0
+        j = bessel_j(self.order, r)
+        if self.signed:
+            return self.envelope(r) * j ** int(round(self.power))
+        aj = abs(j)
+        if aj == 0.0:
+            return 0.0
+        return _node_value(self, r, aj)
+
     def check_integrable(self) -> None:
         if self.zero_exponent + self.order.nu * self.power <= -1.0:
             raise DivergenceError(
@@ -459,8 +471,9 @@ def _floats(items: Iterable[float], count: int) -> np.ndarray:
 
 
 def _node_value(spec: OscillatoryIntegrand, r: float, aj: float) -> float:
-    """The nonnegative integrand at one node below r = 1e-3, or at one where
-    a power envelope r^beta overflows."""
+    """The nonnegative integrand at one node where |J| = aj is nonzero;
+    below r = 1e-3, or where a power envelope r^beta overflows, the
+    product is taken in log space."""
     power = spec.power
     try:
         env = spec.envelope(r)

@@ -38,7 +38,6 @@ consistency report.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -145,8 +144,11 @@ def gaussian_lower_bound(params: RestrictionParams, sigma: float) -> float:
     """
     if sigma <= 0.0:
         raise DomainError(f"sigma must be positive, got {sigma!r}")
+    return _gaussian_ratio(params, params.kernel.sphere_area, sigma)
+
+
+def _gaussian_ratio(params: RestrictionParams, area: float, sigma: float) -> float:
     d = params.d
-    area = params.kernel.sphere_area
     a = d * (1.0 - 1.0 / params.p)
     return (
         math.exp(-0.5 * sigma * sigma)
@@ -202,13 +204,13 @@ def gaussian_lower_bound_optimized(params: RestrictionParams) -> GaussianBound:
     )
     literal = base * math.pow(a, 0.5 * a) if a > 0.0 else base
     sigma_star = _golden_max(
-        lambda s: gaussian_lower_bound(params, s),
+        lambda s: _gaussian_ratio(params, area, s),
         1e-6,
         10.0 * math.sqrt(d),
         1e-10,
     )
     return GaussianBound(
-        bound=gaussian_lower_bound(params, sigma_star),
+        bound=_gaussian_ratio(params, area, sigma_star),
         sigma_star=sigma_star,
         paper_closed_form=literal,
     )
@@ -402,18 +404,12 @@ def _consistency_row(params: RestrictionParams, tol: float) -> ConsistencyRow:
 
 
 def consistency_report(
-    grid: Sequence[RestrictionParams],
-    tol: float = DEFAULT_REL_TOL,
-    workers: Optional[int] = None,
+    grid: Sequence[RestrictionParams], tol: float = DEFAULT_REL_TOL
 ) -> list[ConsistencyRow]:
     """Row-per-grid-point comparison of the two constant routes.
 
     Rows carry both sharp-constant values and both Gaussian bounds with
     their ratios; a failing point is reported as a failed row instead of
-    aborting the table, and output order is input order regardless of the
-    worker pool.
+    aborting the table, and rows come back in grid order.
     """
-    if workers is None or workers <= 1 or len(grid) <= 1:
-        return [_consistency_row(params, tol) for params in grid]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda prm: _consistency_row(prm, tol), grid))
+    return [_consistency_row(params, tol) for params in grid]

@@ -20,9 +20,8 @@ from __future__ import annotations
 import json
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .quadrature import (
 )
 from .radial_fourier import CompactSupport, GaussianDecay, RadialProfile
 from .restriction import RestrictionParams, ratio_z, sharp_radial_constant
-from .special_fns import bessel_j, bessel_j_zero
+from .special_fns import bessel_j_zero
 
 __all__ = [
     "RandomRadialSpec",
@@ -216,34 +215,13 @@ def _oracle_semi_infinite(f, tol) -> QuadResult:
 def _oracle_oscillatory(spec: OscillatoryIntegrand, tol) -> QuadResult:
     spec.check_integrable()
     nu = spec.order.nu
-    power = spec.power
-    int_power = int(round(power))
-    signed = spec.signed
-
-    def integrand(r: float) -> float:
-        if r <= 0.0:
-            return 0.0
-        j = bessel_j(nu, r)
-        if signed:
-            return spec.envelope(r) * j**int_power
-        aj = abs(j)
-        if aj == 0.0:
-            return 0.0
-        if r < 1e-3:
-            env = spec.envelope(r)
-            if env == 0.0:
-                return 0.0
-            return math.copysign(
-                math.exp(math.log(abs(env)) + power * math.log(aj)), env
-            )
-        return spec.envelope(r) * aj**power
 
     # Partition at the midpoints between consecutive zeros (the Bessel
     # extrema), shifted by half an arch relative to production.
     def boundary(k: int) -> float:
         return 0.5 * (bessel_j_zero(nu, k) + bessel_j_zero(nu, k + 1))
 
-    alternating = signed and int_power % 2 == 1
+    alternating = spec.signed and int(round(spec.power)) % 2 == 1
     cells = 96 if not alternating else 48
     partial = []
     xs = []
@@ -252,7 +230,7 @@ def _oracle_oscillatory(spec: OscillatoryIntegrand, tol) -> QuadResult:
     for k in range(cells):
         a = 0.0 if k == 0 else boundary(k)
         b = boundary(k + 1)
-        res = _oracle_finite(integrand, a, b, tol * 1e-2)
+        res = _oracle_finite(spec, a, b, tol * 1e-2)
         evals += res.evaluations
         total += res.value
         xs.append(b)
@@ -349,28 +327,23 @@ def run_dominance_suite(
     tol: float = 1e-6,
     quad_tol: float = DEFAULT_REL_TOL,
     extra_profiles: Sequence[RadialProfile] = (),
-    workers: Optional[int] = None,
 ) -> DominanceReport:
     """Empirical dominance check of the sharp radial constant.
 
     Every profile's restriction ratio must stay below
     k_rad * (1 + tol); violations land in the report's failure list
     (with the profile parameters needed to reproduce them) rather than
-    raising.
+    raising.  Every grid point's constant is computed before any profile
+    work, so an inadmissible grid fails fast.
     """
+    k_rads = [
+        sharp_radial_constant(params, quad_tol).k_rad_first_principles
+        for params in params_grid
+    ]
     profiles = list(generate_profiles(spec)) + list(extra_profiles)
     points: list[DominancePoint] = []
-    for params in params_grid:
-        k_rad = sharp_radial_constant(params, quad_tol).k_rad_first_principles
-
-        def one_ratio(profile: RadialProfile) -> float:
-            return ratio_z(params, profile, quad_tol)
-
-        if workers is not None and workers > 1 and len(profiles) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                ratios = list(pool.map(one_ratio, profiles))
-        else:
-            ratios = [one_ratio(profile) for profile in profiles]
+    for params, k_rad in zip(params_grid, k_rads):
+        ratios = [ratio_z(params, profile, quad_tol) for profile in profiles]
         max_ratio = 0.0
         argmax_label = ""
         failures = []

@@ -218,7 +218,9 @@ class TestBlockEngine:
         edge = [0.0, 1e-6, 1e-3, np.nextafter(1e-3, 0.0)]
         r = np.concatenate([edge, rng.uniform(0.0, 120.0, 3000)])
         f = scalar_integrand(spec)
-        assert _integrand_values(spec, r).tolist() == [f(x) for x in r.tolist()]
+        expected = [f(x) for x in r.tolist()]
+        assert _integrand_values(spec, r).tolist() == expected
+        assert [spec(x) for x in r.tolist()] == expected
 
     @pytest.mark.parametrize("n", [1, 5, 400])
     def test_gk15_batch(self, n):
@@ -344,5 +346,6 @@ class TestEnvelopeOverflow:
         r = np.array([1e-4, 0.01, 0.2, 1.0])
         values = _integrand_values(spec, r)
         assert np.all(np.isfinite(values)) and np.all(values > 0.0)
+        assert [spec(x) for x in r.tolist()] == values.tolist()
         res = integrate_oscillatory_bessel(spec)
         assert isinstance(res, QuadResult)

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from sphrestrict.cli import SWEEP_COLUMNS, main
+from sphrestrict.restriction import _kernel_integral_cached
 
 
 def run_cli(capsys, *argv):
@@ -133,6 +134,16 @@ class TestSweep:
             (2 * math.pi) ** (5 / 6), rel=1e-9
         )
 
+    def test_one_kernel_integral_per_d_p(self, capsys):
+        _kernel_integral_cached.cache_clear()
+        code, out, _ = run_cli(
+            capsys, "sweep", "--d", "2:3:2", "--p", "1.1:1.2:2", "--q", "1:2:3",
+            "--workers", "4",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 2 * 2 * 3
+        assert _kernel_integral_cached.cache_info().misses == 4
+
 
 class TestVerify:
     def test_byte_identical_reports(self, tmp_path):
@@ -215,6 +226,22 @@ class TestReport:
             assert float(row["gauss_ratio"]) == pytest.approx(
                 math.exp(0.5 * a), rel=1e-6
             )
+
+    def test_workers_flag_selects_nothing(self, capsys, tmp_path):
+        # --workers is accepted for compatibility; grids run serially, so
+        # the flag and a config entry leave stdout byte-identical.
+        config = tmp_path / "workers.cfg"
+        config.write_text("workers=4\n")
+        args = ["report", "--d", "3", "--p", "1.1:1.3:3", "--q", "1:2:2"]
+        outs = []
+        for extra in ([], ["--workers", "1"], ["--workers", "4"]):
+            code, out, _ = run_cli(capsys, *args, *extra)
+            assert code == 0
+            outs.append(out)
+        code, out, _ = run_cli(capsys, "--config", str(config), *args)
+        assert code == 0
+        outs.append(out)
+        assert outs[1:] == outs[:1] * 3
 
 
 class TestConfig:

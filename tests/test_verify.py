@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from sphrestrict.errors import DomainError
+from sphrestrict.errors import DivergenceError, DomainError
 from sphrestrict.quadrature import (
     integrate_finite,
     integrate_oscillatory_bessel,
@@ -17,6 +17,7 @@ from sphrestrict.restriction import (
     ratio_z,
     sharp_radial_constant,
 )
+from sphrestrict.radial_fourier import GaussianDecay, RadialProfile
 from sphrestrict.special_fns import BesselOrder
 from sphrestrict.verify import (
     RandomRadialSpec,
@@ -93,6 +94,22 @@ class TestOracleIntegrate:
         assert abs(oracle.value - production.value) <= 1e-9
         assert oracle.value == pytest.approx(1.0 / math.pi**2, rel=1e-9)
 
+    def test_kernel_integral_near_p_one(self):
+        # (d, p) = (3, 1.001): beta = -498.5, so r**beta overflows below
+        # r ~ 0.24; the oracle must take the integrand's log-space branch.
+        params = RestrictionParams(3, 1.001, 2.0)
+        spec = power_envelope_integrand(BesselOrder(0.5), params.beta, params.p_prime)
+        oracle = oracle_integrate(spec, (0.0, math.inf), 1e-9)
+        assert math.isfinite(oracle.value) and oracle.value > 0.0
+
+    def test_kernel_integral_near_p_one_matches_production(self):
+        params = RestrictionParams(2, 1.0005, 2.0)
+        spec = power_envelope_integrand(BesselOrder(0.0), params.beta, params.p_prime)
+        oracle = oracle_integrate(spec, (0.0, math.inf), 1e-9)
+        production = integrate_oscillatory_bessel(spec, 1e-9)
+        assert production.converged
+        assert oracle.value == pytest.approx(production.value, rel=1e-11)
+
     def test_semi_infinite(self):
         oracle = oracle_integrate(
             lambda r: math.exp(-0.5 * r * r), (0.0, math.inf), 1e-9
@@ -141,9 +158,16 @@ class TestDominanceSuite:
         assert a == b
         assert '"seed": 3' in a
 
-    def test_worker_pool_same_result(self):
-        grid = [RestrictionParams(3, 1.2, 2.0)]
-        spec = RandomRadialSpec(seed=3, family="gaussian_mixture", count=8)
-        seq = run_dominance_suite(grid, spec, tol=1e-6).to_json()
-        par = run_dominance_suite(grid, spec, tol=1e-6, workers=4).to_json()
-        assert seq == par
+    def test_inadmissible_grid_fails_before_profile_work(self):
+        calls = []
+
+        def f(r):
+            calls.append(r)
+            return math.exp(-0.5 * r * r)
+
+        probe = RadialProfile(f=f, decay=GaussianDecay(1.0), label="probe")
+        grid = [RestrictionParams(3, 1.2, 2.0), RestrictionParams(2, 1.4, 2.0)]
+        spec = RandomRadialSpec(seed=0, family="gaussian_mixture", count=0)
+        with pytest.raises(DivergenceError, match="convergence window"):
+            run_dominance_suite(grid, spec, extra_profiles=[probe])
+        assert calls == []
