@@ -10,7 +10,8 @@ Subcommands::
     report          closed-form vs first-principles consistency table
 
 Exit codes: 0 success, 2 domain errors (inadmissible exponents, divergent
-integrals, malformed inputs), 3 numerical non-convergence.  All floating
+integrals, malformed inputs), 3 numerical non-convergence; ``sweep`` and
+``report`` mark a non-converging grid point as failed and carry on.  All floating
 point output is printed with 15 significant digits.  No arithmetic happens
 here beyond formatting; every number is produced by a library operation.
 
@@ -212,21 +213,27 @@ def _cmd_gaussian_bound(args) -> int:
 
 
 def _sweep_row(params: RestrictionParams, tol: float):
+    """One sweep row; the four integral/constant cells read ``skipped``
+    outside the convergence window and ``failed`` where the kernel
+    integral does not converge (the reason goes to stderr)."""
     ts_ok = tomas_stein_admissible(params)
-    if not radial_convergence_admissible(params.d, params.p):
-        gauss = gaussian_lower_bound_optimized(params)
-        skipped = "skipped"
-        return (
-            params.d, params.p, params.q, params.p_prime, params.beta,
-            skipped, skipped, skipped, skipped,
-            gauss.bound, gauss.paper_closed_form, ts_ok,
-        )
-    sharp = sharp_radial_constant(params, tol)
     gauss = gaussian_lower_bound_optimized(params)
+    if not radial_convergence_admissible(params.d, params.p):
+        sharp_cells = ("skipped",) * 4
+    else:
+        try:
+            sharp = sharp_radial_constant(params, tol)
+        except ConvergenceError as exc:
+            print(f"sphrestrict: {exc}", file=sys.stderr)
+            sharp_cells = ("failed",) * 4
+        else:
+            sharp_cells = (
+                sharp.kernel_integral.value, sharp.kernel_integral.error_estimate,
+                sharp.k_rad_first_principles, sharp.k_rad_paper_closed_form,
+            )
     return (
         params.d, params.p, params.q, params.p_prime, params.beta,
-        sharp.kernel_integral.value, sharp.kernel_integral.error_estimate,
-        sharp.k_rad_first_principles, sharp.k_rad_paper_closed_form,
+        *sharp_cells,
         gauss.bound, gauss.paper_closed_form, ts_ok,
     )
 
@@ -240,7 +247,9 @@ def _cmd_sweep(args) -> int:
         for row in rows:
             entry = dict(zip(SWEEP_COLUMNS, row))
             entry["skipped"] = row[5] == "skipped"
-            if entry["skipped"]:
+            if row[5] == "failed":
+                entry["failed"] = True
+            if row[5] in ("skipped", "failed"):
                 for key in ("integral", "integral_err", "k_rad", "k_rad_paper"):
                     entry[key] = None
             payload.append(entry)

@@ -38,7 +38,6 @@ from .restriction import (
     radial_convergence_admissible,
     gaussian_lower_bound_optimized,
     sharp_radial_constant,
-    tomas_stein_admissible,
 )
 from .special_fns import RadialKernel
 

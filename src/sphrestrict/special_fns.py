@@ -32,6 +32,9 @@ time (the zero finder, radial transforms, extremal profiles, the test
 oracle) stays on the scalar path.  Bit identity, not mere accuracy, is
 required because the kernel integrals' tail fit amplifies 1e-16
 differences in partial sums to ~1e-13 in the extrapolated value.
+``radial_fourier.radial_hat`` reaches ``bessel_j`` through a bounded memo
+keyed on ``(nu, x)``: its nodes repeat across transforms, and a memo hit
+is the double ``bessel_j`` returned for the same arguments.
 
 References: Watson, "A Treatise on the Theory of Bessel Functions";
 Abramowitz & Stegun ch. 9; DLMF ch. 10; Lanczos (1964) for the Gamma

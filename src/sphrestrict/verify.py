@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -321,6 +321,24 @@ class DominanceReport:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
+def _memoised(profile: RadialProfile) -> RadialProfile:
+    """The profile with ``f`` answering repeated radii from a dict.
+
+    ``dataclasses.replace`` keeps the label, decay, breakpoints and any
+    subclass fields; the memo lives as long as the returned profile.
+    """
+    f = profile.f
+    values: dict[float, float] = {}
+
+    def memo_f(r: float) -> float:
+        value = values.get(r)
+        if value is None:
+            value = values[r] = f(r)
+        return value
+
+    return replace(profile, f=memo_f)
+
+
 def run_dominance_suite(
     params_grid: Sequence[RestrictionParams],
     spec: RandomRadialSpec,
@@ -335,19 +353,33 @@ def run_dominance_suite(
     (with the profile parameters needed to reproduce them) rather than
     raising.  Every grid point's constant is computed before any profile
     work, so an inadmissible grid fails fast.
+
+    Profiles run outer and grid points inner, each profile behind a memo
+    of its values: its transform and L_p norm at every grid point share
+    one node lattice (see ``radial_fourier``), so each distinct radius is
+    evaluated once per profile, and the memo is dropped when the
+    profile's ratios are done.  A memoised value is the double ``f``
+    returned, so the report is the one a grid-outer loop of plain
+    ``ratio_z`` calls gives: per point, ratios in profile order, the
+    first maximum as ``argmax_label``, failures in profile order.
     """
     k_rads = [
         sharp_radial_constant(params, quad_tol).k_rad_first_principles
         for params in params_grid
     ]
     profiles = list(generate_profiles(spec)) + list(extra_profiles)
+    # ratios[i][j]: grid point i, profile j.
+    ratios: list[list[float]] = [[] for _ in params_grid]
+    for profile in profiles:
+        memoised = _memoised(profile)
+        for row, params in zip(ratios, params_grid):
+            row.append(ratio_z(params, memoised, quad_tol))
     points: list[DominancePoint] = []
-    for params, k_rad in zip(params_grid, k_rads):
-        ratios = [ratio_z(params, profile, quad_tol) for profile in profiles]
+    for params, k_rad, row in zip(params_grid, k_rads, ratios):
         max_ratio = 0.0
         argmax_label = ""
         failures = []
-        for profile, ratio in zip(profiles, ratios):
+        for profile, ratio in zip(profiles, row):
             if ratio > max_ratio:
                 max_ratio = ratio
                 argmax_label = profile.label

@@ -9,13 +9,10 @@ import math
 import time
 from contextlib import contextmanager
 
-import pytest
-
 from sphrestrict.cli import main as cli_main
 from sphrestrict.gls import PsiWeight, gls_norm, verify_transfer, zeta_from_psi
 from sphrestrict.quadrature import integrate_oscillatory_bessel, power_envelope_integrand
 from sphrestrict.radial_fourier import (
-    RadialProfile,
     gaussian_profile,
     radial_full_integral,
     radial_hat,

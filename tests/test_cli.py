@@ -134,6 +134,93 @@ class TestSweep:
             (2 * math.pi) ** (5 / 6), rel=1e-9
         )
 
+    def test_non_converging_row_is_marked_failed(self, capsys):
+        # (5, 1.05) does not converge; the rest of the grid must survive.
+        code, out, err = run_cli(
+            capsys, "sweep", "--d", "5", "--p", "1.05:1.1:2", "--q", "2",
+        )
+        assert code == 0
+        assert "(d=5, p=1.05)" in err and "did not converge" in err
+        rows = list(csv.DictReader(out.splitlines()))
+        assert [row["p"] for row in rows] == ["1.05", "1.1"]
+        failed, good = rows
+        for key in ("integral", "integral_err", "k_rad", "k_rad_paper"):
+            assert failed[key] == "failed"
+            assert good[key] not in ("failed", "skipped", "")
+        assert float(failed["gauss_opt"]) > 0.0
+        assert float(failed["gauss_paper"]) > 0.0
+
+    def test_non_converging_row_in_json(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--d", "5", "--p", "1.05", "--q", "2",
+            "--format", "json",
+        )
+        assert code == 0
+        (entry,) = json.loads(out)
+        assert entry["failed"] is True
+        assert entry["skipped"] is False
+        for key in ("integral", "integral_err", "k_rad", "k_rad_paper"):
+            assert entry[key] is None
+        assert entry["gauss_opt"] > 0.0
+
+    def test_converging_grid_output_is_unchanged(self, capsys):
+        # Frozen output from before failed rows existed: a grid without a
+        # failure carries no "failed" marker or key.
+        code, out, _ = run_cli(
+            capsys, "sweep", "--d", "2:3:2", "--p", "1.2:1.4:2", "--q", "2",
+        )
+        assert code == 0
+        assert out == (
+            "d,p,q,p_prime,beta,integral,integral_err,k_rad,k_rad_paper,"
+            "gauss_opt,gauss_paper,tomas_stein_ok\n"
+            "2,1.2,2,6,1,0.336827961720608,2.36939987130562e-10,2.84023713772306,"
+            "0.863845978767846,2.79384083777183,3.30053296559104,true\n"
+            "2,1.4,2,3.5,1,skipped,skipped,skipped,skipped,3.45139696852194,"
+            "4.59281604424495,false\n"
+            "3,1.2,2,6,-1,0.101321183642298,3.11981036362661e-13,4.62540632892337,"
+            "0.775840526584676,4.6163139528386,5.92746444685502,true\n"
+            "3,1.4,2,3.5,0.25,0.561946695570233,3.85603391554202e-10,7.76621040045893,"
+            "0.764755908611688,6.81443860610952,10.4605926330794,false\n"
+        )
+        code, out, _ = run_cli(
+            capsys, "sweep", "--d", "2", "--p", "1.2:1.4:2", "--q", "2",
+            "--format", "json",
+        )
+        assert code == 0
+        assert out == """[
+  {
+    "beta": 1.0,
+    "d": 2,
+    "gauss_opt": 2.79384083777183,
+    "gauss_paper": 3.30053296559104,
+    "integral": 0.336827961720608,
+    "integral_err": 2.36939987130562e-10,
+    "k_rad": 2.84023713772306,
+    "k_rad_paper": 0.863845978767846,
+    "p": 1.2,
+    "p_prime": 6.0,
+    "q": 2.0,
+    "skipped": false,
+    "tomas_stein_ok": true
+  },
+  {
+    "beta": 1.0,
+    "d": 2,
+    "gauss_opt": 3.45139696852194,
+    "gauss_paper": 4.59281604424495,
+    "integral": null,
+    "integral_err": null,
+    "k_rad": null,
+    "k_rad_paper": null,
+    "p": 1.4,
+    "p_prime": 3.5,
+    "q": 2.0,
+    "skipped": true,
+    "tomas_stein_ok": false
+  }
+]
+"""
+
     def test_one_kernel_integral_per_d_p(self, capsys):
         _kernel_integral_cached.cache_clear()
         code, out, _ = run_cli(

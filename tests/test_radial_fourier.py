@@ -5,10 +5,19 @@ import math
 
 import pytest
 
+from sphrestrict import radial_fourier
 from sphrestrict.errors import DivergenceError, DomainError
+from sphrestrict.quadrature import (
+    ABS_FLOOR,
+    DEFAULT_REL_TOL,
+    integrate_finite,
+    integrate_semi_infinite_decaying,
+    sum_over_partition,
+)
 from sphrestrict.radial_fourier import (
     AlgebraicDecay,
     CompactSupport,
+    GaussianDecay,
     RadialProfile,
     gaussian_profile,
     kernel_v,
@@ -17,7 +26,8 @@ from sphrestrict.radial_fourier import (
     radial_lp_norm,
     sphere_norm_of_radial_hat,
 )
-from sphrestrict.special_fns import RadialKernel, bessel_j
+from sphrestrict.restriction import RestrictionParams, extremal_profile
+from sphrestrict.special_fns import RadialKernel, bessel_j, bessel_j_zero
 
 from oracles import gaussian_lp_norm_closed_form
 
@@ -115,6 +125,95 @@ class TestRadialHat:
         )
         with pytest.raises(DivergenceError):
             radial_hat(RadialKernel(3), slow, 1.0)
+
+
+def reference_radial_hat(kernel, profile, s, tol=DEFAULT_REL_TOL):
+    """``radial_hat`` without the Bessel memo: the same integrand with a
+    plain ``bessel_j`` call per node, through the same quadrature calls."""
+    nu = kernel.order.nu
+    d = kernel.d
+    front = (2.0 * math.pi) ** (0.5 * d) * s ** (0.5 * (2 - d))
+
+    def integrand(r):
+        if r <= 0.0:
+            return 0.0
+        fr = profile.f(r)
+        if fr == 0.0:
+            return 0.0
+        return front * bessel_j(nu, s * r) * r ** (0.5 * d) * fr
+
+    decay = profile.decay
+    if isinstance(decay, CompactSupport):
+        return integrate_finite(integrand, 0.0, decay.radius, tol, ABS_FLOOR)
+    if isinstance(decay, GaussianDecay):
+        return integrate_semi_infinite_decaying(integrand, tol, ABS_FLOOR)
+    boundary = radial_fourier._merged_breakpoints(
+        lambda k: bessel_j_zero(nu, k) / s, profile.breakpoints
+    )
+    return sum_over_partition(
+        integrand, boundary, tol,
+        tail_exponent=decay.exponent - 0.5 * (d - 1), alternating=None,
+    )
+
+
+def mixture_profile():
+    return RadialProfile(
+        f=lambda r: 1.3 * math.exp(-0.5 * r * r) - 0.4 * math.exp(-0.18 * r * r),
+        decay=GaussianDecay(1.7),
+        label="mixture",
+    )
+
+
+def bump_profile():
+    return RadialProfile(
+        f=lambda r: math.exp(-1.0 / (1.0 - (r / 2.3) ** 2)) if r < 2.3 else 0.0,
+        decay=CompactSupport(2.3),
+        label="bump",
+    )
+
+
+class TestBesselMemo:
+    @pytest.mark.parametrize("s", [1.0, 1.7])
+    @pytest.mark.parametrize(
+        "d,make_profile",
+        [
+            (3, mixture_profile),
+            (4, bump_profile),
+            (3, lambda: extremal_profile(RestrictionParams(3, 1.2, 2.0))),
+        ],
+        ids=["gaussian_decay", "compact", "algebraic"],
+    )
+    def test_equals_unmemoised_reference(self, d, make_profile, s):
+        kernel = RadialKernel(d)
+        profile = make_profile()
+        expected = reference_radial_hat(kernel, profile, s)
+        radial_fourier._bessel_factor.cache_clear()
+        cold = radial_hat(kernel, profile, s)
+        warm = radial_hat(kernel, profile, s)
+        assert radial_fourier._bessel_factor.cache_info().hits > 0
+        for got in (cold, warm):
+            assert got.quad == expected
+            assert got.value == expected.value
+
+    def test_key_includes_the_order(self):
+        # d = 2 and d = 4 at one s put identical x = s r on the same nodes.
+        profile = mixture_profile()
+        radial_fourier._bessel_factor.cache_clear()
+        for d in (2, 4, 2):
+            kernel = RadialKernel(d)
+            assert radial_hat(kernel, profile, 1.3).quad == reference_radial_hat(
+                kernel, profile, 1.3
+            )
+        assert radial_fourier._bessel_factor(0.0, 2.5) == bessel_j(0.0, 2.5)
+        assert radial_fourier._bessel_factor(1.0, 2.5) == bessel_j(1.0, 2.5)
+        assert bessel_j(0.0, 2.5) != bessel_j(1.0, 2.5)
+
+    def test_cache_is_bounded(self):
+        info = radial_fourier._bessel_factor.cache_info()
+        assert info.maxsize == radial_fourier._BESSEL_MEMO_SIZE == 4096
+        for i in range(info.maxsize + 100):
+            radial_fourier._bessel_factor(0.0, 0.5 + i * 1e-3)
+        assert radial_fourier._bessel_factor.cache_info().currsize == info.maxsize
 
 
 class TestFullIntegral:

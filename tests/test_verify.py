@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from sphrestrict import radial_fourier
 from sphrestrict.errors import DivergenceError, DomainError
 from sphrestrict.quadrature import (
     integrate_finite,
@@ -18,8 +19,10 @@ from sphrestrict.restriction import (
     sharp_radial_constant,
 )
 from sphrestrict.radial_fourier import GaussianDecay, RadialProfile
-from sphrestrict.special_fns import BesselOrder
+from sphrestrict.special_fns import BesselOrder, bessel_j
 from sphrestrict.verify import (
+    DominancePoint,
+    DominanceReport,
     RandomRadialSpec,
     generate_profiles,
     oracle_integrate,
@@ -171,3 +174,73 @@ class TestDominanceSuite:
         with pytest.raises(DivergenceError, match="convergence window"):
             run_dominance_suite(grid, spec, extra_profiles=[probe])
         assert calls == []
+
+
+def reference_dominance_json(grid, spec, tol, quad_tol, extra_profiles):
+    """The suite as a grid-outer loop of plain ``ratio_z`` calls, with no
+    profile memo and no Bessel memo."""
+    k_rads = [sharp_radial_constant(pt, quad_tol).k_rad_first_principles for pt in grid]
+    profiles = generate_profiles(spec) + list(extra_profiles)
+    points = []
+    for params, k_rad in zip(grid, k_rads):
+        ratios = [ratio_z(params, profile, quad_tol) for profile in profiles]
+        max_ratio, argmax_label, failures = 0.0, "", []
+        for profile, ratio in zip(profiles, ratios):
+            if ratio > max_ratio:
+                max_ratio, argmax_label = ratio, profile.label
+            if ratio > k_rad * (1.0 + tol):
+                failures.append({"label": profile.label, "ratio": ratio})
+        points.append(DominancePoint(
+            d=params.d, p=params.p, q=params.q, trials=len(profiles),
+            max_ratio=max_ratio, k_rad=k_rad,
+            margin=k_rad * (1.0 + tol) - max_ratio,
+            argmax_label=argmax_label, failures=failures,
+        ))
+    return DominanceReport(spec=spec, tol=tol, points=points).to_json()
+
+
+class TestDominanceReuse:
+    GRID = [RestrictionParams(2, 1.2, 2.0), RestrictionParams(3, 1.2, 2.0),
+            RestrictionParams(4, 1.3, 1.5)]
+
+    def test_report_equals_grid_outer_reference(self, monkeypatch):
+        spec = RandomRadialSpec(seed=5, family="gaussian_mixture", count=4)
+        # Twins tie every ratio of the generated profiles, so each point's
+        # maximum is tied; the first (generated) profile must win it.
+        twins = [
+            RadialProfile(f=p.f, decay=p.decay, label=f"twin {p.label}")
+            for p in generate_profiles(spec)
+        ]
+        # A negative tolerance lists the larger ratios as failures, which
+        # must come in profile order, not ratio order.
+        tol = -0.8
+        got = run_dominance_suite(self.GRID, spec, tol=tol, extra_profiles=twins)
+        with monkeypatch.context() as m:
+            m.setattr(radial_fourier, "_bessel_factor", bessel_j)
+            expected = reference_dominance_json(self.GRID, spec, tol, 1e-9, twins)
+        assert got.to_json() == expected
+        for point in got.points:
+            assert 4 <= len(point.failures) < point.trials
+            assert not point.argmax_label.startswith("twin")
+            labels = [f["label"] for f in point.failures]
+            assert any(label.startswith("twin") for label in labels)
+
+    def test_each_radius_evaluated_once_per_profile(self):
+        calls = []
+
+        def f(r):
+            calls.append(r)
+            return math.exp(-0.5 * r * r) - 0.3 * math.exp(-0.1 * r * r)
+
+        probe = RadialProfile(f=f, decay=GaussianDecay(2.3), label="probe")
+        spec = RandomRadialSpec(seed=0, family="gaussian_mixture", count=0)
+        run_dominance_suite(self.GRID, spec, extra_profiles=[probe])
+        memoised = list(calls)
+        assert memoised and len(memoised) == len(set(memoised))
+
+        # The same grid without the memo revisits those radii.
+        calls.clear()
+        for params in self.GRID:
+            ratio_z(params, probe)
+        assert set(calls) == set(memoised)
+        assert len(calls) > len(memoised)
