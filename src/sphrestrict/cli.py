@@ -10,9 +10,9 @@ Subcommands::
     report          closed-form vs first-principles consistency table
 
 Exit codes: 0 success, 2 domain errors (inadmissible exponents, divergent
-integrals, malformed inputs), 3 numerical non-convergence; ``sweep`` and
-``report`` mark a non-converging grid point as failed and carry on.  All floating
-point output is printed with 15 significant digits.  No arithmetic happens
+integrals, malformed inputs), 3 numerical non-convergence; ``sweep``,
+``report`` and ``verify`` mark a non-converging grid point as failed and carry
+on.  All floating point output is printed with 15 significant digits.  No arithmetic happens
 here beyond formatting; every number is produced by a library operation.
 
 A flat ``key=value`` config file can pre-set any long flag (for example

@@ -1,18 +1,20 @@
 """Quadrature engine: adaptive Gauss-Kronrod on finite intervals, a
-semi-infinite rule for decaying integrands, and improper oscillatory
-integrals of Bessel type summed arch-by-arch between consecutive zeros.
+semi-infinite rule for decaying integrands, and improper integrals over
+[0, inf) summed cell by cell.
 
 The finite rule is the embedded (G7, K15) pair with QUADPACK's error
 estimate and worst-interval-first bisection.  Endpoints are never
 evaluated, so integrable endpoint singularities of type r^c, c > -1 are
 handled by refinement alone.
 
-Oscillatory integrals over [0, inf) are partitioned at the zeros of the
-Bessel factor.  Two regimes:
+Improper integrals are split into cells: the arches between consecutive
+zeros of the Bessel factor (``integrate_oscillatory_bessel``) or a
+caller-supplied partition (``sum_over_partition``).  One driver,
+``_sum_cells``, sums them in one of two regimes:
 
-* signed integrands whose arch integrals alternate: Wynn's epsilon
-  algorithm on the partial sums (rapid for alternating sequences);
-* nonnegative integrands with an algebraic envelope ~ r^(-gamma): the
+* signed cells that alternate: Wynn's epsilon algorithm on the partial
+  sums (rapid for alternating sequences);
+* nonnegative cells with an algebraic envelope ~ r^(-gamma): the
   partial sums converge like X^(1-gamma), far too slowly to sum near the
   admissibility boundary (gamma can sit just above 1), and epsilon-type
   acceleration provably stalls on such logarithmic sequences.  Instead the
@@ -25,11 +27,10 @@ One engine, ``_integrate_block``, runs the adaptive rule over several
 intervals at once, each with its own heap, and evaluates every round's new
 panels with one call of an array integrand.  ``integrate_finite`` is that
 engine on one interval with an opaque scalar callable mapped over the
-nodes; it serves radial transforms and norms, ``sum_over_partition`` and
-everything built on them.  The arches of ``integrate_oscillatory_bessel``
-have a known Bessel factor, so all arches between two checkpoints of the
-arch sum go to the engine together and each round is one call of
-``special_fns.bessel_j_array``.  Every interval's result is the one it
+nodes.  ``_cells`` hands the engine all cells between two checkpoints of
+the sum together: a kernel integral's rounds are each one call of
+``special_fns.bessel_j_array``, and ``sum_over_partition`` maps its scalar
+callable over each round's nodes.  Every interval's result is the one it
 gets alone, evaluation counts included, and equals a one-node-at-a-time
 scalar rule bit for bit: the tail fit at tight tolerances amplifies
 last-digit differences ~1000-fold.
@@ -175,11 +176,16 @@ def integrate_finite(
     result, never raised.  The scalar callable ``f`` is mapped over the
     nodes of each round of ``_integrate_block``.
     """
+    return _integrate_block(_mapped(f), [(a, b)], tol, abs_tol, max_intervals)[0]
+
+
+def _mapped(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """The scalar callable ``f`` as an array integrand, mapped node by node."""
 
     def f_array(x: np.ndarray) -> np.ndarray:
         return _floats(map(f, x.tolist()), x.size)
 
-    return _integrate_block(f_array, [(a, b)], tol, abs_tol, max_intervals)[0]
+    return f_array
 
 
 def _integrate_block(
@@ -508,248 +514,153 @@ def _algebraic_tail_fit(
     return float(sol[0]), resid
 
 
-def _estimate_tail_exponent(
-    xs: Sequence[float], arch_values: Sequence[float]
-) -> tuple[float, float]:
-    """Estimate gamma (and its uncertainty) from trailing arch magnitudes.
+# Schedules of the two regimes: the first checkpoint, the cells between
+# checkpoints and the most cells summed.
+_POSITIVE = (24, 8, 800)
+_ALTERNATING = (14, 4, 200)
+_FIT_TERMS = 4
+_PROBE_CELLS = 10
 
-    Fits log|a_k| = c - gamma log(x_k) + b / x_k over the trailing half;
-    the 1/x term absorbs the leading bias of the plain log-log slope.
-    """
-    pairs = [
-        (x, abs(v)) for x, v in zip(xs, arch_values) if v != 0.0
-    ]
-    window = max(len(pairs) // 2, 6)
-    pairs = pairs[-window:]
-    lx = np.log([x for x, _ in pairs])
-    ly = np.log([v for _, v in pairs])
-    inv = 1.0 / np.asarray([x for x, _ in pairs])
-    design = np.column_stack([np.ones_like(lx), -lx, inv])
-    sol, *_ = np.linalg.lstsq(design, ly, rcond=None)
-    resid = ly - design @ sol
-    rms = float(np.sqrt(np.mean(resid**2)))
-    spread = float(lx.max() - lx.min())
-    gamma_unc = 3.0 * rms / max(spread, 1e-6)
-    return float(sol[1]), gamma_unc
-
-
-_ArchBlock = Callable[[int, int], Sequence[tuple[float, float, int]]]
+_CellBlock = Callable[[int, int], Sequence[QuadResult]]
 
 
 def _arch_stream(
-    arch_block: _ArchBlock, count: int, min_arches: int, check_every: int
-) -> Iterator[tuple[float, float, int]]:
-    """(value, error, evaluations) of arches 0, 1, ..., count - 1.
+    block: _CellBlock, count: int, first: int, every: int
+) -> Iterator[QuadResult]:
+    """Cells 0, 1, ..., count - 1 of ``block``.
 
-    ``arch_block(k0, k1)`` computes arches k0..k1-1 together.  Each block
-    ends at the next checkpoint of the summation (arch counts
-    >= ``min_arches`` divisible by ``check_every``), so a sum that stops
-    at a checkpoint never computes an arch past it.
+    ``block(k0, k1)`` computes cells k0..k1-1 together.  Each block ends
+    at the next checkpoint of the summation (cell counts >= ``first``
+    divisible by ``every``), so a sum that stops at a checkpoint never
+    computes a cell past it.
     """
-    first = -(-min_arches // check_every) * check_every
+    first = -(-first // every) * every
     k = 0
     while k < count:
-        end = min(max(first, (k // check_every + 1) * check_every), count)
-        yield from arch_block(k, end)
+        end = min(max(first, (k // every + 1) * every), count)
+        yield from block(k, end)
         k = end
 
 
-def _sum_arches_positive(
-    arch_block: _ArchBlock,
-    boundary: Callable[[int], float],
-    gamma_exp: Optional[float],
-    tol: float,
-    max_arches: int,
-    fit_terms: int = 4,
-    min_arches: int = 24,
-    check_every: int = 8,
-) -> QuadResult:
-    """Sum nonnegative arch integrals, extrapolating the algebraic tail.
+def _cells(
+    f: Callable[[np.ndarray], np.ndarray], boundary: Callable[[int], float], tol: float
+) -> _CellBlock:
+    """The cells [boundary(k), boundary(k + 1)] of ``f``, cell 0 starting at
+    0, as a block: ``block(k0, k1)`` integrates cells k0..k1-1 together with
+    ``_integrate_block``, at the per-cell tolerance of a sum to ``tol``."""
+    cell_tol = min(1e-12, tol * 1e-2)
 
-    ``gamma_exp=None`` estimates the envelope exponent from the arch
-    magnitudes at every checkpoint, widening the reported error by the
-    extrapolation's sensitivity to that estimate.
+    def block(k0: int, k1: int) -> list[QuadResult]:
+        edges = [
+            (0.0 if k == 0 else boundary(k), boundary(k + 1)) for k in range(k0, k1)
+        ]
+        return _integrate_block(f, edges, cell_tol, 1e-16, _MAX_INTERVALS)
+
+    return block
+
+
+def _sum_cells(
+    block: _CellBlock,
+    boundary: Callable[[int], float],
+    tail_exponent: Optional[float],
+    tol: float,
+) -> QuadResult:
+    """Sum the cells of ``block`` to relative ``tol``, testing at every
+    checkpoint of the regime's schedule.
+
+    ``tail_exponent=None`` means alternating cells: Wynn's epsilon on the
+    last 60 partial sums.  A number gamma means nonnegative cells whose
+    envelope decays like r^(-gamma): the algebraic tail fit over the
+    trailing half (at most 64) of the partial sums, with ``_FIT_TERMS``
+    and one fewer correction terms; their spread, the fit residual, the
+    cells' own error and half the move since the last checkpoint bound the
+    error.  Unconverged, the result is the estimate with the least error.
     """
+    first, every, count = _ALTERNATING if tail_exponent is None else _POSITIVE
     partial: list[float] = []
-    arch_values: list[float] = []
     xs: list[float] = []
     total = 0.0
     quad_err = 0.0
     evals = 0
     prev_est: Optional[float] = None
     best: Optional[tuple[float, float]] = None
-    arches = _arch_stream(arch_block, max_arches, min_arches, check_every)
-    for k, (v, e, n) in enumerate(arches):
-        evals += n
-        total += v
-        quad_err += e
-        xs.append(boundary(k + 1))
-        arch_values.append(v)
+    for n, cell in enumerate(_arch_stream(block, count, first, every), 1):
+        evals += cell.evaluations
+        total += cell.value
+        quad_err += cell.error_estimate
+        xs.append(boundary(n))
         partial.append(total)
-        if k + 1 >= min_arches and (k + 1) % check_every == 0:
-            if gamma_exp is None:
-                # Arch values scale like the integrand envelope x^(-gamma).
-                g_hat, g_unc = _estimate_tail_exponent(xs, arch_values)
-            else:
-                g_hat, g_unc = gamma_exp, 0.0
-            window = min(len(xs) // 2, 64)
-            est, resid = _algebraic_tail_fit(
-                xs[-window:], partial[-window:], g_hat, fit_terms
-            )
-            est_lo, _ = _algebraic_tail_fit(
-                xs[-window:], partial[-window:], g_hat, fit_terms - 1
-            )
+        if n < first or n % every:
+            continue
+        if tail_exponent is None:
+            est, spread = wynn_epsilon(partial[-60:])
+            err = spread + quad_err
+        else:
+            window = min(n // 2, 64)
+            trailing = (xs[-window:], partial[-window:], tail_exponent)
+            est, resid = _algebraic_tail_fit(*trailing, _FIT_TERMS)
+            est_lo, _ = _algebraic_tail_fit(*trailing, _FIT_TERMS - 1)
             err = abs(est - est_lo) + resid + quad_err
-            if g_unc > 0.0:
-                est_hi, _ = _algebraic_tail_fit(
-                    xs[-window:], partial[-window:], g_hat + g_unc, fit_terms
-                )
-                est_lo2, _ = _algebraic_tail_fit(
-                    xs[-window:], partial[-window:], max(g_hat - g_unc, 1.01),
-                    fit_terms,
-                )
-                err += abs(est_hi - est_lo2)
             if prev_est is not None:
                 err = max(err, 0.5 * abs(est - prev_est) + quad_err)
             prev_est = est
-            if best is None or err < best[1]:
-                best = (est, err)
-            if err <= tol * max(abs(est), 1e-300):
-                return QuadResult(est, err, evals, True)
-    if best is None:
-        return QuadResult(total, quad_err + abs(total), evals, False)
-    return QuadResult(best[0], best[1], evals, False)
-
-
-def _sum_arches_alternating(
-    arch_block: _ArchBlock,
-    tol: float,
-    max_arches: int,
-    min_arches: int = 14,
-    check_every: int = 4,
-) -> QuadResult:
-    """Sum signed arch integrals, accelerating with Wynn's epsilon algorithm."""
-    partial: list[float] = []
-    total = 0.0
-    quad_err = 0.0
-    evals = 0
-    best: Optional[tuple[float, float]] = None
-    arches = _arch_stream(arch_block, max_arches, min_arches, check_every)
-    for k, (v, e, n) in enumerate(arches):
-        evals += n
-        total += v
-        quad_err += e
-        partial.append(total)
-        if k + 1 >= min_arches and (k + 1) % check_every == 0:
-            est, spread = wynn_epsilon(partial[-60:])
-            err = spread + quad_err
-            if best is None or err < best[1]:
-                best = (est, err)
-            if err <= tol * max(abs(est), 1e-300):
-                return QuadResult(est, err, evals, True)
-    if best is None:
-        return QuadResult(total, quad_err + abs(total), evals, False)
+        if best is None or err < best[1]:
+            best = (est, err)
+        if err <= tol * max(abs(est), 1e-300):
+            return QuadResult(est, err, evals, True)
+    # Every schedule's count passes its first checkpoint, so best is set.
     return QuadResult(best[0], best[1], evals, False)
 
 
 def integrate_oscillatory_bessel(
-    spec: OscillatoryIntegrand,
-    tol: float = DEFAULT_REL_TOL,
-    max_arches: int = 800,
+    spec: OscillatoryIntegrand, tol: float = DEFAULT_REL_TOL
 ) -> QuadResult:
     """Integral of the Bessel-type integrand described by ``spec`` over [0, inf).
 
-    The axis is partitioned at the zeros of J_nu; each arch is integrated
-    with the adaptive finite rule, and the partial-sum sequence is pushed
-    to its limit by the regime-appropriate accelerator.
+    The axis is partitioned at the zeros of J_nu, each round of the arches'
+    adaptive rule evaluates the integrand with one array call, and
+    ``_sum_cells`` pushes the partial sums to their limit.
     """
     spec.check_integrable()
     nu = spec.order.nu
-    arch_tol = min(1e-12, tol * 1e-2)
-
-    def integrand(r: np.ndarray) -> np.ndarray:
-        return _integrand_values(spec, r)
 
     def boundary(k: int) -> float:
         return bessel_j_zero(nu, k)
 
-    def arch_block(k0: int, k1: int) -> list[tuple[float, float, int]]:
-        edges = [
-            (0.0 if k == 0 else boundary(k), boundary(k + 1)) for k in range(k0, k1)
-        ]
-        results = _integrate_block(integrand, edges, arch_tol, 1e-16, _MAX_INTERVALS)
-        return [(res.value, res.error_estimate, res.evaluations) for res in results]
+    def integrand(r: np.ndarray) -> np.ndarray:
+        return _integrand_values(spec, r)
 
-    if spec.signed and int(round(spec.power)) % 2 == 1:
-        return _sum_arches_alternating(arch_block, tol, min(max_arches, 200))
-    return _sum_arches_positive(
-        arch_block, boundary, spec.tail_exponent, tol, max_arches
-    )
+    alternating = spec.signed and int(round(spec.power)) % 2 == 1
+    gamma = None if alternating else spec.tail_exponent
+    return _sum_cells(_cells(integrand, boundary, tol), boundary, gamma, tol)
 
 
 def sum_over_partition(
     f: Callable[[float], float],
     boundary: Callable[[int], float],
     tol: float = DEFAULT_REL_TOL,
-    tail_exponent: Optional[float] = None,
+    *,
+    tail_exponent: float,
     alternating: Optional[bool] = None,
-    max_cells: int = 800,
 ) -> QuadResult:
     """Improper integral of f over [0, inf) split at a caller-supplied partition.
 
     ``boundary(k)`` must give the k-th partition point for k >= 1, strictly
-    increasing and unbounded.  ``alternating=None`` auto-detects from the
-    signs of the first few cell integrals.  Positive-cell sums need
-    ``tail_exponent`` (the algebraic decay rate of the cell envelope); it
-    is estimated from the observed decay when not supplied, at the cost of
-    a larger reported error.
+    increasing and unbounded.  The scalar ``f`` is mapped over each round's
+    nodes of all cells between two checkpoints, as in ``integrate_finite``.
+    ``tail_exponent`` is the algebraic decay rate of the cell envelope,
+    used when the cells do not alternate.  ``alternating=None`` detects
+    alternation from the signs of cells 2..9 of the first
+    ``_PROBE_CELLS``, which the sum then reuses.
     """
-    arch_tol = min(1e-12, tol * 1e-2)
-
-    def cell_integral(k: int) -> tuple[float, float, int]:
-        a = 0.0 if k == 0 else boundary(k)
-        b = boundary(k + 1)
-        res = integrate_finite(f, a, b, arch_tol, 1e-16)
-        return res.value, res.error_estimate, res.evaluations
-
-    probe_vals = []
-    probe_errs = []
-    probe_evals = 0
-    n_probe = 10
-    for k in range(n_probe):
-        v, e, n = cell_integral(k)
-        probe_vals.append(v)
-        probe_errs.append(e)
-        probe_evals += n
-
+    cells = _cells(_mapped(f), boundary, tol)
+    probe = cells(0, _PROBE_CELLS)
     if alternating is None:
-        tail_signs = [math.copysign(1.0, v) for v in probe_vals[2:] if v != 0.0]
-        alternating = len(tail_signs) >= 4 and all(
-            tail_signs[i] != tail_signs[i + 1] for i in range(len(tail_signs) - 1)
-        )
+        signs = [math.copysign(1.0, c.value) for c in probe[2:] if c.value != 0.0]
+        alternating = len(signs) >= 4 and all(a != b for a, b in zip(signs, signs[1:]))
 
-    cache = dict(enumerate(zip(probe_vals, probe_errs)))
+    def block(k0: int, k1: int) -> Sequence[QuadResult]:
+        # Both schedules' first block ends past the probe.
+        return probe + cells(_PROBE_CELLS, k1) if k0 == 0 else cells(k0, k1)
 
-    def cached_cell(k: int) -> tuple[float, float, int]:
-        if k in cache:
-            v, e = cache.pop(k)
-            return v, e, 0
-        return cell_integral(k)
-
-    def cached_cells(k0: int, k1: int) -> list[tuple[float, float, int]]:
-        return [cached_cell(k) for k in range(k0, k1)]
-
-    if alternating:
-        result = _sum_arches_alternating(cached_cells, tol, min(max_cells, 200))
-        return QuadResult(
-            result.value, result.error_estimate, result.evaluations + probe_evals,
-            result.converged,
-        )
-
-    result = _sum_arches_positive(
-        cached_cells, boundary, tail_exponent, tol, max_cells
-    )
-    return QuadResult(
-        result.value, result.error_estimate, result.evaluations + probe_evals,
-        result.converged,
-    )
+    return _sum_cells(block, boundary, None if alternating else tail_exponent, tol)

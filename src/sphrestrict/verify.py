@@ -21,11 +21,11 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .quadrature import (
     DEFAULT_REL_TOL,
     OscillatoryIntegrand,
@@ -280,15 +280,20 @@ def oracle_integrate(
 
 @dataclass
 class DominancePoint:
+    """One grid point of the suite.  ``error`` is set, and ``k_rad``,
+    ``max_ratio`` and ``margin`` are None, where the sharp constant did not
+    converge."""
+
     d: int
     p: float
     q: float
     trials: int
-    max_ratio: float
-    k_rad: float
-    margin: float
+    max_ratio: Optional[float]
+    k_rad: Optional[float]
+    margin: Optional[float]
     argmax_label: str
     failures: list[dict] = field(default_factory=list)
+    error: Optional[str] = None
 
 
 @dataclass
@@ -314,6 +319,7 @@ class DominanceReport:
                     "margin": pt.margin,
                     "argmax_label": pt.argmax_label,
                     "failures": pt.failures,
+                    **({} if pt.error is None else {"failed": True, "error": pt.error}),
                 }
                 for pt in self.points
             ],
@@ -351,8 +357,11 @@ def run_dominance_suite(
     Every profile's restriction ratio must stay below
     k_rad * (1 + tol); violations land in the report's failure list
     (with the profile parameters needed to reproduce them) rather than
-    raising.  Every grid point's constant is computed before any profile
-    work, so an inadmissible grid fails fast.
+    raising, and so does a profile whose ratio raises ``DomainError`` or
+    ``ConvergenceError`` (as ``{"label", "error"}``, left out of the
+    maximum).  Every grid point's constant is computed before any profile
+    work, so an inadmissible grid fails fast; a point whose constant does
+    not converge is reported failed and gets no profile work.
 
     Profiles run outer and grid points inner, each profile behind a memo
     of its values: its transform and L_p norm at every grid point share
@@ -363,23 +372,42 @@ def run_dominance_suite(
     ``ratio_z`` calls gives: per point, ratios in profile order, the
     first maximum as ``argmax_label``, failures in profile order.
     """
-    k_rads = [
-        sharp_radial_constant(params, quad_tol).k_rad_first_principles
-        for params in params_grid
-    ]
+    k_rads: list[Union[float, ConvergenceError]] = []
+    for params in params_grid:
+        try:
+            k_rads.append(sharp_radial_constant(params, quad_tol).k_rad_first_principles)
+        except ConvergenceError as exc:
+            k_rads.append(exc)
     profiles = list(generate_profiles(spec)) + list(extra_profiles)
-    # ratios[i][j]: grid point i, profile j.
-    ratios: list[list[float]] = [[] for _ in params_grid]
+    # ratios[i][j]: grid point i, profile j, or the error the ratio raised.
+    ratios: list[list] = [[] for _ in params_grid]
     for profile in profiles:
         memoised = _memoised(profile)
-        for row, params in zip(ratios, params_grid):
-            row.append(ratio_z(params, memoised, quad_tol))
+        for row, params, k_rad in zip(ratios, params_grid, k_rads):
+            if isinstance(k_rad, ConvergenceError):
+                continue
+            try:
+                row.append(ratio_z(params, memoised, quad_tol))
+            except (DomainError, ConvergenceError) as exc:
+                row.append(exc)
     points: list[DominancePoint] = []
     for params, k_rad, row in zip(params_grid, k_rads, ratios):
+        if isinstance(k_rad, ConvergenceError):
+            points.append(
+                DominancePoint(
+                    d=params.d, p=params.p, q=params.q, trials=len(profiles),
+                    max_ratio=None, k_rad=None, margin=None, argmax_label="",
+                    error=str(k_rad),
+                )
+            )
+            continue
         max_ratio = 0.0
         argmax_label = ""
         failures = []
         for profile, ratio in zip(profiles, row):
+            if isinstance(ratio, Exception):
+                failures.append({"label": profile.label, "error": str(ratio)})
+                continue
             if ratio > max_ratio:
                 max_ratio = ratio
                 argmax_label = profile.label

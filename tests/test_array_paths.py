@@ -3,16 +3,19 @@
 Kernel integrals evaluate J_nu with ``bessel_j_array`` and integrate a
 block of arches at once with ``_integrate_block``; every other caller
 stays on ``bessel_j``, and ``integrate_finite`` is the same engine on one
-interval with a scalar callable.  The references here are the scalar
-Bessel function and a one-node-at-a-time adaptive GK15.  The tail fit of a
-tight kernel integral turns 1e-16 differences in the partial sums into
-~1e-13 in the result, so these tests compare with ``==``.  They are also
+interval with a scalar callable.  ``sum_over_partition`` integrates blocks
+of cells with a scalar callable, through the kernel integrals' summation
+driver.  The references here are the scalar Bessel function, a
+one-node-at-a-time adaptive GK15 and one ``integrate_finite`` per cell.
+The tail fit of a tight kernel integral turns 1e-16 differences in the
+partial sums into ~1e-13 in the result, so these tests compare with ``==``.  They are also
 what catches a numpy or libm whose elementwise sin, cos or sqrt stops
 matching ``math``.
 """
 
 import heapq
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,12 +30,14 @@ from sphrestrict.quadrature import (
     _heap_result,
     _integrand_values,
     _integrate_block,
-    _sum_arches_alternating,
-    _sum_arches_positive,
+    _sum_cells,
     integrate_finite,
     integrate_oscillatory_bessel,
     power_envelope_integrand,
+    sum_over_partition,
 )
+from sphrestrict.radial_fourier import _merged_breakpoints, radial_hat
+from sphrestrict.restriction import RestrictionParams, extremal_profile
 from sphrestrict.special_fns import (
     BesselOrder,
     _bessel_miller,
@@ -282,24 +287,18 @@ class TestBlockEngine:
             _integrate_block(lambda r: r, [(0.0, 1.0), (2.0, 2.0)], 1e-9, 1e-16, 4000)
 
 
-def scalar_oscillatory(spec, tol, max_arches=800):
+def scalar_oscillatory(spec, tol):
     """integrate_oscillatory_bessel with one scalar adaptive GK15 per arch."""
     nu = spec.order.nu
     f = scalar_integrand(spec)
     arch_tol = min(1e-12, tol * 1e-2)
 
     def arch_block(k0, k1):
-        out = []
-        for a, b in arch_edges(nu, k0, k1):
-            res = reference_finite(f, a, b, arch_tol, 1e-16)
-            out.append((res.value, res.error_estimate, res.evaluations))
-        return out
+        return [reference_finite(f, a, b, arch_tol, 1e-16) for a, b in arch_edges(nu, k0, k1)]
 
-    if spec.signed and int(round(spec.power)) % 2 == 1:
-        return _sum_arches_alternating(arch_block, tol, min(max_arches, 200))
-    return _sum_arches_positive(
-        arch_block, lambda k: bessel_j_zero(nu, k), spec.tail_exponent, tol, max_arches
-    )
+    alternating = spec.signed and int(round(spec.power)) % 2 == 1
+    gamma = None if alternating else spec.tail_exponent
+    return _sum_cells(arch_block, lambda k: bessel_j_zero(nu, k), gamma, tol)
 
 
 class TestKernelIntegral:
@@ -336,6 +335,90 @@ class TestKernelIntegral:
     def test_same_result_signed(self):
         spec = power_envelope_integrand(BesselOrder(0.5), 0.0, 1.0, signed=True)
         assert integrate_oscillatory_bessel(spec, 1e-10) == scalar_oscillatory(spec, 1e-10)
+
+
+def per_cell_partition_sum(f, boundary, tol, tail_exponent):
+    """sum_over_partition with one lone ``integrate_finite`` per cell: the
+    signs of cells 2..9 of a 10-cell probe choose the regime, and the sum
+    takes those cells from the probe."""
+    cell_tol = min(1e-12, tol * 1e-2)
+
+    def cell(k):
+        return integrate_finite(
+            f, 0.0 if k == 0 else boundary(k), boundary(k + 1), cell_tol, 1e-16
+        )
+
+    probe = [cell(k) for k in range(10)]
+    signs = [math.copysign(1.0, c.value) for c in probe[2:] if c.value != 0.0]
+    alternating = len(signs) >= 4 and all(a != b for a, b in zip(signs, signs[1:]))
+
+    def block(k0, k1):
+        return [probe[k] if k < 10 else cell(k) for k in range(k0, k1)]
+
+    return _sum_cells(block, boundary, None if alternating else tail_exponent, tol)
+
+
+def counted(f):
+    calls = []
+
+    def g(r):
+        calls.append(r)
+        return f(r)
+
+    return g, calls
+
+
+class TestPartitionSum:
+    @pytest.mark.parametrize("s", [1.0, 1.7])
+    def test_extremal_transform(self, s):
+        # The algebraic-decay transform that the sharpness check reaches.
+        params = RestrictionParams(3, 1.2, 2.0)
+        kernel = params.kernel
+        profile = extremal_profile(params, 1e-10)
+        f, calls = counted(profile.f)
+        got = radial_hat(kernel, replace(profile, f=f), s).quad
+        # Each node is valued once: no probe cell is integrated twice.
+        assert len(calls) == got.evaluations
+
+        nu = kernel.order.nu
+        front = (2.0 * math.pi) ** (0.5 * kernel.d) * s ** (0.5 * (2 - kernel.d))
+
+        def integrand(r):
+            fr = profile.f(r)
+            return 0.0 if fr == 0.0 else front * bessel_j(nu, s * r) * r ** (0.5 * kernel.d) * fr
+
+        boundary = _merged_breakpoints(
+            lambda k: bessel_j_zero(nu, k) / s, profile.breakpoints
+        )
+        gamma = profile.decay.exponent - 0.5 * (kernel.d - 1)
+        assert got == per_cell_partition_sum(integrand, boundary, 1e-9, gamma)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    def test_alternating_cells(self, tol):
+        def sinc(r):
+            return math.sin(r) / r
+
+        def boundary(k):
+            return k * math.pi
+
+        f, calls = counted(sinc)
+        got = sum_over_partition(f, boundary, tol, tail_exponent=1.0)
+        assert len(calls) == got.evaluations
+        assert got == per_cell_partition_sum(sinc, boundary, tol, 1.0)
+        assert got.converged and got.value == pytest.approx(math.pi / 2.0, abs=10 * tol)
+
+    def test_probe_reads_cells_two_to_nine(self):
+        # Cells 0..4 are positive and alternation starts at cell 4: a probe
+        # of cells 2..9 sees no alternation and takes the positive regime.
+        def f(r):
+            return (abs(math.sin(r)) if r < 4.0 * math.pi else math.sin(r)) / r
+
+        def boundary(k):
+            return k * math.pi
+
+        got = sum_over_partition(f, boundary, 1e-8, tail_exponent=2.0)
+        assert got == per_cell_partition_sum(f, boundary, 1e-8, 2.0)
+        assert got != sum_over_partition(f, boundary, 1e-8, tail_exponent=2.0, alternating=True)
 
 
 class TestEnvelopeOverflow:

@@ -241,15 +241,15 @@ class TestSumOverPartition:
         def f(r):
             return math.sin(r) / r if r > 0 else 1.0
 
-        res = sum_over_partition(f, lambda k: k * math.pi, 1e-10)
+        res = sum_over_partition(f, lambda k: k * math.pi, 1e-10, tail_exponent=1.0)
         assert res.converged
         assert res.value == pytest.approx(math.pi / 2.0, abs=1e-9)
 
-    def test_positive_with_estimated_exponent(self):
+    def test_positive_with_tail_exponent(self):
         # int_0^inf sin^2(r)/r^2 dr = pi/2; cells decay like r^(-2).
         def f(r):
             s = math.sin(r)
             return s * s / (r * r) if r > 0 else 1.0
 
-        res = sum_over_partition(f, lambda k: k * math.pi, 1e-8)
+        res = sum_over_partition(f, lambda k: k * math.pi, 1e-8, tail_exponent=2.0)
         assert res.value == pytest.approx(math.pi / 2.0, rel=1e-6)

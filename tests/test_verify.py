@@ -1,11 +1,13 @@
 """Random-profile harnesses and the independent oracle integrator."""
 
+import json
 import math
 
 import pytest
 
-from sphrestrict import radial_fourier
-from sphrestrict.errors import DivergenceError, DomainError
+from sphrestrict import radial_fourier, verify
+from sphrestrict.cli import main
+from sphrestrict.errors import ConvergenceError, DivergenceError, DomainError
 from sphrestrict.quadrature import (
     integrate_finite,
     integrate_oscillatory_bessel,
@@ -174,6 +176,66 @@ class TestDominanceSuite:
         with pytest.raises(DivergenceError, match="convergence window"):
             run_dominance_suite(grid, spec, extra_profiles=[probe])
         assert calls == []
+
+
+class TestDominanceFailures:
+    def test_non_converging_point_reported_failed(self, monkeypatch):
+        # The kernel integral at (5, 1.05) does not converge; (4, 1.05) does.
+        grid = [RestrictionParams(4, 1.05, 2.0), RestrictionParams(5, 1.05, 2.0)]
+        spec = RandomRadialSpec(seed=0, family="gaussian_mixture", count=3)
+        with pytest.raises(ConvergenceError):
+            sharp_radial_constant(grid[1])
+        visited = []
+
+        def recording_ratio_z(params, profile, tol):
+            visited.append(params.d)
+            return ratio_z(params, profile, tol)
+
+        monkeypatch.setattr(verify, "ratio_z", recording_ratio_z)
+        report = run_dominance_suite(grid, spec)
+        assert visited == [4, 4, 4]
+        alone = run_dominance_suite(grid[:1], spec)
+        assert report.points[0] == alone.points[0]
+
+        failed = json.loads(report.to_json())["points"][1]
+        assert failed["failed"] is True
+        assert "(d=5, p=1.05)" in failed["error"]
+        assert failed["k_rad"] is None
+        assert failed["max_ratio"] is None
+        assert failed["margin"] is None
+        assert failed["failures"] == []
+        assert "failed" not in json.loads(report.to_json())["points"][0]
+
+    def test_cli_prints_converged_and_failed_points(self, capsys):
+        code = main(["verify", "--d", "4:5:2", "--p", "1.05", "--q", "2", "--trials", "3"])
+        points = json.loads(capsys.readouterr().out)["points"]
+        assert code == 0
+        assert [pt["grid_point"]["d"] for pt in points] == [4, 5]
+        assert "failed" not in points[0] and points[0]["k_rad"] > 0.0
+        assert points[1]["failed"] is True and points[1]["k_rad"] is None
+
+    def test_failing_profile_recorded_and_skipped(self):
+        grid = [RestrictionParams(3, 1.2, 2.0), RestrictionParams(4, 1.3, 2.0)]
+        spec = RandomRadialSpec(seed=2, family="gaussian_mixture", count=3)
+
+        def no_convergence(r):
+            raise ConvergenceError("profile stalled")
+
+        bad = [
+            RadialProfile(f=lambda r: 0.0, decay=GaussianDecay(1.0), label="zero"),
+            RadialProfile(f=no_convergence, decay=GaussianDecay(1.0), label="stalled"),
+        ]
+        report = run_dominance_suite(grid, spec, extra_profiles=bad)
+        clean = run_dominance_suite(grid, spec)
+        for point, ref in zip(report.points, clean.points):
+            assert point.trials == 5
+            assert (point.max_ratio, point.argmax_label, point.margin) == (
+                ref.max_ratio, ref.argmax_label, ref.margin
+            )
+            assert [f["label"] for f in point.failures] == ["zero", "stalled"]
+            assert "zero L_" in point.failures[0]["error"]
+            assert point.failures[1]["error"] == "profile stalled"
+            assert point.error is None
 
 
 def reference_dominance_json(grid, spec, tol, quad_tol, extra_profiles):
