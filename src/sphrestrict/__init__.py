@@ -32,9 +32,7 @@ from .radial_fourier import (
     AlgebraicDecay,
     CompactSupport,
     GaussianDecay,
-    GaussianProfile,
     RadialProfile,
-    TransformValue,
     gaussian_profile,
     kernel_v,
     radial_full_integral,
@@ -43,7 +41,6 @@ from .radial_fourier import (
     sphere_norm_of_radial_hat,
 )
 from .restriction import (
-    ExtremalProfile,
     GaussianBound,
     RestrictionParams,
     SharpConstantResult,
@@ -91,9 +88,7 @@ __all__ = [
     "GaussianDecay",
     "CompactSupport",
     "AlgebraicDecay",
-    "GaussianProfile",
     "RadialProfile",
-    "TransformValue",
     "gaussian_profile",
     "kernel_v",
     "radial_hat",
@@ -102,7 +97,6 @@ __all__ = [
     "sphere_norm_of_radial_hat",
     "RestrictionParams",
     "SharpConstantResult",
-    "ExtremalProfile",
     "GaussianBound",
     "tomas_stein_admissible",
     "radial_convergence_admissible",

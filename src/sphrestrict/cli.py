@@ -304,35 +304,24 @@ def _parse_profile(text: str, d: int):
 
 
 def _cmd_report(args) -> int:
-    rows = consistency_report(_grid(args), args.tol)
+    report = consistency_report(_grid(args), args.tol)
+    rows = [
+        (
+            row.d, row.p, row.q,
+            row.k_rad_first_principles, row.k_rad_paper_closed_form,
+            row.k_rad_ratio, row.gauss_numeric_optimum,
+            row.gauss_paper_literal, row.gauss_ratio,
+            row.predicted_gauss_ratio,
+            "failed" if row.failed else "ok",
+        )
+        for row in report
+    ]
     if args.format == "csv":
-        table = [
-            (
-                row.d, row.p, row.q,
-                row.k_rad_first_principles, row.k_rad_paper_closed_form,
-                row.k_rad_ratio, row.gauss_numeric_optimum,
-                row.gauss_paper_literal, row.gauss_ratio,
-                row.predicted_gauss_ratio,
-                "failed" if row.failed else "ok",
-            )
-            for row in rows
-        ]
-        _emit(_csv_text(REPORT_COLUMNS, table), args.output)
+        _emit(_csv_text(REPORT_COLUMNS, rows), args.output)
     else:
         payload = [
-            {
-                "d": row.d, "p": row.p, "q": row.q,
-                "k_rad": row.k_rad_first_principles,
-                "k_rad_paper": row.k_rad_paper_closed_form,
-                "k_rad_ratio": row.k_rad_ratio,
-                "gauss_opt": row.gauss_numeric_optimum,
-                "gauss_paper": row.gauss_paper_literal,
-                "gauss_ratio": row.gauss_ratio,
-                "gauss_ratio_predicted": row.predicted_gauss_ratio,
-                "status": "failed" if row.failed else "ok",
-                "error": row.error,
-            }
-            for row in rows
+            dict(zip(REPORT_COLUMNS, row), error=entry.error)
+            for row, entry in zip(rows, report)
         ]
         _emit(_json_text(payload), args.output)
     return 0

@@ -35,9 +35,10 @@ from .quadrature import DEFAULT_REL_TOL
 from .radial_fourier import RadialProfile, radial_hat, radial_lp_norm
 from .restriction import (
     RestrictionParams,
-    radial_convergence_admissible,
     gaussian_lower_bound_optimized,
+    radial_convergence_admissible,
     sharp_radial_constant,
+    tomas_stein_admissible,
 )
 from .special_fns import RadialKernel
 
@@ -174,16 +175,6 @@ def gls_norm(
     return best
 
 
-def _tomas_stein_possible(d: int, p: float) -> bool:
-    # Is there any q >= 1 making (p, q) admissible?  The q bound increases
-    # without limit as p -> 1, and equals ((d-1)/(d+1)) p' otherwise.
-    if p > (2.0 * d + 2.0) / (d + 3.0):
-        return False
-    if p == 1.0:
-        return True
-    return (d - 1.0) / (d + 1.0) * p / (p - 1.0) >= 1.0
-
-
 def cut_set(
     d: int, p_grid: Sequence[float], constant_source: str = "radial_sharp"
 ) -> list[float]:
@@ -197,7 +188,12 @@ def cut_set(
         raise DomainError(f"unknown constant source {constant_source!r}")
     if not p_grid:
         raise DomainError("cut_set needs a nonempty grid")
-    kept = [p for p in p_grid if _tomas_stein_possible(d, p)]
+    # Some q >= 1 passes exactly when q = 1 does: the p bound forces
+    # ((d-1)/(d+1)) p' >= 2, so the q bound never decides at q = 1.
+    kept = [
+        p for p in p_grid
+        if 1.0 <= p < math.inf and tomas_stein_admissible(RestrictionParams(d, p, 1.0))
+    ]
     if constant_source == "radial_sharp":
         kept = [p for p in kept if radial_convergence_admissible(d, p)]
     return kept

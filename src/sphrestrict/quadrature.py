@@ -9,7 +9,11 @@ handled by refinement alone.
 
 Improper integrals are split into cells: the arches between consecutive
 zeros of the Bessel factor (``integrate_oscillatory_bessel``) or a
-caller-supplied partition (``sum_over_partition``).  One driver,
+caller-supplied partition (``sum_over_partition``).  The oscillatory
+integrand is always the power law r^beta |J_nu(r)|^power, described by the
+record ``OscillatoryIntegrand(order, beta, power, signed)``; its tail and
+zero exponents follow from beta and power, and where r^beta overflows a
+node is valued as exp(beta log r + power log |J|).  One driver,
 ``_sum_cells``, sums them in one of two regimes:
 
 * signed cells that alternate: Wynn's epsilon algorithm on the partial
@@ -95,6 +99,7 @@ _WG = (
 _NODE_OFFSETS = np.array((0.0,) + tuple(-x for x in _XGK[:7]) + _XGK[:7])
 _EPS50 = 50.0 * 2.220446049250313e-16
 _MAX_INTERVALS = 4000
+_SEMI_INFINITE_INTERVALS = 6000
 
 
 @dataclass(frozen=True)
@@ -278,17 +283,15 @@ def _decays_fast_enough(f: Callable[[float], float]) -> bool:
 
 
 def integrate_semi_infinite_decaying(
-    f: Callable[[float], float],
-    tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = ABS_FLOOR,
-    max_intervals: int = 6000,
+    f: Callable[[float], float], tol: float = DEFAULT_REL_TOL
 ) -> QuadResult:
     """Integral of f over [0, inf) for eventually-decaying integrands.
 
     Uses the substitution r = t/(1-t), mapping to (0, 1); the adaptive
-    finite rule then resolves both the bulk and the compressed tail.
-    Raises ``DivergenceError`` when the integrand detectably fails the
-    decay precondition.
+    finite rule then resolves both the bulk and the compressed tail, with
+    the absolute floor ``ABS_FLOOR`` and at most ``_SEMI_INFINITE_INTERVALS``
+    panels.  Raises ``DivergenceError`` when the integrand detectably fails
+    the decay precondition.
     """
     if not _decays_fast_enough(f):
         raise DivergenceError(
@@ -304,7 +307,7 @@ def integrate_semi_infinite_decaying(
             return 0.0
         return fr / (u * u)
 
-    return integrate_finite(mapped, 0.0, 1.0, tol, abs_tol, max_intervals)
+    return integrate_finite(mapped, 0.0, 1.0, tol, ABS_FLOOR, _SEMI_INFINITE_INTERVALS)
 
 
 def wynn_epsilon(seq: Sequence[float]) -> tuple[float, float]:
@@ -351,23 +354,22 @@ def wynn_epsilon(seq: Sequence[float]) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class OscillatoryIntegrand:
-    """Specification of an integrand envelope(r) * |J_nu(r)|^power on [0, inf).
+    """The integrand r^beta |J_nu(r)|^power on [0, inf), nu = ``order.nu``.
 
-    ``tail_exponent`` is the algebraic decay rate gamma of the envelope of
-    the full integrand, i.e. envelope(r) * r^(-power/2) ~ r^(-gamma); it
-    drives both the integrability check and the tail extrapolation.
-    ``zero_exponent`` is the growth exponent c of envelope(r) ~ r^c as
-    r -> 0, needed for the local-integrability check.  With
-    ``signed=True`` the integrand is envelope(r) * J_nu(r)^power (power
-    must then be an integer so the sign is well defined) and only
-    conditional convergence (gamma > 0) is required.
+    Every kernel integral is of this one form.  Its tail decays like
+    r^(-gamma) with ``tail_exponent`` gamma = power/2 - beta (from
+    |J_nu(r)| ~ sqrt(2/(pi r))), which drives both the integrability check
+    and the tail extrapolation; ``zero_exponent`` is beta, the growth of
+    r^beta as r -> 0, needed for the local-integrability check.  With
+    ``signed=True`` the integrand is r^beta J_nu(r)^power (power must then
+    be an integer so the sign is well defined) and only conditional
+    convergence (gamma > 0) is required.  Calling the record values it at
+    one node, exactly as ``_integrand_values`` does on an array.
     """
 
     order: BesselOrder
-    envelope: Callable[[float], float]
+    beta: float
     power: float
-    tail_exponent: float
-    zero_exponent: float = 0.0
     signed: bool = False
 
     def __post_init__(self) -> None:
@@ -376,13 +378,20 @@ class OscillatoryIntegrand:
         if self.signed and self.power != round(self.power):
             raise DomainError("signed integrands need an integer power")
 
+    @property
+    def tail_exponent(self) -> float:
+        return 0.5 * self.power - self.beta
+
+    @property
+    def zero_exponent(self) -> float:
+        return self.beta
+
     def __call__(self, r: float) -> float:
-        """The integrand at one node, valued as ``_integrand_values`` does."""
         if r <= 0.0:
             return 0.0
         j = bessel_j(self.order, r)
         if self.signed:
-            return self.envelope(r) * j ** int(round(self.power))
+            return r**self.beta * j ** int(round(self.power))
         aj = abs(j)
         if aj == 0.0:
             return 0.0
@@ -391,8 +400,7 @@ class OscillatoryIntegrand:
     def check_integrable(self) -> None:
         if self.zero_exponent + self.order.nu * self.power <= -1.0:
             raise DivergenceError(
-                "integrand is not locally integrable at 0: envelope exponent "
-                f"{self.zero_exponent!r} + nu*power = "
+                "integrand is not locally integrable at 0: beta + nu*power = "
                 f"{self.zero_exponent + self.order.nu * self.power!r} <= -1"
             )
         alternates = self.signed and int(round(self.power)) % 2 == 1
@@ -405,43 +413,15 @@ class OscillatoryIntegrand:
             )
 
 
-@dataclass(frozen=True)
-class _PowerEnvelope:
-    """The envelope r^beta; its logarithm stands in where r^beta overflows."""
-
-    beta: float
-
-    def __call__(self, r: float) -> float:
-        return r**self.beta
-
-    def log(self, r: float) -> float:
-        return self.beta * math.log(r)
-
-
-def power_envelope_integrand(
-    order: BesselOrder, beta: float, power: float, signed: bool = False
-) -> OscillatoryIntegrand:
-    """The workhorse integrand r^beta |J_nu(r)|^power."""
-    return OscillatoryIntegrand(
-        order=order,
-        envelope=_PowerEnvelope(beta),
-        power=power,
-        tail_exponent=0.5 * power - beta,
-        zero_exponent=beta,
-        signed=signed,
-    )
-
-
 def _integrand_values(spec: OscillatoryIntegrand, r: np.ndarray) -> np.ndarray:
     """The integrand of ``spec`` at the nodes ``r``, one array call.
 
-    Equals, node for node, envelope(r) * J^power (signed) or
-    envelope(r) * |J|^power, with 0 at r <= 0 and where J vanishes, and
-    the product taken in log space below r = 1e-3, where a negative-power
-    envelope meets a vanishing Bessel factor.  A node where a power
-    envelope r^beta overflows also goes through log space.
-    The envelope stays a scalar callable and is mapped over the nodes;
-    powers are Python's own ``**`` (see ``special_fns._pow_each``).
+    Equals ``spec(x)`` node for node: r^beta J^power (signed) or
+    r^beta |J|^power, with 0 at r <= 0 and where J vanishes, and the
+    product taken in log space below r = 1e-3, where a negative beta meets
+    a vanishing Bessel factor, and wherever r^beta overflows.  Powers are
+    Python's own ``**``, mapped over the nodes (see
+    ``special_fns._pow_each``).
     """
     if not r.min() > 0.0:
         out = np.zeros(r.size)
@@ -452,8 +432,8 @@ def _integrand_values(spec: OscillatoryIntegrand, r: np.ndarray) -> np.ndarray:
     j = bessel_j_array(spec.order, r)
     if spec.signed:
         powered = map(operator.pow, j.tolist(), repeat(int(round(spec.power))))
-        envelope = map(spec.envelope, r.tolist())
-        return _floats(envelope, r.size) * _floats(powered, r.size)
+        r_beta = map(operator.pow, r.tolist(), repeat(spec.beta))
+        return _floats(r_beta, r.size) * _floats(powered, r.size)
     aj = np.abs(j)
     nonzero = aj != 0.0
     direct = nonzero & (r >= 1e-3)
@@ -461,12 +441,12 @@ def _integrand_values(spec: OscillatoryIntegrand, r: np.ndarray) -> np.ndarray:
     rs = r[direct].tolist()
     rest = nonzero & ~direct
     try:
-        envelope = _floats(map(spec.envelope, rs), len(rs))
+        r_beta = _floats(map(operator.pow, rs, repeat(spec.beta)), len(rs))
     except OverflowError:
         rest = nonzero
     else:
         powered = map(operator.pow, aj[direct].tolist(), repeat(spec.power))
-        out[direct] = envelope * _floats(powered, len(rs))
+        out[direct] = r_beta * _floats(powered, len(rs))
     for i in np.flatnonzero(rest).tolist():
         out[i] = _node_value(spec, float(r[i]), float(aj[i]))
     return out
@@ -477,21 +457,19 @@ def _floats(items: Iterable[float], count: int) -> np.ndarray:
 
 
 def _node_value(spec: OscillatoryIntegrand, r: float, aj: float) -> float:
-    """The nonnegative integrand at one node where |J| = aj is nonzero;
-    below r = 1e-3, or where a power envelope r^beta overflows, the
-    product is taken in log space."""
+    """r^beta aj^power at one node where aj = |J| is nonzero; below
+    r = 1e-3, or where r^beta overflows, the product is taken in log
+    space."""
     power = spec.power
     try:
-        env = spec.envelope(r)
+        r_beta = r**spec.beta
     except OverflowError:
-        if not isinstance(spec.envelope, _PowerEnvelope):
-            raise
-        return math.exp(spec.envelope.log(r) + power * math.log(aj))
+        return math.exp(spec.beta * math.log(r) + power * math.log(aj))
     if r >= 1e-3:
-        return env * aj**power
-    if env == 0.0:
+        return r_beta * aj**power
+    if r_beta == 0.0:
         return 0.0
-    return math.copysign(math.exp(math.log(abs(env)) + power * math.log(aj)), env)
+    return math.exp(math.log(r_beta) + power * math.log(aj))
 
 
 def _algebraic_tail_fit(
@@ -641,23 +619,20 @@ def sum_over_partition(
     tol: float = DEFAULT_REL_TOL,
     *,
     tail_exponent: float,
-    alternating: Optional[bool] = None,
 ) -> QuadResult:
     """Improper integral of f over [0, inf) split at a caller-supplied partition.
 
     ``boundary(k)`` must give the k-th partition point for k >= 1, strictly
     increasing and unbounded.  The scalar ``f`` is mapped over each round's
     nodes of all cells between two checkpoints, as in ``integrate_finite``.
-    ``tail_exponent`` is the algebraic decay rate of the cell envelope,
-    used when the cells do not alternate.  ``alternating=None`` detects
-    alternation from the signs of cells 2..9 of the first
-    ``_PROBE_CELLS``, which the sum then reuses.
+    The cells alternate when the signs of cells 2..9 of the first
+    ``_PROBE_CELLS`` do, which the sum then reuses; otherwise
+    ``tail_exponent`` is the algebraic decay rate of the cell envelope.
     """
     cells = _cells(_mapped(f), boundary, tol)
     probe = cells(0, _PROBE_CELLS)
-    if alternating is None:
-        signs = [math.copysign(1.0, c.value) for c in probe[2:] if c.value != 0.0]
-        alternating = len(signs) >= 4 and all(a != b for a, b in zip(signs, signs[1:]))
+    signs = [math.copysign(1.0, c.value) for c in probe[2:] if c.value != 0.0]
+    alternating = len(signs) >= 4 and all(a != b for a, b in zip(signs, signs[1:]))
 
     def block(k0: int, k1: int) -> Sequence[QuadResult]:
         # Both schedules' first block ends past the probe.

@@ -36,7 +36,6 @@ from typing import Callable, Optional, Union
 
 from .errors import DivergenceError, DomainError
 from .quadrature import (
-    ABS_FLOOR,
     DEFAULT_REL_TOL,
     QuadResult,
     integrate_finite,
@@ -51,9 +50,7 @@ __all__ = [
     "AlgebraicDecay",
     "DecayClass",
     "RadialProfile",
-    "GaussianProfile",
     "gaussian_profile",
-    "TransformValue",
     "kernel_v",
     "radial_hat",
     "radial_full_integral",
@@ -114,15 +111,7 @@ class RadialProfile:
         return self.f(r)
 
 
-@dataclass
-class GaussianProfile(RadialProfile):
-    """The Gaussian probability density on R^d as a radial profile."""
-
-    sigma: float = 1.0
-    d: int = 2
-
-
-def gaussian_profile(sigma: float, d: int) -> GaussianProfile:
+def gaussian_profile(sigma: float, d: int) -> RadialProfile:
     """F(r) = (2 pi)^(-d/2) sigma^(-d) exp(-r^2 / (2 sigma^2)); its
     integral over R^d is 1 for every sigma > 0."""
     if sigma <= 0.0:
@@ -133,22 +122,9 @@ def gaussian_profile(sigma: float, d: int) -> GaussianProfile:
     def f(r: float) -> float:
         return norm * math.exp(-r * r * inv_two_sigma_sq)
 
-    return GaussianProfile(
-        f=f,
-        decay=GaussianDecay(sigma),
-        label=f"gaussian(sigma={sigma!r}, d={d})",
-        sigma=sigma,
-        d=d,
+    return RadialProfile(
+        f=f, decay=GaussianDecay(sigma), label=f"gaussian(sigma={sigma!r}, d={d})"
     )
-
-
-@dataclass
-class TransformValue:
-    """G(s) at one frequency radius, with its quadrature diagnostics."""
-
-    s: float
-    value: float
-    quad: QuadResult
 
 
 def kernel_v(kernel: RadialKernel, s: float, r: float) -> float:
@@ -207,13 +183,12 @@ def radial_hat(
     profile: RadialProfile,
     s: float,
     tol: float = DEFAULT_REL_TOL,
-) -> TransformValue:
+) -> QuadResult:
     """The radial transform G(s) = int_0^inf V_d(s, r) F(r) dr.
 
-    The quadrature strategy follows the profile's decay class: direct
-    finite integration on the support for compact profiles, the
-    semi-infinite rule for Gaussian decay, and partition at the
-    oscillation breakpoints with tail extrapolation for algebraic decay.
+    An algebraic-decay profile is summed over the zeros of J_nu(s r),
+    merged with the profile's own breakpoints, with tail extrapolation;
+    see ``_radial_integral`` for the other decay classes.
     """
     if s <= 0.0:
         raise DomainError(f"radial_hat requires s > 0, got {s!r}")
@@ -229,51 +204,39 @@ def radial_hat(
             return 0.0
         return front * _bessel_factor(nu, s * r) * r ** (0.5 * d) * fr
 
-    decay = profile.decay
-    if isinstance(decay, CompactSupport):
-        quad = integrate_finite(integrand, 0.0, decay.radius, tol, ABS_FLOOR)
-    elif isinstance(decay, GaussianDecay):
-        quad = integrate_semi_infinite_decaying(integrand, tol, ABS_FLOOR)
-    elif isinstance(decay, AlgebraicDecay):
-        _check_algebraic_transform(kernel, decay)
+    def kernel_zeros(k: int) -> float:
+        return bessel_j_zero(nu, k) / s
 
-        def kernel_zeros(k: int) -> float:
-            return bessel_j_zero(nu, k) / s
-
-        boundary = _merged_breakpoints(kernel_zeros, profile.breakpoints)
+    if isinstance(profile.decay, AlgebraicDecay):
+        _check_algebraic_transform(kernel, profile.decay)
         # Envelope of V * F decays like r^((d-1)/2 - exponent).
-        tail_exp = decay.exponent - 0.5 * (d - 1)
-        quad = sum_over_partition(
-            integrand, boundary, tol, tail_exponent=tail_exp, alternating=None
-        )
-    else:  # pragma: no cover - decay classes are a closed union
-        raise DomainError(f"unknown decay class {decay!r}")
-    return TransformValue(s=s, value=quad.value, quad=quad)
+        tail = profile.decay.exponent - 0.5 * (d - 1)
+    else:
+        tail = None
+    partition = _merged_breakpoints(kernel_zeros, profile.breakpoints)
+    return _radial_integral(profile, integrand, tol, partition, tail)
 
 
-def _weighted_radial_integral(
+def _radial_integral(
     profile: RadialProfile,
-    weight: Callable[[float], float],
+    integrand: Callable[[float], float],
     tol: float,
+    partition: Optional[Callable[[int], float]],
     tail_exponent: Optional[float],
-    alternating: Optional[bool],
 ) -> QuadResult:
-    """int_0^inf weight(r) dr for a profile-derived integrand, with the
-    quadrature strategy matched to the profile's decay class."""
-
+    """int_0^inf integrand(r) dr for a profile-derived integrand, with the
+    rule matched to the profile's decay class: finite integration on the
+    support for compact profiles, the cells of ``partition`` with tail
+    extrapolation for algebraic decay, and otherwise (Gaussian decay, or
+    algebraic decay without a partition) the semi-infinite rule."""
     decay = profile.decay
     if isinstance(decay, CompactSupport):
-        return integrate_finite(weight, 0.0, decay.radius, tol, ABS_FLOOR)
-    if isinstance(decay, GaussianDecay):
-        return integrate_semi_infinite_decaying(weight, tol, ABS_FLOOR)
-    if isinstance(decay, AlgebraicDecay):
-        if profile.breakpoints is not None:
-            return sum_over_partition(
-                weight, profile.breakpoints, tol,
-                tail_exponent=tail_exponent, alternating=alternating,
-            )
-        return integrate_semi_infinite_decaying(weight, tol, ABS_FLOOR)
-    raise DomainError(f"unknown decay class {decay!r}")  # pragma: no cover
+        return integrate_finite(integrand, 0.0, decay.radius, tol)
+    if isinstance(decay, AlgebraicDecay) and partition is not None:
+        return sum_over_partition(
+            integrand, partition, tol, tail_exponent=tail_exponent
+        )
+    return integrate_semi_infinite_decaying(integrand, tol)
 
 
 def radial_full_integral(
@@ -298,7 +261,8 @@ def radial_full_integral(
         tail = profile.decay.exponent - (d - 1)
     else:
         tail = None
-    quad = _weighted_radial_integral(profile, integrand, tol, tail, None)
+    quad = _radial_integral(profile, integrand, tol, profile.breakpoints, tail)
+    quad.expect_converged(f"integral of {profile.label!r} over R^{d}")
     return kernel.sphere_area * quad.value
 
 
@@ -331,7 +295,8 @@ def radial_lp_norm(
         tail = p * profile.decay.exponent - (d - 1)
     else:
         tail = None
-    quad = _weighted_radial_integral(profile, integrand, tol, tail, False)
+    quad = _radial_integral(profile, integrand, tol, profile.breakpoints, tail)
+    quad.expect_converged(f"L_{p} norm of {profile.label!r}")
     return (kernel.sphere_area * quad.value) ** (1.0 / p)
 
 
@@ -349,4 +314,5 @@ def sphere_norm_of_radial_hat(
     if q < 1.0:
         raise DomainError(f"sphere norm requires q >= 1, got {q!r}")
     hat = radial_hat(kernel, profile, 1.0, tol)
+    hat.expect_converged(f"transform of {profile.label!r} at s = 1")
     return kernel.sphere_area ** (1.0 / q) * abs(hat.value)

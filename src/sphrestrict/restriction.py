@@ -45,9 +45,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .errors import ConvergenceError, DivergenceError, DomainError
 from .quadrature import (
     DEFAULT_REL_TOL,
+    OscillatoryIntegrand,
     QuadResult,
     integrate_oscillatory_bessel,
-    power_envelope_integrand,
 )
 from .radial_fourier import (
     AlgebraicDecay,
@@ -60,7 +60,6 @@ from .special_fns import RadialKernel, bessel_j, bessel_j_zero, gamma
 __all__ = [
     "RestrictionParams",
     "SharpConstantResult",
-    "ExtremalProfile",
     "GaussianBound",
     "ConsistencyRow",
     "tomas_stein_admissible",
@@ -226,7 +225,16 @@ class SharpConstantResult:
     params: RestrictionParams
 
 
-def _require_convergent(params: RestrictionParams) -> None:
+@lru_cache(maxsize=256)
+def _kernel_integral_cached(d: int, p: float, tol: float) -> QuadResult:
+    # q does not enter the integral, so one entry serves every q.
+    params = RestrictionParams(d, p, 1.0)
+    spec = OscillatoryIntegrand(params.kernel.order, params.beta, params.p_prime)
+    return integrate_oscillatory_bessel(spec, tol)
+
+
+def _kernel_integral(params: RestrictionParams, tol: float) -> QuadResult:
+    """The converged kernel integral int_0^inf r^beta |J_nu|^(p') dr."""
     if not radial_convergence_admissible(params.d, params.p):
         upper = 2.0 * params.d / (params.d + 1.0)
         raise DivergenceError(
@@ -234,15 +242,8 @@ def _require_convergent(params: RestrictionParams) -> None:
             f"dimension {params.d}: the convergence window is 1 < p < "
             f"2d/(d+1) = {upper!r}"
         )
-
-
-@lru_cache(maxsize=256)
-def _kernel_integral_cached(d: int, p: float, tol: float) -> QuadResult:
-    kernel = RadialKernel(d)
-    p_prime = p / (p - 1.0)
-    beta = (2.0 + d * (p - 2.0)) / (2.0 * (p - 1.0))
-    spec = power_envelope_integrand(kernel.order, beta, p_prime)
-    return integrate_oscillatory_bessel(spec, tol)
+    quad = _kernel_integral_cached(params.d, params.p, tol)
+    return quad.expect_converged(f"kernel integral for (d={params.d}, p={params.p})")
 
 
 def sharp_radial_constant(
@@ -255,11 +256,9 @@ def sharp_radial_constant(
     ``k_rad_paper_closed_form`` applies the alternative closed-form
     coefficient P (see module docstring) to the same kernel integral.
     """
-    _require_convergent(params)
+    quad = _kernel_integral(params, tol)
     d = params.d
     area = params.kernel.sphere_area
-    quad = _kernel_integral_cached(d, params.p, tol)
-    quad.expect_converged(f"kernel integral for (d={d}, p={params.p})")
     dual_norm = quad.value ** (1.0 / params.p_prime)
     k_fp = (
         area ** (1.0 / params.q - 1.0 / params.p)
@@ -280,17 +279,9 @@ def sharp_radial_constant(
     )
 
 
-@dataclass
-class ExtremalProfile(RadialProfile):
-    """The radial profile attaining the sharp constant, unit L_p norm."""
-
-    params: Optional[RestrictionParams] = None
-    normalization: float = 1.0
-
-
 def extremal_profile(
     params: RestrictionParams, tol: float = DEFAULT_REL_TOL
-) -> ExtremalProfile:
+) -> RadialProfile:
     """The Hoelder-equality profile F0 = C sign(g) |g|^(1/(p-1)),
     g(r) = r^(1-d) V_d(1, r), normalised to unit radial L_p norm.
 
@@ -298,15 +289,13 @@ def extremal_profile(
     with matching signs, which is the stated formula; the sign factor is
     essential because g changes sign at every Bessel zero.
     """
-    _require_convergent(params)
+    quad = _kernel_integral(params, tol)
     d = params.d
     nu = params.kernel.order.nu
     area = params.kernel.sphere_area
     inv_pm1 = 1.0 / (params.p - 1.0)
     half_2_minus_d = 0.5 * (2.0 - d)
 
-    quad = _kernel_integral_cached(d, params.p, tol)
-    quad.expect_converged(f"kernel integral for (d={d}, p={params.p})")
     # With C = 1 the radial L_p norm is [A(d) (2 pi)^(d p'/2) I]^(1/p),
     # because r^(d-1) |F0|^p reduces to (2 pi)^(d p'/2) r^beta |J_nu|^(p').
     two_pi_pow = (2.0 * math.pi) ** (0.5 * d * params.p_prime)
@@ -335,13 +324,11 @@ def extremal_profile(
 
     decay_exp = 0.5 * (d - 1.0) * inv_pm1
     decay_coeff = c_norm * (front * math.sqrt(2.0 / math.pi)) ** inv_pm1
-    return ExtremalProfile(
+    return RadialProfile(
         f=f0,
         decay=AlgebraicDecay(coeff=decay_coeff, exponent=decay_exp),
         label=f"extremal(d={d}, p={params.p!r})",
         breakpoints=breakpoints,
-        params=params,
-        normalization=c_norm,
     )
 
 

@@ -150,15 +150,13 @@ def _is_half_integer(nu: float) -> bool:
 
 @dataclass(frozen=True)
 class BesselOrder:
-    """A nonnegative real Bessel order; flags half-integers for the fast path."""
+    """A nonnegative real Bessel order."""
 
     nu: float
-    is_half_integer: bool = field(init=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.nu) or self.nu < 0.0:
             raise DomainError(f"Bessel order must be a finite real >= 0, got {self.nu!r}")
-        object.__setattr__(self, "is_half_integer", _is_half_integer(self.nu))
 
 
 @dataclass(frozen=True)
@@ -491,24 +489,6 @@ def bessel_j_array(order: "BesselOrder | float", x) -> np.ndarray:
     out = np.empty_like(flat)
     out[perm] = values
     return out.reshape(x.shape)
-
-
-def bessel_j_general_path(order: "BesselOrder | float", x: float) -> float:
-    """Same as :func:`bessel_j` but never taking the half-integer fast path.
-
-    Exists so the trigonometric closed forms can serve as an independent
-    cross-check of the series / recurrence / asymptotic machinery.
-    """
-    nu = _as_nu(order)
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"bessel_j requires x >= 0, got {x!r}")
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    if x <= 2.0:
-        return _bessel_series(nu, x)
-    if x >= _hankel_threshold(nu):
-        return _bessel_hankel(nu, x)
-    return _bessel_miller(nu, x)
 
 
 def bessel_j_derivative(order: "BesselOrder | float", x: float) -> float:

@@ -330,8 +330,8 @@ class DominanceReport:
 def _memoised(profile: RadialProfile) -> RadialProfile:
     """The profile with ``f`` answering repeated radii from a dict.
 
-    ``dataclasses.replace`` keeps the label, decay, breakpoints and any
-    subclass fields; the memo lives as long as the returned profile.
+    ``dataclasses.replace`` keeps the label, decay and breakpoints; the
+    memo lives as long as the returned profile.
     """
     f = profile.f
     values: dict[float, float] = {}

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 from sphrestrict.cli import main as cli_main
 from sphrestrict.gls import PsiWeight, gls_norm, verify_transfer, zeta_from_psi
-from sphrestrict.quadrature import integrate_oscillatory_bessel, power_envelope_integrand
+from sphrestrict.quadrature import OscillatoryIntegrand, integrate_oscillatory_bessel
 from sphrestrict.radial_fourier import (
     gaussian_profile,
     radial_full_integral,
@@ -32,11 +32,11 @@ from sphrestrict.special_fns import (
     BesselOrder,
     RadialKernel,
     bessel_j,
-    bessel_j_general_path,
     gamma,
 )
 from sphrestrict.verify import RandomRadialSpec, generate_profiles
 
+from general_path import bessel_j_general_path
 from oracles import bessel_half_oracle, gaussian_lp_norm_closed_form
 
 SHARPNESS_GRID = ((2, 1.1), (2, 1.25), (3, 1.2), (3, 1.4), (4, 1.3))
@@ -178,7 +178,7 @@ def test_c07_special_functions():
             x += 0.5
         # unit Bessel integrals
         for nu in (0.0, 0.5, 1.0, 1.5, 2.0):
-            spec = power_envelope_integrand(BesselOrder(nu), 0.0, 1.0, signed=True)
+            spec = OscillatoryIntegrand(BesselOrder(nu), 0.0, 1.0, signed=True)
             res = integrate_oscillatory_bessel(spec, 1e-10)
             assert abs(res.value - 1.0) <= 1e-8, nu
 

@@ -22,18 +22,20 @@ import pytest
 
 from sphrestrict.errors import DomainError
 from sphrestrict.quadrature import (
+    OscillatoryIntegrand,
     QuadResult,
     _XGK,
     _arch_stream,
+    _cells,
     _gk15_batch,
     _gk15_rule,
     _heap_result,
     _integrand_values,
     _integrate_block,
+    _mapped,
     _sum_cells,
     integrate_finite,
     integrate_oscillatory_bessel,
-    power_envelope_integrand,
     sum_over_partition,
 )
 from sphrestrict.radial_fourier import _merged_breakpoints, radial_hat
@@ -140,7 +142,7 @@ def scalar_integrand(spec):
     batched; kept here as the reference."""
     nu = spec.order.nu
     power = spec.power
-    envelope = spec.envelope
+    beta = spec.beta
     int_power = int(round(power))
 
     def integrand(r):
@@ -148,16 +150,16 @@ def scalar_integrand(spec):
             return 0.0
         j = bessel_j(nu, r)
         if spec.signed:
-            return envelope(r) * j**int_power
+            return r**beta * j**int_power
         aj = abs(j)
         if aj == 0.0:
             return 0.0
         if r < 1e-3:
-            env = envelope(r)
+            env = r**beta
             if env == 0.0:
                 return 0.0
             return math.copysign(math.exp(math.log(abs(env)) + power * math.log(aj)), env)
-        return envelope(r) * aj**power
+        return r**beta * aj**power
 
     return integrand
 
@@ -196,7 +198,7 @@ def reference_finite(f, a, b, tol, abs_tol, max_intervals=4000):
 def kernel_spec(d, p):
     p_prime = p / (p - 1.0)
     beta = (2.0 + d * (p - 2.0)) / (2.0 * (p - 1.0))
-    return power_envelope_integrand(BesselOrder((d - 2) / 2.0), beta, p_prime)
+    return OscillatoryIntegrand(BesselOrder((d - 2) / 2.0), beta, p_prime)
 
 
 def arch_edges(nu, k0, k1):
@@ -277,7 +279,7 @@ class TestBlockEngine:
         assert block[0].evaluations < 30 * 100
 
     def test_signed_alternating(self):
-        spec = power_envelope_integrand(BesselOrder(1.0), 0.0, 1.0, signed=True)
+        spec = OscillatoryIntegrand(BesselOrder(1.0), 0.0, 1.0, signed=True)
         results = assert_block_matches_finite(spec, arch_edges(1.0, 0, 16), 1e-12)
         signs = [math.copysign(1.0, res.value) for res in results]
         assert all(s != t for s, t in zip(signs, signs[1:]))
@@ -333,7 +335,7 @@ class TestKernelIntegral:
         assert requested == blocks
 
     def test_same_result_signed(self):
-        spec = power_envelope_integrand(BesselOrder(0.5), 0.0, 1.0, signed=True)
+        spec = OscillatoryIntegrand(BesselOrder(0.5), 0.0, 1.0, signed=True)
         assert integrate_oscillatory_bessel(spec, 1e-10) == scalar_oscillatory(spec, 1e-10)
 
 
@@ -376,7 +378,7 @@ class TestPartitionSum:
         kernel = params.kernel
         profile = extremal_profile(params, 1e-10)
         f, calls = counted(profile.f)
-        got = radial_hat(kernel, replace(profile, f=f), s).quad
+        got = radial_hat(kernel, replace(profile, f=f), s)
         # Each node is valued once: no probe cell is integrated twice.
         assert len(calls) == got.evaluations
 
@@ -418,7 +420,8 @@ class TestPartitionSum:
 
         got = sum_over_partition(f, boundary, 1e-8, tail_exponent=2.0)
         assert got == per_cell_partition_sum(f, boundary, 1e-8, 2.0)
-        assert got != sum_over_partition(f, boundary, 1e-8, tail_exponent=2.0, alternating=True)
+        alternating = _sum_cells(_cells(_mapped(f), boundary, 1e-8), boundary, None, 1e-8)
+        assert got != alternating
 
 
 class TestEnvelopeOverflow:

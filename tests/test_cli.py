@@ -70,6 +70,99 @@ class TestConstant:
         assert value == float(f"{value:.15g}")
 
 
+class TestFrozenConstants:
+    """Exact stdout and stderr, frozen from the code before the kernel
+    integrand became the (order, beta, power) record.  At ``--tol 1e-12``
+    the tail fit turns a one-ulp change in any node value into a visible
+    digit, and (3, 1.001) and (2, 1.0005) value their nodes through the
+    log-space branch, so these catch any drift in how nodes are valued."""
+
+    @pytest.mark.parametrize(
+        "d, p, tol, expected",
+        [
+            ("2", "1.2", "1e-12", """{
+  "beta": 1.0,
+  "d": 2,
+  "k_rad_first_principles": 2.84023713778728,
+  "k_rad_paper_closed_form": 0.863845978787378,
+  "kernel_integral": {
+    "converged": true,
+    "error_estimate": 2.6736730241176e-13,
+    "evaluations": 256560,
+    "value": 0.336827961766303
+  },
+  "p": 1.2,
+  "p_prime": 6.0,
+  "q": 2.0,
+  "tomas_stein_ok": true
+}
+"""),
+            ("8", "1.5", "1e-12", """{
+  "beta": -2.0,
+  "d": 8,
+  "k_rad_first_principles": 197.729001021385,
+  "k_rad_paper_closed_form": 0.231656274715652,
+  "kernel_integral": {
+    "converged": true,
+    "error_estimate": 6.82314529488052e-15,
+    "evaluations": 123270,
+    "value": 0.0116356812158287
+  },
+  "p": 1.5,
+  "p_prime": 3.0,
+  "q": 2.0,
+  "tomas_stein_ok": true
+}
+"""),
+            ("2", "1.0005", "1e-9", """{
+  "beta": 1.0,
+  "d": 2,
+  "k_rad_first_principles": 2.50028440209434,
+  "k_rad_paper_closed_form": 1.2482801794125,
+  "kernel_integral": {
+    "converged": true,
+    "error_estimate": 1.82861765923738e-17,
+    "evaluations": 630,
+    "value": 0.000999250520500561
+  },
+  "p": 1.0005,
+  "p_prime": 2001.00000000022,
+  "q": 2.0,
+  "tomas_stein_ok": true
+}
+"""),
+        ],
+        ids=["d2_p1.2_tight", "d8_p1.5_tight", "d2_p1.0005"],
+    )
+    def test_json_output(self, capsys, d, p, tol, expected):
+        code, out, err = run_cli(
+            capsys, "constant", "--d", d, "--p", p, "--q", "2", "--tol", tol,
+            "--format", "json",
+        )
+        assert (code, out, err) == (0, expected, "")
+
+    @pytest.mark.parametrize(
+        "d, p, tol, expected",
+        [
+            ("3", "1.001", "1e-9",
+             "sphrestrict: kernel integral for (d=3, p=1.001): quadrature did not "
+             "converge (value=1.5868177101913864e-102, "
+             "error_estimate=2.981712773461622e-102)\n"),
+            ("3", "1.4", "1e-12",
+             "sphrestrict: kernel integral for (d=3, p=1.4): quadrature did not "
+             "converge (value=0.5619466956523272, "
+             "error_estimate=3.243193917538263e-12)\n"),
+        ],
+        ids=["d3_p1.001", "d3_p1.4_tight"],
+    )
+    def test_exit_3_message(self, capsys, d, p, tol, expected):
+        code, out, err = run_cli(
+            capsys, "constant", "--d", d, "--p", p, "--q", "2", "--tol", tol,
+            "--format", "json",
+        )
+        assert (code, out, err) == (3, "", expected)
+
+
 class TestGaussianBound:
     def test_p1_degenerate(self, capsys):
         code, out, _ = run_cli(

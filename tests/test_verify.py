@@ -9,9 +9,9 @@ from sphrestrict import radial_fourier, verify
 from sphrestrict.cli import main
 from sphrestrict.errors import ConvergenceError, DivergenceError, DomainError
 from sphrestrict.quadrature import (
+    OscillatoryIntegrand,
     integrate_finite,
     integrate_oscillatory_bessel,
-    power_envelope_integrand,
 )
 from sphrestrict.restriction import (
     RestrictionParams,
@@ -88,12 +88,12 @@ class TestOracleIntegrate:
         assert abs(oracle.value - production.value) <= 1e-13
 
     def test_bessel_unit_integral(self):
-        spec = power_envelope_integrand(BesselOrder(0.0), 0.0, 1.0, signed=True)
+        spec = OscillatoryIntegrand(BesselOrder(0.0), 0.0, 1.0, signed=True)
         oracle = oracle_integrate(spec, (0.0, math.inf), 1e-8)
         assert abs(oracle.value - 1.0) <= 1e-10
 
     def test_kernel_integral_via_independent_partition(self):
-        spec = power_envelope_integrand(BesselOrder(0.5), -1.0, 6.0)
+        spec = OscillatoryIntegrand(BesselOrder(0.5), -1.0, 6.0)
         oracle = oracle_integrate(spec, (0.0, math.inf), 1e-7)
         production = integrate_oscillatory_bessel(spec, 1e-10)
         assert abs(oracle.value - production.value) <= 1e-9
@@ -103,13 +103,13 @@ class TestOracleIntegrate:
         # (d, p) = (3, 1.001): beta = -498.5, so r**beta overflows below
         # r ~ 0.24; the oracle must take the integrand's log-space branch.
         params = RestrictionParams(3, 1.001, 2.0)
-        spec = power_envelope_integrand(BesselOrder(0.5), params.beta, params.p_prime)
+        spec = OscillatoryIntegrand(BesselOrder(0.5), params.beta, params.p_prime)
         oracle = oracle_integrate(spec, (0.0, math.inf), 1e-9)
         assert math.isfinite(oracle.value) and oracle.value > 0.0
 
     def test_kernel_integral_near_p_one_matches_production(self):
         params = RestrictionParams(2, 1.0005, 2.0)
-        spec = power_envelope_integrand(BesselOrder(0.0), params.beta, params.p_prime)
+        spec = OscillatoryIntegrand(BesselOrder(0.0), params.beta, params.p_prime)
         oracle = oracle_integrate(spec, (0.0, math.inf), 1e-9)
         production = integrate_oscillatory_bessel(spec, 1e-9)
         assert production.converged
@@ -236,6 +236,25 @@ class TestDominanceFailures:
             assert "zero L_" in point.failures[0]["error"]
             assert point.failures[1]["error"] == "profile stalled"
             assert point.error is None
+
+
+    def test_unconverged_norm_is_a_profile_failure(self):
+        # 1% noise that refinement never resolves: the profile's L_p norm
+        # stops unconverged, so its ratio is an error, not a number.
+        noisy = RadialProfile(
+            f=lambda r: math.exp(-r * r) * (1.0 + 0.01 * math.sin(1e6 * r)),
+            decay=GaussianDecay(1.0),
+            label="noisy",
+        )
+        params = RestrictionParams(3, 1.2, 2.0)
+        with pytest.raises(ConvergenceError, match="L_1.2 norm of 'noisy'"):
+            ratio_z(params, noisy)
+        spec = RandomRadialSpec(seed=1, family="gaussian_mixture", count=2)
+        (point,) = run_dominance_suite([params], spec, extra_profiles=[noisy]).points
+        (ref,) = run_dominance_suite([params], spec).points
+        assert (point.max_ratio, point.argmax_label) == (ref.max_ratio, ref.argmax_label)
+        assert [f["label"] for f in point.failures] == ["noisy"]
+        assert "did not converge" in point.failures[0]["error"]
 
 
 def reference_dominance_json(grid, spec, tol, quad_tol, extra_profiles):
