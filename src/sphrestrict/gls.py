@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from .errors import DomainError
 from .quadrature import DEFAULT_REL_TOL
-from .radial_fourier import RadialProfile, radial_hat, radial_lp_norm
+from .radial_fourier import RadialProfile, _sphere_modulus, radial_lp_norm
 from .restriction import (
     RestrictionParams,
     gaussian_lower_bound_optimized,
@@ -141,14 +141,7 @@ class ZetaWeight:
 
     samples: tuple[tuple[float, float], ...]
     source: str
-    psi: PsiWeight
     constant_table: tuple[tuple[float, float], ...] = field(default=(), repr=False)
-
-    def __call__(self, q: float) -> float:
-        for qq, v in self.samples:
-            if qq == q:
-                return v
-        raise DomainError(f"zeta not computed at q={q!r}")
 
 
 def gls_norm(
@@ -246,7 +239,6 @@ def zeta_from_psi(
     return ZetaWeight(
         samples=tuple(samples),
         source=constant_source,
-        psi=psi,
         constant_table=tuple(factors),
     )
 
@@ -259,10 +251,7 @@ class TransferReport:
     right: float
     ratio: float
     ok: bool
-    zeta: ZetaWeight
     profile_label: str
-    norm_samples: tuple[tuple[float, float], ...]
-    sphere_norms: tuple[tuple[float, float], ...]
 
 
 def verify_transfer(
@@ -285,21 +274,15 @@ def verify_transfer(
         (p, radial_lp_norm(kernel, profile, p, tol)) for p in psi.grid
     )
     right = gls_norm(norm_samples, psi)
-    g1 = abs(radial_hat(kernel, profile, 1.0, tol).value)
-    sphere_norms = tuple(
-        (q, kernel.sphere_area ** (1.0 / q) * g1) for q in q_grid
-    )
+    g1 = _sphere_modulus(kernel, profile, tol)
     left = 0.0
-    for (q, norm), (_, z) in zip(sphere_norms, zeta.samples):
-        left = max(left, norm / z)
+    for q, z in zeta.samples:
+        left = max(left, kernel.sphere_area ** (1.0 / q) * g1 / z)
     ratio = left / right if right > 0.0 else (0.0 if left == 0.0 else math.inf)
     return TransferReport(
         left=left,
         right=right,
         ratio=ratio,
         ok=left <= right * (1.0 + tol) or (left == 0.0 and right == 0.0),
-        zeta=zeta,
         profile_label=profile.label,
-        norm_samples=norm_samples,
-        sphere_norms=sphere_norms,
     )

@@ -273,9 +273,12 @@ def _decays_fast_enough(f: Callable[[float], float]) -> bool:
     values = []
     for r in probes:
         try:
-            values.append(abs(f(r)) * r**1.001)
+            fr = f(r)
         except OverflowError:
             return False
+        if math.isnan(fr):
+            raise DomainError(f"integrand is NaN at r = {r!r}")
+        values.append(abs(fr) * r**1.001)
     tiny = 1e-8
     if values[-1] <= tiny:
         return True
@@ -291,7 +294,7 @@ def integrate_semi_infinite_decaying(
     finite rule then resolves both the bulk and the compressed tail, with
     the absolute floor ``ABS_FLOOR`` and at most ``_SEMI_INFINITE_INTERVALS``
     panels.  Raises ``DivergenceError`` when the integrand detectably fails
-    the decay precondition.
+    the decay precondition, and ``DomainError`` when a decay probe is NaN.
     """
     if not _decays_fast_enough(f):
         raise DivergenceError(

@@ -107,9 +107,6 @@ class RadialProfile:
     label: str
     breakpoints: Optional[Callable[[int], float]] = None
 
-    def __call__(self, r: float) -> float:
-        return self.f(r)
-
 
 def gaussian_profile(sigma: float, d: int) -> RadialProfile:
     """F(r) = (2 pi)^(-d/2) sigma^(-d) exp(-r^2 / (2 sigma^2)); its
@@ -138,15 +135,6 @@ def kernel_v(kernel: RadialKernel, s: float, r: float) -> float:
         * s ** (0.5 * (2 - d))
         * r ** (0.5 * d)
     )
-
-
-def _check_algebraic_transform(kernel: RadialKernel, decay: AlgebraicDecay) -> None:
-    required = 0.5 * (kernel.d + 1)
-    if not decay.exponent > required:
-        raise DivergenceError(
-            f"radial transform needs algebraic decay faster than r^(-{required}) "
-            f"in dimension {kernel.d}; profile decays like r^(-{decay.exponent})"
-        )
 
 
 def _merged_breakpoints(
@@ -196,46 +184,58 @@ def radial_hat(
     d = kernel.d
     front = (2.0 * math.pi) ** (0.5 * d) * s ** (0.5 * (2 - d))
 
-    def integrand(r: float) -> float:
-        if r <= 0.0:
-            return 0.0
-        fr = profile.f(r)
-        if fr == 0.0:
-            return 0.0
-        return front * _bessel_factor(nu, s * r) * r ** (0.5 * d) * fr
-
     def kernel_zeros(k: int) -> float:
         return bessel_j_zero(nu, k) / s
 
-    if isinstance(profile.decay, AlgebraicDecay):
-        _check_algebraic_transform(kernel, profile.decay)
-        # Envelope of V * F decays like r^((d-1)/2 - exponent).
-        tail = profile.decay.exponent - 0.5 * (d - 1)
-    else:
-        tail = None
-    partition = _merged_breakpoints(kernel_zeros, profile.breakpoints)
-    return _radial_integral(profile, integrand, tol, partition, tail)
+    return _radial_integral(
+        f"transform of {profile.label!r} in dimension {d}",
+        profile,
+        lambda r, fr: front * _bessel_factor(nu, s * r) * r ** (0.5 * d) * fr,
+        0.5 * (d - 1), 1.0, tol,
+        _merged_breakpoints(kernel_zeros, profile.breakpoints),
+    )
 
 
 def _radial_integral(
+    what: str,
     profile: RadialProfile,
-    integrand: Callable[[float], float],
+    weight: Callable[[float, float], float],
+    growth: float,
+    power: float,
     tol: float,
     partition: Optional[Callable[[int], float]],
-    tail_exponent: Optional[float],
 ) -> QuadResult:
-    """int_0^inf integrand(r) dr for a profile-derived integrand, with the
-    rule matched to the profile's decay class: finite integration on the
-    support for compact profiles, the cells of ``partition`` with tail
-    extrapolation for algebraic decay, and otherwise (Gaussian decay, or
-    algebraic decay without a partition) the semi-infinite rule."""
+    """int_0^inf weight(r, F(r)) dr, the one path of every profile integral.
+
+    The integrand is 0 at r <= 0 and where F(r) == 0.  Its envelope is
+    r^growth |F|^power, so under algebraic decay F ~ r^(-e) its tail
+    exponent power*e - growth must exceed 1.  Compact profiles integrate
+    over their support, algebraic decay sums the cells of ``partition``
+    with tail extrapolation, and the rest take the semi-infinite rule.
+    """
+    f = profile.f
+
+    def integrand(r: float) -> float:
+        if r <= 0.0:
+            return 0.0
+        fr = f(r)
+        if fr == 0.0:
+            return 0.0
+        return weight(r, fr)
+
     decay = profile.decay
     if isinstance(decay, CompactSupport):
         return integrate_finite(integrand, 0.0, decay.radius, tol)
-    if isinstance(decay, AlgebraicDecay) and partition is not None:
-        return sum_over_partition(
-            integrand, partition, tol, tail_exponent=tail_exponent
-        )
+    if isinstance(decay, AlgebraicDecay):
+        tail = power * decay.exponent - growth
+        if not tail > 1.0:
+            raise DivergenceError(
+                f"{what} diverges: the profile decays like r^(-{decay.exponent!r}), "
+                f"so the integrand decays like r^(-{tail!r}); the exponent must "
+                "exceed 1"
+            )
+        if partition is not None:
+            return sum_over_partition(integrand, partition, tol, tail_exponent=tail)
     return integrate_semi_infinite_decaying(integrand, tol)
 
 
@@ -244,26 +244,12 @@ def radial_full_integral(
 ) -> float:
     """int_{R^d} f dx = A(d) int_0^inf r^(d-1) F(r) dr; equals lim_{s->0} G(s)."""
     d = kernel.d
-
-    def integrand(r: float) -> float:
-        if r <= 0.0:
-            return 0.0
-        fr = profile.f(r)
-        if fr == 0.0:
-            return 0.0
-        return r ** (d - 1) * fr
-
-    if isinstance(profile.decay, AlgebraicDecay):
-        if not profile.decay.exponent > d:
-            raise DivergenceError(
-                f"full integral in dimension {d} needs decay faster than r^(-{d})"
-            )
-        tail = profile.decay.exponent - (d - 1)
-    else:
-        tail = None
-    quad = _radial_integral(profile, integrand, tol, profile.breakpoints, tail)
-    quad.expect_converged(f"integral of {profile.label!r} over R^{d}")
-    return kernel.sphere_area * quad.value
+    what = f"integral of {profile.label!r} over R^{d}"
+    quad = _radial_integral(
+        what, profile, lambda r, fr: r ** (d - 1) * fr, d - 1, 1.0, tol,
+        profile.breakpoints,
+    )
+    return kernel.sphere_area * quad.expect_converged(what).value
 
 
 def radial_lp_norm(
@@ -277,27 +263,18 @@ def radial_lp_norm(
     if p < 1.0:
         raise DomainError(f"radial_lp_norm requires p >= 1, got {p!r}")
     d = kernel.d
+    what = f"L_{p} norm of {profile.label!r}"
+    quad = _radial_integral(
+        what, profile, lambda r, fr: r ** (d - 1) * abs(fr) ** p, d - 1, p, tol,
+        profile.breakpoints,
+    )
+    return (kernel.sphere_area * quad.expect_converged(what).value) ** (1.0 / p)
 
-    def integrand(r: float) -> float:
-        if r <= 0.0:
-            return 0.0
-        fr = profile.f(r)
-        if fr == 0.0:
-            return 0.0
-        return r ** (d - 1) * abs(fr) ** p
 
-    if isinstance(profile.decay, AlgebraicDecay):
-        if not p * profile.decay.exponent > d:
-            raise DivergenceError(
-                f"L_{p} norm in dimension {d} diverges for decay "
-                f"r^(-{profile.decay.exponent})"
-            )
-        tail = p * profile.decay.exponent - (d - 1)
-    else:
-        tail = None
-    quad = _radial_integral(profile, integrand, tol, profile.breakpoints, tail)
-    quad.expect_converged(f"L_{p} norm of {profile.label!r}")
-    return (kernel.sphere_area * quad.value) ** (1.0 / p)
+def _sphere_modulus(kernel: RadialKernel, profile: RadialProfile, tol: float) -> float:
+    """|G(1)|, the transform's modulus on the unit sphere, checked converged."""
+    hat = radial_hat(kernel, profile, 1.0, tol)
+    return abs(hat.expect_converged(f"transform of {profile.label!r} at s = 1").value)
 
 
 def sphere_norm_of_radial_hat(
@@ -313,6 +290,4 @@ def sphere_norm_of_radial_hat(
     """
     if q < 1.0:
         raise DomainError(f"sphere norm requires q >= 1, got {q!r}")
-    hat = radial_hat(kernel, profile, 1.0, tol)
-    hat.expect_converged(f"transform of {profile.label!r} at s = 1")
-    return kernel.sphere_area ** (1.0 / q) * abs(hat.value)
+    return kernel.sphere_area ** (1.0 / q) * _sphere_modulus(kernel, profile, tol)

@@ -149,12 +149,25 @@ def gaussian_lower_bound(params: RestrictionParams, sigma: float) -> float:
 def _gaussian_ratio(params: RestrictionParams, area: float, sigma: float) -> float:
     d = params.d
     a = d * (1.0 - 1.0 / params.p)
-    return (
-        math.exp(-0.5 * sigma * sigma)
-        * area ** (1.0 / params.q)
-        * (2.0 * math.pi) ** (0.5 * a)
-        * params.p ** (d / (2.0 * params.p))
-        * sigma**a
+    try:
+        ratio = (
+            math.exp(-0.5 * sigma * sigma)
+            * area ** (1.0 / params.q)
+            * (2.0 * math.pi) ** (0.5 * a)
+            * params.p ** (d / (2.0 * params.p))
+            * sigma**a
+        )
+    except OverflowError:
+        ratio = math.inf
+    if math.isinf(ratio):
+        raise _beyond_double(f"the Gaussian ratio at sigma = {sigma!r}", params)
+    return ratio
+
+
+def _beyond_double(what: str, params: RestrictionParams) -> DomainError:
+    return DomainError(
+        f"{what} exceeds double-precision range at (d={params.d}, "
+        f"p={params.p!r}, q={params.q!r})"
     )
 
 
@@ -192,6 +205,8 @@ def gaussian_lower_bound_optimized(params: RestrictionParams) -> GaussianBound:
     e^(-s^2/2) s^a); at p = 1 the exponent vanishes and the supremum is
     approached as sigma -> 0.  ``paper_closed_form`` is the literal bound
     without the e^(-a/2) maximisation factor, reported for comparison only.
+    A value, or a ratio probed by the search, beyond double precision is a
+    ``DomainError``.
     """
     d = params.d
     area = params.kernel.sphere_area
@@ -201,7 +216,12 @@ def gaussian_lower_bound_optimized(params: RestrictionParams) -> GaussianBound:
         * (2.0 * math.pi) ** (0.5 * a)
         * params.p ** (d / (2.0 * params.p))
     )
-    literal = base * math.pow(a, 0.5 * a) if a > 0.0 else base
+    try:
+        literal = base * math.pow(a, 0.5 * a) if a > 0.0 else base
+    except OverflowError:
+        literal = math.inf
+    if math.isinf(literal):
+        raise _beyond_double("the literal closed form", params)
     sigma_star = _golden_max(
         lambda s: _gaussian_ratio(params, area, s),
         1e-6,
@@ -222,7 +242,6 @@ class SharpConstantResult:
     k_rad_first_principles: float
     k_rad_paper_closed_form: float
     kernel_integral: QuadResult
-    params: RestrictionParams
 
 
 @lru_cache(maxsize=256)
@@ -275,7 +294,6 @@ def sharp_radial_constant(
         k_rad_first_principles=k_fp,
         k_rad_paper_closed_form=coeff_p * dual_norm,
         kernel_integral=quad,
-        params=params,
     )
 
 

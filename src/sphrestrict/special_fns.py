@@ -136,10 +136,17 @@ def _gamma_half_integer(n: int) -> float:
 
 
 def sphere_area(d: int) -> float:
-    """Surface measure of the unit sphere in R^d: A(d) = 2 pi^(d/2) / Gamma(d/2)."""
+    """Surface measure of the unit sphere in R^d: A(d) = 2 pi^(d/2) / Gamma(d/2).
+
+    Raises ``DomainError`` from d = 344 on, where Gamma(d/2) overflows.
+    """
     if int(d) != d or d < 2:
         raise DomainError(f"sphere_area requires an integer dimension >= 2, got {d!r}")
     d = int(d)
+    if 0.5 * d > _GAMMA_OVERFLOW:
+        raise DomainError(
+            f"sphere_area requires d <= 343, where Gamma(d/2) fits a double; got {d}"
+        )
     return 2.0 * math.pow(math.pi, 0.5 * d) / _gamma_half_integer(d)
 
 

@@ -6,7 +6,9 @@ import math
 
 import pytest
 
+from sphrestrict import radial_fourier
 from sphrestrict.cli import SWEEP_COLUMNS, main
+from sphrestrict.quadrature import QuadResult
 from sphrestrict.restriction import _kernel_integral_cached
 
 
@@ -181,6 +183,14 @@ class TestGaussianBound:
         payload = json.loads(out)
         assert "bound" in payload and payload["sigma"] == 1.0
 
+    @pytest.mark.parametrize("d, p", [(400, "1.5"), (200, "50")])
+    def test_beyond_double_precision_exits_2(self, capsys, d, p):
+        code, out, err = run_cli(
+            capsys, "gaussian-bound", "--d", str(d), "--p", p, "--q", "2"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("sphrestrict: ") and "double" in err
+
 
 class TestSweep:
     def test_csv_schema_and_idempotence(self, capsys, tmp_path):
@@ -314,6 +324,11 @@ class TestSweep:
 ]
 """
 
+    def test_too_large_dimension_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--d", "400", "--p", "1.5", "--q", "2")
+        assert (code, out) == (2, "")
+        assert "d <= 343" in err
+
     def test_one_kernel_integral_per_d_p(self, capsys):
         _kernel_integral_cached.cache_clear()
         code, out, _ = run_cli(
@@ -380,6 +395,18 @@ class TestGls:
         assert payload["transfer"]["ok"] is True
         assert payload["transfer"]["left"] <= payload["transfer"]["right"] * (1 + 1e-8)
         assert payload["cut_set"] == [1.05, 1.1, 1.15, 1.2, 1.25, 1.3]
+
+    def test_unconverged_transform_exits_3(self, capsys, psi_csv, monkeypatch):
+        monkeypatch.setattr(
+            radial_fourier, "radial_hat",
+            lambda kernel, profile, s, tol: QuadResult(1.0, 5.0, 15, False),
+        )
+        code, out, err = run_cli(
+            capsys, "gls", "--psi", str(psi_csv), "--d", "3", "--q", "1:3:5",
+            "--check-profile", "gaussian:1.0",
+        )
+        assert (code, out) == (3, "")
+        assert "transform of 'gaussian(sigma=1.0, d=3)' at s = 1" in err
 
     def test_missing_header_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -1,0 +1,57 @@
+"""One divergence rule for every profile integral, by AST scan.
+
+``radial_fourier`` decides whether a profile integral diverges in one
+place: ``_radial_integral`` applies the tail-exponent rule for the radial
+transform, the full-space integral and the L_p norm alike.  No other
+function of the module may raise ``DivergenceError``, whether as a call
+(``raise DivergenceError(...)``) or as the bare class.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sphrestrict"
+
+
+def divergence_raises(source: str) -> list[str]:
+    """The outermost function enclosing each ``raise DivergenceError``, one
+    entry per raise in source order ("<module>" outside any function)."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name if owner == "<module>" else owner)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if ast.unparse(exc).split(".")[-1] == "DivergenceError":
+                    found.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_divergence_raised_only_by_the_shared_integral():
+    source = (PACKAGE / "radial_fourier.py").read_text()
+    assert divergence_raises(source) == ["_radial_integral"]
+
+
+@pytest.mark.parametrize(
+    "source, raises",
+    [
+        ("def f():\n    raise DivergenceError('x')", ["f"]),
+        ("def f():\n    def g():\n        raise DivergenceError\n    return g", ["f"]),
+        ("def f():\n    if x:\n        raise errors.DivergenceError(m)", ["f"]),
+        ("class C:\n    def m(self):\n        raise DivergenceError('x')", ["m"]),
+        ("raise DivergenceError('x')", ["<module>"]),
+        ("def f():\n    raise DomainError('x')\ndef g():\n    raise", []),
+        ("def f():\n    raise DivergenceError('a')\ndef g():\n"
+         "    raise DivergenceError('b')", ["f", "g"]),
+    ],
+)
+def test_scan_finds_divergence_raises(source, raises):
+    assert divergence_raises(source) == raises

@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from sphrestrict.errors import DomainError
+from sphrestrict import radial_fourier
+from sphrestrict.errors import ConvergenceError, DomainError
 from sphrestrict.gls import (
     PsiWeight,
     cut_set,
@@ -13,6 +14,7 @@ from sphrestrict.gls import (
     verify_transfer,
     zeta_from_psi,
 )
+from sphrestrict.quadrature import QuadResult
 from sphrestrict.radial_fourier import (
     CompactSupport,
     RadialProfile,
@@ -220,6 +222,18 @@ class TestTransfer:
         assert report.ok
         assert report.left == 0.0
         assert report.right == 0.0
+
+    def test_unconverged_transform_raises(self, monkeypatch):
+        # The sphere side reads G(1) through the same checked path as
+        # sphere_norm_of_radial_hat, so an unconverged transform is an error.
+        monkeypatch.setattr(
+            radial_fourier, "radial_hat",
+            lambda kernel, profile, s, tol: QuadResult(1.0, 5.0, 15, False),
+        )
+        h = gaussian_profile(1.0, 3)
+        with pytest.raises(ConvergenceError, match="did not converge") as info:
+            verify_transfer(self.make_psi(), h, 3, [1.0, 2.0], 1e-8)
+        assert f"transform of {h.label!r} at s = 1" in str(info.value)
 
     def test_scaling_leaves_ratio_unchanged(self):
         h = gaussian_profile(1.0, 3)

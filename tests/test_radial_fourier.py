@@ -9,6 +9,7 @@ from sphrestrict import radial_fourier
 from sphrestrict.errors import ConvergenceError, DivergenceError, DomainError
 from sphrestrict.quadrature import (
     DEFAULT_REL_TOL,
+    QuadResult,
     integrate_finite,
     integrate_semi_infinite_decaying,
     sum_over_partition,
@@ -124,6 +125,58 @@ class TestRadialHat:
         )
         with pytest.raises(DivergenceError):
             radial_hat(RadialKernel(3), slow, 1.0)
+
+
+def algebraic_profile(exponent: float) -> RadialProfile:
+    return RadialProfile(
+        f=lambda r: (1.0 + r) ** -exponent,
+        decay=AlgebraicDecay(coeff=1.0, exponent=exponent),
+        label=f"algebraic {exponent}",
+    )
+
+
+# Each integral with its divergence boundary: the decay exponent at which
+# its integrand r^growth |F|^power decays exactly like r^(-1).
+BOUNDARIES = [
+    ("radial_hat", lambda k, f: radial_hat(k, f, 1.0), lambda d: 0.5 * (d + 1)),
+    ("full_integral", radial_full_integral, lambda d: float(d)),
+    ("lp_norm", lambda k, f: radial_lp_norm(k, f, 2.0), lambda d: 0.5 * d),
+]
+
+
+class TestDivergenceRule:
+    """One rule for every profile integral: the tail exponent
+    power * exponent - growth must exceed 1."""
+
+    @pytest.fixture()
+    def integrators(self, monkeypatch):
+        # Record what reaches the quadrature instead of integrating.
+        calls = []
+
+        def record(rule):
+            def stub(f, *args, **kwargs):
+                calls.append((rule, kwargs.get("tail_exponent")))
+                return QuadResult(1.0, 0.0, 15, True)
+
+            return stub
+
+        for rule in ("sum_over_partition", "integrate_semi_infinite_decaying"):
+            monkeypatch.setattr(radial_fourier, rule, record(rule))
+        return calls
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize(
+        "compute, boundary", [case[1:] for case in BOUNDARIES],
+        ids=[case[0] for case in BOUNDARIES],
+    )
+    def test_boundary_diverges(self, integrators, compute, boundary, d):
+        with pytest.raises(DivergenceError, match="must exceed 1"):
+            compute(RadialKernel(d), algebraic_profile(boundary(d)))
+        assert integrators == []
+        compute(RadialKernel(d), algebraic_profile(boundary(d) + 0.25))
+        ((rule, tail),) = integrators
+        if rule == "sum_over_partition":
+            assert tail == 1.25
 
 
 def reference_radial_hat(kernel, profile, s, tol=DEFAULT_REL_TOL):

@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 
 from sphrestrict.errors import DivergenceError, DomainError
-from sphrestrict.radial_fourier import RadialProfile, gaussian_profile
+from sphrestrict.radial_fourier import GaussianDecay, RadialProfile, gaussian_profile
 from sphrestrict.restriction import (
     RestrictionParams,
     consistency_report,
@@ -144,6 +144,21 @@ class TestGaussianBoundOptimized:
         )
         assert opt.bound >= dense - 1e-9 * dense
 
+    @pytest.mark.parametrize(
+        "d, p, match",
+        [(200, 50.0, "Gaussian ratio at sigma"), (300, 20.0, "literal closed form"),
+         (400, 1.5, "d <= 343")],
+    )
+    def test_beyond_double_precision_is_a_domain_error(self, d, p, match):
+        # The search probes sigma up to 10 sqrt(d), where sigma^a overflows
+        # even when the maximum itself would not.
+        with pytest.raises(DomainError, match=match):
+            gaussian_lower_bound_optimized(RestrictionParams(d, p, 2.0))
+
+    def test_fixed_sigma_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="sigma = 141.0"):
+            gaussian_lower_bound(RestrictionParams(200, 50.0, 2.0), 141.0)
+
 
 class TestSharpConstant:
     def test_d3_p12_exact_closed_form(self):
@@ -173,6 +188,11 @@ class TestSharpConstant:
     def test_divergent_point_rejected(self):
         with pytest.raises(DivergenceError, match="1 < p < 2d"):
             sharp_radial_constant(RestrictionParams(2, 1.4, 2.0))
+
+    def test_dimension_beyond_sphere_area_rejected(self):
+        # Gamma(d/2) overflows before any kernel work starts.
+        with pytest.raises(DomainError, match="d <= 343"):
+            sharp_radial_constant(RestrictionParams(400, 1.5, 2.0))
 
     def test_p_one_rejected(self):
         with pytest.raises(DivergenceError):
@@ -256,6 +276,12 @@ class TestRatioZ:
             )
             assert ratio_z(params, scaled, 1e-10) == pytest.approx(base, rel=1e-10)
 
+    def test_nan_profile_is_a_domain_error(self):
+        nan = RadialProfile(f=lambda r: math.nan, decay=GaussianDecay(1.0), label="nan")
+        with pytest.raises(DomainError, match=r"NaN at r = 1000\.0") as info:
+            ratio_z(RestrictionParams(3, 1.2, 2.0), nan)
+        assert not isinstance(info.value, DivergenceError)
+
     def test_zero_profile_rejected(self):
         from sphrestrict.radial_fourier import CompactSupport
 
@@ -293,6 +319,12 @@ class TestConsistencyReport:
             math.sqrt(4.0 * math.pi), rel=1e-9
         )
         assert row.gauss_ratio == pytest.approx(1.0, rel=1e-9)
+
+    def test_too_large_dimension_is_a_failed_row(self):
+        (row,) = consistency_report([RestrictionParams(400, 1.5, 2.0)])
+        assert row.failed
+        assert row.k_rad_first_principles is None and row.gauss_numeric_optimum is None
+        assert "d <= 343" in row.error
 
     def test_rows_come_back_in_grid_order(self):
         grid = [RestrictionParams(3, p, 2.0) for p in (1.25, 1.1, 1.2, 1.15)]

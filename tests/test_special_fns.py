@@ -75,6 +75,16 @@ class TestSphereArea:
         with pytest.raises(DomainError):
             sphere_area(0)
 
+    def test_largest_dimension(self):
+        # Gamma(d/2) overflows from d = 344 on; the area must not read 0.
+        expected = 2.0 * math.exp(171.5 * math.log(math.pi) - math.lgamma(171.5))
+        assert sphere_area(343) == pytest.approx(expected, rel=1e-12)
+        for d in (344, 400):
+            with pytest.raises(DomainError, match="d <= 343"):
+                sphere_area(d)
+            with pytest.raises(DomainError, match="d <= 343"):
+                RadialKernel(d)
+
 
 class TestBesselOrderType:
     def test_half_integer_flag(self):
