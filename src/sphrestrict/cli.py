@@ -12,7 +12,9 @@ Subcommands::
 Exit codes: 0 success, 2 domain errors (inadmissible exponents, divergent
 integrals, malformed inputs), 3 numerical non-convergence; ``sweep``,
 ``report`` and ``verify`` mark a non-converging grid point as failed and carry
-on.  All floating point output is printed with 15 significant digits.  No arithmetic happens
+on, and ``sweep`` and ``report`` do the same for a point where a
+computation leaves its domain (say, double range).  All floating point
+output is printed with 15 significant digits.  No arithmetic happens
 here beyond formatting; every number is produced by a library operation.
 
 A flat ``key=value`` config file can pre-set any long flag (for example
@@ -42,6 +44,7 @@ from .restriction import (
     sharp_radial_constant,
     tomas_stein_admissible,
 )
+from .special_fns import sphere_area
 from .verify import RandomRadialSpec, run_dominance_suite
 
 SWEEP_COLUMNS = (
@@ -214,32 +217,47 @@ def _cmd_gaussian_bound(args) -> int:
 
 def _sweep_row(params: RestrictionParams, tol: float):
     """One sweep row; the four integral/constant cells read ``skipped``
-    outside the convergence window and ``failed`` where the kernel
-    integral does not converge (the reason goes to stderr)."""
+    outside the convergence window, and the Gaussian or the sharp-constant
+    cells read ``failed`` where their library call raises
+    ``ConvergenceError`` or ``DomainError`` (the reason goes to stderr)."""
+
+    def gauss_cells():
+        gauss = gaussian_lower_bound_optimized(params)
+        return gauss.bound, gauss.paper_closed_form
+
+    def sharp_cells():
+        sharp = sharp_radial_constant(params, tol)
+        return (
+            sharp.kernel_integral.value, sharp.kernel_integral.error_estimate,
+            sharp.k_rad_first_principles, sharp.k_rad_paper_closed_form,
+        )
+
     ts_ok = tomas_stein_admissible(params)
-    gauss = gaussian_lower_bound_optimized(params)
+    gauss = _cells_or_failed(gauss_cells, 2)
     if not radial_convergence_admissible(params.d, params.p):
-        sharp_cells = ("skipped",) * 4
+        sharp = ("skipped",) * 4
     else:
-        try:
-            sharp = sharp_radial_constant(params, tol)
-        except ConvergenceError as exc:
-            print(f"sphrestrict: {exc}", file=sys.stderr)
-            sharp_cells = ("failed",) * 4
-        else:
-            sharp_cells = (
-                sharp.kernel_integral.value, sharp.kernel_integral.error_estimate,
-                sharp.k_rad_first_principles, sharp.k_rad_paper_closed_form,
-            )
-    return (
-        params.d, params.p, params.q, params.p_prime, params.beta,
-        *sharp_cells,
-        gauss.bound, gauss.paper_closed_form, ts_ok,
-    )
+        sharp = _cells_or_failed(sharp_cells, 4)
+    return (params.d, params.p, params.q, params.p_prime, params.beta, *sharp, *gauss, ts_ok)
+
+
+def _cells_or_failed(cells, count: int) -> tuple:
+    """``cells()``, or ``count`` cells reading ``failed`` when it raises a
+    library error, whose message goes to stderr."""
+    try:
+        return cells()
+    except (ConvergenceError, DomainError) as exc:
+        print(f"sphrestrict: {exc}", file=sys.stderr)
+        return ("failed",) * count
 
 
 def _cmd_sweep(args) -> int:
-    rows = [_sweep_row(params, args.tol) for params in _grid(args)]
+    grid = _grid(args)
+    for params in grid:
+        # A dimension without a double sphere area (d >= 344) is a bad
+        # grid, not a failed row: every cell of it would fail.
+        sphere_area(params.d)
+    rows = [_sweep_row(params, args.tol) for params in grid]
     if args.format == "csv":
         _emit(_csv_text(SWEEP_COLUMNS, rows), args.output)
     else:
@@ -247,10 +265,10 @@ def _cmd_sweep(args) -> int:
         for row in rows:
             entry = dict(zip(SWEEP_COLUMNS, row))
             entry["skipped"] = row[5] == "skipped"
-            if row[5] == "failed":
+            if "failed" in row:
                 entry["failed"] = True
-            if row[5] in ("skipped", "failed"):
-                for key in ("integral", "integral_err", "k_rad", "k_rad_paper"):
+            for key, value in entry.items():
+                if value in ("skipped", "failed"):
                     entry[key] = None
             payload.append(entry)
         _emit(_json_text(payload), args.output)

@@ -38,6 +38,19 @@ callable over each round's nodes.  Every interval's result is the one it
 gets alone, evaluation counts included, and equals a one-node-at-a-time
 scalar rule bit for bit: the tail fit at tight tolerances amplifies
 last-digit differences ~1000-fold.
+
+The engine looks ahead: when an interval's worst panel has no children
+yet, it asks in the same call for the children of its
+``max(1, min(splits // 16, _AHEAD_PANELS))`` worst panels, and later
+rounds commit them one at a time while the heap's worst panel has its
+children ready.  Below 32 splits that is the worst panel alone, one split
+per round.  A GK15 panel's result depends only on its endpoints, so the
+heap, the running totals, the stopping decision and the result are those
+of one split per round; an arch refining to ``max_intervals`` then takes
+~20 times fewer array calls.  Children never committed are dropped, and
+only committed splits count as evaluations.  Children are evaluated ahead
+of need, so the integrand must not raise anywhere in an interval; a value
+it cannot give is NaN, which ends the interval only if committed.
 """
 
 from __future__ import annotations
@@ -100,6 +113,9 @@ _NODE_OFFSETS = np.array((0.0,) + tuple(-x for x in _XGK[:7]) + _XGK[:7])
 _EPS50 = 50.0 * 2.220446049250313e-16
 _MAX_INTERVALS = 4000
 _SEMI_INFINITE_INTERVALS = 6000
+# Lookahead of ``_integrate_block``: an interval evaluates the children of
+# at most this many of its worst panels per round.
+_AHEAD_PANELS = 32
 
 
 @dataclass(frozen=True)
@@ -206,9 +222,16 @@ def _integrate_block(
     Every interval keeps its own heap and refines worst-panel-first until
     its error estimate drops below ``max(tol * |value|, abs_tol)``, its
     heap holds ``max_intervals`` panels or its worst panel sits at machine
-    resolution.  Each round splits one panel of every interval still
-    refining and evaluates all new panels with one call of ``f``, so each
-    interval's result is the one it would get alone, field for field.
+    resolution.  Each round evaluates the new panels of every interval
+    still refining with one call of ``f``: an interval whose worst panel
+    has no children yet asks for the children of its
+    ``max(1, min(splits // 16, _AHEAD_PANELS))`` worst panels, and the
+    next round commits splits for as long as its worst panel's children
+    are ready.  A panel's GK15 result depends only on its endpoints, so
+    every interval pops, pushes and sums exactly what it would alone, one
+    panel per round, and its result is that one field for field.
+    ``evaluations`` counts committed splits only; children evaluated ahead
+    and never committed are dropped with the interval.
     """
     for a, b in edges:
         if not (a < b):
@@ -220,43 +243,91 @@ def _integrate_block(
     rules = _gk15_batch(f, lo, hi)
     heaps = [[(-e, a, b, v, e)] for a, b, (v, e) in zip(lo, hi, rules)]
     totals = [list(rule) for rule in rules]
-    evals = [15] * len(edges)
+    splits = [0] * len(edges)
+    # Splits evaluated ahead, by interval and the left endpoint of the panel
+    # they split: the changes (dv, de) of the running value and error and
+    # the heap entries of the two halves.
+    ahead: list[dict] = [{} for _ in edges]
     results: list = [None] * len(edges)
     live = range(len(edges))
     while True:
-        splits = []
+        # (i, heap entry, mid) of every panel whose split this round asks for.
+        requests = []
+        refining = []
         for i in live:
             heap = heaps[i]
-            total_v, total_e = totals[i]
-            if total_e > max(tol * abs(total_v), abs_tol) and len(heap) < max_intervals:
-                item = heapq.heappop(heap)
-                mid = 0.5 * (item[1] + item[2])
-                if not (mid <= item[1] or mid >= item[2]):
-                    splits.append((i, item, mid))
-                    continue
-                # Interval at machine resolution; cannot be refined.
-                heapq.heappush(heap, item)
-            results[i] = _heap_result(heap, evals[i], tol, abs_tol)
-            heaps[i] = []
-        if not splits:
+            total = totals[i]
+            ready = ahead[i]
+            unready = False
+            while total[1] > max(tol * abs(total[0]), abs_tol) and len(heap) < max_intervals:
+                _, a, b, _, _ = heap[0]
+                if not a < 0.5 * (a + b) < b:
+                    break  # The worst panel is at machine resolution.
+                split = ready.pop(a, None)
+                if split is None:
+                    unready = True
+                    break
+                heapq.heappop(heap)
+                dv, de, left, right = split
+                total[0] += dv
+                total[1] += de
+                heapq.heappush(heap, left)
+                heapq.heappush(heap, right)
+                splits[i] += 1
+            if unready:
+                k = min(splits[i] // 16, _AHEAD_PANELS)
+                if k > 1:
+                    requests += [(i, *panel) for panel in _worst_unready(heap, ready, k)]
+                else:
+                    # What the walk returns for k = 1, without its cost on
+                    # the many one-interval rounds of a shallow integral.
+                    requests.append((i, heap[0], 0.5 * (a + b)))
+                refining.append(i)
+            else:
+                results[i] = _heap_result(heap, 15 + 30 * splits[i], tol, abs_tol)
+                heaps[i] = []
+                ahead[i] = {}
+        if not refining:
             break
         lo = []
         hi = []
-        for _, item, mid in splits:
-            lo += (item[1], mid)
-            hi += (mid, item[2])
+        for _, (_, a, b, _, _), mid in requests:
+            lo += (a, mid)
+            hi += (mid, b)
         rules = _gk15_batch(f, lo, hi)
-        for n, (i, (_, aa, bb, vv, ee), mid) in enumerate(splits):
-            v1, e1 = rules[2 * n]
-            v2, e2 = rules[2 * n + 1]
-            evals[i] += 30
-            total = totals[i]
-            total[0] += v1 + v2 - vv
-            total[1] += e1 + e2 - ee
-            heapq.heappush(heaps[i], (-e1, aa, mid, v1, e1))
-            heapq.heappush(heaps[i], (-e2, mid, bb, v2, e2))
-        live = [i for i, _, _ in splits]
+        for n, (i, (_, a, b, v, e), mid) in enumerate(requests):
+            (v1, e1), (v2, e2) = rules[2 * n], rules[2 * n + 1]
+            ahead[i][a] = (v1 + v2 - v, e1 + e2 - e, (-e1, a, mid, v1, e1), (-e2, mid, b, v2, e2))
+        live = refining
     return results
+
+
+def _worst_unready(heap: list, ready: dict, k: int) -> list[tuple[tuple, float]]:
+    """(heap entry, mid) of each panel among the ``k`` worst of ``heap``
+    whose split is not in ``ready`` and which can still be split.
+
+    The k worst are read off the heap tree best-first from its root, in
+    O(k log k), without scanning the heap; the frontier is ordered by
+    -error alone, which can only change which of two equal panels is
+    taken."""
+    out = []
+    n = len(heap)
+    frontier = [(heap[0][0], 0)]
+    for _ in range(min(k, n)):
+        j = frontier[0][1]
+        item = heap[j]
+        a, b = item[1], item[2]
+        mid = 0.5 * (a + b)
+        if a not in ready and a < mid < b:
+            out.append((item, mid))
+        child = 2 * j + 1
+        if child < n:
+            heapq.heapreplace(frontier, (heap[child][0], child))
+            if child + 1 < n:
+                heapq.heappush(frontier, (heap[child + 1][0], child + 1))
+        else:
+            heapq.heappop(frontier)
+    return out
 
 
 def _heap_result(heap: list, evals: int, tol: float, abs_tol: float) -> QuadResult:
@@ -294,7 +365,9 @@ def integrate_semi_infinite_decaying(
     finite rule then resolves both the bulk and the compressed tail, with
     the absolute floor ``ABS_FLOOR`` and at most ``_SEMI_INFINITE_INTERVALS``
     panels.  Raises ``DivergenceError`` when the integrand detectably fails
-    the decay precondition, and ``DomainError`` when a decay probe is NaN.
+    the decay precondition, ``DomainError`` when a decay probe is NaN, and
+    ``ConvergenceError`` when the value is not finite: refinement committed
+    a node on t = 1, or the integrand is not finite at a node.
     """
     if not _decays_fast_enough(f):
         raise DivergenceError(
@@ -304,13 +377,27 @@ def integrate_semi_infinite_decaying(
 
     def mapped(t: float) -> float:
         u = 1.0 - t
+        if u == 0.0:
+            # A GK15 node of a panel next to t = 1 rounds onto it once the
+            # panel is narrower than ~1.3e-14.  The map cannot see the mass
+            # beyond r ~ 1e16 there, so valuing the node as 0 would return a
+            # wrong value flagged converged.  NaN, not an exception: the
+            # engine may evaluate this panel ahead and never use it.
+            return math.nan
         r = t / u
         fr = f(r)
         if fr == 0.0:
             return 0.0
         return fr / (u * u)
 
-    return integrate_finite(mapped, 0.0, 1.0, tol, ABS_FLOOR, _SEMI_INFINITE_INTERVALS)
+    result = integrate_finite(mapped, 0.0, 1.0, tol, ABS_FLOOR, _SEMI_INFINITE_INTERVALS)
+    if not math.isfinite(result.value):
+        raise ConvergenceError(
+            f"semi-infinite rule: value {result.value!r} is not finite; the "
+            "integrand is not finite or decays too slowly for the map "
+            "r = t/(1-t), whose refinement reached t = 1"
+        )
+    return result
 
 
 def wynn_epsilon(seq: Sequence[float]) -> tuple[float, float]:

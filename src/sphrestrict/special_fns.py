@@ -247,7 +247,20 @@ def _bessel_miller(nu: float, x: float) -> float:
         k += 1
         ck *= (nu + 2.0 * k) * (nu + k - 1.0) / ((nu + 2.0 * k - 2.0) * k)
         total += ck * fs[2 * k]
-    return fs[0] * math.pow(0.5 * x, nu) / total
+    try:
+        scale = math.pow(0.5 * x, nu)
+    except OverflowError:
+        raise _miller_overflow(nu, x) from None
+    return fs[0] * scale / total
+
+
+def _miller_overflow(nu: float, x: float) -> DomainError:
+    # (x/2)^nu leaves double range near orders 160-171 before the
+    # normalised quotient does.
+    return DomainError(
+        f"J_nu(x) at nu = {nu!r}, x = {x!r}: (x/2)^nu overflows double "
+        "range in the Miller normalisation"
+    )
 
 
 def _two_sum(a: float, b: float) -> tuple[float, float]:
@@ -398,7 +411,11 @@ def _miller_array(nu: float, x: np.ndarray) -> np.ndarray:
             break
         k += 1
         ck *= (nu + 2.0 * k) * (nu + k - 1.0) / ((nu + 2.0 * k - 2.0) * k)
-    return fs[0] * _pow_each(0.5 * x, nu) / total
+    try:
+        scale = _pow_each(0.5 * x, nu)
+    except OverflowError:
+        raise _miller_overflow(nu, float(x.max())) from None
+    return fs[0] * scale / total
 
 
 def _hankel_array(nu: float, x: np.ndarray) -> np.ndarray:

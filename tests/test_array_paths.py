@@ -20,8 +20,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sphrestrict import quadrature
 from sphrestrict.errors import DomainError
 from sphrestrict.quadrature import (
+    ABS_FLOOR,
     OscillatoryIntegrand,
     QuadResult,
     _XGK,
@@ -36,6 +38,7 @@ from sphrestrict.quadrature import (
     _sum_cells,
     integrate_finite,
     integrate_oscillatory_bessel,
+    integrate_semi_infinite_decaying,
     sum_over_partition,
 )
 from sphrestrict.radial_fourier import _merged_breakpoints, radial_hat
@@ -173,8 +176,12 @@ def reference_gk15(f, a, b):
     return _gk15_rule([f(c)] + left + right, h)
 
 
-def reference_finite(f, a, b, tol, abs_tol, max_intervals=4000):
-    """Worst-panel-first adaptive GK15 on one interval, one panel at a time."""
+def reference_finite(f, a, b, tol, abs_tol, max_intervals=4000, panels=None):
+    """Worst-panel-first adaptive GK15 on one interval, one panel at a time;
+    each panel evaluated is appended to ``panels`` when given."""
+    if panels is None:
+        panels = []
+    panels.append((a, b))
     v, e = reference_gk15(f, a, b)
     evals = 15
     heap = [(-e, a, b, v, e)]
@@ -185,6 +192,7 @@ def reference_finite(f, a, b, tol, abs_tol, max_intervals=4000):
         if mid <= aa or mid >= bb:
             heapq.heappush(heap, (neg_e, aa, bb, vv, ee))
             break
+        panels += [(aa, mid), (mid, bb)]
         v1, e1 = reference_gk15(f, aa, mid)
         v2, e2 = reference_gk15(f, mid, bb)
         evals += 30
@@ -287,6 +295,129 @@ class TestBlockEngine:
     def test_bad_interval_rejected(self):
         with pytest.raises(DomainError):
             _integrate_block(lambda r: r, [(0.0, 1.0), (2.0, 2.0)], 1e-9, 1e-16, 4000)
+
+
+# From this many splits on, an interval evaluates the children of
+# min(splits // 16, 32) >= 2 worst panels per round; below it, one.
+AHEAD_SPLITS = 32
+
+
+class TestLookahead:
+    """An interval with ``AHEAD_SPLITS`` splits evaluates the children of
+    its worst panels ahead and commits them in heap order; the result must
+    stay that of one panel per round."""
+
+    def test_mixed_block(self):
+        # Arches 0 and 1 of (2, 1.2) at 1e-14 refine to the panel limit,
+        # arches 2..5 converge within a few splits, and a +-1e12 step at the
+        # centre of 256 ulps bisects 255 times to machine resolution.
+        spec = kernel_spec(2, 1.2)
+        kernel = scalar_integrand(spec)
+        a = 1000.0 + 1.0 / 3.0
+        b = a
+        for _ in range(256):
+            b = math.nextafter(b, 2000.0)
+        jump = 0.5 * (a + b)
+
+        def f(x):
+            return kernel(x) if x < 500.0 else (1e12 if x > jump else -1e12)
+
+        def f_array(r):
+            near = r < 500.0
+            out = np.where(r > jump, 1e12, -1e12)
+            if near.any():
+                out[near] = _integrand_values(spec, r[near])
+            return out
+
+        edges = arch_edges(0.0, 0, 6) + [(a, b)]
+        block = _integrate_block(f_array, edges, 1e-14, 1e-16, 600)
+        assert block == [reference_finite(f, lo, hi, 1e-14, 1e-16, 600) for lo, hi in edges]
+        splits = [(res.evaluations - 15) // 30 for res in block]
+        assert splits[:2] == [599, 599] and max(splits[2:6]) < AHEAD_SPLITS
+        assert AHEAD_SPLITS < splits[6] < 599 and not block[6].converged
+
+    @pytest.mark.parametrize("c, tol", [(-0.5, 1e-10), (-0.5, 1e-12), (-0.9, 1e-10)])
+    def test_singular_endpoint(self, c, tol):
+        # The halves of the panel at 0 stay worse than the other panels
+        # whose children were evaluated with it, so the commits must follow
+        # the heap, not the order the children were asked for.
+        def f(x):
+            return x**c if x > 0.0 else 0.0
+
+        res = integrate_finite(f, 0.0, 1.0, tol, 0.0)
+        assert res == reference_finite(f, 0.0, 1.0, tol, 0.0)
+        assert res.converged and res.evaluations > 15 + 30 * AHEAD_SPLITS
+
+    def test_deep_arch_calls_and_evaluations(self):
+        # Arch 0 of (2, 1.2) at 1e-14 takes 4000 array calls at one panel
+        # per round: the first panel and 3,999 splits.
+        spec = kernel_spec(2, 1.2)
+        sizes = []
+
+        def f(r):
+            sizes.append(r.size)
+            return _integrand_values(spec, r)
+
+        (res,) = _integrate_block(f, arch_edges(0.0, 0, 1), 1e-14, 1e-16, 4000)
+        assert len(sizes) <= 400
+        # Children evaluated ahead and never committed are not counted.
+        assert res.evaluations == 15 + 30 * 3999 < sum(sizes) <= 1.02 * res.evaluations
+
+    def test_node_on_t_one_evaluated_ahead(self, monkeypatch):
+        # r^-0.85 (1+r)^-0.3 maps to (1-t)^-0.85 and t^-0.85 at the ends of
+        # [0, 1], so the two end panels stay worst together.  At 4.5e-3 the
+        # children of the panel at t = 1, one of whose nodes rounds onto 1,
+        # are evaluated ahead, and the interval converges before it commits
+        # them; the result is that of one panel per round, which never
+        # evaluates that node (the reference divides by zero there).
+        def f(r):
+            return r**-0.85 * (1.0 + r) ** -0.3 if r > 0.0 else 0.0
+
+        def mapped(t):
+            u = 1.0 - t
+            fr = f(t / u)
+            return 0.0 if fr == 0.0 else fr / (u * u)
+
+        at_one = []
+        batch = quadrature._gk15_batch
+
+        def spy(g, a, b):
+            return batch(lambda x: at_one.append(bool((x == 1.0).any())) or g(x), a, b)
+
+        monkeypatch.setattr(quadrature, "_gk15_batch", spy)
+        res = integrate_semi_infinite_decaying(f, 4.5e-3)
+        assert any(at_one) and res.converged
+        assert res == reference_finite(mapped, 0.0, 1.0, 4.5e-3, ABS_FLOOR, 6000)
+
+    def test_shallow_block_keeps_its_node_arrays(self):
+        # Every interval stops within AHEAD_SPLITS splits (26 where sqrt's
+        # derivative blows up at 0, 0 or 1 elsewhere), so round n evaluates
+        # the n-th split of each interval that makes one, in interval
+        # order, exactly as one panel per round always did.
+        edges = [(0.0, 1.0), (1.0, 2.0), (0.0, 0.25), (2.0, 5.0), (0.0, 3.0)]
+        got = []
+
+        def f(r):
+            got.append(r.tolist())
+            return np.sqrt(r)
+
+        _integrate_block(f, edges, 1e-13, 0.0, 4000)
+        logs = []
+        for lo, hi in edges:
+            logs.append([])
+            reference_finite(math.sqrt, lo, hi, 1e-13, 0.0, panels=logs[-1])
+        rounds = max(len(log) for log in logs) // 2 + 1
+        expected = []
+
+        def record(r):
+            expected.append(r.tolist())
+            return np.zeros(r.size)
+
+        for n in range(rounds):
+            panels = [p for log in logs for p in log[max(0, 2 * n - 1):2 * n + 1]]
+            _gk15_batch(record, [lo for lo, _ in panels], [hi for _, hi in panels])
+        assert got == expected
+        assert rounds - 1 == 26 < AHEAD_SPLITS
 
 
 def scalar_oscillatory(spec, tol):

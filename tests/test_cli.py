@@ -64,6 +64,14 @@ class TestConstant:
         else:
             assert "did not converge" in err
 
+    def test_large_order_overflow_exits_2(self, capsys):
+        # J_159 overflows double range in Miller's normalisation while the
+        # zeros of the kernel are found.
+        code, out, err = run_cli(capsys, "constant", "--d", "320", "--p", "1.5", "--q", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("sphrestrict: J_nu(x) at nu = 159.0, x = ")
+        assert "overflows double range" in err
+
     def test_fifteen_significant_digits(self, capsys):
         code, out, _ = run_cli(
             capsys, "constant", "--d", "3", "--p", "1.2", "--q", "2"
@@ -324,6 +332,27 @@ class TestSweep:
 ]
 """
 
+    def test_domain_error_marks_cells_failed(self, capsys):
+        # At p = 50 the Gaussian bound leaves double range; the p = 1.5 row
+        # of the same grid survives.
+        args = ["sweep", "--d", "200", "--p", "1.5:50:2", "--q", "2"]
+        code, out, err = run_cli(capsys, *args)
+        assert code == 0
+        assert "(d=200, p=50.0, q=2.0)" in err and "double-precision range" in err
+        rows = list(csv.DictReader(out.splitlines()))
+        assert [row["p"] for row in rows] == ["1.5", "50"]
+        assert float(rows[0]["gauss_opt"]) > 0.0
+        assert [rows[1][key] for key in ("integral", "gauss_opt", "gauss_paper")] == [
+            "skipped", "failed", "failed"
+        ]
+        code, out, _ = run_cli(capsys, *args, "--format", "json")
+        assert code == 0
+        first, second = json.loads(out)
+        assert first["gauss_opt"] > 0.0
+        assert second["failed"] is True and second["skipped"] is True
+        assert second["gauss_opt"] is None and second["gauss_paper"] is None
+        assert second["tomas_stein_ok"] is False
+
     def test_too_large_dimension_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--d", "400", "--p", "1.5", "--q", "2")
         assert (code, out) == (2, "")
@@ -433,6 +462,21 @@ class TestReport:
             assert float(row["gauss_ratio"]) == pytest.approx(
                 math.exp(0.5 * a), rel=1e-6
             )
+
+    def test_large_order_overflow_is_a_failed_row(self, capsys):
+        code, out, err = run_cli(
+            capsys, "report", "--d", "340:343:4", "--p", "1.5", "--q", "2",
+            "--format", "csv",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert [row["d"] for row in rows] == ["340", "341", "342", "343"]
+        assert all(row["status"] == "failed" and row["gauss_opt"] for row in rows)
+        code, out, _ = run_cli(
+            capsys, "report", "--d", "340", "--p", "1.5", "--q", "2"
+        )
+        (entry,) = json.loads(out)
+        assert "nu = 169.0" in entry["error"] and "overflows double range" in entry["error"]
 
     def test_workers_flag_selects_nothing(self, capsys, tmp_path):
         # --workers is accepted for compatibility; grids run serially, so

@@ -292,6 +292,18 @@ class TestFullIntegral:
         full = radial_full_integral(k, h)
         assert abs(near_zero - full) <= 1e-6
 
+    def test_slow_decay_ends_typed(self):
+        # (1+r)^-3.25 without breakpoints goes to the semi-infinite rule.
+        # At d = 2 it converges to 2 pi / (1.25 * 2.25).  At d = 3 the
+        # integrand decays like r^-1.25: a panel at machine resolution puts
+        # a node on t = 1, past all the mass the map r = t/(1-t) can see.
+        profile = RadialProfile(
+            f=lambda r: (1.0 + r) ** -3.25, decay=AlgebraicDecay(1.0, 3.25), label="alg"
+        )
+        assert radial_full_integral(RadialKernel(2), profile) == 2.2340214425535327
+        with pytest.raises(ConvergenceError, match="t = 1"):
+            radial_full_integral(RadialKernel(3), profile)
+
 
 class TestLpNorm:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])

@@ -4,6 +4,7 @@ import math
 import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from sphrestrict.errors import DomainError
@@ -12,6 +13,7 @@ from sphrestrict.special_fns import (
     RadialKernel,
     _is_half_integer,
     bessel_j,
+    bessel_j_array,
     bessel_j_derivative,
     bessel_j_zero,
     gamma,
@@ -180,6 +182,17 @@ class TestBesselJ:
         while z <= 1000.0:
             assert math.sqrt(z) * abs(bessel_j(nu, z)) <= math.sqrt(2.0 / math.pi) * 1.05
             z *= 1.37
+
+    def test_large_order_overflow_is_a_domain_error(self):
+        # Miller's normalisation (x/2)^nu leaves double range near orders
+        # 160-171 (here past x ~ 173.7 at nu = 159), the scalar and the
+        # array path alike; below that the two still agree bit for bit.
+        with pytest.raises(DomainError, match=r"nu = 159\.0, x = 184\.857"):
+            bessel_j(159.0, 184.8571460738902)
+        with pytest.raises(DomainError, match=r"nu = 159\.0, x = 190\.0"):
+            bessel_j_array(159.0, np.linspace(150.0, 190.0, 100))
+        xs = np.linspace(150.0, 173.0, 100)
+        assert bessel_j_array(159.0, xs).tolist() == [bessel_j(159.0, x) for x in xs.tolist()]
 
 
 class TestBesselZeros:
