@@ -42,9 +42,10 @@ from .radial_fourier import (
 )
 from .restriction import (
     GaussianBound,
+    GridPoint,
     RestrictionParams,
     SharpConstantResult,
-    consistency_report,
+    evaluate_grid,
     extremal_profile,
     gaussian_lower_bound,
     gaussian_lower_bound_optimized,
@@ -98,6 +99,7 @@ __all__ = [
     "RestrictionParams",
     "SharpConstantResult",
     "GaussianBound",
+    "GridPoint",
     "tomas_stein_admissible",
     "radial_convergence_admissible",
     "gaussian_lower_bound",
@@ -105,7 +107,7 @@ __all__ = [
     "sharp_radial_constant",
     "extremal_profile",
     "ratio_z",
-    "consistency_report",
+    "evaluate_grid",
     "PsiWeight",
     "ZetaWeight",
     "gls_norm",

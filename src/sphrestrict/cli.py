@@ -10,12 +10,15 @@ Subcommands::
     report          closed-form vs first-principles consistency table
 
 Exit codes: 0 success, 2 domain errors (inadmissible exponents, divergent
-integrals, malformed inputs), 3 numerical non-convergence; ``sweep``,
-``report`` and ``verify`` mark a non-converging grid point as failed and carry
-on, and ``sweep`` and ``report`` do the same for a point where a
-computation leaves its domain (say, double range).  All floating point
-output is printed with 15 significant digits.  No arithmetic happens
-here beyond formatting; every number is produced by a library operation.
+integrals, malformed inputs), 3 numerical non-convergence.  ``sweep``,
+``report`` and ``verify`` format the grid points of
+``restriction.evaluate_grid``: a block that raised ``DomainError`` or
+``ConvergenceError`` there is a failed cell, row or point, and the rest of
+the grid is still printed.  Only ``sweep`` marks points outside the
+convergence window ``skipped``, and only ``verify`` exits 2 on them.  All
+floating point output is printed with 15 significant digits.  No
+arithmetic happens here beyond formatting; every number is produced by a
+library operation.
 
 A flat ``key=value`` config file can pre-set any long flag (for example
 ``tol=1e-10`` or ``format=csv``); explicit flags win over the file.
@@ -36,15 +39,15 @@ from .errors import ConvergenceError, DomainError
 from .gls import PsiWeight, verify_transfer, zeta_from_psi
 from .radial_fourier import gaussian_profile
 from .restriction import (
+    GridPoint,
     RestrictionParams,
-    consistency_report,
+    evaluate_grid,
     gaussian_lower_bound,
     gaussian_lower_bound_optimized,
     radial_convergence_admissible,
     sharp_radial_constant,
     tomas_stein_admissible,
 )
-from .special_fns import sphere_area
 from .verify import RandomRadialSpec, run_dominance_suite
 
 SWEEP_COLUMNS = (
@@ -215,49 +218,35 @@ def _cmd_gaussian_bound(args) -> int:
     return 0
 
 
-def _sweep_row(params: RestrictionParams, tol: float):
+def _sweep_row(point: GridPoint) -> tuple:
     """One sweep row; the four integral/constant cells read ``skipped``
     outside the convergence window, and the Gaussian or the sharp-constant
-    cells read ``failed`` where their library call raises
-    ``ConvergenceError`` or ``DomainError`` (the reason goes to stderr)."""
-
-    def gauss_cells():
-        gauss = gaussian_lower_bound_optimized(params)
-        return gauss.bound, gauss.paper_closed_form
-
-    def sharp_cells():
-        sharp = sharp_radial_constant(params, tol)
-        return (
+    cells read ``failed`` where their block failed (the reason goes to
+    stderr, Gaussian block first)."""
+    params, sharp, gauss = point
+    if isinstance(gauss, Exception):
+        print(f"sphrestrict: {gauss}", file=sys.stderr)
+        gauss_cells = ("failed",) * 2
+    else:
+        gauss_cells = (gauss.bound, gauss.paper_closed_form)
+    if not radial_convergence_admissible(params.d, params.p):
+        sharp_cells = ("skipped",) * 4
+    elif isinstance(sharp, Exception):
+        print(f"sphrestrict: {sharp}", file=sys.stderr)
+        sharp_cells = ("failed",) * 4
+    else:
+        sharp_cells = (
             sharp.kernel_integral.value, sharp.kernel_integral.error_estimate,
             sharp.k_rad_first_principles, sharp.k_rad_paper_closed_form,
         )
-
-    ts_ok = tomas_stein_admissible(params)
-    gauss = _cells_or_failed(gauss_cells, 2)
-    if not radial_convergence_admissible(params.d, params.p):
-        sharp = ("skipped",) * 4
-    else:
-        sharp = _cells_or_failed(sharp_cells, 4)
-    return (params.d, params.p, params.q, params.p_prime, params.beta, *sharp, *gauss, ts_ok)
-
-
-def _cells_or_failed(cells, count: int) -> tuple:
-    """``cells()``, or ``count`` cells reading ``failed`` when it raises a
-    library error, whose message goes to stderr."""
-    try:
-        return cells()
-    except (ConvergenceError, DomainError) as exc:
-        print(f"sphrestrict: {exc}", file=sys.stderr)
-        return ("failed",) * count
+    return (
+        params.d, params.p, params.q, params.p_prime, params.beta,
+        *sharp_cells, *gauss_cells, tomas_stein_admissible(params),
+    )
 
 
 def _cmd_sweep(args) -> int:
-    grid = _grid(args)
-    for params in grid:
-        # A dimension without a double sphere area (d >= 344) is a bad
-        # grid, not a failed row: every cell of it would fail.
-        sphere_area(params.d)
-    rows = [_sweep_row(params, args.tol) for params in grid]
+    rows = [_sweep_row(point) for point in evaluate_grid(_grid(args), args.tol)]
     if args.format == "csv":
         _emit(_csv_text(SWEEP_COLUMNS, rows), args.output)
     else:
@@ -321,25 +310,32 @@ def _parse_profile(text: str, d: int):
     return gaussian_profile(sigma, d)
 
 
+def _report_row(point: GridPoint) -> tuple:
+    """One report row; the cells of a failed block are empty."""
+    params, sharp, gauss = point
+    k_rads = (None,) * 3 if isinstance(sharp, Exception) else (
+        sharp.k_rad_first_principles, sharp.k_rad_paper_closed_form, sharp.k_rad_ratio
+    )
+    bounds = (None,) * 3 if isinstance(gauss, Exception) else (
+        gauss.bound, gauss.paper_closed_form, gauss.gauss_ratio
+    )
+    predicted = point.gauss_ratio_predicted
+    return (
+        params.d, params.p, params.q, *k_rads, *bounds,
+        None if isinstance(predicted, Exception) else predicted,
+        "failed" if point.errors else "ok",
+    )
+
+
 def _cmd_report(args) -> int:
-    report = consistency_report(_grid(args), args.tol)
-    rows = [
-        (
-            row.d, row.p, row.q,
-            row.k_rad_first_principles, row.k_rad_paper_closed_form,
-            row.k_rad_ratio, row.gauss_numeric_optimum,
-            row.gauss_paper_literal, row.gauss_ratio,
-            row.predicted_gauss_ratio,
-            "failed" if row.failed else "ok",
-        )
-        for row in report
-    ]
+    points = evaluate_grid(_grid(args), args.tol)
+    rows = [_report_row(point) for point in points]
     if args.format == "csv":
         _emit(_csv_text(REPORT_COLUMNS, rows), args.output)
     else:
         payload = [
-            dict(zip(REPORT_COLUMNS, row), error=entry.error)
-            for row, entry in zip(rows, report)
+            dict(zip(REPORT_COLUMNS, row), error="; ".join(point.errors))
+            for row, point in zip(rows, points)
         ]
         _emit(_json_text(payload), args.output)
     return 0

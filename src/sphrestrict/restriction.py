@@ -31,8 +31,8 @@ applies to the Gaussian lower bound: the literal closed form
 
 overstates the true maximum of the Gaussian ratio by the factor e^(a/2)
 (the maximum of e^(-s^2/2) s^a over s is e^(-a/2) a^(a/2), attained at
-s^2 = a); both are reported, and the discrepancy factor is part of the
-consistency report.
+s^2 = a); both are reported, and the discrepancy factor is part of what
+``evaluate_grid`` returns per grid point.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .errors import ConvergenceError, DivergenceError, DomainError
 from .quadrature import (
@@ -61,7 +61,7 @@ __all__ = [
     "RestrictionParams",
     "SharpConstantResult",
     "GaussianBound",
-    "ConsistencyRow",
+    "GridPoint",
     "tomas_stein_admissible",
     "radial_convergence_admissible",
     "gaussian_lower_bound",
@@ -69,7 +69,7 @@ __all__ = [
     "sharp_radial_constant",
     "extremal_profile",
     "ratio_z",
-    "consistency_report",
+    "evaluate_grid",
 ]
 
 
@@ -178,6 +178,11 @@ class GaussianBound(NamedTuple):
     sigma_star: float
     paper_closed_form: float
 
+    @property
+    def gauss_ratio(self) -> float:
+        """``paper_closed_form / bound``: the discrepancy factor, e^(a/2)."""
+        return self.paper_closed_form / self.bound
+
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -242,6 +247,11 @@ class SharpConstantResult:
     k_rad_first_principles: float
     k_rad_paper_closed_form: float
     kernel_integral: QuadResult
+
+    @property
+    def k_rad_ratio(self) -> float:
+        """``k_rad_paper_closed_form / k_rad_first_principles``."""
+        return self.k_rad_paper_closed_form / self.k_rad_first_principles
 
 
 @lru_cache(maxsize=256)
@@ -364,57 +374,45 @@ def ratio_z(
     return numer / denom
 
 
-@dataclass
-class ConsistencyRow:
-    """One grid point of the closed-form vs first-principles comparison."""
+class GridPoint(NamedTuple):
+    """One grid point from ``evaluate_grid``: the result of each block, or
+    the ``DomainError``/``ConvergenceError`` that block raised."""
 
-    d: int
-    p: float
-    q: float
-    k_rad_first_principles: Optional[float] = None
-    k_rad_paper_closed_form: Optional[float] = None
-    k_rad_ratio: Optional[float] = None
-    gauss_numeric_optimum: Optional[float] = None
-    gauss_paper_literal: Optional[float] = None
-    gauss_ratio: Optional[float] = None
-    predicted_gauss_ratio: Optional[float] = None
-    failed: bool = False
-    error: str = ""
+    params: RestrictionParams
+    sharp: Union[SharpConstantResult, DomainError, ConvergenceError]
+    gauss: Union[GaussianBound, DomainError, ConvergenceError]
 
+    @property
+    def gauss_ratio_predicted(self) -> Union[float, DomainError]:
+        """e^(a/2), a = d(1 - 1/p), the ``gauss_ratio`` the module docstring
+        predicts, or the ``DomainError`` saying it leaves double range."""
+        a = self.params.d * (1.0 - 1.0 / self.params.p)
+        try:
+            return math.exp(0.5 * a)
+        except OverflowError:
+            return _beyond_double("the predicted Gaussian ratio e^(a/2)", self.params)
 
-def _consistency_row(params: RestrictionParams, tol: float) -> ConsistencyRow:
-    row = ConsistencyRow(d=params.d, p=params.p, q=params.q)
-    a = params.d * (1.0 - 1.0 / params.p)
-    row.predicted_gauss_ratio = math.exp(0.5 * a)
-    # The Gaussian columns exist for every p >= 1; the sharp-constant
-    # columns only inside the convergence window.  A failure in one block
-    # must not blank the other.
-    try:
-        bound = gaussian_lower_bound_optimized(params)
-        row.gauss_numeric_optimum = bound.bound
-        row.gauss_paper_literal = bound.paper_closed_form
-        row.gauss_ratio = bound.paper_closed_form / bound.bound
-    except DomainError as exc:
-        row.failed = True
-        row.error = str(exc)
-    try:
-        sharp = sharp_radial_constant(params, tol)
-        row.k_rad_first_principles = sharp.k_rad_first_principles
-        row.k_rad_paper_closed_form = sharp.k_rad_paper_closed_form
-        row.k_rad_ratio = sharp.k_rad_paper_closed_form / sharp.k_rad_first_principles
-    except (DomainError, ConvergenceError) as exc:
-        row.failed = True
-        row.error = (row.error + "; " if row.error else "") + str(exc)
-    return row
+    @property
+    def errors(self) -> list[str]:
+        """Why the point failed: each block, then the predicted ratio."""
+        values = (self.gauss, self.sharp, self.gauss_ratio_predicted)
+        return [str(value) for value in values if isinstance(value, Exception)]
 
 
-def consistency_report(
-    grid: Sequence[RestrictionParams], tol: float = DEFAULT_REL_TOL
-) -> list[ConsistencyRow]:
-    """Row-per-grid-point comparison of the two constant routes.
-
-    Rows carry both sharp-constant values and both Gaussian bounds with
-    their ratios; a failing point is reported as a failed row instead of
-    aborting the table, and rows come back in grid order.
-    """
-    return [_consistency_row(params, tol) for params in grid]
+def evaluate_grid(grid: Sequence[RestrictionParams], tol: float) -> list[GridPoint]:
+    """Both blocks at every grid point, in grid order, the Gaussian block
+    first.  A block that raises ``DomainError`` (``DivergenceError``
+    included) or ``ConvergenceError`` leaves the error in its place; the
+    other block and the rest of the grid still run."""
+    points = []
+    for params in grid:
+        try:
+            gauss = gaussian_lower_bound_optimized(params)
+        except (DomainError, ConvergenceError) as exc:
+            gauss = exc
+        try:
+            sharp = sharp_radial_constant(params, tol)
+        except (DomainError, ConvergenceError) as exc:
+            sharp = exc
+        points.append(GridPoint(params, sharp, gauss))
+    return points

@@ -21,11 +21,11 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DivergenceError, DomainError
 from .quadrature import (
     DEFAULT_REL_TOL,
     OscillatoryIntegrand,
@@ -33,7 +33,7 @@ from .quadrature import (
     wynn_epsilon,
 )
 from .radial_fourier import CompactSupport, GaussianDecay, RadialProfile
-from .restriction import RestrictionParams, ratio_z, sharp_radial_constant
+from .restriction import RestrictionParams, evaluate_grid, ratio_z
 from .special_fns import bessel_j_zero
 
 __all__ = [
@@ -281,17 +281,17 @@ def oracle_integrate(
 @dataclass
 class DominancePoint:
     """One grid point of the suite.  ``error`` is set, and ``k_rad``,
-    ``max_ratio`` and ``margin`` are None, where the sharp constant did not
-    converge."""
+    ``max_ratio`` and ``margin`` are None, where the sharp constant raised
+    ``DomainError`` or ``ConvergenceError``."""
 
     d: int
     p: float
     q: float
     trials: int
-    max_ratio: Optional[float]
-    k_rad: Optional[float]
-    margin: Optional[float]
-    argmax_label: str
+    max_ratio: Optional[float] = None
+    k_rad: Optional[float] = None
+    margin: Optional[float] = None
+    argmax_label: str = ""
     failures: list[dict] = field(default_factory=list)
     error: Optional[str] = None
 
@@ -359,9 +359,10 @@ def run_dominance_suite(
     (with the profile parameters needed to reproduce them) rather than
     raising, and so does a profile whose ratio raises ``DomainError`` or
     ``ConvergenceError`` (as ``{"label", "error"}``, left out of the
-    maximum).  Every grid point's constant is computed before any profile
-    work, so an inadmissible grid fails fast; a point whose constant does
-    not converge is reported failed and gets no profile work.
+    maximum).  Every grid point goes through ``evaluate_grid`` before any
+    profile work, so an inadmissible grid raises its ``DivergenceError``
+    first; a point whose constant raises another ``DomainError`` or a
+    ``ConvergenceError`` is reported failed and gets no profile work.
 
     Profiles run outer and grid points inner, each profile behind a memo
     of its values: its transform and L_p norm at every grid point share
@@ -372,58 +373,38 @@ def run_dominance_suite(
     ``ratio_z`` calls gives: per point, ratios in profile order, the
     first maximum as ``argmax_label``, failures in profile order.
     """
-    k_rads: list[Union[float, ConvergenceError]] = []
-    for params in params_grid:
-        try:
-            k_rads.append(sharp_radial_constant(params, quad_tol).k_rad_first_principles)
-        except ConvergenceError as exc:
-            k_rads.append(exc)
+    sharps = [point.sharp for point in evaluate_grid(params_grid, quad_tol)]
+    for sharp in sharps:
+        if isinstance(sharp, DivergenceError):
+            raise sharp
     profiles = list(generate_profiles(spec)) + list(extra_profiles)
     # ratios[i][j]: grid point i, profile j, or the error the ratio raised.
     ratios: list[list] = [[] for _ in params_grid]
     for profile in profiles:
         memoised = _memoised(profile)
-        for row, params, k_rad in zip(ratios, params_grid, k_rads):
-            if isinstance(k_rad, ConvergenceError):
+        for row, params, sharp in zip(ratios, params_grid, sharps):
+            if isinstance(sharp, Exception):
                 continue
             try:
                 row.append(ratio_z(params, memoised, quad_tol))
             except (DomainError, ConvergenceError) as exc:
                 row.append(exc)
-    points: list[DominancePoint] = []
-    for params, k_rad, row in zip(params_grid, k_rads, ratios):
-        if isinstance(k_rad, ConvergenceError):
-            points.append(
-                DominancePoint(
-                    d=params.d, p=params.p, q=params.q, trials=len(profiles),
-                    max_ratio=None, k_rad=None, margin=None, argmax_label="",
-                    error=str(k_rad),
-                )
-            )
+    points = []
+    for params, sharp, row in zip(params_grid, sharps, ratios):
+        point = DominancePoint(d=params.d, p=params.p, q=params.q, trials=len(profiles))
+        points.append(point)
+        if isinstance(sharp, Exception):
+            point.error = str(sharp)
             continue
-        max_ratio = 0.0
-        argmax_label = ""
-        failures = []
+        k_rad = point.k_rad = sharp.k_rad_first_principles
+        point.max_ratio = 0.0
         for profile, ratio in zip(profiles, row):
             if isinstance(ratio, Exception):
-                failures.append({"label": profile.label, "error": str(ratio)})
+                point.failures.append({"label": profile.label, "error": str(ratio)})
                 continue
-            if ratio > max_ratio:
-                max_ratio = ratio
-                argmax_label = profile.label
+            if ratio > point.max_ratio:
+                point.max_ratio, point.argmax_label = ratio, profile.label
             if ratio > k_rad * (1.0 + tol):
-                failures.append({"label": profile.label, "ratio": ratio})
-        points.append(
-            DominancePoint(
-                d=params.d,
-                p=params.p,
-                q=params.q,
-                trials=len(profiles),
-                max_ratio=max_ratio,
-                k_rad=k_rad,
-                margin=k_rad * (1.0 + tol) - max_ratio,
-                argmax_label=argmax_label,
-                failures=failures,
-            )
-        )
+                point.failures.append({"label": profile.label, "ratio": ratio})
+        point.margin = k_rad * (1.0 + tol) - point.max_ratio
     return DominanceReport(spec=spec, tol=tol, points=points)

@@ -20,7 +20,7 @@ from sphrestrict.radial_fourier import (
 )
 from sphrestrict.restriction import (
     RestrictionParams,
-    consistency_report,
+    evaluate_grid,
     extremal_profile,
     gaussian_lower_bound_optimized,
     radial_convergence_admissible,
@@ -136,11 +136,10 @@ def test_c05_gaussian_maximization_and_reported_discrepancy():
             )
             expected_max = base * math.exp(-0.5 * a) * a ** (0.5 * a)
             assert abs(opt.bound - expected_max) <= 1e-8 * expected_max
-        rows = consistency_report(REPORT_GRID, 1e-9)
-        for row in rows:
-            assert not row.failed
-            a = row.d * (1.0 - 1.0 / row.p)
-            assert abs(row.gauss_ratio - math.exp(0.5 * a)) <= 1e-6 * math.exp(0.5 * a)
+        for point in evaluate_grid(REPORT_GRID, 1e-9):
+            assert point.errors == []
+            a = point.params.d * (1.0 - 1.0 / point.params.p)
+            assert abs(point.gauss.gauss_ratio - math.exp(0.5 * a)) <= 1e-6 * math.exp(0.5 * a)
 
 
 def test_c06_cross_bound_ordering():

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +172,40 @@ class TestFrozenConstants:
             "--format", "json",
         )
         assert (code, out, err) == (3, "", expected)
+
+
+FROZEN = Path(__file__).resolve().parent / "frozen"
+CONVERGENCE_5_105 = (
+    "sphrestrict: kernel integral for (d=5, p=1.05): quadrature did not "
+    "converge (value=8.169080165141506e-14, error_estimate=2.517391866694234e-19)\n"
+)
+
+
+class TestFrozenGrids:
+    """Exact stdout and stderr of whole grids, frozen from the code before
+    ``sweep``, ``report`` and ``verify`` shared one grid runner.  The
+    ``report`` grid is the benchmark's ``highdim`` job: 14 ok rows and 10
+    failed rows with their reasons.  The ``sweep`` grid has an ok row,
+    ``skipped`` rows and a non-converging row whose four cells read
+    ``failed``."""
+
+    @pytest.mark.parametrize(
+        "argv, frozen, err",
+        [
+            (["report", "--d", "4:16:4", "--p", "1.05:1.55:6", "--q", "2",
+              "--format", "csv"], "report_highdim.csv", ""),
+            (["report", "--d", "4:16:4", "--p", "1.05:1.55:6", "--q", "2"],
+             "report_highdim.json", ""),
+            (["sweep", "--d", "4:5:2", "--p", "1.05:1.7:2", "--q", "2"],
+             "sweep_mixed.csv", CONVERGENCE_5_105),
+            (["sweep", "--d", "4:5:2", "--p", "1.05:1.7:2", "--q", "2",
+              "--format", "json"], "sweep_mixed.json", CONVERGENCE_5_105),
+        ],
+        ids=["report_csv", "report_json", "sweep_csv", "sweep_json"],
+    )
+    def test_output(self, capsys, argv, frozen, err):
+        expected = (FROZEN / frozen).read_text()
+        assert run_cli(capsys, *argv) == (0, expected, err)
 
 
 class TestGaussianBound:
@@ -353,10 +388,20 @@ class TestSweep:
         assert second["gauss_opt"] is None and second["gauss_paper"] is None
         assert second["tomas_stein_ok"] is False
 
-    def test_too_large_dimension_exits_2(self, capsys):
-        code, out, err = run_cli(capsys, "sweep", "--d", "400", "--p", "1.5", "--q", "2")
-        assert (code, out) == (2, "")
-        assert "d <= 343" in err
+    def test_too_large_dimension_is_a_failed_row(self, capsys):
+        # Without a double sphere area (d >= 344) both blocks fail; the
+        # d = 343 row of the same grid is still printed.
+        code, out, err = run_cli(capsys, "sweep", "--d", "343:344:2", "--p", "1.5", "--q", "2")
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert [row["d"] for row in rows] == ["343", "344"]
+        assert float(rows[0]["gauss_opt"]) > 0.0
+        computed = (
+            "integral", "integral_err", "k_rad", "k_rad_paper", "gauss_opt", "gauss_paper"
+        )
+        assert [rows[1][key] for key in computed] == ["failed"] * 6
+        reason = "sphere_area requires d <= 343, where Gamma(d/2) fits a double; got 344"
+        assert err.count(reason) == 2
 
     def test_one_kernel_integral_per_d_p(self, capsys):
         _kernel_integral_cached.cache_clear()
@@ -391,6 +436,19 @@ class TestVerify:
         )
         assert code == 2
         assert "convergence window" in err
+
+    def test_domain_error_is_a_failed_point(self, capsys):
+        args = ["--p", "1.2", "--q", "2", "--trials", "2"]
+        code, out, _ = run_cli(capsys, "verify", "--d", "3:400:2", *args)
+        assert code == 0
+        first, last = json.loads(out)["points"]
+        _, alone, _ = run_cli(capsys, "verify", "--d", "3", *args)
+        assert first == json.loads(alone)["points"][0]
+        assert last["grid_point"]["d"] == 400 and last["failed"] is True
+        assert last["error"] == (
+            "sphere_area requires d <= 343, where Gamma(d/2) fits a double; got 400"
+        )
+        assert (last["k_rad"], last["max_ratio"], last["margin"]) == (None, None, None)
 
 
 class TestGls:
@@ -477,6 +535,21 @@ class TestReport:
         )
         (entry,) = json.loads(out)
         assert "nu = 169.0" in entry["error"] and "overflows double range" in entry["error"]
+
+    def test_predicted_ratio_overflow_is_a_failed_row(self, capsys):
+        # a = d(1 - 1/p) = 1470, so e^(a/2) leaves double range.
+        args = ["report", "--d", "1500", "--p", "50", "--q", "2"]
+        code, out, err = run_cli(capsys, *args, "--format", "csv")
+        assert (code, err) == (0, "")
+        (row,) = csv.DictReader(out.splitlines())
+        assert row["gauss_ratio_predicted"] == "" and row["status"] == "failed"
+        code, out, _ = run_cli(capsys, *args)
+        (entry,) = json.loads(out)
+        assert code == 0 and entry["gauss_ratio_predicted"] is None
+        assert entry["error"].endswith(
+            "; the predicted Gaussian ratio e^(a/2) exceeds double-precision "
+            "range at (d=1500, p=50.0, q=2.0)"
+        )
 
     def test_workers_flag_selects_nothing(self, capsys, tmp_path):
         # --workers is accepted for compatibility; grids run serially, so

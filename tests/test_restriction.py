@@ -1,5 +1,6 @@
 """Restriction constants: admissibility, Gaussian bounds, sharp constant,
-extremal profile, ratio, and the consistency report."""
+extremal profile, ratio, and the grid runner behind the consistency
+report."""
 
 import math
 
@@ -10,7 +11,7 @@ from sphrestrict.errors import DivergenceError, DomainError
 from sphrestrict.radial_fourier import GaussianDecay, RadialProfile, gaussian_profile
 from sphrestrict.restriction import (
     RestrictionParams,
-    consistency_report,
+    evaluate_grid,
     extremal_profile,
     gaussian_lower_bound,
     gaussian_lower_bound_optimized,
@@ -297,40 +298,54 @@ class TestConsistencyReport:
             RestrictionParams(3, 1.2, 2.0),
             RestrictionParams(2, 1.25, 2.0),
         ]
-        rows = consistency_report(grid, 1e-9)
-        assert [(r.d, r.p) for r in rows] == [(3, 1.1), (3, 1.2), (2, 1.25)]
-        for row in rows:
-            assert not row.failed
-            a = row.d * (1.0 - 1.0 / row.p)
+        points = evaluate_grid(grid, 1e-9)
+        assert [(pt.params.d, pt.params.p) for pt in points] == [(3, 1.1), (3, 1.2), (2, 1.25)]
+        for point in points:
+            assert point.errors == []
+            a = point.params.d * (1.0 - 1.0 / point.params.p)
             # documented discrepancy: literal / numeric optimum = e^(a/2)
-            assert row.gauss_ratio == pytest.approx(math.exp(0.5 * a), rel=1e-6)
-            assert row.predicted_gauss_ratio == pytest.approx(
+            assert point.gauss.gauss_ratio == pytest.approx(math.exp(0.5 * a), rel=1e-6)
+            assert point.gauss_ratio_predicted == pytest.approx(
                 math.exp(0.5 * a), rel=1e-12
             )
+            assert point.sharp.k_rad_ratio == (
+                point.sharp.k_rad_paper_closed_form / point.sharp.k_rad_first_principles
+            )
             # the Gaussian ratio is attained inside the radial class
-            assert row.gauss_numeric_optimum <= row.k_rad_first_principles * (1 + 1e-6)
+            assert point.gauss.bound <= point.sharp.k_rad_first_principles * (1 + 1e-6)
 
     def test_p1_row_keeps_gaussian_columns(self):
-        rows = consistency_report([RestrictionParams(3, 1.0, 2.0)])
-        row = rows[0]
-        assert row.failed
-        assert row.k_rad_first_principles is None
-        assert row.gauss_numeric_optimum == pytest.approx(
-            math.sqrt(4.0 * math.pi), rel=1e-9
-        )
-        assert row.gauss_ratio == pytest.approx(1.0, rel=1e-9)
+        (point,) = evaluate_grid([RestrictionParams(3, 1.0, 2.0)], 1e-9)
+        assert isinstance(point.sharp, DivergenceError)
+        assert point.errors == [str(point.sharp)]
+        assert point.gauss.bound == pytest.approx(math.sqrt(4.0 * math.pi), rel=1e-9)
+        assert point.gauss.gauss_ratio == pytest.approx(1.0, rel=1e-9)
 
     def test_too_large_dimension_is_a_failed_row(self):
-        (row,) = consistency_report([RestrictionParams(400, 1.5, 2.0)])
-        assert row.failed
-        assert row.k_rad_first_principles is None and row.gauss_numeric_optimum is None
-        assert "d <= 343" in row.error
+        (point,) = evaluate_grid([RestrictionParams(400, 1.5, 2.0)], 1e-9)
+        assert isinstance(point.sharp, DomainError) and isinstance(point.gauss, DomainError)
+        assert len(point.errors) == 2
+        assert all("d <= 343" in error for error in point.errors)
+        assert point.gauss_ratio_predicted == pytest.approx(math.exp(0.5 * 400 / 3))
 
     def test_rows_come_back_in_grid_order(self):
         grid = [RestrictionParams(3, p, 2.0) for p in (1.25, 1.1, 1.2, 1.15)]
-        rows = consistency_report(grid, 1e-9)
-        assert [(r.d, r.p, r.q) for r in rows] == [(g.d, g.p, g.q) for g in grid]
-        for params, row in zip(grid, rows):
-            assert row.k_rad_first_principles == sharp_radial_constant(
+        points = evaluate_grid(grid, 1e-9)
+        assert [pt.params for pt in points] == grid
+        for params, point in zip(grid, points):
+            assert point.sharp.k_rad_first_principles == sharp_radial_constant(
                 params, 1e-9
             ).k_rad_first_principles
+
+    def test_gaussian_block_runs_before_the_sharp_block(self, monkeypatch):
+        from sphrestrict import restriction
+
+        order = []
+        for name in ("gaussian_lower_bound_optimized", "sharp_radial_constant"):
+            def record(*args, _name=name, _fn=getattr(restriction, name)):
+                order.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(restriction, name, record)
+        evaluate_grid([RestrictionParams(3, 1.2, 2.0), RestrictionParams(2, 1.4, 2.0)], 1e-9)
+        assert order == ["gaussian_lower_bound_optimized", "sharp_radial_constant"] * 2

@@ -206,6 +206,17 @@ class TestDominanceFailures:
         assert failed["failures"] == []
         assert "failed" not in json.loads(report.to_json())["points"][0]
 
+    def test_domain_error_point_reported_failed(self):
+        # No sphere area fits a double at d = 400; (3, 1.2) is unaffected.
+        grid = [RestrictionParams(3, 1.2, 2.0), RestrictionParams(400, 1.2, 2.0)]
+        spec = RandomRadialSpec(seed=0, family="gaussian_mixture", count=2)
+        report = run_dominance_suite(grid, spec)
+        assert report.points[0] == run_dominance_suite(grid[:1], spec).points[0]
+        failed = report.points[1]
+        assert "d <= 343" in failed.error
+        assert (failed.k_rad, failed.max_ratio, failed.margin) == (None, None, None)
+        assert failed.failures == [] and failed.trials == 2
+
     def test_cli_prints_converged_and_failed_points(self, capsys):
         code = main(["verify", "--d", "4:5:2", "--p", "1.05", "--q", "2", "--trials", "3"])
         points = json.loads(capsys.readouterr().out)["points"]
