@@ -85,16 +85,16 @@ def _round_floats(obj):
 
 
 def _parse_range(text: str, integer: bool = False) -> list[float]:
-    """Parse a scalar or a min:max:steps range (endpoints included)."""
+    """Parse a min:max:steps range (endpoints included) or a scalar x, the
+    range x:x:1."""
     parts = str(text).split(":")
     if len(parts) == 1:
-        return [int(parts[0])] if integer else [float(parts[0])]
-    if len(parts) != 3:
-        raise DomainError(
-            f"range must be 'min:max:steps', got {text!r}"
-        )
-    lo, hi = float(parts[0]), float(parts[1])
-    steps = int(parts[2])
+        parts += [parts[0], "1"]
+    try:
+        lo, hi, steps = parts
+        lo, hi, steps = float(lo), float(hi), int(steps)
+    except ValueError:
+        raise DomainError(f"expected a number or 'min:max:steps', got {text!r}") from None
     if steps < 1:
         raise DomainError(f"range steps must be >= 1, got {steps}")
     if steps == 1:
@@ -104,14 +104,11 @@ def _parse_range(text: str, integer: bool = False) -> list[float]:
             raise DomainError(f"range needs min < max, got {text!r}")
         width = (hi - lo) / (steps - 1)
         values = [lo + i * width for i in range(steps - 1)] + [hi]
-    if integer:
-        out = []
-        for v in values:
-            if round(v) != v:
-                raise DomainError(f"dimension grid must be integral, got {v!r}")
-            out.append(int(v))
-        return out
-    return values
+    if not integer:
+        return values
+    if not all(v.is_integer() for v in values):
+        raise DomainError(f"dimension grid must be integral, got {text!r}")
+    return [int(v) for v in values]
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -306,7 +303,10 @@ def _parse_profile(text: str, d: int):
         raise DomainError(
             f"unknown profile {text!r}; expected 'gaussian:SIGMA'"
         )
-    sigma = float(param) if param else 1.0
+    try:
+        sigma = float(param) if param else 1.0
+    except ValueError:
+        raise DomainError(f"profile width must be a number, got {text!r}") from None
     return gaussian_profile(sigma, d)
 
 
@@ -435,9 +435,10 @@ def _apply_config(
         for action in sub_parser._actions:  # noqa: SLF001 - argparse offers no public view
             if action.dest in config:
                 raw = config[action.dest]
-                converted[action.dest] = (
-                    action.type(raw) if action.type is not None else raw
-                )
+                try:
+                    converted[action.dest] = action.type(raw) if action.type else raw
+                except ValueError:
+                    raise DomainError(f"config entry {action.dest}={raw!r} is malformed") from None
         if converted:
             sub_parser.set_defaults(**converted)
 
@@ -451,11 +452,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     known, _ = pre.parse_known_args(argv)
     if known.config:
         try:
-            config = _load_config(known.config)
+            _apply_config(registry, _load_config(known.config))
         except (OSError, DomainError) as exc:
             print(f"sphrestrict: {exc}", file=sys.stderr)
             return 2
-        _apply_config(registry, config)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -112,18 +112,23 @@ class PsiWeight:
     def from_csv(
         cls, path: "str | Path", a: Optional[float] = None, b: Optional[float] = None
     ) -> "PsiWeight":
+        try:
+            with open(path, newline="") as fh:
+                lines = list(csv.reader(fh))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DomainError(f"cannot read the psi CSV: {exc}") from None
+        if not lines or [h.strip() for h in lines[0][:2]] != ["p", "psi"]:
+            raise DomainError(
+                f"{path}: psi CSV must start with the header 'p,psi'"
+            )
         rows: list[tuple[float, float]] = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["p", "psi"]:
-                raise DomainError(
-                    f"{path}: psi CSV must start with the header 'p,psi'"
-                )
-            for line in reader:
-                if not line:
-                    continue
+        for line in lines[1:]:
+            if not line:
+                continue
+            try:
                 rows.append((float(line[0]), float(line[1])))
+            except (IndexError, ValueError):
+                raise DomainError(f"{path}: expected a row 'p,psi', got {line!r}") from None
         if not rows:
             raise DomainError(f"{path}: no samples")
         lo = a if a is not None else max(1.0, rows[0][0] - 1e-9)

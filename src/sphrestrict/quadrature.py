@@ -60,7 +60,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -74,6 +74,7 @@ __all__ = [
     "integrate_semi_infinite_decaying",
     "integrate_oscillatory_bessel",
     "wynn_epsilon",
+    "check_tolerance",
     "DEFAULT_REL_TOL",
     "ABS_FLOOR",
 ]
@@ -200,6 +201,13 @@ def integrate_finite(
     return _integrate_block(_mapped(f), [(a, b)], tol, abs_tol, max_intervals)[0]
 
 
+def check_tolerance(tol: float) -> None:
+    """Reject a relative tolerance unless 0 < tol < inf: at NaN no error
+    estimate ever meets it, and at inf every one does."""
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must satisfy 0 < tol < inf, got {tol!r}")
+
+
 def _mapped(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
     """The scalar callable ``f`` as an array integrand, mapped node by node."""
 
@@ -236,8 +244,7 @@ def _integrate_block(
     for a, b in edges:
         if not (a < b):
             raise DomainError(f"integrate_finite requires a < b, got [{a!r}, {b!r}]")
-    if tol <= 0.0:
-        raise DomainError("tolerance must be positive")
+    check_tolerance(tol)
     lo = [a for a, _ in edges]
     hi = [b for _, b in edges]
     rules = _gk15_batch(f, lo, hi)
@@ -476,6 +483,11 @@ class OscillatoryIntegrand:
     def zero_exponent(self) -> float:
         return self.beta
 
+    @property
+    def alternates(self) -> bool:
+        """Whether the arches alternate in sign: a signed odd power."""
+        return self.signed and int(round(self.power)) % 2 == 1
+
     def __call__(self, r: float) -> float:
         if r <= 0.0:
             return 0.0
@@ -493,10 +505,9 @@ class OscillatoryIntegrand:
                 "integrand is not locally integrable at 0: beta + nu*power = "
                 f"{self.zero_exponent + self.order.nu * self.power!r} <= -1"
             )
-        alternates = self.signed and int(round(self.power)) % 2 == 1
-        required = 0.0 if alternates else 1.0
+        required = 0.0 if self.alternates else 1.0
         if not self.tail_exponent > required:
-            kind = "conditional" if alternates else "absolute"
+            kind = "conditional" if self.alternates else "absolute"
             raise DivergenceError(
                 f"{kind} convergence on [0, inf) requires tail exponent "
                 f"> {required}, got {self.tail_exponent!r}"
@@ -583,31 +594,14 @@ def _algebraic_tail_fit(
 
 
 # Schedules of the two regimes: the first checkpoint, the cells between
-# checkpoints and the most cells summed.
+# checkpoints and the most cells summed.  Every checkpoint, the last
+# included, is a multiple of the spacing.
 _POSITIVE = (24, 8, 800)
-_ALTERNATING = (14, 4, 200)
+_ALTERNATING = (16, 4, 200)
 _FIT_TERMS = 4
 _PROBE_CELLS = 10
 
 _CellBlock = Callable[[int, int], Sequence[QuadResult]]
-
-
-def _arch_stream(
-    block: _CellBlock, count: int, first: int, every: int
-) -> Iterator[QuadResult]:
-    """Cells 0, 1, ..., count - 1 of ``block``.
-
-    ``block(k0, k1)`` computes cells k0..k1-1 together.  Each block ends
-    at the next checkpoint of the summation (cell counts >= ``first``
-    divisible by ``every``), so a sum that stops at a checkpoint never
-    computes a cell past it.
-    """
-    first = -(-first // every) * every
-    k = 0
-    while k < count:
-        end = min(max(first, (k // every + 1) * every), count)
-        yield from block(k, end)
-        k = end
 
 
 def _cells(
@@ -616,6 +610,7 @@ def _cells(
     """The cells [boundary(k), boundary(k + 1)] of ``f``, cell 0 starting at
     0, as a block: ``block(k0, k1)`` integrates cells k0..k1-1 together with
     ``_integrate_block``, at the per-cell tolerance of a sum to ``tol``."""
+    check_tolerance(tol)
     cell_tol = min(1e-12, tol * 1e-2)
 
     def block(k0: int, k1: int) -> list[QuadResult]:
@@ -634,7 +629,9 @@ def _sum_cells(
     tol: float,
 ) -> QuadResult:
     """Sum the cells of ``block`` to relative ``tol``, testing at every
-    checkpoint of the regime's schedule.
+    checkpoint of the regime's schedule.  The cells up to each checkpoint
+    are one ``block(start, end)`` call, so a sum that stops at a checkpoint
+    never computes a cell past it.
 
     ``tail_exponent=None`` means alternating cells: Wynn's epsilon on the
     last 60 partial sums.  A number gamma means nonnegative cells whose
@@ -652,19 +649,20 @@ def _sum_cells(
     evals = 0
     prev_est: Optional[float] = None
     best: Optional[tuple[float, float]] = None
-    for n, cell in enumerate(_arch_stream(block, count, first, every), 1):
-        evals += cell.evaluations
-        total += cell.value
-        quad_err += cell.error_estimate
-        xs.append(boundary(n))
-        partial.append(total)
-        if n < first or n % every:
-            continue
+    start = 0
+    for end in range(first, count + 1, every):
+        for n, cell in enumerate(block(start, end), start + 1):
+            evals += cell.evaluations
+            total += cell.value
+            quad_err += cell.error_estimate
+            xs.append(boundary(n))
+            partial.append(total)
+        start = end
         if tail_exponent is None:
             est, spread = wynn_epsilon(partial[-60:])
             err = spread + quad_err
         else:
-            window = min(n // 2, 64)
+            window = min(end // 2, 64)
             trailing = (xs[-window:], partial[-window:], tail_exponent)
             est, resid = _algebraic_tail_fit(*trailing, _FIT_TERMS)
             est_lo, _ = _algebraic_tail_fit(*trailing, _FIT_TERMS - 1)
@@ -698,8 +696,7 @@ def integrate_oscillatory_bessel(
     def integrand(r: np.ndarray) -> np.ndarray:
         return _integrand_values(spec, r)
 
-    alternating = spec.signed and int(round(spec.power)) % 2 == 1
-    gamma = None if alternating else spec.tail_exponent
+    gamma = None if spec.alternates else spec.tail_exponent
     return _sum_cells(_cells(integrand, boundary, tol), boundary, gamma, tol)
 
 

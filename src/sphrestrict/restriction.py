@@ -40,13 +40,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .errors import ConvergenceError, DivergenceError, DomainError
 from .quadrature import (
     DEFAULT_REL_TOL,
     OscillatoryIntegrand,
     QuadResult,
+    check_tolerance,
     integrate_oscillatory_bessel,
 )
 from .radial_fourier import (
@@ -172,7 +173,7 @@ def _beyond_double(what: str, params: RestrictionParams) -> DomainError:
 
 
 class GaussianBound(NamedTuple):
-    """Numerically maximised Gaussian bound with the literal closed form."""
+    """The Gaussian bound at its maximiser, with the literal closed form."""
 
     bound: float
     sigma_star: float
@@ -184,34 +185,17 @@ class GaussianBound(NamedTuple):
         return self.paper_closed_form / self.bound
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> float:
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > xtol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-    return 0.5 * (lo + hi)
-
-
 def gaussian_lower_bound_optimized(params: RestrictionParams) -> GaussianBound:
-    """sup over sigma of the Gaussian ratio, found by golden-section search.
+    """sup over sigma of the Gaussian ratio, at its closed-form maximiser.
 
-    The maximiser satisfies sigma^2 = d(1 - 1/p) (the stationary point of
-    e^(-s^2/2) s^a); at p = 1 the exponent vanishes and the supremum is
-    approached as sigma -> 0.  ``paper_closed_form`` is the literal bound
-    without the e^(-a/2) maximisation factor, reported for comparison only.
-    A value, or a ratio probed by the search, beyond double precision is a
-    ``DomainError``.
+    The ratio is e^(-s^2/2) s^a times a constant, a = d(1 - 1/p), which
+    peaks at sigma_star = sqrt(a); the bound is the ratio there.  At p = 1
+    the exponent vanishes, sigma_star is 0 and the bound is the supremum
+    approached as sigma -> 0 (``0.0 ** 0.0`` is 1).  ``paper_closed_form``
+    is the literal bound without the e^(-a/2) maximisation factor, reported
+    for comparison only.  A value beyond double precision is a
+    ``DomainError``; the literal form, e^(a/2) times the bound, leaves
+    double range first.
     """
     d = params.d
     area = params.kernel.sphere_area
@@ -227,12 +211,7 @@ def gaussian_lower_bound_optimized(params: RestrictionParams) -> GaussianBound:
         literal = math.inf
     if math.isinf(literal):
         raise _beyond_double("the literal closed form", params)
-    sigma_star = _golden_max(
-        lambda s: _gaussian_ratio(params, area, s),
-        1e-6,
-        10.0 * math.sqrt(d),
-        1e-10,
-    )
+    sigma_star = math.sqrt(a)
     return GaussianBound(
         bound=_gaussian_ratio(params, area, sigma_star),
         sigma_star=sigma_star,
@@ -403,7 +382,9 @@ def evaluate_grid(grid: Sequence[RestrictionParams], tol: float) -> list[GridPoi
     """Both blocks at every grid point, in grid order, the Gaussian block
     first.  A block that raises ``DomainError`` (``DivergenceError``
     included) or ``ConvergenceError`` leaves the error in its place; the
-    other block and the rest of the grid still run."""
+    other block and the rest of the grid still run.  A tolerance outside
+    0 < tol < inf is a ``DomainError`` before any grid point."""
+    check_tolerance(tol)
     points = []
     for params in grid:
         try:

@@ -221,8 +221,7 @@ def _oracle_oscillatory(spec: OscillatoryIntegrand, tol) -> QuadResult:
     def boundary(k: int) -> float:
         return 0.5 * (bessel_j_zero(nu, k) + bessel_j_zero(nu, k + 1))
 
-    alternating = spec.signed and int(round(spec.power)) % 2 == 1
-    cells = 96 if not alternating else 48
+    cells = 48 if spec.alternates else 96
     partial = []
     xs = []
     total = 0.0
@@ -235,7 +234,7 @@ def _oracle_oscillatory(spec: OscillatoryIntegrand, tol) -> QuadResult:
         total += res.value
         xs.append(b)
         partial.append(total)
-    if alternating:
+    if spec.alternates:
         est, err = wynn_epsilon(partial)
         return QuadResult(est, err, evals, err <= tol * abs(est))
     # Deeper tail model than production (six correction terms).
@@ -371,8 +370,12 @@ def run_dominance_suite(
     profile's ratios are done.  A memoised value is the double ``f``
     returned, so the report is the one a grid-outer loop of plain
     ``ratio_z`` calls gives: per point, ratios in profile order, the
-    first maximum as ``argmax_label``, failures in profile order.
+    first maximum as ``argmax_label``, failures in profile order.  A
+    non-finite ``tol`` is a ``DomainError``: at NaN no ratio could ever be
+    a violation.  A negative ``tol`` is allowed.
     """
+    if not math.isfinite(tol):
+        raise DomainError(f"dominance tolerance must be finite, got {tol!r}")
     sharps = [point.sharp for point in evaluate_grid(params_grid, quad_tol)]
     for sharp in sharps:
         if isinstance(sharp, DivergenceError):

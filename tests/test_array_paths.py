@@ -27,7 +27,6 @@ from sphrestrict.quadrature import (
     OscillatoryIntegrand,
     QuadResult,
     _XGK,
-    _arch_stream,
     _cells,
     _gk15_batch,
     _gk15_rule,
@@ -429,8 +428,7 @@ def scalar_oscillatory(spec, tol):
     def arch_block(k0, k1):
         return [reference_finite(f, a, b, arch_tol, 1e-16) for a, b in arch_edges(nu, k0, k1)]
 
-    alternating = spec.signed and int(round(spec.power)) % 2 == 1
-    gamma = None if alternating else spec.tail_exponent
+    gamma = None if spec.alternates else spec.tail_exponent
     return _sum_cells(arch_block, lambda k: bessel_j_zero(nu, k), gamma, tol)
 
 
@@ -443,27 +441,41 @@ class TestKernelIntegral:
         assert integrate_oscillatory_bessel(spec, tol) == scalar_oscillatory(spec, tol)
 
     @pytest.mark.parametrize(
-        "count, min_arches, check_every, blocks",
-        [
-            (100, 24, 8, [(0, 24), (24, 32), (32, 40)]),
-            (200, 14, 4, [(0, 16), (16, 20), (20, 24)]),
-            (30, 24, 8, [(0, 24), (24, 30)]),
-        ],
+        "schedule", [quadrature._POSITIVE, quadrature._ALTERNATING],
+        ids=["positive", "alternating"],
     )
-    def test_blocks_end_at_checkpoints(self, count, min_arches, check_every, blocks):
+    def test_schedule_checkpoints_are_multiples_of_the_spacing(self, schedule):
+        # _sum_cells takes one block per checkpoint, range(first, count + 1,
+        # every): the first and the last checkpoint must be on that grid.
+        first, every, count = schedule
+        assert first % every == 0 and count % every == 0 and first <= count
+
+    @pytest.mark.parametrize(
+        "tail_exponent, schedule",
+        [(2.0, quadrature._POSITIVE), (None, quadrature._ALTERNATING)],
+        ids=["positive", "alternating"],
+    )
+    @pytest.mark.parametrize(
+        "error, converged", [(0.0, True), (1.0, False)], ids=["converges", "runs_out"]
+    )
+    def test_blocks_end_at_checkpoints(self, tail_exponent, schedule, error, converged):
         # A sum that stops at a checkpoint must not have computed an arch
         # past it; evaluation counts cannot show that, they count only the
-        # arches summed.
+        # arches summed.  Zero cells converge at the first checkpoint; cells
+        # with an error estimate of 1 never converge and run to the count.
+        first, every, count = schedule
         requested = []
 
         def arch_block(k0, k1):
             requested.append((k0, k1))
-            return [(0.0, 0.0, 15)] * (k1 - k0)
+            return [QuadResult(0.0, error, 15, True)] * (k1 - k0)
 
-        stream = _arch_stream(arch_block, count, min_arches, check_every)
-        for _ in range(blocks[-1][1]):
-            next(stream)
+        res = _sum_cells(arch_block, float, tail_exponent, 1e-9)
+        blocks = [(0, first)]
+        if not converged:
+            blocks += [(k, k + every) for k in range(first, count, every)]
         assert requested == blocks
+        assert (res.converged, res.evaluations) == (converged, 15 * blocks[-1][1])
 
     def test_same_result_signed(self):
         spec = OscillatoryIntegrand(BesselOrder(0.5), 0.0, 1.0, signed=True)

@@ -226,7 +226,15 @@ class TestGaussianBound:
         payload = json.loads(out)
         assert "bound" in payload and payload["sigma"] == 1.0
 
-    @pytest.mark.parametrize("d, p", [(400, "1.5"), (200, "50")])
+    def test_maximum_inside_double_range_exits_0(self, capsys):
+        code, out, err = run_cli(
+            capsys, "gaussian-bound", "--d", "200", "--p", "50", "--q", "2"
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["bound"], payload["sigma_star"]) == (5.2821372223353e210, 14.0)
+
+    @pytest.mark.parametrize("d, p", [(400, "1.5"), (300, "20")])
     def test_beyond_double_precision_exits_2(self, capsys, d, p):
         code, out, err = run_cli(
             capsys, "gaussian-bound", "--d", str(d), "--p", p, "--q", "2"
@@ -311,7 +319,8 @@ class TestSweep:
 
     def test_converging_grid_output_is_unchanged(self, capsys):
         # Frozen output from before failed rows existed: a grid without a
-        # failure carries no "failed" marker or key.
+        # failure carries no "failed" marker or key.  The (2, 1.2) gauss_opt
+        # is the ratio at the closed-form maximiser sqrt(a).
         code, out, _ = run_cli(
             capsys, "sweep", "--d", "2:3:2", "--p", "1.2:1.4:2", "--q", "2",
         )
@@ -320,7 +329,7 @@ class TestSweep:
             "d,p,q,p_prime,beta,integral,integral_err,k_rad,k_rad_paper,"
             "gauss_opt,gauss_paper,tomas_stein_ok\n"
             "2,1.2,2,6,1,0.336827961720608,2.36939987130562e-10,2.84023713772306,"
-            "0.863845978767846,2.79384083777183,3.30053296559104,true\n"
+            "0.863845978767846,2.79384083777184,3.30053296559104,true\n"
             "2,1.4,2,3.5,1,skipped,skipped,skipped,skipped,3.45139696852194,"
             "4.59281604424495,false\n"
             "3,1.2,2,6,-1,0.101321183642298,3.11981036362661e-13,4.62540632892337,"
@@ -337,7 +346,7 @@ class TestSweep:
   {
     "beta": 1.0,
     "d": 2,
-    "gauss_opt": 2.79384083777183,
+    "gauss_opt": 2.79384083777184,
     "gauss_paper": 3.30053296559104,
     "integral": 0.336827961720608,
     "integral_err": 2.36939987130562e-10,
@@ -368,14 +377,14 @@ class TestSweep:
 """
 
     def test_domain_error_marks_cells_failed(self, capsys):
-        # At p = 50 the Gaussian bound leaves double range; the p = 1.5 row
-        # of the same grid survives.
-        args = ["sweep", "--d", "200", "--p", "1.5:50:2", "--q", "2"]
+        # At (300, 20) the literal Gaussian closed form leaves double range;
+        # the p = 1.5 row of the same grid survives.
+        args = ["sweep", "--d", "300", "--p", "1.5:20:2", "--q", "2"]
         code, out, err = run_cli(capsys, *args)
         assert code == 0
-        assert "(d=200, p=50.0, q=2.0)" in err and "double-precision range" in err
+        assert "(d=300, p=20.0, q=2.0)" in err and "double-precision range" in err
         rows = list(csv.DictReader(out.splitlines()))
-        assert [row["p"] for row in rows] == ["1.5", "50"]
+        assert [row["p"] for row in rows] == ["1.5", "20"]
         assert float(rows[0]["gauss_opt"]) > 0.0
         assert [rows[1][key] for key in ("integral", "gauss_opt", "gauss_paper")] == [
             "skipped", "failed", "failed"
@@ -595,3 +604,62 @@ class TestConfig:
             "--d", "3", "--p", "1.2", "--q", "2",
         )
         assert code == 2
+
+
+class TestMalformedInput:
+    """Malformed input ends in exit 2 with one ``sphrestrict:`` line on
+    stderr, never a traceback."""
+
+    GRID = ["--d", "3", "--p", "1.2", "--q", "2"]
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["sweep", "--d", "3.5", "--p", "1.2", "--q", "2"], "integral, got '3.5'"),
+            (["sweep", "--d", "3", "--p", "abc", "--q", "2"], "got 'abc'"),
+            (["sweep", "--d", "3", "--p", "1.1:1.2:x", "--q", "2"], "got '1.1:1.2:x'"),
+            (["sweep", "--d", "inf", "--p", "1.2", "--q", "2"], "integral, got 'inf'"),
+            (["gls", "--psi", "{missing}", "--d", "3", "--q", "2"], "cannot read"),
+            (["gls", "--psi", "{bad_row}", "--d", "3", "--q", "2"], "['1.1', 'abc']"),
+            (["gls", "--psi", "{short_row}", "--d", "3", "--q", "2"], "['1.15']"),
+            (["--config", "{bad_tol}", "constant", *GRID], "tol='abc'"),
+            (["gls", "--psi", "{psi}", "--d", "3", "--q", "2",
+              "--check-profile", "gaussian:abc"], "gaussian:abc"),
+            (["constant", *GRID, "--tol", "nan"], "got nan"),
+            (["constant", *GRID, "--tol", "inf"], "got inf"),
+            (["sweep", *GRID, "--tol", "nan"], "got nan"),
+            (["report", *GRID, "--tol", "inf"], "got inf"),
+            (["verify", *GRID, "--trials", "2", "--tol", "nan"], "got nan"),
+            (["verify", *GRID, "--trials", "2", "--ratio-tol", "nan"], "got nan"),
+            (["gls", "--psi", "{psi}", "--d", "3", "--q", "2", "--tol", "nan"], "got nan"),
+        ],
+        ids=[
+            "d_not_integral", "p_not_a_number", "steps_not_a_number", "d_infinite",
+            "psi_missing", "psi_value_not_a_number", "psi_row_short", "config_tol",
+            "profile_width", "constant_tol_nan", "constant_tol_inf", "sweep_tol_nan",
+            "report_tol_inf", "verify_tol_nan", "verify_ratio_tol_nan", "gls_tol_nan",
+        ],
+    )
+    def test_exits_2(self, capsys, tmp_path, argv, reason):
+        files = {
+            "missing": "missing.csv",
+            "bad_row": "p,psi\n1.05,3.5\n1.1,abc\n",
+            "short_row": "p,psi\n1.05,3.5\n1.15\n",
+            "bad_tol": "tol=abc\n",
+            "psi": "p,psi\n1.05,3.5\n1.10,4.3\n1.15,5.5\n1.20,7.5\n",
+        }
+        paths = {name: tmp_path / name for name in files}
+        for name, text in files.items():
+            if name != "missing":
+                paths[name].write_text(text)
+        code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("sphrestrict: ") and err.count("\n") == 1
+        assert reason in err
+
+    def test_scalar_is_a_one_step_range(self, capsys):
+        _, expected, _ = run_cli(capsys, "sweep", "--d", "3", "--p", "1.2", "--q", "2")
+        for d in ("3.0", "3.0:3.0:1"):
+            assert run_cli(capsys, "sweep", "--d", d, "--p", "1.2", "--q", "2") == (
+                0, expected, ""
+            )

@@ -231,6 +231,21 @@ class TestSumOverPartition:
         assert res.converged
         assert res.value == pytest.approx(math.pi / 2.0, abs=1e-9)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+    def test_tolerance_outside_zero_to_inf_rejected(self, tol):
+        # A NaN is met by no error estimate and inf by every one; the
+        # per-cell min(1e-12, tol * 1e-2) would hide both.
+        def f(r):
+            return math.sin(r) / r if r > 0 else 1.0
+
+        with pytest.raises(DomainError, match="0 < tol < inf"):
+            sum_over_partition(f, lambda k: k * math.pi, tol, tail_exponent=1.0)
+        with pytest.raises(DomainError, match="0 < tol < inf"):
+            integrate_finite(math.sin, 0.0, 1.0, tol=tol)
+        spec = OscillatoryIntegrand(BesselOrder(0.5), 0.0, 3.0)
+        with pytest.raises(DomainError, match="0 < tol < inf"):
+            integrate_oscillatory_bessel(spec, tol)
+
     def test_positive_with_tail_exponent(self):
         # int_0^inf sin^2(r)/r^2 dr = pi/2; cells decay like r^(-2).
         def f(r):

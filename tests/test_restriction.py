@@ -136,7 +136,25 @@ class TestGaussianBoundOptimized:
         assert opt.bound == pytest.approx(math.sqrt(4.0 * math.pi), rel=1e-9)
         assert opt.paper_closed_form == pytest.approx(math.sqrt(4.0 * math.pi), rel=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 16, 64, 200])
+    @pytest.mark.parametrize("p", [1.05, 1.2, 1.5, 2.0, 3.0, 50.0])
+    def test_bound_is_the_ratio_at_the_closed_form_maximiser(self, d, p):
+        params = RestrictionParams(d, p, 2.0)
+        opt = gaussian_lower_bound_optimized(params)
+        assert opt.sigma_star == math.sqrt(d * (1.0 - 1.0 / p))
+        assert opt.bound == gaussian_lower_bound(params, opt.sigma_star)
+
+    @pytest.mark.parametrize("d, q", [(2, 2.0), (3, 2.0), (5, 1.5)])
+    def test_p1_bound_is_exactly_the_supremum(self, d, q):
+        # a = 0: the ratio at sigma = 0 is the literal form, 0.0 ** 0.0 == 1.
+        opt = gaussian_lower_bound_optimized(RestrictionParams(d, 1.0, q))
+        assert opt.sigma_star == 0.0
+        assert opt.bound == opt.paper_closed_form
+        assert opt.gauss_ratio == 1.0
+
     def test_golden_section_against_dense_scan(self):
+        # No search is left; the closed-form maximum still dominates a
+        # dense scan of the ratio.
         params = RestrictionParams(2, 1.2, 4.0)
         opt = gaussian_lower_bound_optimized(params)
         dense = max(
@@ -145,14 +163,21 @@ class TestGaussianBoundOptimized:
         )
         assert opt.bound >= dense - 1e-9 * dense
 
+    def test_maximum_inside_double_range_is_finite(self):
+        # sigma^a overflows far above sigma_star = 14, but the maximum fits.
+        params = RestrictionParams(200, 50.0, 2.0)
+        opt = gaussian_lower_bound_optimized(params)
+        assert opt.sigma_star == 14.0
+        assert math.isfinite(opt.bound)
+        assert opt.bound == gaussian_lower_bound(params, opt.sigma_star)
+
     @pytest.mark.parametrize(
         "d, p, match",
-        [(200, 50.0, "Gaussian ratio at sigma"), (300, 20.0, "literal closed form"),
-         (400, 1.5, "d <= 343")],
+        [(300, 20.0, "literal closed form"), (400, 1.5, "d <= 343")],
     )
     def test_beyond_double_precision_is_a_domain_error(self, d, p, match):
-        # The search probes sigma up to 10 sqrt(d), where sigma^a overflows
-        # even when the maximum itself would not.
+        # The literal form is e^(a/2) times the bound, so it leaves double
+        # range first.
         with pytest.raises(DomainError, match=match):
             gaussian_lower_bound_optimized(RestrictionParams(d, p, 2.0))
 

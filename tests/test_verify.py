@@ -317,6 +317,13 @@ class TestDominanceReuse:
             labels = [f["label"] for f in point.failures]
             assert any(label.startswith("twin") for label in labels)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # At NaN no ratio is ever a violation; negative values stay allowed.
+        spec = RandomRadialSpec(seed=0, family="gaussian_mixture", count=1)
+        with pytest.raises(DomainError, match="finite"):
+            run_dominance_suite(self.GRID, spec, tol=tol)
+
     def test_each_radius_evaluated_once_per_profile(self):
         calls = []
 
