@@ -429,16 +429,23 @@ def _apply_config(
     registry: dict[str, argparse.ArgumentParser], config: dict[str, str]
 ) -> None:
     # Config entries become subcommand defaults (converted through each
-    # option's own type); flags given on the command line still win.
+    # option's own type and checked against its choices); flags given on
+    # the command line still win.
     for sub_parser in registry.values():
         converted = {}
         for action in sub_parser._actions:  # noqa: SLF001 - argparse offers no public view
             if action.dest in config:
                 raw = config[action.dest]
                 try:
-                    converted[action.dest] = action.type(raw) if action.type else raw
+                    value = action.type(raw) if action.type else raw
                 except ValueError:
                     raise DomainError(f"config entry {action.dest}={raw!r} is malformed") from None
+                if action.choices is not None and value not in action.choices:
+                    raise DomainError(
+                        f"config entry {action.dest}={raw!r} is malformed: expected one "
+                        f"of {', '.join(map(str, action.choices))}"
+                    )
+                converted[action.dest] = value
         if converted:
             sub_parser.set_defaults(**converted)
 

@@ -77,8 +77,11 @@ class PsiWeight:
             raise DomainError(f"sample abscissae must lie inside ({self.a}, {self.b})")
         if any(ps[i] >= ps[i + 1] for i in range(len(ps) - 1)):
             raise DomainError("sample abscissae must be strictly increasing")
-        if min(v for _, v in self.samples) <= 0.0:
-            raise DomainError("psi must be bounded below by a positive constant")
+        for p, v in self.samples:
+            if not v > 0.0:  # NaN included
+                raise DomainError(
+                    f"psi must be bounded below by a positive constant, got psi({p!r}) = {v!r}"
+                )
 
     @property
     def grid(self) -> tuple[float, ...]:

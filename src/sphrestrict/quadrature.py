@@ -29,15 +29,21 @@ node is valued as exp(beta log r + power log |J|).  One driver,
 
 One engine, ``_integrate_block``, runs the adaptive rule over several
 intervals at once, each with its own heap, and evaluates every round's new
-panels with one call of an array integrand.  ``integrate_finite`` is that
-engine on one interval with an opaque scalar callable mapped over the
-nodes.  ``_cells`` hands the engine all cells between two checkpoints of
-the sum together: a kernel integral's rounds are each one call of
-``special_fns.bessel_j_array``, and ``sum_over_partition`` maps its scalar
-callable over each round's nodes.  Every interval's result is the one it
-gets alone, evaluation counts included, and equals a one-node-at-a-time
-scalar rule bit for bit: the tail fit at tight tolerances amplifies
-last-digit differences ~1000-fold.
+panels with one call of an array integrand ``f(x, which)``: ``which`` gives
+the index of the interval each node belongs to, so one block can hold a
+different integrand per interval.  ``integrate_finite`` is that engine on
+one interval with an opaque scalar callable mapped over the nodes, and
+``integrate_finite_block`` the engine itself; ``integrate_semi_infinite_block``
+maps a block of decaying integrands onto (0, 1), one interval each, and
+``integrate_semi_infinite_decaying`` is its one-integrand case.  The radial
+profile integrals run a family of profiles as one such block.  ``_cells``
+hands the engine all cells between two checkpoints of the sum together:
+a kernel integral's rounds are each one call of
+``special_fns.bessel_j_array``, and ``sum_over_partition`` takes an array
+integrand of the same form, which ignores ``which``.  Every interval's
+result is the one it gets alone, evaluation counts included, and equals a
+one-node-at-a-time scalar rule bit for bit: the tail fit at tight
+tolerances amplifies last-digit differences ~1000-fold.
 
 The engine looks ahead: when an interval's worst panel has no children
 yet, it asks in the same call for the children of its
@@ -60,7 +66,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -71,7 +77,9 @@ __all__ = [
     "QuadResult",
     "OscillatoryIntegrand",
     "integrate_finite",
+    "integrate_finite_block",
     "integrate_semi_infinite_decaying",
+    "integrate_semi_infinite_block",
     "integrate_oscillatory_bessel",
     "wynn_epsilon",
     "check_tolerance",
@@ -81,6 +89,10 @@ __all__ = [
 
 DEFAULT_REL_TOL = 1e-9
 ABS_FLOOR = 1e-14
+
+# An array integrand f(x, which): at each node x[i], the integrand of the
+# interval or integrand ``which[i]`` of its block.
+ArrayIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 # (G7, K15) nodes and weights, QUADPACK dqk15.
 _XGK = (
@@ -109,6 +121,8 @@ _WG = (
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 )
+_WGK0, _WGK1, _WGK2, _WGK3, _WGK4, _WGK5, _WGK6, _WGK7 = _WGK
+_WG0, _WG1, _WG2, _WG3 = _WG
 # Offsets of the 15 nodes from a panel's centre, in units of its half-width.
 _NODE_OFFSETS = np.array((0.0,) + tuple(-x for x in _XGK[:7]) + _XGK[:7])
 _EPS50 = 50.0 * 2.220446049250313e-16
@@ -140,27 +154,40 @@ class QuadResult:
 def _gk15_rule(fs: Sequence[float], h: float) -> tuple[float, float]:
     """(G7, K15) value and error of a panel of half-width h from its 15
     integrand values: the centre, then the left nodes c - h x_j, then the
-    right nodes c + h x_j, j = 0..6."""
-    fc = fs[0]
-    resg = fc * _WG[3]
-    resk = fc * _WGK[7]
-    resabs = abs(fc) * _WGK[7]
-    for j in range(7):
-        f1 = fs[1 + j]
-        f2 = fs[8 + j]
-        fsum = f1 + f2
-        if j % 2 == 1:
-            resg += _WG[j // 2] * fsum
-        resk += _WGK[j] * fsum
-        resabs += _WGK[j] * (abs(f1) + abs(f2))
+    right nodes c + h x_j, j = 0..6.
+
+    Straight-line code summing in QUADPACK's order (j = 0..6, the Gauss
+    terms at odd j): every partial sum is the double the loop gives."""
+    fc, l0, l1, l2, l3, l4, l5, l6, r0, r1, r2, r3, r4, r5, r6 = fs
+    s1 = l1 + r1
+    s3 = l3 + r3
+    s5 = l5 + r5
+    resg = fc * _WG3 + _WG0 * s1 + _WG1 * s3 + _WG2 * s5
+    resk = (
+        fc * _WGK7 + _WGK0 * (l0 + r0) + _WGK1 * s1 + _WGK2 * (l2 + r2)
+        + _WGK3 * s3 + _WGK4 * (l4 + r4) + _WGK5 * s5 + _WGK6 * (l6 + r6)
+    )
+    resabs = (
+        abs(fc) * _WGK7 + _WGK0 * (abs(l0) + abs(r0)) + _WGK1 * (abs(l1) + abs(r1))
+        + _WGK2 * (abs(l2) + abs(r2)) + _WGK3 * (abs(l3) + abs(r3))
+        + _WGK4 * (abs(l4) + abs(r4)) + _WGK5 * (abs(l5) + abs(r5))
+        + _WGK6 * (abs(l6) + abs(r6))
+    )
     mean = 0.5 * resk
-    resasc = _WGK[7] * abs(fc - mean)
-    for j in range(7):
-        resasc += _WGK[j] * (abs(fs[1 + j] - mean) + abs(fs[8 + j] - mean))
+    resasc = (
+        _WGK7 * abs(fc - mean) + _WGK0 * (abs(l0 - mean) + abs(r0 - mean))
+        + _WGK1 * (abs(l1 - mean) + abs(r1 - mean))
+        + _WGK2 * (abs(l2 - mean) + abs(r2 - mean))
+        + _WGK3 * (abs(l3 - mean) + abs(r3 - mean))
+        + _WGK4 * (abs(l4 - mean) + abs(r4 - mean))
+        + _WGK5 * (abs(l5 - mean) + abs(r5 - mean))
+        + _WGK6 * (abs(l6 - mean) + abs(r6 - mean))
+    )
+    ah = abs(h)
     resk *= h
     resg *= h
-    resabs *= abs(h)
-    resasc *= abs(h)
+    resabs *= ah
+    resasc *= ah
     err = abs(resk - resg)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
@@ -171,15 +198,16 @@ def _gk15_rule(fs: Sequence[float], h: float) -> tuple[float, float]:
 
 
 def _gk15_batch(
-    f: Callable[[np.ndarray], np.ndarray], a: list[float], b: list[float]
+    f: ArrayIntegrand, a: list[float], b: list[float], which: list[int]
 ) -> list[tuple[float, float]]:
-    """(G7, K15) value and error of each panel [a_i, b_i]: one call of the
-    array integrand ``f`` on all 15 n nodes, then ``_gk15_rule`` panel by
-    panel.  The node c + (-x_j) h is exactly the double c - x_j h."""
+    """(G7, K15) value and error of each panel [a_i, b_i] of interval
+    ``which[i]``: one call of the array integrand ``f`` on all 15 n nodes,
+    then ``_gk15_rule`` panel by panel.  The node c + (-x_j) h is exactly
+    the double c - x_j h."""
     c = [0.5 * (lo + hi) for lo, hi in zip(a, b)]
     h = [0.5 * (hi - lo) for lo, hi in zip(a, b)]
     ch = np.array((c, h)).T
-    fv = f((ch[:, :1] + ch[:, 1:] * _NODE_OFFSETS).ravel())
+    fv = f((ch[:, :1] + ch[:, 1:] * _NODE_OFFSETS).ravel(), np.repeat(which, 15))
     return list(map(_gk15_rule, fv.reshape(len(a), 15).tolist(), h))
 
 
@@ -201,6 +229,18 @@ def integrate_finite(
     return _integrate_block(_mapped(f), [(a, b)], tol, abs_tol, max_intervals)[0]
 
 
+def integrate_finite_block(
+    f: ArrayIntegrand, edges: Sequence[tuple[float, float]], tol: float = DEFAULT_REL_TOL
+) -> list[QuadResult]:
+    """The adaptive rule over every interval [a_i, b_i] of ``edges`` as one
+    block, with the absolute floor ``ABS_FLOOR``: each round is one call
+    ``f(x, which)``, ``which`` the index of the interval of each node.  The
+    i-th result is the one ``integrate_finite`` gives for interval i with
+    the scalar integrand ``x -> f([x], [i])``.
+    """
+    return _integrate_block(f, edges, tol, ABS_FLOOR, _MAX_INTERVALS)
+
+
 def check_tolerance(tol: float) -> None:
     """Reject a relative tolerance unless 0 < tol < inf: at NaN no error
     estimate ever meets it, and at inf every one does."""
@@ -208,24 +248,26 @@ def check_tolerance(tol: float) -> None:
         raise DomainError(f"tolerance must satisfy 0 < tol < inf, got {tol!r}")
 
 
-def _mapped(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    """The scalar callable ``f`` as an array integrand, mapped node by node."""
+def _mapped(f: Callable[[float], float]) -> ArrayIntegrand:
+    """The scalar callable ``f`` as an array integrand, mapped node by node;
+    every node's integrand is ``f``."""
 
-    def f_array(x: np.ndarray) -> np.ndarray:
+    def f_array(x: np.ndarray, which: np.ndarray) -> np.ndarray:
         return _floats(map(f, x.tolist()), x.size)
 
     return f_array
 
 
 def _integrate_block(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: ArrayIntegrand,
     edges: Sequence[tuple[float, float]],
     tol: float,
     abs_tol: float,
     max_intervals: int,
 ) -> list[QuadResult]:
     """The adaptive rule over each interval of ``edges`` at once, for an
-    array-valued integrand ``f``.
+    array integrand ``f(x, which)``, ``which`` the index in ``edges`` of the
+    interval each node belongs to.
 
     Every interval keeps its own heap and refines worst-panel-first until
     its error estimate drops below ``max(tol * |value|, abs_tol)``, its
@@ -245,9 +287,11 @@ def _integrate_block(
         if not (a < b):
             raise DomainError(f"integrate_finite requires a < b, got [{a!r}, {b!r}]")
     check_tolerance(tol)
+    if not edges:
+        return []
     lo = [a for a, _ in edges]
     hi = [b for _, b in edges]
-    rules = _gk15_batch(f, lo, hi)
+    rules = _gk15_batch(f, lo, hi, list(range(len(edges))))
     heaps = [[(-e, a, b, v, e)] for a, b, (v, e) in zip(lo, hi, rules)]
     totals = [list(rule) for rule in rules]
     splits = [0] * len(edges)
@@ -298,10 +342,12 @@ def _integrate_block(
             break
         lo = []
         hi = []
-        for _, (_, a, b, _, _), mid in requests:
+        owner = []
+        for i, (_, a, b, _, _), mid in requests:
             lo += (a, mid)
             hi += (mid, b)
-        rules = _gk15_batch(f, lo, hi)
+            owner += (i, i)
+        rules = _gk15_batch(f, lo, hi, owner)
         for n, (i, (_, a, b, v, e), mid) in enumerate(requests):
             (v1, e1), (v2, e2) = rules[2 * n], rules[2 * n + 1]
             ahead[i][a] = (v1 + v2 - v, e1 + e2 - e, (-e1, a, mid, v1, e1), (-e2, mid, b, v2, e2))
@@ -344,67 +390,120 @@ def _heap_result(heap: list, evals: int, tol: float, abs_tol: float) -> QuadResu
     return QuadResult(total_v, total_e, evals, converged)
 
 
-def _decays_fast_enough(f: Callable[[float], float]) -> bool:
-    # Cheap necessary check that r^(1+delta) f(r) -> 0 along a sparse grid;
-    # catches the plainly divergent inputs before any work is done.
-    probes = (1e3, 1e6, 1e9)
-    values = []
-    for r in probes:
+# Radii of the decay check, in increasing order.
+_DECAY_PROBES = (1e3, 1e6, 1e9)
+
+
+def _decay_errors(f: ArrayIntegrand, count: int) -> list[Optional[DomainError]]:
+    """The cheap necessary check that r^(1+delta) f(r) -> 0 along a sparse
+    grid, for each of ``count`` integrands: None where it passes, else the
+    error.  It catches the plainly divergent inputs before any work is done.
+
+    Every probe of every integrand is one call of ``f``.  Only when that
+    call overflows are an integrand's probes valued one at a time, up to
+    its first overflow, so that an overflow fails the integrand it belongs
+    to, as not decaying, and no other.
+    """
+    which = np.repeat(np.arange(count), len(_DECAY_PROBES))
+    try:
+        rows = f(np.tile(_DECAY_PROBES, count), which).reshape(count, -1).tolist()
+    except OverflowError:
+        rows = [_probe_row(f, i) for i in range(count)]
+    return list(map(_decay_error, rows))
+
+
+def _probe_row(f: ArrayIntegrand, i: int) -> list[Optional[float]]:
+    """Integrand i at each probe alone, up to the first value that decides
+    the check: None where it overflows, or NaN."""
+    row: list[Optional[float]] = []
+    for r in _DECAY_PROBES:
         try:
-            fr = f(r)
+            fr = f(np.array([r]), np.array([i])).item()
         except OverflowError:
-            return False
+            fr = None
+        row.append(fr)
+        if fr is None or math.isnan(fr):
+            break
+    return row
+
+
+def _decay_error(row: list[Optional[float]]) -> Optional[DomainError]:
+    values = []
+    for r, fr in zip(_DECAY_PROBES, row):
+        if fr is None:
+            return _not_decaying()
         if math.isnan(fr):
-            raise DomainError(f"integrand is NaN at r = {r!r}")
+            return DomainError(f"integrand is NaN at r = {r!r}")
         values.append(abs(fr) * r**1.001)
-    tiny = 1e-8
-    if values[-1] <= tiny:
-        return True
-    return values[-1] < 0.25 * values[0]
+    if values[-1] <= 1e-8 or values[-1] < 0.25 * values[0]:
+        return None
+    return _not_decaying()
+
+
+def _not_decaying() -> DivergenceError:
+    return DivergenceError(
+        "integrand does not decay like r^(-1-delta); the integral over "
+        "[0, inf) cannot converge absolutely"
+    )
 
 
 def integrate_semi_infinite_decaying(
     f: Callable[[float], float], tol: float = DEFAULT_REL_TOL
 ) -> QuadResult:
-    """Integral of f over [0, inf) for eventually-decaying integrands.
+    """Integral of f over [0, inf) for eventually-decaying integrands: the
+    one-integrand block of ``integrate_semi_infinite_block``, raising its
+    error."""
+    (result,) = integrate_semi_infinite_block(_mapped(f), 1, tol)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def integrate_semi_infinite_block(
+    f: ArrayIntegrand, count: int, tol: float = DEFAULT_REL_TOL
+) -> list[Union[QuadResult, DomainError, ConvergenceError]]:
+    """Integral over [0, inf) of each of ``count`` eventually-decaying
+    integrands, ``f(r, which)`` valuing integrand ``which[i]`` at ``r[i]``.
 
     Uses the substitution r = t/(1-t), mapping to (0, 1); the adaptive
     finite rule then resolves both the bulk and the compressed tail, with
     the absolute floor ``ABS_FLOOR`` and at most ``_SEMI_INFINITE_INTERVALS``
-    panels.  Raises ``DivergenceError`` when the integrand detectably fails
-    the decay precondition, ``DomainError`` when a decay probe is NaN, and
-    ``ConvergenceError`` when the value is not finite: refinement committed
-    a node on t = 1, or the integrand is not finite at a node.
+    panels, every integrand that passes the decay check in one block.  An
+    integrand's entry is its result, or ``DivergenceError`` when it
+    detectably fails the decay precondition, ``DomainError`` when a decay
+    probe is NaN, and ``ConvergenceError`` when the value is not finite:
+    refinement committed a node on t = 1, or the integrand is not finite
+    at a node.  Each result is the one the integrand gets alone.
     """
-    if not _decays_fast_enough(f):
-        raise DivergenceError(
-            "integrand does not decay like r^(-1-delta); the integral over "
-            "[0, inf) cannot converge absolutely"
-        )
+    outcomes: list = _decay_errors(f, count) if count else []
+    live = [i for i, error in enumerate(outcomes) if error is None]
+    owner = np.array(live, dtype=int)
 
-    def mapped(t: float) -> float:
+    def mapped(t: np.ndarray, which: np.ndarray) -> np.ndarray:
+        # A GK15 node of a panel next to t = 1 rounds onto it once the panel
+        # is narrower than ~1.3e-14.  The map cannot see the mass beyond
+        # r ~ 1e16 there, so valuing the node as 0 would return a wrong
+        # value flagged converged.  NaN, not an exception: the engine may
+        # evaluate this panel ahead and never use it.
+        out = np.full(t.size, math.nan)
         u = 1.0 - t
-        if u == 0.0:
-            # A GK15 node of a panel next to t = 1 rounds onto it once the
-            # panel is narrower than ~1.3e-14.  The map cannot see the mass
-            # beyond r ~ 1e16 there, so valuing the node as 0 would return a
-            # wrong value flagged converged.  NaN, not an exception: the
-            # engine may evaluate this panel ahead and never use it.
-            return math.nan
-        r = t / u
-        fr = f(r)
-        if fr == 0.0:
-            return 0.0
-        return fr / (u * u)
+        inside = u != 0.0
+        u = u[inside]
+        fr = f(t[inside] / u, owner[which[inside]])
+        with np.errstate(over="ignore"):
+            out[inside] = np.where(fr == 0.0, 0.0, fr / (u * u))
+        return out
 
-    result = integrate_finite(mapped, 0.0, 1.0, tol, ABS_FLOOR, _SEMI_INFINITE_INTERVALS)
-    if not math.isfinite(result.value):
-        raise ConvergenceError(
+    results = _integrate_block(
+        mapped, [(0.0, 1.0)] * len(live), tol, ABS_FLOOR, _SEMI_INFINITE_INTERVALS
+    )
+    for i, result in zip(live, results):
+        outcomes[i] = result if math.isfinite(result.value) else ConvergenceError(
             f"semi-infinite rule: value {result.value!r} is not finite; the "
             "integrand is not finite or decays too slowly for the map "
             "r = t/(1-t), whose refinement reached t = 1"
         )
-    return result
+    return outcomes
 
 
 def wynn_epsilon(seq: Sequence[float]) -> tuple[float, float]:
@@ -604,12 +703,11 @@ _PROBE_CELLS = 10
 _CellBlock = Callable[[int, int], Sequence[QuadResult]]
 
 
-def _cells(
-    f: Callable[[np.ndarray], np.ndarray], boundary: Callable[[int], float], tol: float
-) -> _CellBlock:
+def _cells(f: ArrayIntegrand, boundary: Callable[[int], float], tol: float) -> _CellBlock:
     """The cells [boundary(k), boundary(k + 1)] of ``f``, cell 0 starting at
     0, as a block: ``block(k0, k1)`` integrates cells k0..k1-1 together with
-    ``_integrate_block``, at the per-cell tolerance of a sum to ``tol``."""
+    ``_integrate_block``, at the per-cell tolerance of a sum to ``tol``;
+    ``which`` is then k - k0, which the integrand of one sum ignores."""
     check_tolerance(tol)
     cell_tol = min(1e-12, tol * 1e-2)
 
@@ -693,7 +791,7 @@ def integrate_oscillatory_bessel(
     def boundary(k: int) -> float:
         return bessel_j_zero(nu, k)
 
-    def integrand(r: np.ndarray) -> np.ndarray:
+    def integrand(r: np.ndarray, which: np.ndarray) -> np.ndarray:
         return _integrand_values(spec, r)
 
     gamma = None if spec.alternates else spec.tail_exponent
@@ -701,7 +799,7 @@ def integrate_oscillatory_bessel(
 
 
 def sum_over_partition(
-    f: Callable[[float], float],
+    f: ArrayIntegrand,
     boundary: Callable[[int], float],
     tol: float = DEFAULT_REL_TOL,
     *,
@@ -710,13 +808,14 @@ def sum_over_partition(
     """Improper integral of f over [0, inf) split at a caller-supplied partition.
 
     ``boundary(k)`` must give the k-th partition point for k >= 1, strictly
-    increasing and unbounded.  The scalar ``f`` is mapped over each round's
-    nodes of all cells between two checkpoints, as in ``integrate_finite``.
+    increasing and unbounded.  The array integrand ``f(x, which)`` values
+    each round's nodes of all cells between two checkpoints in one call, as
+    ``_cells`` passes them.
     The cells alternate when the signs of cells 2..9 of the first
     ``_PROBE_CELLS`` do, which the sum then reuses; otherwise
     ``tail_exponent`` is the algebraic decay rate of the cell envelope.
     """
-    cells = _cells(_mapped(f), boundary, tol)
+    cells = _cells(f, boundary, tol)
     probe = cells(0, _PROBE_CELLS)
     signs = [math.copysign(1.0, c.value) for c in probe[2:] if c.value != 0.0]
     alternating = len(signs) >= 4 and all(a != b for a, b in zip(signs, signs[1:]))

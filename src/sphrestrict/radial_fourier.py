@@ -18,31 +18,35 @@ The normalisation used throughout is the sphere area A(d) =
 
 Both are pinned by closed-form Gaussian identities in the test suite.
 
-``radial_hat`` takes its Bessel factor ``J_nu(s r)`` from a bounded
-module-level memo keyed on ``(nu, s r)``.  The semi-infinite rule maps
-[0, inf) onto (0, 1) and bisects dyadically, so every Gaussian-decay
-transform at one ``(nu, s)`` draws its nodes from one fixed lattice: the
-dominance suite's 600 transforms need about 1.3k distinct arguments
-against 165k evaluations.  The memo stores the double ``bessel_j``
-returned, so every transform is bit-identical to an unmemoised one.
+Every profile integral takes a list of profiles and runs them in blocks
+of the adaptive rule (``_radial_integral``).  Profiles of one family held in
+array form (``RadialProfile.family``) share a block, so each round of
+refinement is one call of the family's ``values(r, which)`` for all of
+them; any other profile is a block of its own, its scalar ``f`` mapped over
+the nodes.  The transform's Bessel factor ``J_nu(s r)`` is
+``bessel_j_array`` on each round's nodes.  A profile's result is the one it
+gets alone, bit for bit, and ``radial_hat``, ``radial_lp_norm`` and
+``sphere_norm_of_radial_hat`` are one-profile calls of that one path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, TypeVar, Union
 
-from .errors import DivergenceError, DomainError
+import numpy as np
+
+from .errors import ConvergenceError, DivergenceError, DomainError
 from .quadrature import (
     DEFAULT_REL_TOL,
+    ArrayIntegrand,
     QuadResult,
-    integrate_finite,
-    integrate_semi_infinite_decaying,
+    integrate_finite_block,
+    integrate_semi_infinite_block,
     sum_over_partition,
 )
-from .special_fns import RadialKernel, bessel_j, bessel_j_zero
+from .special_fns import RadialKernel, _pow_each, bessel_j, bessel_j_array, bessel_j_zero
 
 __all__ = [
     "GaussianDecay",
@@ -55,7 +59,9 @@ __all__ = [
     "radial_hat",
     "radial_full_integral",
     "radial_lp_norm",
+    "radial_lp_norms",
     "sphere_norm_of_radial_hat",
+    "sphere_norms_of_radial_hat",
 ]
 
 
@@ -83,14 +89,12 @@ class AlgebraicDecay:
 
 DecayClass = Union[GaussianDecay, CompactSupport, AlgebraicDecay]
 
-# Entries of the Bessel-factor memo; the dominance suite needs about 1.3k.
-_BESSEL_MEMO_SIZE = 4096
+# values(r, which): F of a family's profile which[k] at r[k], for arrays.
+ProfileValues = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-
-@lru_cache(maxsize=_BESSEL_MEMO_SIZE)
-def _bessel_factor(nu: float, x: float) -> float:
-    """``bessel_j(nu, x)``, memoised; only misses reach ``bessel_j``."""
-    return bessel_j(nu, x)
+T = TypeVar("T")
+# A profile's result, or the error its integral raised.
+Outcome = Union[T, DomainError, ConvergenceError]
 
 
 @dataclass
@@ -99,13 +103,17 @@ class RadialProfile:
 
     ``breakpoints`` optionally exposes the profile's sign-change points
     (k-th breakpoint for k >= 1, increasing); oscillatory transforms use
-    them as additional partition points.
+    them as additional partition points.  ``family`` optionally names the
+    array form of the profile's family and the profile's index in it,
+    ``(values, i)``: ``values(r, full(i))`` must equal ``f`` node for node,
+    and profiles sharing ``values`` are integrated as one block.
     """
 
     f: Callable[[float], float]
     decay: DecayClass
     label: str
     breakpoints: Optional[Callable[[int], float]] = None
+    family: Optional[tuple[ProfileValues, int]] = None
 
 
 def gaussian_profile(sigma: float, d: int) -> RadialProfile:
@@ -178,65 +186,176 @@ def radial_hat(
     merged with the profile's own breakpoints, with tail extrapolation;
     see ``_radial_integral`` for the other decay classes.
     """
+    return _only(_radial_hats(kernel, [profile], s, tol))
+
+
+def _radial_hats(
+    kernel: RadialKernel, profiles: Sequence[RadialProfile], s: float, tol: float
+) -> list[Outcome[QuadResult]]:
+    """``radial_hat`` of each profile, or the error it raised."""
     if s <= 0.0:
         raise DomainError(f"radial_hat requires s > 0, got {s!r}")
     nu = kernel.order.nu
     d = kernel.d
     front = (2.0 * math.pi) ** (0.5 * d) * s ** (0.5 * (2 - d))
 
+    def weight(r: np.ndarray, fr: np.ndarray) -> np.ndarray:
+        return _at_radii(
+            lambda x: front * bessel_j_array(nu, s * x) * _pow_each(x, 0.5 * d), r
+        ) * fr
+
     def kernel_zeros(k: int) -> float:
         return bessel_j_zero(nu, k) / s
 
     return _radial_integral(
-        f"transform of {profile.label!r} in dimension {d}",
-        profile,
-        lambda r, fr: front * _bessel_factor(nu, s * r) * r ** (0.5 * d) * fr,
-        0.5 * (d - 1), 1.0, tol,
-        _merged_breakpoints(kernel_zeros, profile.breakpoints),
+        lambda profile: f"transform of {profile.label!r} in dimension {d}",
+        profiles, weight, 0.5 * (d - 1), 1.0, tol,
+        lambda profile: _merged_breakpoints(kernel_zeros, profile.breakpoints),
     )
 
 
 def _radial_integral(
-    what: str,
-    profile: RadialProfile,
-    weight: Callable[[float, float], float],
+    what: Callable[[RadialProfile], str],
+    profiles: Sequence[RadialProfile],
+    weight: Callable[[np.ndarray, np.ndarray], np.ndarray],
     growth: float,
     power: float,
     tol: float,
-    partition: Optional[Callable[[int], float]],
-) -> QuadResult:
-    """int_0^inf weight(r, F(r)) dr, the one path of every profile integral.
+    partition: Callable[[RadialProfile], Optional[Callable[[int], float]]],
+) -> list[Outcome[QuadResult]]:
+    """int_0^inf weight(r, F(r)) dr for each profile, the one path of every
+    profile integral: the profile's result, or the ``DomainError`` or
+    ``ConvergenceError`` its integral raised.
 
-    The integrand is 0 at r <= 0 and where F(r) == 0.  Its envelope is
-    r^growth |F|^power, so under algebraic decay F ~ r^(-e) its tail
-    exponent power*e - growth must exceed 1.  Compact profiles integrate
-    over their support, algebraic decay sums the cells of ``partition``
-    with tail extrapolation, and the rest take the semi-infinite rule.
+    The integrand is 0 at r <= 0 and where F(r) == 0, and ``weight`` values
+    the other nodes as arrays.  Its envelope is r^growth |F|^power, so
+    under algebraic decay F ~ r^(-e) its tail exponent power*e - growth must
+    exceed 1.  Compact profiles integrate over their support, algebraic
+    decay sums the cells of ``partition(profile)`` with tail extrapolation,
+    and the rest take the semi-infinite rule.  The compact profiles of one
+    family are one block of ``integrate_finite_block``, the semi-infinite
+    ones one block of ``integrate_semi_infinite_block``; every other
+    profile runs alone, so an error its ``f`` raises is its own outcome.
     """
-    f = profile.f
+    outcomes: list = [None] * len(profiles)
+    finite: dict = {}
+    semi_infinite: dict = {}
+    for i, profile in enumerate(profiles):
+        decay = profile.decay
+        key = i if profile.family is None else profile.family[0]
+        if isinstance(decay, CompactSupport):
+            finite.setdefault(key, []).append(i)
+            continue
+        if isinstance(decay, AlgebraicDecay):
+            tail = power * decay.exponent - growth
+            if not tail > 1.0:
+                outcomes[i] = DivergenceError(
+                    f"{what(profile)} diverges: the profile decays like "
+                    f"r^(-{decay.exponent!r}), so the integrand decays like "
+                    f"r^(-{tail!r}); the exponent must exceed 1"
+                )
+                continue
+            cells = partition(profile)
+            if cells is not None:
+                integrand = _integrand([profile], weight)
+                _settle(outcomes, [i], lambda: [sum_over_partition(
+                    lambda x, _: integrand(x, np.zeros(x.size, dtype=int)),
+                    cells, tol, tail_exponent=tail,
+                )])
+                continue
+        semi_infinite.setdefault(key, []).append(i)
+    for members in finite.values():
+        block = [profiles[i] for i in members]
+        edges = [(0.0, profile.decay.radius) for profile in block]
+        _settle(outcomes, members, lambda: integrate_finite_block(
+            _integrand(block, weight), edges, tol
+        ))
+    for members in semi_infinite.values():
+        block = [profiles[i] for i in members]
+        _settle(outcomes, members, lambda: integrate_semi_infinite_block(
+            _integrand(block, weight), len(block), tol
+        ))
+    return outcomes
 
-    def integrand(r: float) -> float:
-        if r <= 0.0:
-            return 0.0
-        fr = f(r)
-        if fr == 0.0:
-            return 0.0
-        return weight(r, fr)
 
-    decay = profile.decay
-    if isinstance(decay, CompactSupport):
-        return integrate_finite(integrand, 0.0, decay.radius, tol)
-    if isinstance(decay, AlgebraicDecay):
-        tail = power * decay.exponent - growth
-        if not tail > 1.0:
-            raise DivergenceError(
-                f"{what} diverges: the profile decays like r^(-{decay.exponent!r}), "
-                f"so the integrand decays like r^(-{tail!r}); the exponent must "
-                "exceed 1"
-            )
-        if partition is not None:
-            return sum_over_partition(integrand, partition, tol, tail_exponent=tail)
-    return integrate_semi_infinite_decaying(integrand, tol)
+def _integrand(
+    block: Sequence[RadialProfile], weight: Callable[[np.ndarray, np.ndarray], np.ndarray]
+) -> ArrayIntegrand:
+    """weight(r, F(r)) at each node r of profile ``block[which]``; 0 at
+    r <= 0 and where F(r) == 0, where neither F nor the weight is valued.
+
+    A family's profiles are valued with one call of its ``values``; a
+    block without a family is one profile, its ``f`` mapped over the nodes.
+    """
+    family = block[0].family
+    if family is None:
+        (profile,) = block
+        f = profile.f
+
+        def values(r: np.ndarray, which: np.ndarray) -> np.ndarray:
+            return np.fromiter(map(f, r.tolist()), float, r.size)
+    else:
+        index = np.array([profile.family[1] for profile in block])
+
+        def values(r: np.ndarray, which: np.ndarray) -> np.ndarray:
+            return family[0](r, index[which])
+
+    def integrand(r: np.ndarray, which: np.ndarray) -> np.ndarray:
+        out = np.zeros(r.size)
+        live = np.flatnonzero(r > 0.0)
+        fr = values(r[live], which[live])
+        nonzero = fr != 0.0
+        live = live[nonzero]
+        out[live] = weight(r[live], fr[nonzero])
+        return out
+
+    return integrand
+
+
+def _at_radii(
+    radial: Callable[[np.ndarray], np.ndarray], r: np.ndarray
+) -> np.ndarray:
+    """``radial(r)`` for an elementwise ``radial``, valued once per distinct
+    radius: the profiles of a block share most of their nodes, and the
+    Bessel factor of a 6,000-node round would otherwise hold a Miller
+    table of ~70 rows per node."""
+    radii, node = np.unique(r, return_inverse=True)
+    return radial(radii)[node]
+
+
+def _settle(
+    outcomes: list, members: Sequence[int], run: Callable[[], Sequence[Outcome[QuadResult]]]
+) -> None:
+    """Store the outcomes of one block at ``members``; a ``DomainError`` or
+    ``ConvergenceError`` the block raises is the outcome of each member."""
+    try:
+        results = run()
+    except (DomainError, ConvergenceError) as exc:
+        results = [exc] * len(members)
+    for i, result in zip(members, results):
+        outcomes[i] = result
+
+
+def _then(outcome: Outcome, step: Callable) -> Outcome:
+    """``step(outcome)``, or the error ``outcome`` is or ``step`` raises."""
+    if isinstance(outcome, Exception):
+        return outcome
+    try:
+        return step(outcome)
+    except (DomainError, ConvergenceError) as exc:
+        return exc
+
+
+def _only(outcomes: Sequence[Outcome[T]]) -> T:
+    """The result of a one-profile call, raising its error."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _breakpoints(profile: RadialProfile) -> Optional[Callable[[int], float]]:
+    return profile.breakpoints
 
 
 def radial_full_integral(
@@ -245,10 +364,10 @@ def radial_full_integral(
     """int_{R^d} f dx = A(d) int_0^inf r^(d-1) F(r) dr; equals lim_{s->0} G(s)."""
     d = kernel.d
     what = f"integral of {profile.label!r} over R^{d}"
-    quad = _radial_integral(
-        what, profile, lambda r, fr: r ** (d - 1) * fr, d - 1, 1.0, tol,
-        profile.breakpoints,
-    )
+    quad = _only(_radial_integral(
+        lambda _: what, [profile], lambda r, fr: _pow_each(r, d - 1) * fr, d - 1, 1.0,
+        tol, _breakpoints,
+    ))
     return kernel.sphere_area * quad.expect_converged(what).value
 
 
@@ -260,21 +379,50 @@ def radial_lp_norm(
 ) -> float:
     """The L_p(R^d) norm of f(x) = F(|x|):
     [A(d) int_0^inf r^(d-1) |F(r)|^p dr]^(1/p)."""
+    return _only(radial_lp_norms(kernel, [profile], p, tol))
+
+
+def radial_lp_norms(
+    kernel: RadialKernel,
+    profiles: Sequence[RadialProfile],
+    p: float,
+    tol: float = DEFAULT_REL_TOL,
+) -> list[Outcome[float]]:
+    """``radial_lp_norm`` of each profile, or the error it raised; the
+    integrals run in blocks (see ``_radial_integral``)."""
     if p < 1.0:
         raise DomainError(f"radial_lp_norm requires p >= 1, got {p!r}")
     d = kernel.d
-    what = f"L_{p} norm of {profile.label!r}"
-    quad = _radial_integral(
-        what, profile, lambda r, fr: r ** (d - 1) * abs(fr) ** p, d - 1, p, tol,
-        profile.breakpoints,
-    )
-    return (kernel.sphere_area * quad.expect_converged(what).value) ** (1.0 / p)
+
+    def what(profile: RadialProfile) -> str:
+        return f"L_{p} norm of {profile.label!r}"
+
+    def weight(r: np.ndarray, fr: np.ndarray) -> np.ndarray:
+        return _pow_each(r, d - 1) * _pow_each(np.abs(fr), p)
+
+    quads = _radial_integral(what, profiles, weight, d - 1, p, tol, _breakpoints)
+    return [
+        _then(quad, lambda q: (kernel.sphere_area * q.expect_converged(what(profile)).value)
+              ** (1.0 / p))
+        for quad, profile in zip(quads, profiles)
+    ]
+
+
+def _sphere_moduli(
+    kernel: RadialKernel, profiles: Sequence[RadialProfile], tol: float
+) -> list[Outcome[float]]:
+    """|G(1)| of each profile, the transform's modulus on the unit sphere,
+    checked converged, or its error."""
+    return [
+        _then(hat, lambda h: abs(
+            h.expect_converged(f"transform of {profile.label!r} at s = 1").value
+        ))
+        for hat, profile in zip(_radial_hats(kernel, profiles, 1.0, tol), profiles)
+    ]
 
 
 def _sphere_modulus(kernel: RadialKernel, profile: RadialProfile, tol: float) -> float:
-    """|G(1)|, the transform's modulus on the unit sphere, checked converged."""
-    hat = radial_hat(kernel, profile, 1.0, tol)
-    return abs(hat.expect_converged(f"transform of {profile.label!r} at s = 1").value)
+    return _only(_sphere_moduli(kernel, [profile], tol))
 
 
 def sphere_norm_of_radial_hat(
@@ -288,6 +436,18 @@ def sphere_norm_of_radial_hat(
     The transform of a radial profile is constant on the sphere, so the
     norm is A(d)^(1/q) |G(1)|.
     """
+    return _only(sphere_norms_of_radial_hat(kernel, [profile], q, tol))
+
+
+def sphere_norms_of_radial_hat(
+    kernel: RadialKernel,
+    profiles: Sequence[RadialProfile],
+    q: float,
+    tol: float = DEFAULT_REL_TOL,
+) -> list[Outcome[float]]:
+    """``sphere_norm_of_radial_hat`` of each profile, or the error it
+    raised; the transforms run in blocks (see ``_radial_integral``)."""
     if q < 1.0:
         raise DomainError(f"sphere norm requires q >= 1, got {q!r}")
-    return kernel.sphere_area ** (1.0 / q) * _sphere_modulus(kernel, profile, tol)
+    scale = kernel.sphere_area ** (1.0 / q)
+    return [_then(m, lambda m: scale * m) for m in _sphere_moduli(kernel, profiles, tol)]

@@ -52,9 +52,11 @@ from .quadrature import (
 )
 from .radial_fourier import (
     AlgebraicDecay,
+    Outcome,
     RadialProfile,
-    radial_lp_norm,
-    sphere_norm_of_radial_hat,
+    _only,
+    radial_lp_norms,
+    sphere_norms_of_radial_hat,
 )
 from .special_fns import RadialKernel, bessel_j, bessel_j_zero, gamma
 
@@ -70,6 +72,7 @@ __all__ = [
     "sharp_radial_constant",
     "extremal_profile",
     "ratio_z",
+    "ratios_z",
     "evaluate_grid",
 ]
 
@@ -345,12 +348,29 @@ def ratio_z(
     tol: float = DEFAULT_REL_TOL,
 ) -> float:
     """The restriction ratio Z(f) = ||f_hat||_{L_q(S)} / ||f||_p of a profile."""
+    return _only(ratios_z(params, [profile], tol))
+
+
+def ratios_z(
+    params: RestrictionParams,
+    profiles: Sequence[RadialProfile],
+    tol: float = DEFAULT_REL_TOL,
+) -> list[Outcome[float]]:
+    """``ratio_z`` of each profile, or the error it raised: the error of its
+    L_p norm, else a ``DomainError`` for a zero norm, else the error of its
+    transform.  The norms run in blocks, then the transforms of the
+    profiles with a nonzero norm (see ``radial_fourier._radial_integral``).
+    """
     kernel = params.kernel
-    denom = radial_lp_norm(kernel, profile, params.p, tol)
-    if denom == 0.0:
-        raise DomainError(f"profile {profile.label!r} has zero L_{params.p} norm")
-    numer = sphere_norm_of_radial_hat(kernel, profile, params.q, tol)
-    return numer / denom
+    ratios = radial_lp_norms(kernel, profiles, params.p, tol)
+    for i, (profile, denom) in enumerate(zip(profiles, ratios)):
+        if not isinstance(denom, Exception) and denom == 0.0:
+            ratios[i] = DomainError(f"profile {profile.label!r} has zero L_{params.p} norm")
+    live = [i for i, denom in enumerate(ratios) if not isinstance(denom, Exception)]
+    numers = sphere_norms_of_radial_hat(kernel, [profiles[i] for i in live], params.q, tol)
+    for i, numer in zip(live, numers):
+        ratios[i] = numer if isinstance(numer, Exception) else numer / ratios[i]
+    return ratios
 
 
 class GridPoint(NamedTuple):

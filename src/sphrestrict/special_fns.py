@@ -27,14 +27,12 @@ and returns, element for element, exactly the double ``bessel_j`` returns:
 same regimes and thresholds, same term loops with each element frozen at
 the term where its scalar loop stops, same operation order.  The kernel
 integrals' arch quadrature (``quadrature.integrate_oscillatory_bessel``)
-is the array path's caller; everything that evaluates J at one point at a
-time (the zero finder, radial transforms, extremal profiles, the test
-oracle) stays on the scalar path.  Bit identity, not mere accuracy, is
-required because the kernel integrals' tail fit amplifies 1e-16
+and the radial transforms (``radial_fourier``) are the array path's
+callers, one call per round of refinement; everything that evaluates J at
+one point at a time (the zero finder, ``kernel_v``, extremal profiles, the
+test oracle) stays on the scalar path.  Bit identity, not mere accuracy,
+is required because the kernel integrals' tail fit amplifies 1e-16
 differences in partial sums to ~1e-13 in the extrapolated value.
-``radial_fourier.radial_hat`` reaches ``bessel_j`` through a bounded memo
-keyed on ``(nu, x)``: its nodes repeat across transforms, and a memo hit
-is the double ``bessel_j`` returned for the same arguments.
 
 References: Watson, "A Treatise on the Theory of Bessel Functions";
 Abramowitz & Stegun ch. 9; DLMF ch. 10; Lanczos (1964) for the Gamma

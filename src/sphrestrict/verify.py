@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DivergenceError, DomainError
+from .errors import DivergenceError, DomainError
 from .quadrature import (
     DEFAULT_REL_TOL,
     OscillatoryIntegrand,
@@ -33,7 +33,7 @@ from .quadrature import (
     wynn_epsilon,
 )
 from .radial_fourier import CompactSupport, GaussianDecay, RadialProfile
-from .restriction import RestrictionParams, evaluate_grid, ratio_z
+from .restriction import RestrictionParams, evaluate_grid, ratios_z
 from .special_fns import bessel_j_zero
 
 __all__ = [
@@ -103,14 +103,99 @@ def _bump_profile(amplitude, radius, label: str) -> RadialProfile:
     return RadialProfile(f=f, decay=CompactSupport(radius), label=label)
 
 
+# Array forms of the three families: ``values(r, which)`` is F of profile
+# which[k] at r[k] for arrays, equal node for node to that profile's scalar
+# f above.  numpy does the elementwise + - * /, in the scalar f's order;
+# exp stays on scalar libm, mapped over the nodes (numpy's differs from it
+# by an ulp on some inputs).
+
+
+def _exp_each(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.exp, x.tolist()), float, count=x.size)
+
+
+class _Mixtures:
+    """``_mixture_profile`` of each (weights, sigmas).  The nodes of the
+    profiles with k terms are valued together: a row of k terms per node,
+    then one ``math.fsum`` per row."""
+
+    def __init__(self, params) -> None:
+        width = max((len(weights) for weights, _ in params), default=1)
+        self.terms = np.array([len(weights) for weights, _ in params], dtype=int)
+        self.w = np.zeros((len(params), width))
+        self.c = np.zeros((len(params), width))
+        for i, (weights, sigmas) in enumerate(params):
+            self.w[i, :len(weights)] = weights
+            self.c[i, :len(sigmas)] = [0.5 / (s * s) for s in sigmas]
+
+    def values(self, r: np.ndarray, which: np.ndarray) -> np.ndarray:
+        out = np.empty(r.size)
+        minus_rr = -(r * r)
+        terms = self.terms[which]
+        for k in range(1, self.w.shape[1] + 1):
+            nodes = np.flatnonzero(terms == k)
+            if nodes.size:
+                rows = which[nodes]
+                args = minus_rr[nodes, None] * self.c[rows, :k]
+                row_terms = self.w[rows, :k] * _exp_each(args.ravel()).reshape(-1, k)
+                out[nodes] = np.fromiter(map(math.fsum, row_terms.tolist()), float, count=nodes.size)
+        return out
+
+
+class _PolyGaussians:
+    """``_poly_gaussian_profile`` of each (coeffs, sigma): Horner's rule
+    over the coefficients from the highest degree down, each row padded in
+    front with zeros, which keep the running value 0 until its first
+    coefficient."""
+
+    def __init__(self, params) -> None:
+        width = max((len(coeffs) for coeffs, _ in params), default=1)
+        self.horner = np.zeros((len(params), width))
+        for i, (coeffs, _) in enumerate(params):
+            self.horner[i, width - len(coeffs):] = coeffs[::-1]
+        self.c = np.array([0.5 / (sigma * sigma) for _, sigma in params])
+
+    def values(self, r: np.ndarray, which: np.ndarray) -> np.ndarray:
+        rows = self.horner[which]
+        poly = np.zeros(r.size)
+        for k in range(rows.shape[1]):
+            poly = poly * r + rows[:, k]
+        return poly * _exp_each(-r * r * self.c[which])
+
+
+class _Bumps:
+    """``_bump_profile`` of each (amplitude, radius)."""
+
+    def __init__(self, params) -> None:
+        self.amplitude = np.array([amplitude for amplitude, _ in params])
+        self.inv_radius = np.array([1.0 / radius for _, radius in params])
+
+    def values(self, r: np.ndarray, which: np.ndarray) -> np.ndarray:
+        u = r * self.inv_radius[which]
+        out = np.zeros(r.size)
+        inside = u < 1.0
+        u = u[inside]
+        out[inside] = self.amplitude[which][inside] * _exp_each(-1.0 / (1.0 - u * u))
+        return out
+
+
+_FAMILY_FORMS = {
+    "gaussian_mixture": (_mixture_profile, _Mixtures),
+    "polynomial_times_gaussian": (_poly_gaussian_profile, _PolyGaussians),
+    "compact_bump": (_bump_profile, _Bumps),
+}
+
+
 def generate_profiles(spec: RandomRadialSpec) -> list[RadialProfile]:
     """Deterministic list of ``spec.count`` profiles from one seeded stream.
 
     Parameters are embedded in each profile's label so any failure can be
-    reproduced from the report alone.
+    reproduced from the report alone.  The profiles share their family's
+    array form (``RadialProfile.family``), so their integrals run as one
+    block.
     """
     rng = random.Random(spec.seed)
-    profiles: list[RadialProfile] = []
+    drawn = []
     for i in range(spec.count):
         if spec.family == "gaussian_mixture":
             n = rng.randint(1, 4)
@@ -124,7 +209,7 @@ def generate_profiles(spec: RandomRadialSpec) -> list[RadialProfile]:
                 f" w={[round(w, 12) for w in weights]}"
                 f" sigma={[round(s, 12) for s in sigmas]}"
             )
-            profiles.append(_mixture_profile(weights, sigmas, label))
+            drawn.append(((weights, sigmas), label))
         elif spec.family == "polynomial_times_gaussian":
             degree = rng.randint(0, 6)
             coeffs = [rng.uniform(-1.5, 1.5) for _ in range(degree + 1)]
@@ -135,7 +220,7 @@ def generate_profiles(spec: RandomRadialSpec) -> list[RadialProfile]:
                 f"polynomial_times_gaussian[seed={spec.seed},i={i}]"
                 f" coeffs={[round(c, 12) for c in coeffs]} sigma={round(sigma, 12)}"
             )
-            profiles.append(_poly_gaussian_profile(coeffs, sigma, label))
+            drawn.append(((coeffs, sigma), label))
         else:
             radius = rng.uniform(0.5, 5.0)
             amplitude = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0)
@@ -143,8 +228,13 @@ def generate_profiles(spec: RandomRadialSpec) -> list[RadialProfile]:
                 f"compact_bump[seed={spec.seed},i={i}]"
                 f" amplitude={round(amplitude, 12)} radius={round(radius, 12)}"
             )
-            profiles.append(_bump_profile(amplitude, radius, label))
-    return profiles
+            drawn.append(((amplitude, radius), label))
+    scalar, array_form = _FAMILY_FORMS[spec.family]
+    values = array_form([params for params, _ in drawn]).values
+    return [
+        replace(scalar(*params, label), family=(values, i))
+        for i, (params, label) in enumerate(drawn)
+    ]
 
 
 # --- oracle integrator ------------------------------------------------------
@@ -326,24 +416,6 @@ class DominanceReport:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def _memoised(profile: RadialProfile) -> RadialProfile:
-    """The profile with ``f`` answering repeated radii from a dict.
-
-    ``dataclasses.replace`` keeps the label, decay and breakpoints; the
-    memo lives as long as the returned profile.
-    """
-    f = profile.f
-    values: dict[float, float] = {}
-
-    def memo_f(r: float) -> float:
-        value = values.get(r)
-        if value is None:
-            value = values[r] = f(r)
-        return value
-
-    return replace(profile, f=memo_f)
-
-
 def run_dominance_suite(
     params_grid: Sequence[RestrictionParams],
     spec: RandomRadialSpec,
@@ -363,16 +435,15 @@ def run_dominance_suite(
     first; a point whose constant raises another ``DomainError`` or a
     ``ConvergenceError`` is reported failed and gets no profile work.
 
-    Profiles run outer and grid points inner, each profile behind a memo
-    of its values: its transform and L_p norm at every grid point share
-    one node lattice (see ``radial_fourier``), so each distinct radius is
-    evaluated once per profile, and the memo is dropped when the
-    profile's ratios are done.  A memoised value is the double ``f``
-    returned, so the report is the one a grid-outer loop of plain
-    ``ratio_z`` calls gives: per point, ratios in profile order, the
-    first maximum as ``argmax_label``, failures in profile order.  A
-    non-finite ``tol`` is a ``DomainError``: at NaN no ratio could ever be
-    a violation.  A negative ``tol`` is allowed.
+    Each grid point takes the ratios of all profiles with
+    ``restriction.ratios_z``: the L_p norms of a family's profiles run as
+    one block of the adaptive rule and their transforms as a second, each
+    profile's result the one it gets alone, while every extra profile
+    without a family array form runs alone.  So the report is the one a
+    loop of one-profile ``ratio_z`` calls gives: per point, ratios in
+    profile order, the first maximum as ``argmax_label``, failures in
+    profile order.  A non-finite ``tol`` is a ``DomainError``: at NaN no
+    ratio could ever be a violation.  A negative ``tol`` is allowed.
     """
     if not math.isfinite(tol):
         raise DomainError(f"dominance tolerance must be finite, got {tol!r}")
@@ -380,20 +451,9 @@ def run_dominance_suite(
     for sharp in sharps:
         if isinstance(sharp, DivergenceError):
             raise sharp
-    profiles = list(generate_profiles(spec)) + list(extra_profiles)
-    # ratios[i][j]: grid point i, profile j, or the error the ratio raised.
-    ratios: list[list] = [[] for _ in params_grid]
-    for profile in profiles:
-        memoised = _memoised(profile)
-        for row, params, sharp in zip(ratios, params_grid, sharps):
-            if isinstance(sharp, Exception):
-                continue
-            try:
-                row.append(ratio_z(params, memoised, quad_tol))
-            except (DomainError, ConvergenceError) as exc:
-                row.append(exc)
+    profiles = generate_profiles(spec) + list(extra_profiles)
     points = []
-    for params, sharp, row in zip(params_grid, sharps, ratios):
+    for params, sharp in zip(params_grid, sharps):
         point = DominancePoint(d=params.d, p=params.p, q=params.q, trials=len(profiles))
         points.append(point)
         if isinstance(sharp, Exception):
@@ -401,7 +461,7 @@ def run_dominance_suite(
             continue
         k_rad = point.k_rad = sharp.k_rad_first_principles
         point.max_ratio = 0.0
-        for profile, ratio in zip(profiles, row):
+        for profile, ratio in zip(profiles, ratios_z(params, profiles, quad_tol)):
             if isinstance(ratio, Exception):
                 point.failures.append({"label": profile.label, "error": str(ratio)})
                 continue

@@ -21,11 +21,13 @@ import numpy as np
 import pytest
 
 from sphrestrict import quadrature
-from sphrestrict.errors import DomainError
+from sphrestrict.errors import ConvergenceError, DomainError
 from sphrestrict.quadrature import (
     ABS_FLOOR,
     OscillatoryIntegrand,
     QuadResult,
+    _WG,
+    _WGK,
     _XGK,
     _cells,
     _gk15_batch,
@@ -36,7 +38,9 @@ from sphrestrict.quadrature import (
     _mapped,
     _sum_cells,
     integrate_finite,
+    integrate_finite_block,
     integrate_oscillatory_bessel,
+    integrate_semi_infinite_block,
     integrate_semi_infinite_decaying,
     sum_over_partition,
 )
@@ -166,6 +170,37 @@ def scalar_integrand(spec):
     return integrand
 
 
+def loop_gk15_rule(fs, h):
+    """``_gk15_rule`` as QUADPACK's loop over j = 0..6, the form it had
+    before it was written out; kept here as the reference."""
+    fc = fs[0]
+    resg = fc * _WG[3]
+    resk = fc * _WGK[7]
+    resabs = abs(fc) * _WGK[7]
+    for j in range(7):
+        f1 = fs[1 + j]
+        f2 = fs[8 + j]
+        fsum = f1 + f2
+        if j % 2 == 1:
+            resg += _WG[j // 2] * fsum
+        resk += _WGK[j] * fsum
+        resabs += _WGK[j] * (abs(f1) + abs(f2))
+    mean = 0.5 * resk
+    resasc = _WGK[7] * abs(fc - mean)
+    for j in range(7):
+        resasc += _WGK[j] * (abs(fs[1 + j] - mean) + abs(fs[8 + j] - mean))
+    resk *= h
+    resg *= h
+    resabs *= abs(h)
+    resasc *= abs(h)
+    err = abs(resk - resg)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if resabs > 1e-290:
+        err = max(err, quadrature._EPS50 * resabs)
+    return resk, err
+
+
 def reference_gk15(f, a, b):
     """One GK15 panel with the nodes formed and evaluated one at a time."""
     c = 0.5 * (a + b)
@@ -216,7 +251,7 @@ def arch_edges(nu, k0, k1):
 
 
 def assert_block_matches_finite(spec, edges, tol, abs_tol=1e-16):
-    block = _integrate_block(lambda r: _integrand_values(spec, r), edges, tol, abs_tol, 4000)
+    block = _integrate_block(lambda r, _: _integrand_values(spec, r), edges, tol, abs_tol, 4000)
     f = scalar_integrand(spec)
     scalar = [reference_finite(f, a, b, tol, abs_tol) for a, b in edges]
     assert block == scalar
@@ -225,6 +260,75 @@ def assert_block_matches_finite(spec, edges, tol, abs_tol=1e-16):
 
 
 class TestBlockEngine:
+    def test_gk15_rule_equals_loop(self):
+        # Signed values and half-widths over 1e-30..1e30, a tenth of the
+        # values exactly 0, and panels that are all zeros.
+        rng = np.random.default_rng(15)
+        for _ in range(20000):
+            fs = rng.choice([-1.0, 1.0], 15) * 10.0 ** rng.uniform(-30.0, 30.0, 15)
+            fs[rng.random(15) < 0.1] = 0.0
+            h = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-30.0, 30.0))
+            assert _gk15_rule(fs.tolist(), h) == loop_gk15_rule(fs.tolist(), h)
+        assert _gk15_rule([0.0] * 15, 0.5) == loop_gk15_rule([0.0] * 15, 0.5) == (0.0, 0.0)
+
+    def test_integrands_of_one_block(self):
+        # Each interval has its own integrand, chosen by the interval index
+        # of every node; each result is that interval's alone, field for
+        # field, refinement depths and lookahead included.
+        scalars = [
+            math.sqrt,
+            lambda x: math.exp(-x * x),
+            lambda x: x**-0.5 if x > 0.0 else 0.0,
+            lambda x: math.sin(40.0 * x),
+            lambda x: 1.0 if x > 1.0 / 3.0 else -1.0,
+        ]
+        edges = [(0.0, 1.0), (-2.0, 3.0), (0.0, 1.0), (0.0, 2.0), (0.0, 1.0)]
+        seen = []
+
+        def f(x, which):
+            seen.append(sorted(set(which.tolist())))
+            return np.array([scalars[i](v) for v, i in zip(x.tolist(), which.tolist())])
+
+        block = _integrate_block(f, edges, 1e-12, 0.0, 4000)
+        alone = [integrate_finite(g, a, b, 1e-12, 0.0) for g, (a, b) in zip(scalars, edges)]
+        assert block == alone
+        assert block == [reference_finite(g, a, b, 1e-12, 0.0) for g, (a, b) in zip(scalars, edges)]
+        assert seen[0] == [0, 1, 2, 3, 4]
+        assert len({res.evaluations for res in block}) == len(block)
+        assert integrate_finite_block(f, edges, 1e-12) == [
+            integrate_finite(g, a, b, 1e-12) for g, (a, b) in zip(scalars, edges)
+        ]
+
+    def test_semi_infinite_block(self):
+        # One block of integrands that converge, diverge, overflow at a
+        # decay probe, are NaN at one or are not finite at a node: each
+        # outcome is the integrand's alone, error type and message included.
+        scalars = [
+            lambda r: math.exp(-0.5 * r * r),
+            lambda r: 1.0 / (1.0 + r),
+            lambda r: r**40.0 * math.exp(-r),
+            lambda r: math.nan if r > 100.0 else math.exp(-r),
+            lambda r: r**3 * math.exp(-r),
+            lambda r: (1.0 + r) ** -1.25 if r < 1e12 else math.inf,
+        ]
+
+        def f(r, which):
+            return np.array([scalars[i](x) for x, i in zip(r.tolist(), which.tolist())])
+
+        got = integrate_semi_infinite_block(f, len(scalars), 1e-9)
+        for g, outcome in zip(scalars, got):
+            try:
+                alone = integrate_semi_infinite_decaying(g, 1e-9)
+            except (DomainError, ConvergenceError) as exc:
+                assert (type(outcome), str(outcome)) == (type(exc), str(exc))
+            else:
+                assert outcome == alone
+        assert [type(o).__name__ for o in got] == [
+            "QuadResult", "DivergenceError", "DivergenceError", "DomainError",
+            "QuadResult", "ConvergenceError",
+        ]
+        assert integrate_semi_infinite_block(f, 0, 1e-9) == []
+
     @pytest.mark.parametrize("d, p", [(2, 1.2), (3, 1.4), (4, 1.3), (8, 1.5)])
     def test_integrand_values(self, d, p):
         spec = kernel_spec(d, p)
@@ -245,11 +349,11 @@ class TestBlockEngine:
         b = [lo + w for lo, w in zip(a, rng.uniform(1e-6, 5.0, n).tolist())]
         spec = kernel_spec(3, 1.3)
         for batch_f, scalar_f in [
-            (lambda r: r * r * r, lambda r: r * r * r),
-            (lambda r: _integrand_values(spec, r), scalar_integrand(spec)),
+            (lambda r, _: r * r * r, lambda r: r * r * r),
+            (lambda r, _: _integrand_values(spec, r), scalar_integrand(spec)),
         ]:
             want = [reference_gk15(scalar_f, lo, hi) for lo, hi in zip(a, b)]
-            assert _gk15_batch(batch_f, a, b) == want
+            assert _gk15_batch(batch_f, a, b, list(range(n))) == want
 
     def test_arch_stopped_at_max_intervals(self):
         # Arch 0 of (d, p) = (2, 1.2) at tol 1e-12: its arch tolerance 1e-14
@@ -278,7 +382,7 @@ class TestBlockEngine:
             return 1.0 if x > jump else -1.0
 
         block = _integrate_block(
-            lambda r: np.where(r > jump, 1.0, -1.0), [(a, b), (0.0, 1.0)], 1e-15, 0.0, 4000
+            lambda r, _: np.where(r > jump, 1.0, -1.0), [(a, b), (0.0, 1.0)], 1e-15, 0.0, 4000
         )
         scalar = [reference_finite(step, lo, hi, 1e-15, 0.0) for lo, hi in [(a, b), (0.0, 1.0)]]
         assert block == scalar
@@ -321,7 +425,7 @@ class TestLookahead:
         def f(x):
             return kernel(x) if x < 500.0 else (1e12 if x > jump else -1e12)
 
-        def f_array(r):
+        def f_array(r, which):
             near = r < 500.0
             out = np.where(r > jump, 1e12, -1e12)
             if near.any():
@@ -353,7 +457,7 @@ class TestLookahead:
         spec = kernel_spec(2, 1.2)
         sizes = []
 
-        def f(r):
+        def f(r, which):
             sizes.append(r.size)
             return _integrand_values(spec, r)
 
@@ -380,8 +484,10 @@ class TestLookahead:
         at_one = []
         batch = quadrature._gk15_batch
 
-        def spy(g, a, b):
-            return batch(lambda x: at_one.append(bool((x == 1.0).any())) or g(x), a, b)
+        def spy(g, a, b, which):
+            return batch(
+                lambda x, w: at_one.append(bool((x == 1.0).any())) or g(x, w), a, b, which
+            )
 
         monkeypatch.setattr(quadrature, "_gk15_batch", spy)
         res = integrate_semi_infinite_decaying(f, 4.5e-3)
@@ -396,7 +502,7 @@ class TestLookahead:
         edges = [(0.0, 1.0), (1.0, 2.0), (0.0, 0.25), (2.0, 5.0), (0.0, 3.0)]
         got = []
 
-        def f(r):
+        def f(r, which):
             got.append(r.tolist())
             return np.sqrt(r)
 
@@ -408,13 +514,14 @@ class TestLookahead:
         rounds = max(len(log) for log in logs) // 2 + 1
         expected = []
 
-        def record(r):
+        def record(r, which):
             expected.append(r.tolist())
             return np.zeros(r.size)
 
         for n in range(rounds):
             panels = [p for log in logs for p in log[max(0, 2 * n - 1):2 * n + 1]]
-            _gk15_batch(record, [lo for lo, _ in panels], [hi for _, hi in panels])
+            lo, hi = [lo for lo, _ in panels], [hi for _, hi in panels]
+            _gk15_batch(record, lo, hi, [0] * len(panels))
         assert got == expected
         assert rounds - 1 == 26 < AHEAD_SPLITS
 
@@ -547,7 +654,7 @@ class TestPartitionSum:
             return k * math.pi
 
         f, calls = counted(sinc)
-        got = sum_over_partition(f, boundary, tol, tail_exponent=1.0)
+        got = sum_over_partition(_mapped(f), boundary, tol, tail_exponent=1.0)
         assert len(calls) == got.evaluations
         assert got == per_cell_partition_sum(sinc, boundary, tol, 1.0)
         assert got.converged and got.value == pytest.approx(math.pi / 2.0, abs=10 * tol)
@@ -561,7 +668,7 @@ class TestPartitionSum:
         def boundary(k):
             return k * math.pi
 
-        got = sum_over_partition(f, boundary, 1e-8, tail_exponent=2.0)
+        got = sum_over_partition(_mapped(f), boundary, 1e-8, tail_exponent=2.0)
         assert got == per_cell_partition_sum(f, boundary, 1e-8, 2.0)
         alternating = _sum_cells(_cells(_mapped(f), boundary, 1e-8), boundary, None, 1e-8)
         assert got != alternating

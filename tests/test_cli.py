@@ -494,8 +494,8 @@ class TestGls:
 
     def test_unconverged_transform_exits_3(self, capsys, psi_csv, monkeypatch):
         monkeypatch.setattr(
-            radial_fourier, "radial_hat",
-            lambda kernel, profile, s, tol: QuadResult(1.0, 5.0, 15, False),
+            radial_fourier, "_radial_hats",
+            lambda kernel, profiles, s, tol: [QuadResult(1.0, 5.0, 15, False)] * len(profiles),
         )
         code, out, err = run_cli(
             capsys, "gls", "--psi", str(psi_csv), "--d", "3", "--q", "1:3:5",
@@ -622,7 +622,9 @@ class TestMalformedInput:
             (["gls", "--psi", "{missing}", "--d", "3", "--q", "2"], "cannot read"),
             (["gls", "--psi", "{bad_row}", "--d", "3", "--q", "2"], "['1.1', 'abc']"),
             (["gls", "--psi", "{short_row}", "--d", "3", "--q", "2"], "['1.15']"),
+            (["gls", "--psi", "{nan_row}", "--d", "3", "--q", "1:2:3"], "psi(1.1) = nan"),
             (["--config", "{bad_tol}", "constant", *GRID], "tol='abc'"),
+            (["--config", "{bad_format}", "constant", *GRID], "format='xml'"),
             (["gls", "--psi", "{psi}", "--d", "3", "--q", "2",
               "--check-profile", "gaussian:abc"], "gaussian:abc"),
             (["constant", *GRID, "--tol", "nan"], "got nan"),
@@ -635,7 +637,8 @@ class TestMalformedInput:
         ],
         ids=[
             "d_not_integral", "p_not_a_number", "steps_not_a_number", "d_infinite",
-            "psi_missing", "psi_value_not_a_number", "psi_row_short", "config_tol",
+            "psi_missing", "psi_value_not_a_number", "psi_row_short", "psi_value_nan",
+            "config_tol", "config_format_not_a_choice",
             "profile_width", "constant_tol_nan", "constant_tol_inf", "sweep_tol_nan",
             "report_tol_inf", "verify_tol_nan", "verify_ratio_tol_nan", "gls_tol_nan",
         ],
@@ -645,7 +648,9 @@ class TestMalformedInput:
             "missing": "missing.csv",
             "bad_row": "p,psi\n1.05,3.5\n1.1,abc\n",
             "short_row": "p,psi\n1.05,3.5\n1.15\n",
+            "nan_row": "p,psi\n1.05,3.5\n1.10,nan\n1.15,5.5\n",
             "bad_tol": "tol=abc\n",
+            "bad_format": "format=xml\n",
             "psi": "p,psi\n1.05,3.5\n1.10,4.3\n1.15,5.5\n1.20,7.5\n",
         }
         paths = {name: tmp_path / name for name in files}

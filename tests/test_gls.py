@@ -227,8 +227,8 @@ class TestTransfer:
         # The sphere side reads G(1) through the same checked path as
         # sphere_norm_of_radial_hat, so an unconverged transform is an error.
         monkeypatch.setattr(
-            radial_fourier, "radial_hat",
-            lambda kernel, profile, s, tol: QuadResult(1.0, 5.0, 15, False),
+            radial_fourier, "_radial_hats",
+            lambda kernel, profiles, s, tol: [QuadResult(1.0, 5.0, 15, False)] * len(profiles),
         )
         h = gaussian_profile(1.0, 3)
         with pytest.raises(ConvergenceError, match="did not converge") as info:

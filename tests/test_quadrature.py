@@ -8,6 +8,7 @@ import pytest
 from sphrestrict.errors import DivergenceError, DomainError
 from sphrestrict.quadrature import (
     OscillatoryIntegrand,
+    _mapped,
     integrate_finite,
     integrate_oscillatory_bessel,
     integrate_semi_infinite_decaying,
@@ -227,7 +228,7 @@ class TestSumOverPartition:
         def f(r):
             return math.sin(r) / r if r > 0 else 1.0
 
-        res = sum_over_partition(f, lambda k: k * math.pi, 1e-10, tail_exponent=1.0)
+        res = sum_over_partition(_mapped(f), lambda k: k * math.pi, 1e-10, tail_exponent=1.0)
         assert res.converged
         assert res.value == pytest.approx(math.pi / 2.0, abs=1e-9)
 
@@ -239,7 +240,7 @@ class TestSumOverPartition:
             return math.sin(r) / r if r > 0 else 1.0
 
         with pytest.raises(DomainError, match="0 < tol < inf"):
-            sum_over_partition(f, lambda k: k * math.pi, tol, tail_exponent=1.0)
+            sum_over_partition(_mapped(f), lambda k: k * math.pi, tol, tail_exponent=1.0)
         with pytest.raises(DomainError, match="0 < tol < inf"):
             integrate_finite(math.sin, 0.0, 1.0, tol=tol)
         spec = OscillatoryIntegrand(BesselOrder(0.5), 0.0, 3.0)
@@ -252,5 +253,5 @@ class TestSumOverPartition:
             s = math.sin(r)
             return s * s / (r * r) if r > 0 else 1.0
 
-        res = sum_over_partition(f, lambda k: k * math.pi, 1e-8, tail_exponent=2.0)
+        res = sum_over_partition(_mapped(f), lambda k: k * math.pi, 1e-8, tail_exponent=2.0)
         assert res.value == pytest.approx(math.pi / 2.0, rel=1e-6)

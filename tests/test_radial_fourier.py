@@ -2,6 +2,7 @@
 norms, and transform limits."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,7 @@ from sphrestrict.errors import ConvergenceError, DivergenceError, DomainError
 from sphrestrict.quadrature import (
     DEFAULT_REL_TOL,
     QuadResult,
+    _mapped,
     integrate_finite,
     integrate_semi_infinite_decaying,
     sum_over_partition,
@@ -24,10 +26,13 @@ from sphrestrict.radial_fourier import (
     radial_full_integral,
     radial_hat,
     radial_lp_norm,
+    radial_lp_norms,
     sphere_norm_of_radial_hat,
+    sphere_norms_of_radial_hat,
 )
 from sphrestrict.restriction import RestrictionParams, extremal_profile
 from sphrestrict.special_fns import RadialKernel, bessel_j, bessel_j_zero
+from sphrestrict.verify import RandomRadialSpec, generate_profiles
 
 from oracles import gaussian_lp_norm_closed_form
 
@@ -152,16 +157,21 @@ class TestDivergenceRule:
     def integrators(self, monkeypatch):
         # Record what reaches the quadrature instead of integrating.
         calls = []
+        done = QuadResult(1.0, 0.0, 15, True)
 
-        def record(rule):
+        def record(rule, results):
             def stub(f, *args, **kwargs):
                 calls.append((rule, kwargs.get("tail_exponent")))
-                return QuadResult(1.0, 0.0, 15, True)
+                return results(*args)
 
             return stub
 
-        for rule in ("sum_over_partition", "integrate_semi_infinite_decaying"):
-            monkeypatch.setattr(radial_fourier, rule, record(rule))
+        monkeypatch.setattr(radial_fourier, "sum_over_partition", record(
+            "sum_over_partition", lambda *args: done
+        ))
+        monkeypatch.setattr(radial_fourier, "integrate_semi_infinite_block", record(
+            "integrate_semi_infinite_block", lambda count, tol: [done] * count
+        ))
         return calls
 
     @pytest.mark.parametrize("d", [2, 3, 5])
@@ -180,8 +190,8 @@ class TestDivergenceRule:
 
 
 def reference_radial_hat(kernel, profile, s, tol=DEFAULT_REL_TOL):
-    """``radial_hat`` without the Bessel memo: the same integrand with a
-    plain ``bessel_j`` call per node, through the same quadrature calls."""
+    """``radial_hat`` one node at a time: the scalar ``f`` and a plain
+    ``bessel_j`` call per node, through the scalar quadrature rules."""
     nu = kernel.order.nu
     d = kernel.d
     front = (2.0 * math.pi) ** (0.5 * d) * s ** (0.5 * (2 - d))
@@ -203,7 +213,7 @@ def reference_radial_hat(kernel, profile, s, tol=DEFAULT_REL_TOL):
         lambda k: bessel_j_zero(nu, k) / s, profile.breakpoints
     )
     return sum_over_partition(
-        integrand, boundary, tol,
+        _mapped(integrand), boundary, tol,
         tail_exponent=decay.exponent - 0.5 * (d - 1),
     )
 
@@ -224,7 +234,33 @@ def bump_profile():
     )
 
 
-class TestBesselMemo:
+def scalar(profile):
+    """The profile without its family's array form: its ``f`` alone."""
+    return replace(profile, family=None)
+
+
+def outcome(compute):
+    """What ``compute()`` returns, or the error it raises."""
+    try:
+        return compute()
+    except (DomainError, ConvergenceError) as exc:
+        return exc
+
+
+def same_outcomes(got, want):
+    """Equal results, or errors of one type and message."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, Exception):
+            assert (type(g), str(g)) == (type(w), str(w))
+        else:
+            assert g == w
+
+
+class TestArrayBesselFactor:
+    """The transform's Bessel factor is ``bessel_j_array`` on each round's
+    nodes; the transform equals the one-node-at-a-time reference."""
+
     @pytest.mark.parametrize("s", [1.0, 1.7])
     @pytest.mark.parametrize(
         "d,make_profile",
@@ -235,36 +271,77 @@ class TestBesselMemo:
         ],
         ids=["gaussian_decay", "compact", "algebraic"],
     )
-    def test_equals_unmemoised_reference(self, d, make_profile, s):
+    def test_equals_scalar_reference(self, d, make_profile, s):
         kernel = RadialKernel(d)
         profile = make_profile()
-        expected = reference_radial_hat(kernel, profile, s)
-        radial_fourier._bessel_factor.cache_clear()
-        cold = radial_hat(kernel, profile, s)
-        warm = radial_hat(kernel, profile, s)
-        assert radial_fourier._bessel_factor.cache_info().hits > 0
-        for got in (cold, warm):
-            assert got == expected
+        assert radial_hat(kernel, profile, s) == reference_radial_hat(kernel, profile, s)
 
-    def test_key_includes_the_order(self):
+    def test_orders_sharing_arguments(self):
         # d = 2 and d = 4 at one s put identical x = s r on the same nodes.
         profile = mixture_profile()
-        radial_fourier._bessel_factor.cache_clear()
         for d in (2, 4, 2):
             kernel = RadialKernel(d)
             assert radial_hat(kernel, profile, 1.3) == reference_radial_hat(
                 kernel, profile, 1.3
             )
-        assert radial_fourier._bessel_factor(0.0, 2.5) == bessel_j(0.0, 2.5)
-        assert radial_fourier._bessel_factor(1.0, 2.5) == bessel_j(1.0, 2.5)
         assert bessel_j(0.0, 2.5) != bessel_j(1.0, 2.5)
 
-    def test_cache_is_bounded(self):
-        info = radial_fourier._bessel_factor.cache_info()
-        assert info.maxsize == radial_fourier._BESSEL_MEMO_SIZE == 4096
-        for i in range(info.maxsize + 100):
-            radial_fourier._bessel_factor(0.0, 0.5 + i * 1e-3)
-        assert radial_fourier._bessel_factor.cache_info().currsize == info.maxsize
+
+class TestProfileBlocks:
+    """A list of profiles runs as blocks; each outcome is the profile's
+    one-profile call with its scalar ``f``, errors included, whatever the
+    mix of families and decay classes."""
+
+    def profiles(self):
+        def stalled(r):
+            raise ConvergenceError("profile stalled")
+
+        mixtures = generate_profiles(RandomRadialSpec(4, "gaussian_mixture", 3))
+        bumps = generate_profiles(RandomRadialSpec(4, "compact_bump", 2))
+        return mixtures[:2] + bumps + [
+            mixture_profile(),
+            bump_profile(),
+            algebraic_profile(1.5),  # diverges at d = 3
+            extremal_profile(RestrictionParams(3, 1.2, 2.0)),
+            RadialProfile(f=stalled, decay=GaussianDecay(1.0), label="stalled"),
+            noisy_profile(),
+            RadialProfile(f=lambda r: math.nan, decay=GaussianDecay(1.0), label="nan"),
+            indicator_profile(1.5),
+            mixtures[2],
+        ]
+
+    def test_transforms(self):
+        kernel = RadialKernel(3)
+        profiles = self.profiles()
+        same_outcomes(
+            radial_fourier._radial_hats(kernel, profiles, 1.3, DEFAULT_REL_TOL),
+            [outcome(lambda: radial_hat(kernel, scalar(p), 1.3)) for p in profiles],
+        )
+
+    @pytest.mark.parametrize("p", [1.0, 1.3, 2.0])
+    def test_norms(self, p):
+        kernel = RadialKernel(3)
+        profiles = self.profiles()
+        same_outcomes(
+            radial_lp_norms(kernel, profiles, p),
+            [outcome(lambda: radial_lp_norm(kernel, scalar(f), p)) for f in profiles],
+        )
+
+    def test_sphere_norms(self):
+        kernel = RadialKernel(3)
+        profiles = self.profiles()
+        got = sphere_norms_of_radial_hat(kernel, profiles, 2.0)
+        same_outcomes(
+            got, [outcome(lambda: sphere_norm_of_radial_hat(kernel, scalar(f), 2.0)) for f in profiles]
+        )
+        kinds = [type(g).__name__ for g in got]
+        assert kinds == ["float"] * 6 + ["DivergenceError", "float", "ConvergenceError",
+                                         "ConvergenceError", "DomainError", "float", "float"]
+
+    def test_empty(self):
+        kernel = RadialKernel(3)
+        assert radial_lp_norms(kernel, [], 2.0) == []
+        assert sphere_norms_of_radial_hat(kernel, [], 2.0) == []
 
 
 class TestFullIntegral:

@@ -2,10 +2,12 @@
 
 import json
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from sphrestrict import radial_fourier, verify
+from sphrestrict import quadrature, restriction, verify
 from sphrestrict.cli import main
 from sphrestrict.errors import ConvergenceError, DivergenceError, DomainError
 from sphrestrict.quadrature import (
@@ -18,11 +20,13 @@ from sphrestrict.restriction import (
     extremal_profile,
     gaussian_lower_bound,
     ratio_z,
+    ratios_z,
     sharp_radial_constant,
 )
 from sphrestrict.radial_fourier import GaussianDecay, RadialProfile
-from sphrestrict.special_fns import BesselOrder, bessel_j
+from sphrestrict.special_fns import BesselOrder
 from sphrestrict.verify import (
+    FAMILIES,
     DominancePoint,
     DominanceReport,
     RandomRadialSpec,
@@ -187,13 +191,13 @@ class TestDominanceFailures:
             sharp_radial_constant(grid[1])
         visited = []
 
-        def recording_ratio_z(params, profile, tol):
-            visited.append(params.d)
-            return ratio_z(params, profile, tol)
+        def recording_ratios_z(params, profiles, tol):
+            visited.append((params.d, len(profiles)))
+            return ratios_z(params, profiles, tol)
 
-        monkeypatch.setattr(verify, "ratio_z", recording_ratio_z)
+        monkeypatch.setattr(verify, "ratios_z", recording_ratios_z)
         report = run_dominance_suite(grid, spec)
-        assert visited == [4, 4, 4]
+        assert visited == [(4, 3)]
         alone = run_dominance_suite(grid[:1], spec)
         assert report.points[0] == alone.points[0]
 
@@ -269,10 +273,13 @@ class TestDominanceFailures:
 
 
 def reference_dominance_json(grid, spec, tol, quad_tol, extra_profiles):
-    """The suite as a grid-outer loop of plain ``ratio_z`` calls, with no
-    profile memo and no Bessel memo."""
+    """The suite as a grid-outer loop of one-profile ``ratio_z`` calls, each
+    profile valued by its scalar ``f``, without its family's array form."""
     k_rads = [sharp_radial_constant(pt, quad_tol).k_rad_first_principles for pt in grid]
-    profiles = generate_profiles(spec) + list(extra_profiles)
+    profiles = [
+        replace(profile, family=None)
+        for profile in generate_profiles(spec) + list(extra_profiles)
+    ]
     points = []
     for params, k_rad in zip(grid, k_rads):
         ratios = [ratio_z(params, profile, quad_tol) for profile in profiles]
@@ -295,21 +302,25 @@ class TestDominanceReuse:
     GRID = [RestrictionParams(2, 1.2, 2.0), RestrictionParams(3, 1.2, 2.0),
             RestrictionParams(4, 1.3, 1.5)]
 
-    def test_report_equals_grid_outer_reference(self, monkeypatch):
-        spec = RandomRadialSpec(seed=5, family="gaussian_mixture", count=4)
+    @pytest.mark.parametrize(
+        "family, seed, tol",
+        [("gaussian_mixture", 5, -0.8), ("polynomial_times_gaussian", 5, -0.75),
+         ("compact_bump", 6, -0.3)],
+    )
+    def test_report_equals_grid_outer_reference(self, family, seed, tol):
+        spec = RandomRadialSpec(seed=seed, family=family, count=4)
         # Twins tie every ratio of the generated profiles, so each point's
-        # maximum is tied; the first (generated) profile must win it.
+        # maximum is tied; the first (generated) profile must win it.  They
+        # have no family array form, so each runs alone beside the block.
         twins = [
             RadialProfile(f=p.f, decay=p.decay, label=f"twin {p.label}")
             for p in generate_profiles(spec)
         ]
         # A negative tolerance lists the larger ratios as failures, which
-        # must come in profile order, not ratio order.
-        tol = -0.8
+        # must come in profile order, not ratio order; each family's sits
+        # between its smaller and its larger ratios at every grid point.
         got = run_dominance_suite(self.GRID, spec, tol=tol, extra_profiles=twins)
-        with monkeypatch.context() as m:
-            m.setattr(radial_fourier, "_bessel_factor", bessel_j)
-            expected = reference_dominance_json(self.GRID, spec, tol, 1e-9, twins)
+        expected = reference_dominance_json(self.GRID, spec, tol, 1e-9, twins)
         assert got.to_json() == expected
         for point in got.points:
             assert 4 <= len(point.failures) < point.trials
@@ -324,22 +335,76 @@ class TestDominanceReuse:
         with pytest.raises(DomainError, match="finite"):
             run_dominance_suite(self.GRID, spec, tol=tol)
 
-    def test_each_radius_evaluated_once_per_profile(self):
+    def test_batched_ratios_equal_one_profile_calls(self):
+        # A 200-profile block of each family, one ratio per profile.
+        params = RestrictionParams(3, 1.2, 2.0)
+        for family in FAMILIES:
+            profiles = generate_profiles(RandomRadialSpec(seed=9, family=family, count=200))
+            expected = [ratio_z(params, replace(p, family=None)) for p in profiles[::25]]
+            assert ratios_z(params, profiles)[::25] == expected
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_family_runs_as_two_blocks(self, family, monkeypatch):
+        # The 40 norms are one block and the 40 transforms a second: the
+        # blocks' rounds set the array calls, where one integral at a time
+        # would make at least one call per integral, 80 in all.
         calls = []
+        batch = quadrature._gk15_batch
 
-        def f(r):
-            calls.append(r)
-            return math.exp(-0.5 * r * r) - 0.3 * math.exp(-0.1 * r * r)
+        def counting_batch(f, a, b, which):
+            calls.append(len(a))
+            return batch(f, a, b, which)
 
-        probe = RadialProfile(f=f, decay=GaussianDecay(2.3), label="probe")
-        spec = RandomRadialSpec(seed=0, family="gaussian_mixture", count=0)
-        run_dominance_suite(self.GRID, spec, extra_profiles=[probe])
-        memoised = list(calls)
-        assert memoised and len(memoised) == len(set(memoised))
+        monkeypatch.setattr(quadrature, "_gk15_batch", counting_batch)
+        profiles = generate_profiles(RandomRadialSpec(seed=2, family=family, count=40))
+        ratios_z(RestrictionParams(3, 1.2, 2.0), profiles)
+        assert len(calls) < 80 and max(calls) == 2 * 40
 
-        # The same grid without the memo revisits those radii.
-        calls.clear()
-        for params in self.GRID:
-            ratio_z(params, probe)
-        assert set(calls) == set(memoised)
-        assert len(calls) > len(memoised)
+    def test_failure_order(self, monkeypatch):
+        # Per profile: the error of its norm, else a zero norm, else the
+        # error of its transform; only profiles with a nonzero norm reach
+        # the transform block.
+        norm_error = ConvergenceError("norm stalled")
+        hat_error = ConvergenceError("transform stalled")
+        profiles = [
+            RadialProfile(f=math.exp, decay=GaussianDecay(1.0), label=label)
+            for label in ("both", "zero", "transform", "ok")
+        ]
+        monkeypatch.setattr(
+            restriction, "radial_lp_norms",
+            lambda kernel, block, p, tol: [norm_error, 0.0, 2.0, 4.0],
+        )
+        asked = []
+
+        def sphere_norms(kernel, block, q, tol):
+            asked.append([profile.label for profile in block])
+            return [hat_error if p.label in ("both", "transform") else 3.0 for p in block]
+
+        monkeypatch.setattr(restriction, "sphere_norms_of_radial_hat", sphere_norms)
+        ratios = ratios_z(RestrictionParams(3, 1.2, 2.0), profiles)
+        assert asked == [["transform", "ok"]]
+        assert ratios[0] is norm_error and ratios[2] is hat_error and ratios[3] == 0.75
+        assert isinstance(ratios[1], DomainError)
+        assert str(ratios[1]) == "profile 'zero' has zero L_1.2 norm"
+
+
+class TestFamilyArrayForms:
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_values_equal_scalar_f(self, family, seed):
+        profiles = generate_profiles(RandomRadialSpec(seed=seed, family=family, count=40))
+        assert [p.family[1] for p in profiles] == list(range(40))
+        (values,) = {p.family[0] for p in profiles}
+        rng = np.random.default_rng(seed)
+        # Inside and past every bump's support, and far into the Gaussian
+        # tails, where exp underflows and the value is 0.
+        r = np.concatenate(
+            [[0.0, 5.0, 50.0], rng.uniform(0.0, 6.0, 4000), np.geomspace(1e-8, 1e9, 300)]
+        )
+        which = rng.integers(0, len(profiles), r.size)
+        want = [profiles[i].f(x) for x, i in zip(r.tolist(), which.tolist())]
+        assert values(r, which).tolist() == want
+        assert 0.0 in want and any(w != 0.0 for w in want)
+
+    def test_empty_family(self):
+        assert generate_profiles(RandomRadialSpec(seed=0, family="compact_bump", count=0)) == []
