@@ -34,11 +34,8 @@ from .radial_fourier import (
     GaussianDecay,
     RadialProfile,
     gaussian_profile,
-    kernel_v,
-    radial_full_integral,
     radial_hat,
     radial_lp_norm,
-    sphere_norm_of_radial_hat,
 )
 from .restriction import (
     GaussianBound,
@@ -91,11 +88,8 @@ __all__ = [
     "AlgebraicDecay",
     "RadialProfile",
     "gaussian_profile",
-    "kernel_v",
     "radial_hat",
-    "radial_full_integral",
     "radial_lp_norm",
-    "sphere_norm_of_radial_hat",
     "RestrictionParams",
     "SharpConstantResult",
     "GaussianBound",

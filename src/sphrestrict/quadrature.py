@@ -71,7 +71,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConvergenceError, DivergenceError, DomainError
-from .special_fns import BesselOrder, bessel_j, bessel_j_array, bessel_j_zero
+from .special_fns import BesselOrder, bessel_j_array, bessel_j_zero
 
 __all__ = [
     "QuadResult",
@@ -559,8 +559,8 @@ class OscillatoryIntegrand:
     r^beta as r -> 0, needed for the local-integrability check.  With
     ``signed=True`` the integrand is r^beta J_nu(r)^power (power must then
     be an integer so the sign is well defined) and only conditional
-    convergence (gamma > 0) is required.  Calling the record values it at
-    one node, exactly as ``_integrand_values`` does on an array.
+    convergence (gamma > 0) is required.  Calling the record on an array
+    of nodes values it there (``_integrand_values``).
     """
 
     order: BesselOrder
@@ -587,16 +587,8 @@ class OscillatoryIntegrand:
         """Whether the arches alternate in sign: a signed odd power."""
         return self.signed and int(round(self.power)) % 2 == 1
 
-    def __call__(self, r: float) -> float:
-        if r <= 0.0:
-            return 0.0
-        j = bessel_j(self.order, r)
-        if self.signed:
-            return r**self.beta * j ** int(round(self.power))
-        aj = abs(j)
-        if aj == 0.0:
-            return 0.0
-        return _node_value(self, r, aj)
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        return _integrand_values(self, np.asarray(r, dtype=float))
 
     def check_integrable(self) -> None:
         if self.zero_exponent + self.order.nu * self.power <= -1.0:
@@ -614,14 +606,12 @@ class OscillatoryIntegrand:
 
 
 def _integrand_values(spec: OscillatoryIntegrand, r: np.ndarray) -> np.ndarray:
-    """The integrand of ``spec`` at the nodes ``r``, one array call.
-
-    Equals ``spec(x)`` node for node: r^beta J^power (signed) or
-    r^beta |J|^power, with 0 at r <= 0 and where J vanishes, and the
-    product taken in log space below r = 1e-3, where a negative beta meets
-    a vanishing Bessel factor, and wherever r^beta overflows.  Powers are
-    Python's own ``**``, mapped over the nodes (see
-    ``special_fns._pow_each``).
+    """The integrand of ``spec`` at the nodes ``r``, one array call:
+    r^beta J^power (signed) or r^beta |J|^power, with 0 at r <= 0 and
+    where J vanishes, and the product taken in log space below r = 1e-3,
+    where a negative beta meets a vanishing Bessel factor, and wherever
+    r^beta overflows.  Powers are Python's own ``**``, mapped over the
+    nodes (see ``special_fns._pow_each``).
     """
     if not r.min() > 0.0:
         out = np.zeros(r.size)

@@ -7,13 +7,13 @@ Hankel-type kernel
 
 the transform value at radius s in frequency space is the one-dimensional
 integral G(s) = int_0^inf V_d(s, r) F(r) dr.  This module evaluates G,
-full-space integrals, radial L_p norms, and the L_q norm of the transform
-restricted to the unit sphere (where it is constant).
+radial L_p norms, and the L_q norm of the transform restricted to the
+unit sphere (where it is constant).
 
 The normalisation used throughout is the sphere area A(d) =
 2 pi^(d/2) / Gamma(d/2):
 
-    int_{R^d} f dx           = A(d) int_0^inf r^(d-1) F(r) dr
+    int_{R^d} f dx = G(0)    = A(d) int_0^inf r^(d-1) F(r) dr
     ||f||_p^p                = A(d) int_0^inf r^(d-1) |F(r)|^p dr
 
 Both are pinned by closed-form Gaussian identities in the test suite.
@@ -25,8 +25,8 @@ refinement is one call of the family's ``values(r, which)`` for all of
 them; any other profile is a block of its own, its scalar ``f`` mapped over
 the nodes.  The transform's Bessel factor ``J_nu(s r)`` is
 ``bessel_j_array`` on each round's nodes.  A profile's result is the one it
-gets alone, bit for bit, and ``radial_hat``, ``radial_lp_norm`` and
-``sphere_norm_of_radial_hat`` are one-profile calls of that one path.
+gets alone, bit for bit, and ``radial_hat`` and ``radial_lp_norm`` are
+one-profile calls of that one path.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .quadrature import (
     integrate_semi_infinite_block,
     sum_over_partition,
 )
-from .special_fns import RadialKernel, _pow_each, bessel_j, bessel_j_array, bessel_j_zero
+from .special_fns import RadialKernel, _pow_each, bessel_j_array, bessel_j_zero
 
 __all__ = [
     "GaussianDecay",
@@ -55,12 +55,9 @@ __all__ = [
     "DecayClass",
     "RadialProfile",
     "gaussian_profile",
-    "kernel_v",
     "radial_hat",
-    "radial_full_integral",
     "radial_lp_norm",
     "radial_lp_norms",
-    "sphere_norm_of_radial_hat",
     "sphere_norms_of_radial_hat",
 ]
 
@@ -129,19 +126,6 @@ def gaussian_profile(sigma: float, d: int) -> RadialProfile:
 
     return RadialProfile(
         f=f, decay=GaussianDecay(sigma), label=f"gaussian(sigma={sigma!r}, d={d})"
-    )
-
-
-def kernel_v(kernel: RadialKernel, s: float, r: float) -> float:
-    """The Hankel-type kernel V_d(s, r) reducing the transform to 1-D."""
-    if s <= 0.0 or r <= 0.0:
-        raise DomainError("kernel_v requires s > 0 and r > 0")
-    d = kernel.d
-    return (
-        (2.0 * math.pi) ** (0.5 * d)
-        * bessel_j(kernel.order, s * r)
-        * s ** (0.5 * (2 - d))
-        * r ** (0.5 * d)
     )
 
 
@@ -354,23 +338,6 @@ def _only(outcomes: Sequence[Outcome[T]]) -> T:
     return outcome
 
 
-def _breakpoints(profile: RadialProfile) -> Optional[Callable[[int], float]]:
-    return profile.breakpoints
-
-
-def radial_full_integral(
-    kernel: RadialKernel, profile: RadialProfile, tol: float = DEFAULT_REL_TOL
-) -> float:
-    """int_{R^d} f dx = A(d) int_0^inf r^(d-1) F(r) dr; equals lim_{s->0} G(s)."""
-    d = kernel.d
-    what = f"integral of {profile.label!r} over R^{d}"
-    quad = _only(_radial_integral(
-        lambda _: what, [profile], lambda r, fr: _pow_each(r, d - 1) * fr, d - 1, 1.0,
-        tol, _breakpoints,
-    ))
-    return kernel.sphere_area * quad.expect_converged(what).value
-
-
 def radial_lp_norm(
     kernel: RadialKernel,
     profile: RadialProfile,
@@ -400,7 +367,9 @@ def radial_lp_norms(
     def weight(r: np.ndarray, fr: np.ndarray) -> np.ndarray:
         return _pow_each(r, d - 1) * _pow_each(np.abs(fr), p)
 
-    quads = _radial_integral(what, profiles, weight, d - 1, p, tol, _breakpoints)
+    quads = _radial_integral(
+        what, profiles, weight, d - 1, p, tol, lambda profile: profile.breakpoints
+    )
     return [
         _then(quad, lambda q: (kernel.sphere_area * q.expect_converged(what(profile)).value)
               ** (1.0 / p))
@@ -425,28 +394,16 @@ def _sphere_modulus(kernel: RadialKernel, profile: RadialProfile, tol: float) ->
     return _only(_sphere_moduli(kernel, [profile], tol))
 
 
-def sphere_norm_of_radial_hat(
-    kernel: RadialKernel,
-    profile: RadialProfile,
-    q: float,
-    tol: float = DEFAULT_REL_TOL,
-) -> float:
-    """L_q norm of the transform restricted to the unit sphere.
-
-    The transform of a radial profile is constant on the sphere, so the
-    norm is A(d)^(1/q) |G(1)|.
-    """
-    return _only(sphere_norms_of_radial_hat(kernel, [profile], q, tol))
-
-
 def sphere_norms_of_radial_hat(
     kernel: RadialKernel,
     profiles: Sequence[RadialProfile],
     q: float,
     tol: float = DEFAULT_REL_TOL,
 ) -> list[Outcome[float]]:
-    """``sphere_norm_of_radial_hat`` of each profile, or the error it
-    raised; the transforms run in blocks (see ``_radial_integral``)."""
+    """The L_q norm of each profile's transform restricted to the unit
+    sphere, or the error it raised.  The transform of a radial profile is
+    constant on the sphere, so the norm is A(d)^(1/q) |G(1)|; the
+    transforms run in blocks (see ``_radial_integral``)."""
     if q < 1.0:
         raise DomainError(f"sphere norm requires q >= 1, got {q!r}")
     scale = kernel.sphere_area ** (1.0 / q)

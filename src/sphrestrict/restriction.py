@@ -42,6 +42,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple, Sequence, Union
 
+import numpy as np
+
 from .errors import ConvergenceError, DivergenceError, DomainError
 from .quadrature import (
     DEFAULT_REL_TOL,
@@ -58,7 +60,7 @@ from .radial_fourier import (
     radial_lp_norms,
     sphere_norms_of_radial_hat,
 )
-from .special_fns import RadialKernel, bessel_j, bessel_j_zero, gamma
+from .special_fns import RadialKernel, _pow_each, bessel_j_array, bessel_j_zero, gamma
 
 __all__ = [
     "RestrictionParams",
@@ -314,20 +316,25 @@ def extremal_profile(
 
     front = (2.0 * math.pi) ** (0.5 * d)
 
+    def values(r: np.ndarray, which: np.ndarray) -> np.ndarray:
+        # F0 at the nodes r > 0 (the family's one profile).  Below r = 1e-3
+        # the power r^((2-d)/2) can overflow on its own: stay in log space
+        # until the exponents have been combined.
+        j = bessel_j_array(nu, r)
+        far = np.flatnonzero((r >= 1e-3) & (j != 0.0))
+        near = np.flatnonzero((r < 1e-3) & (j != 0.0))
+        magnitude = np.zeros(r.size)
+        magnitude[far] = _pow_each(
+            front * _pow_each(r[far], half_2_minus_d) * np.abs(j[far]), inv_pm1
+        )
+        magnitude[near] = [
+            math.exp(inv_pm1 * (math.log(front) + half_2_minus_d * math.log(x) + math.log(abs(y))))
+            for x, y in zip(r[near].tolist(), j[near].tolist())
+        ]
+        return np.where(j == 0.0, 0.0, c_norm * np.copysign(magnitude, j))
+
     def f0(r: float) -> float:
-        if r <= 0.0:
-            return 0.0
-        j = bessel_j(nu, r)
-        if j == 0.0:
-            return 0.0
-        if r < 1e-3:
-            # Power of r^((2-d)/2) can overflow on its own near 0; stay in
-            # log space until the exponents have been combined.
-            log_g = math.log(front) + half_2_minus_d * math.log(r) + math.log(abs(j))
-            magnitude = math.exp(inv_pm1 * log_g)
-        else:
-            magnitude = (front * r**half_2_minus_d * abs(j)) ** inv_pm1
-        return c_norm * math.copysign(magnitude, j)
+        return 0.0 if r <= 0.0 else float(values(np.array([float(r)]), np.zeros(1, int))[0])
 
     def breakpoints(k: int) -> float:
         return bessel_j_zero(nu, k)
@@ -339,6 +346,7 @@ def extremal_profile(
         decay=AlgebraicDecay(coeff=decay_coeff, exponent=decay_exp),
         label=f"extremal(d={d}, p={params.p!r})",
         breakpoints=breakpoints,
+        family=(values, 0),
     )
 
 

@@ -22,17 +22,13 @@ The regime boundaries were chosen by measuring absolute error against
 40-digit references; each regime stays below ~1e-15 absolute, comfortably
 inside the 1e-12 contract, and below 1e-13 relative away from zeros.
 
-``bessel_j`` evaluates one point; ``bessel_j_array`` evaluates many at once
-and returns, element for element, exactly the double ``bessel_j`` returns:
-same regimes and thresholds, same term loops with each element frozen at
-the term where its scalar loop stops, same operation order.  The kernel
-integrals' arch quadrature (``quadrature.integrate_oscillatory_bessel``)
-and the radial transforms (``radial_fourier``) are the array path's
-callers, one call per round of refinement; everything that evaluates J at
-one point at a time (the zero finder, ``kernel_v``, extremal profiles, the
-test oracle) stays on the scalar path.  Bit identity, not mere accuracy,
-is required because the kernel integrals' tail fit amplifies 1e-16
-differences in partial sums to ~1e-13 in the extrapolated value.
+``bessel_j_array`` is the one implementation: a value depends only on its
+own point, and ``bessel_j`` is a one-point call of it.  The zero finder
+values J for a chunk of zeros per Newton round (``bessel_j_zero``), the
+arch quadrature and the transforms once per round of refinement.  Every
+value is pinned bit for bit in the tests (pow, exp and log stay on libm;
+see ``_pow_each``), because the kernel integrals' tail fit amplifies
+1e-16 differences in partial sums to ~1e-13 in the extrapolated value.
 
 References: Watson, "A Treatise on the Theory of Bessel Functions";
 Abramowitz & Stegun ch. 9; DLMF ch. 10; Lanczos (1964) for the Gamma
@@ -196,129 +192,10 @@ def _gamma_order_plus_one(nu: float) -> float:
     return gamma(nu + 1.0)
 
 
-def _bessel_series(nu: float, x: float) -> float:
-    # J_nu(x) = sum_k (-1)^k (x/2)^(nu+2k) / (k! Gamma(nu+k+1))
-    q = 0.25 * x * x
-    term = math.pow(0.5 * x, nu) / _gamma_order_plus_one(nu)
-    total = term
-    for k in range(1, 400):
-        term *= -q / (k * (nu + k))
-        total += term
-        if k > 3 and abs(term) <= 1e-18 * (abs(total) + 1e-300):
-            break
-    return total
-
-
-def _bessel_half_integer(nu: float, x: float) -> float:
-    # Upward recurrence from J_{-1/2}, J_{1/2}; stable for x >= nu.
-    envelope = _SQRT_2_OVER_PI / math.sqrt(x)
-    jm = envelope * math.cos(x)  # J_{-1/2}
-    jc = envelope * math.sin(x)  # J_{+1/2}
-    steps = int(round(nu - 0.5))
-    mu = 0.5
-    for _ in range(steps):
-        jm, jc = jc, (2.0 * mu / x) * jc - jm
-        mu += 1.0
-    return jc
-
-
-def _bessel_miller(nu: float, x: float) -> float:
-    # Downward recurrence with the A&S 9.1.87 normalisation.
-    m_start = int(x + max(nu, 1.0) + 40.0)
-    if m_start % 2 == 1:
-        m_start += 1
-    fs = [0.0] * (m_start + 2)
-    fs[m_start] = 1e-280
-    inv_x = 2.0 / x
-    for m in range(m_start, 0, -1):
-        fs[m - 1] = (nu + m) * inv_x * fs[m] - fs[m + 1]
-        if abs(fs[m - 1]) > 1e250:
-            for i in range(m - 1, m_start + 2):
-                fs[i] *= 1e-250
-    g1 = _gamma_order_plus_one(nu)
-    total = g1 * fs[0]  # c_0 = Gamma(nu+1)
-    ck = (nu + 2.0) * g1  # c_1 = (nu+2) Gamma(nu+1)
-    if m_start >= 2:
-        total += ck * fs[2]
-    k = 1
-    while 2 * (k + 1) <= m_start:
-        k += 1
-        ck *= (nu + 2.0 * k) * (nu + k - 1.0) / ((nu + 2.0 * k - 2.0) * k)
-        total += ck * fs[2 * k]
-    try:
-        scale = math.pow(0.5 * x, nu)
-    except OverflowError:
-        raise _miller_overflow(nu, x) from None
-    return fs[0] * scale / total
-
-
-def _miller_overflow(nu: float, x: float) -> DomainError:
-    # (x/2)^nu leaves double range near orders 160-171 before the
-    # normalised quotient does.
-    return DomainError(
-        f"J_nu(x) at nu = {nu!r}, x = {x!r}: (x/2)^nu overflows double "
-        "range in the Miller normalisation"
-    )
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
 _PI_HI = 3.141592653589793
 _PI_LO = 1.2246467991473532e-16  # pi - _PI_HI to double-double accuracy
 
 
-def _bessel_hankel(nu: float, x: float) -> float:
-    # J_nu(x) ~ sqrt(2/(pi x)) (P cos(chi) - Q sin(chi)),
-    # chi = x - (nu/2 + 1/4) pi   (DLMF 10.17.3).
-    mu = 4.0 * nu * nu
-    p = 1.0
-    q = 0.0
-    term = 1.0
-    for k in range(60):
-        j = 2 * k + 1
-        term *= (mu - j * j) / (8.0 * x * (k + 1))
-        contrib = term if ((k + 1) // 2) % 2 == 0 else -term
-        if (k + 1) % 2 == 1:
-            q += contrib
-        else:
-            p += contrib
-        if abs(term) < 1e-18:
-            break
-    # The phase must be reduced in extended precision: the rounding of
-    # x - theta*pi alone would cost ~ulp(x) radians, visible at x ~ 1000.
-    theta = 0.5 * nu + 0.25
-    s, e = _two_sum(x, -theta * _PI_HI)
-    corr = e - theta * _PI_LO
-    cos_chi = math.cos(s) - corr * math.sin(s)
-    sin_chi = math.sin(s) + corr * math.cos(s)
-    return _SQRT_2_OVER_PI / math.sqrt(x) * (p * cos_chi - q * sin_chi)
-
-
-def _hankel_threshold(nu: float) -> float:
-    return max(30.0, nu * (nu + 1.0))
-
-
-def bessel_j(order: "BesselOrder | float", x: float) -> float:
-    """Bessel function of the first kind of nonnegative real order at x >= 0."""
-    nu = _as_nu(order)
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"bessel_j requires x >= 0, got {x!r}")
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    if x <= 2.0:
-        return _bessel_series(nu, x)
-    if _is_half_integer(nu) and x >= nu:
-        return _bessel_half_integer(nu, x)
-    if x >= _hankel_threshold(nu):
-        return _bessel_hankel(nu, x)
-    return _bessel_miller(nu, x)
-
-
-# The array path mirrors the scalar regimes above operation for operation.
 # Elementwise +, -, *, /, sqrt, sin and cos run in numpy: on x86-64 with
 # numpy 2.4 they matched libm (``math``) on every one of 900,000 inputs.
 # pow, exp and log stay on scalar libm: numpy's SIMD versions differ from
@@ -332,6 +209,8 @@ def _pow_each(base: np.ndarray, exponent: float) -> np.ndarray:
 
 
 def _series_array(nu: float, x: np.ndarray) -> np.ndarray:
+    # J_nu(x) = sum_k (-1)^k (x/2)^(nu+2k) / (k! Gamma(nu+k+1)), each
+    # element summed until its own term is below 1e-18 of its sum.
     q = 0.25 * x * x
     term = _pow_each(0.5 * x, nu) / _gamma_order_plus_one(nu)
     total = term.copy()
@@ -341,7 +220,6 @@ def _series_array(nu: float, x: np.ndarray) -> np.ndarray:
         term *= -q / (k * (nu + k))
         total += term
         if k > 3:
-            # Freeze each element at the term where its scalar loop stops.
             done = np.abs(term) <= 1e-18 * (np.abs(total) + 1e-300)
             if done.any():
                 out[live[done]] = total[done]
@@ -354,6 +232,7 @@ def _series_array(nu: float, x: np.ndarray) -> np.ndarray:
 
 
 def _half_integer_array(nu: float, x: np.ndarray) -> np.ndarray:
+    # Upward recurrence from J_{-1/2}, J_{1/2}; stable for x >= nu.
     envelope = _SQRT_2_OVER_PI / np.sqrt(x)
     jm = envelope * np.cos(x)
     jc = envelope * np.sin(x)
@@ -365,9 +244,10 @@ def _half_integer_array(nu: float, x: np.ndarray) -> np.ndarray:
 
 
 def _miller_array(nu: float, x: np.ndarray) -> np.ndarray:
-    # One downward recurrence from the largest starting index serves every
-    # element: above its own m_start an element's column stays exactly
-    # zero, and it is seeded with 1e-280 when the sweep reaches m_start.
+    # Downward recurrence from m_start = x + max(nu, 1) + 40, rounded up to
+    # even, normalised by the A&S 9.1.87 sum.  One sweep from the largest
+    # m_start serves every element: above its own m_start an element's
+    # column stays exactly zero, and it is seeded with 1e-280 there.
     m_start = (x + max(nu, 1.0) + 40.0).astype(np.int64)
     m_start += m_start % 2
     top = int(m_start.max())
@@ -400,7 +280,7 @@ def _miller_array(nu: float, x: np.ndarray) -> np.ndarray:
     shortest = int(m_start.min())
     k = 1
     while True:
-        # Term k belongs to the elements whose scalar sum reaches it.
+        # Term k belongs to the elements whose m_start reaches 2k.
         if 2 * k <= shortest:
             total += ck * fs[2 * k]
         else:
@@ -412,11 +292,18 @@ def _miller_array(nu: float, x: np.ndarray) -> np.ndarray:
     try:
         scale = _pow_each(0.5 * x, nu)
     except OverflowError:
-        raise _miller_overflow(nu, float(x.max())) from None
+        # (x/2)^nu leaves double range near orders 160-171 before the
+        # normalised quotient does.
+        raise DomainError(
+            f"J_nu(x) at nu = {nu!r}, x = {float(x.max())!r}: (x/2)^nu overflows "
+            "double range in the Miller normalisation"
+        ) from None
     return fs[0] * scale / total
 
 
 def _hankel_array(nu: float, x: np.ndarray) -> np.ndarray:
+    # J_nu(x) ~ sqrt(2/(pi x)) (P cos(chi) - Q sin(chi)),
+    # chi = x - (nu/2 + 1/4) pi   (DLMF 10.17.3).
     mu = 4.0 * nu * nu
     p = np.ones_like(x)
     q = np.zeros_like(x)
@@ -443,6 +330,9 @@ def _hankel_array(nu: float, x: np.ndarray) -> np.ndarray:
                 break
     p_out[live] = p
     q_out[live] = q
+    # The phase is reduced in extended precision (a two-sum of x and
+    # -theta pi): the rounding of x - theta*pi alone would cost ~ulp(x)
+    # radians, visible at x ~ 1000.
     theta = 0.5 * nu + 0.25
     shift = -theta * _PI_HI
     s = x + shift
@@ -455,30 +345,20 @@ def _hankel_array(nu: float, x: np.ndarray) -> np.ndarray:
     return _SQRT_2_OVER_PI / np.sqrt(x) * (p_out * cos_chi - q_out * sin_chi)
 
 
-# Smallest batch for which each array regime beats its scalar loop, measured
-# on one core of a 2-vCPU x86-64 VM (Python 3.11, numpy 2.4).
-_MIN_ARRAY_BATCH = {
-    _series_array: 32,
-    _half_integer_array: 8,
-    _hankel_array: 48,
-    _miller_array: 24,
-}
-
-
 def bessel_j_array(order: "BesselOrder | float", x) -> np.ndarray:
     """J_nu at every point of the array ``x`` (all >= 0).
 
-    Each element equals ``bessel_j(order, x_i)`` exactly, not just to
-    rounding: the regimes, thresholds, term loops and operation order are
-    those of the scalar path.
+    The regimes are consecutive intervals of x: 0, the series up to 2,
+    Miller's recurrence, and above it the half-integer closed forms from
+    x = nu or Hankel's expansion from x = max(30, nu(nu + 1)).  A value
+    depends only on its own point, never on the others in the call.
     """
     nu = _as_nu(order)
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     if flat.size == 0:
         return np.empty_like(x)
-    # bessel_j's regimes are consecutive intervals of x, so on sorted
-    # points each regime is one slice.
+    # On sorted points each regime is one slice.
     perm = np.argsort(flat, kind="stable")
     xs = flat[perm]
     if not (xs[0] >= 0.0 and xs[-1] < math.inf):
@@ -486,31 +366,31 @@ def bessel_j_array(order: "BesselOrder | float", x) -> np.ndarray:
     zero_end = int(np.searchsorted(xs, 0.0, "right"))
     series_end = int(np.searchsorted(xs, 2.0, "right"))
     if _is_half_integer(nu):
-        upper = (_half_integer_array, _bessel_half_integer)
+        upper = _half_integer_array
         miller_end = int(np.searchsorted(xs, nu, "left"))
     else:
-        upper = (_hankel_array, _bessel_hankel)
-        miller_end = int(np.searchsorted(xs, _hankel_threshold(nu), "left"))
-    miller_end = max(miller_end, series_end)
-    slices = (
-        (zero_end, series_end, _series_array, _bessel_series),
-        (series_end, miller_end, _miller_array, _bessel_miller),
-        (miller_end, xs.size) + upper,
-    )
+        upper = _hankel_array
+        miller_end = int(np.searchsorted(xs, max(30.0, nu * (nu + 1.0)), "left"))
+    ends = (zero_end, series_end, max(miller_end, series_end), xs.size)
     values = np.empty_like(xs)
     values[:zero_end] = 1.0 if nu == 0.0 else 0.0
     # Python floats overflow to inf silently; so do these arrays.
     with np.errstate(all="ignore"):
-        for lo, hi, array_fn, scalar_fn in slices:
-            if hi - lo >= _MIN_ARRAY_BATCH[array_fn]:
-                values[lo:hi] = array_fn(nu, xs[lo:hi])
-            elif hi > lo:
-                # Below these sizes the per-step numpy overhead costs more
-                # than the scalar loop; both give the same doubles.
-                values[lo:hi] = [scalar_fn(nu, v) for v in xs[lo:hi].tolist()]
+        for lo, hi, regime in zip(ends, ends[1:], (_series_array, _miller_array, upper)):
+            if hi > lo:
+                values[lo:hi] = regime(nu, xs[lo:hi])
     out = np.empty_like(flat)
     out[perm] = values
     return out.reshape(x.shape)
+
+
+def bessel_j(order: "BesselOrder | float", x: float) -> float:
+    """Bessel function of the first kind of nonnegative real order at
+    x >= 0: ``bessel_j_array`` at one point."""
+    nu = _as_nu(order)
+    if not math.isfinite(x) or x < 0.0:
+        raise DomainError(f"bessel_j requires x >= 0, got {x!r}")
+    return float(bessel_j_array(nu, np.array([float(x)]))[0])
 
 
 def bessel_j_derivative(order: "BesselOrder | float", x: float) -> float:
@@ -536,61 +416,130 @@ def _mcmahon_guess(nu: float, k: int) -> float:
     return guess
 
 
-@lru_cache(maxsize=None)
-def _bessel_zero_cached(nu: float, k: int) -> float:
-    guess = _mcmahon_guess(nu, k)
-    lo = guess - 1.5
-    hi = guess + 1.5
-    if k == 1:
-        # First zero sits above max(nu, small); keep the bracket positive.
-        lo = max(lo, 0.25 * guess, 1e-8)
-    x = guess
-    for _ in range(40):
-        fx = bessel_j(nu, x)
-        dfx = bessel_j_derivative(nu, x)
-        if dfx == 0.0:
-            break
-        step = fx / dfx
-        x_new = x - step
-        if not lo < x_new < hi:
-            break
-        x = x_new
-        if abs(step) <= 1e-15 * x:
-            fx = bessel_j(nu, x)
-            if abs(fx) <= 1e-12:
-                return x
-    # Bisection fallback on a sign change straddling the zero.
-    lo, hi = _bracket_zero(nu, guess)
-    flo = bessel_j(nu, lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = bessel_j(nu, mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0.0) != (fmid < 0.0):
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-        if hi - lo <= 1e-15 * hi:
-            break
-    return 0.5 * (lo + hi)
+# Zeros are found this many at a time, in order of k.
+_ZERO_CHUNK = 32
 
-
-def _bracket_zero(nu: float, guess: float) -> tuple[float, float]:
-    # Zeros of J_nu are simple and at least ~pi/2 apart near the guess.
-    width = 0.4
-    while width < 4.0:
-        lo = max(guess - width, 1e-8)
-        hi = guess + width
-        if bessel_j(nu, lo) * bessel_j(nu, hi) < 0.0:
-            return lo, hi
-        width *= 1.6
-    raise ConvergenceError(f"could not bracket a zero of J_{nu} near {guess}")
+# Per order, zeros 1..n found so far: each zero, or the error that a
+# request for it raises.
+_ZEROS: dict[float, list] = {}
 
 
 def bessel_j_zero(order: "BesselOrder | float", k: int) -> float:
-    """The k-th positive zero of J_nu (k >= 1), strictly increasing in k."""
+    """The k-th positive zero of J_nu (k >= 1), strictly increasing in k.
+
+    Zeros of J_nu, nu >= 0, lie more than 3.1 apart, so a zero found less
+    than pi/2 above zero k - 1 means one was lost: that zero raises
+    ``ConvergenceError``, as does one that cannot be bracketed.
+    """
     nu = _as_nu(order)
     if int(k) != k or k < 1:
         raise DomainError(f"zero index must be an integer >= 1, got {k!r}")
-    return _bessel_zero_cached(nu, int(k))
+    found = _ZEROS.setdefault(nu, [])
+    while len(found) < k:
+        first = len(found) + 1
+        for k_new, zero in enumerate(_find_zeros(nu, range(first, first + _ZERO_CHUNK)), first):
+            previous = found[-1] if found else None
+            if isinstance(zero, float) and math.isnan(zero):
+                zero = ConvergenceError(
+                    f"could not bracket a zero of J_{nu} near {_mcmahon_guess(nu, k_new)}"
+                )
+            elif isinstance(zero, float) and isinstance(previous, float) and (
+                zero - previous < 0.5 * math.pi
+            ):
+                zero = ConvergenceError(
+                    f"zero {k_new} of J_{nu} at {zero!r} lies less than pi/2 above "
+                    f"zero {k_new - 1} at {previous!r}: a zero was lost"
+                )
+            found.append(zero)
+    zero = found[int(k) - 1]
+    if isinstance(zero, Exception):
+        raise zero.with_traceback(None)
+    return zero
+
+
+def _find_zeros(nu: float, ks: range) -> list:
+    """``_newton_zeros`` of ``ks``; where J raises ``DomainError`` on the
+    way, that error stands for the zero whose iterate raised it."""
+    try:
+        return _newton_zeros(nu, ks).tolist()
+    except DomainError as exc:
+        if len(ks) == 1:
+            return [exc]
+        half = len(ks) // 2
+        return _find_zeros(nu, ks[:half]) + _find_zeros(nu, ks[half:])
+
+
+def _newton_zeros(nu: float, ks: range) -> np.ndarray:
+    """Zeros ``ks`` of J_nu by Newton's method from McMahon's guess, kept
+    inside guess -+ 1.5.  A zero whose iterate leaves that bracket, meets
+    J' = 0 or has not converged in 40 steps is bisected instead.  Each zero
+    takes its own course; a round values J at all live iterates at once."""
+    guess = np.array([_mcmahon_guess(nu, k) for k in ks])
+    lo = guess - 1.5
+    hi = guess + 1.5
+    if ks[0] == 1:
+        # First zero sits above max(nu, small); keep the bracket positive.
+        lo[0] = max(lo[0], 0.25 * guess[0], 1e-8)
+    zeros = np.full(guess.size, math.nan)
+    x = guess.copy()
+    small_step = np.zeros(guess.size, dtype=bool)
+    live = np.arange(guess.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for steps in range(41):
+            if steps == 40:
+                # After the last step only its convergence test is left.
+                live = live[small_step[live]]
+            fx = bessel_j_array(nu, x[live])
+            # Converged: the last step was at most 1e-15 x and |J| <= 1e-12.
+            done = small_step[live] & (np.abs(fx) <= 1e-12)
+            zeros[live[done]] = x[live[done]]
+            live, fx = live[~done], fx[~done]
+            if steps == 40 or not live.size:
+                break
+            xl = x[live]
+            dfx = (nu / xl) * fx - bessel_j_array(nu + 1.0, xl)
+            step = fx / dfx
+            x_new = xl - step
+            stays = (dfx != 0.0) & (lo[live] < x_new) & (x_new < hi[live])
+            live = live[stays]
+            x[live] = x_new[stays]
+            small_step[live] = np.abs(step[stays]) <= 1e-15 * x_new[stays]
+    lost = np.flatnonzero(np.isnan(zeros))
+    if lost.size:
+        zeros[lost] = _bisected_zeros(nu, guess[lost])
+    return zeros
+
+
+def _bisected_zeros(nu: float, guess: np.ndarray) -> np.ndarray:
+    """The zero of J_nu near each guess, bisecting the first of the
+    brackets guess -+ 0.4 * 1.6^n, n = 0..4 (clipped at 1e-8), on which J_nu
+    changes sign, until an exact zero, width 1e-15 hi or 200 halvings; NaN
+    where no bracket has a sign change."""
+    lo = np.full(guess.size, math.nan)
+    hi = lo.copy()
+    open_ = np.arange(guess.size)
+    width = 0.4
+    while width < 4.0 and open_.size:
+        a = np.maximum(guess[open_] - width, 1e-8)
+        b = guess[open_] + width
+        straddles = bessel_j_array(nu, a) * bessel_j_array(nu, b) < 0.0
+        lo[open_[straddles]] = a[straddles]
+        hi[open_[straddles]] = b[straddles]
+        open_ = open_[~straddles]
+        width *= 1.6
+    roots = lo.copy()
+    live = np.flatnonzero(~np.isnan(lo))
+    a, b = lo[live], hi[live]
+    fa = bessel_j_array(nu, a)
+    for _ in range(200):
+        if not live.size:
+            break
+        mid = 0.5 * (a + b)
+        fmid = bessel_j_array(nu, mid)
+        left = (fa < 0.0) != (fmid < 0.0)
+        a, b, fa = np.where(left, a, mid), np.where(left, mid, b), np.where(left, fa, fmid)
+        exact = fmid == 0.0
+        roots[live] = np.where(exact, mid, 0.5 * (a + b))
+        going = ~exact & (b - a > 1e-15 * b)
+        live, a, b, fa = live[going], a[going], b[going], fa[going]
+    return roots

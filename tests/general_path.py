@@ -1,16 +1,13 @@
 """J_nu(x) without the half-integer closed forms.
 
 The package's series, Miller-recurrence and Hankel regimes at
-``bessel_j``'s thresholds, so that the elementary trigonometric forms of
-half-integer orders can cross-check that machinery independently.
+``bessel_j_array``'s thresholds, so that the elementary trigonometric
+forms of half-integer orders can cross-check that machinery independently.
 """
 
-from sphrestrict.special_fns import (
-    _bessel_hankel,
-    _bessel_miller,
-    _bessel_series,
-    _hankel_threshold,
-)
+import numpy as np
+
+from sphrestrict.special_fns import _hankel_array, _miller_array, _series_array
 
 
 def bessel_j_general_path(nu: float, x: float) -> float:
@@ -18,7 +15,9 @@ def bessel_j_general_path(nu: float, x: float) -> float:
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
     if x <= 2.0:
-        return _bessel_series(nu, x)
-    if x >= _hankel_threshold(nu):
-        return _bessel_hankel(nu, x)
-    return _bessel_miller(nu, x)
+        regime = _series_array
+    elif x >= max(30.0, nu * (nu + 1.0)):
+        regime = _hankel_array
+    else:
+        regime = _miller_array
+    return float(regime(nu, np.array([x]))[0])

@@ -73,6 +73,21 @@ class TestConstant:
         assert err.startswith("sphrestrict: J_nu(x) at nu = 159.0, x = ")
         assert "overflows double range" in err
 
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            (96, "zero 2 of J_47.0 at 59.58132462439882 lies less than pi/2 above "
+                 "zero 1 at 59.58132462439882: a zero was lost"),
+            (102, "zero 2 of J_50.0 at 62.807698764835365 lies less than pi/2 above "
+                  "zero 1 at 62.80769876483536: a zero was lost"),
+        ],
+    )
+    def test_lost_zero_exits_3(self, capsys, d, message):
+        # The zero finder finds one zero of J_nu twice; the run names that,
+        # not an empty arch or a quadrature that did not converge.
+        code, out, err = run_cli(capsys, "constant", "--d", str(d), "--p", "1.5", "--q", "2")
+        assert (code, out, err) == (3, "", f"sphrestrict: {message}\n")
+
     def test_fifteen_significant_digits(self, capsys):
         code, out, _ = run_cli(
             capsys, "constant", "--d", "3", "--p", "1.2", "--q", "2"

@@ -225,7 +225,7 @@ class TestTransfer:
 
     def test_unconverged_transform_raises(self, monkeypatch):
         # The sphere side reads G(1) through the same checked path as
-        # sphere_norm_of_radial_hat, so an unconverged transform is an error.
+        # sphere_norms_of_radial_hat, so an unconverged transform is an error.
         monkeypatch.setattr(
             radial_fourier, "_radial_hats",
             lambda kernel, profiles, s, tol: [QuadResult(1.0, 5.0, 15, False)] * len(profiles),

@@ -4,6 +4,7 @@ norms, and transform limits."""
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import pytest
 
 from sphrestrict import radial_fourier
@@ -21,13 +22,11 @@ from sphrestrict.radial_fourier import (
     CompactSupport,
     GaussianDecay,
     RadialProfile,
+    _only,
     gaussian_profile,
-    kernel_v,
-    radial_full_integral,
     radial_hat,
     radial_lp_norm,
     radial_lp_norms,
-    sphere_norm_of_radial_hat,
     sphere_norms_of_radial_hat,
 )
 from sphrestrict.restriction import RestrictionParams, extremal_profile
@@ -46,33 +45,30 @@ def indicator_profile(radius: float) -> RadialProfile:
 
 
 class TestKernel:
-    def test_d3_closed_form(self):
-        k = RadialKernel(3)
-        for s, r in [(1.0, 2.0), (2.0, 1.0), (0.5, 3.7), (1.3, 0.4)]:
-            expected = (4.0 * math.pi / s) * r * math.sin(s * r)
-            assert kernel_v(k, s, r) == pytest.approx(expected, rel=1e-12)
+    """The kernel V_d(s, r), through the transforms of indicator profiles,
+    which it gives in closed form."""
 
-    def test_d3_zero_at_pi(self):
-        assert kernel_v(RadialKernel(3), 1.0, math.pi) == pytest.approx(0.0, abs=1e-12)
+    @pytest.mark.parametrize(
+        "s, radius", [(1.0, 2.0), (2.0, 1.0), (0.5, 3.7), (1.3, 0.4), (1.0, math.pi)]
+    )
+    def test_d3_closed_form(self, s, radius):
+        # V_3(s, r) = (4 pi / s) r sin(s r): G(s) = (4 pi / s^3)(sin sR - sR cos sR).
+        got = radial_hat(RadialKernel(3), indicator_profile(radius), s).value
+        sr = s * radius
+        expected = 4.0 * math.pi / s**3 * (math.sin(sr) - sr * math.cos(sr))
+        assert got == pytest.approx(expected, rel=1e-10)
 
-    def test_d3_at_s2_r1(self):
-        expected = 2.0 * math.pi * math.sin(2.0)
-        assert kernel_v(RadialKernel(3), 2.0, 1.0) == pytest.approx(expected, rel=1e-13)
+    @pytest.mark.parametrize("s, radius", [(1.0, 1.0), (0.7, 2.0), (2.0, 5.0)])
+    def test_d2_closed_form(self, s, radius):
+        # V_2(s, r) = 2 pi r J_0(s r): G(s) = 2 pi R J_1(s R) / s.
+        got = radial_hat(RadialKernel(2), indicator_profile(radius), s).value
+        expected = 2.0 * math.pi * radius * float(mp.besselj(1, s * radius)) / s
+        assert got == pytest.approx(expected, rel=1e-10)
 
-    def test_d2_closed_form(self):
-        k = RadialKernel(2)
-        assert kernel_v(k, 1.0, 1.0) == pytest.approx(
-            2.0 * math.pi * bessel_j(0.0, 1.0), rel=1e-13
-        )
-        for s, r in [(0.7, 2.0), (2.0, 5.0)]:
-            expected = 2.0 * math.pi * r * bessel_j(0.0, s * r)
-            assert kernel_v(k, s, r) == pytest.approx(expected, rel=1e-12)
-
-    def test_domain(self):
+    @pytest.mark.parametrize("s", [0.0, -1.0])
+    def test_domain(self, s):
         with pytest.raises(DomainError):
-            kernel_v(RadialKernel(3), 0.0, 1.0)
-        with pytest.raises(DomainError):
-            kernel_v(RadialKernel(3), 1.0, -1.0)
+            radial_hat(RadialKernel(3), indicator_profile(1.0), s)
 
 
 class TestRadialHat:
@@ -144,7 +140,7 @@ def algebraic_profile(exponent: float) -> RadialProfile:
 # its integrand r^growth |F|^power decays exactly like r^(-1).
 BOUNDARIES = [
     ("radial_hat", lambda k, f: radial_hat(k, f, 1.0), lambda d: 0.5 * (d + 1)),
-    ("full_integral", radial_full_integral, lambda d: float(d)),
+    ("l1_norm", lambda k, f: radial_lp_norm(k, f, 1.0), lambda d: float(d)),
     ("lp_norm", lambda k, f: radial_lp_norm(k, f, 2.0), lambda d: 0.5 * d),
 ]
 
@@ -332,7 +328,9 @@ class TestProfileBlocks:
         profiles = self.profiles()
         got = sphere_norms_of_radial_hat(kernel, profiles, 2.0)
         same_outcomes(
-            got, [outcome(lambda: sphere_norm_of_radial_hat(kernel, scalar(f), 2.0)) for f in profiles]
+            got,
+            [outcome(lambda: _only(sphere_norms_of_radial_hat(kernel, [scalar(f)], 2.0)))
+             for f in profiles],
         )
         kinds = [type(g).__name__ for g in got]
         assert kinds == ["float"] * 6 + ["DivergenceError", "float", "ConvergenceError",
@@ -344,20 +342,23 @@ class TestProfileBlocks:
         assert sphere_norms_of_radial_hat(kernel, [], 2.0) == []
 
 
-class TestFullIntegral:
+class TestL1Norm:
+    """The full-space integral of a nonnegative profile is its L_1 norm,
+    integrand for integrand."""
+
     @pytest.mark.parametrize("d,sigma", [(2, 0.5), (2, 1.0), (3, 1.0), (4, 2.0), (5, 1.0)])
     def test_gaussian_density_normalisation(self, d, sigma):
         k = RadialKernel(d)
-        assert radial_full_integral(k, gaussian_profile(sigma, d)) == pytest.approx(
+        assert radial_lp_norm(k, gaussian_profile(sigma, d), 1.0) == pytest.approx(
             1.0, rel=1e-9
         )
 
     def test_ball_volume_d3(self):
-        got = radial_full_integral(RadialKernel(3), indicator_profile(1.0))
+        got = radial_lp_norm(RadialKernel(3), indicator_profile(1.0), 1.0)
         assert got == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
 
     def test_disc_area_d2(self):
-        got = radial_full_integral(RadialKernel(2), indicator_profile(1.0))
+        got = radial_lp_norm(RadialKernel(2), indicator_profile(1.0), 1.0)
         assert got == pytest.approx(math.pi, rel=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -366,7 +367,7 @@ class TestFullIntegral:
         k = RadialKernel(d)
         h = gaussian_profile(1.0, d)
         near_zero = radial_hat(k, h, 1e-4).value
-        full = radial_full_integral(k, h)
+        full = radial_lp_norm(k, h, 1.0)
         assert abs(near_zero - full) <= 1e-6
 
     def test_slow_decay_ends_typed(self):
@@ -377,9 +378,9 @@ class TestFullIntegral:
         profile = RadialProfile(
             f=lambda r: (1.0 + r) ** -3.25, decay=AlgebraicDecay(1.0, 3.25), label="alg"
         )
-        assert radial_full_integral(RadialKernel(2), profile) == 2.2340214425535327
+        assert radial_lp_norm(RadialKernel(2), profile, 1.0) == 2.2340214425535327
         with pytest.raises(ConvergenceError, match="t = 1"):
-            radial_full_integral(RadialKernel(3), profile)
+            radial_lp_norm(RadialKernel(3), profile, 1.0)
 
 
 class TestLpNorm:
@@ -433,12 +434,12 @@ class TestSphereNorm:
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
     def test_gaussian_d3_q2(self, sigma):
         k = RadialKernel(3)
-        got = sphere_norm_of_radial_hat(k, gaussian_profile(sigma, 3), 2.0)
+        (got,) = sphere_norms_of_radial_hat(k, [gaussian_profile(sigma, 3)], 2.0)
         expected = math.exp(-0.5 * sigma * sigma) * math.sqrt(4.0 * math.pi)
         assert got == pytest.approx(expected, rel=1e-9)
 
     def test_gaussian_d2_q1(self):
-        got = sphere_norm_of_radial_hat(RadialKernel(2), gaussian_profile(1.0, 2), 1.0)
+        (got,) = sphere_norms_of_radial_hat(RadialKernel(2), [gaussian_profile(1.0, 2)], 1.0)
         expected = 2.0 * math.pi * math.exp(-0.5)  # = 3.8107705962625742
         assert got == pytest.approx(expected, rel=1e-9)
 
@@ -446,7 +447,7 @@ class TestSphereNorm:
         zero = RadialProfile(
             f=lambda r: 0.0, decay=CompactSupport(1.0), label="zero"
         )
-        assert sphere_norm_of_radial_hat(RadialKernel(3), zero, 2.0) == 0.0
+        assert sphere_norms_of_radial_hat(RadialKernel(3), [zero], 2.0) == [0.0]
 
 
 def noisy_profile():
@@ -464,10 +465,10 @@ class TestUnconverged:
         "compute, context",
         [
             (lambda k, f: radial_lp_norm(k, f, 1.2), "L_1.2 norm of 'noisy'"),
-            (radial_full_integral, "integral of 'noisy' over R^3"),
-            (lambda k, f: sphere_norm_of_radial_hat(k, f, 2.0), "transform of 'noisy'"),
+            (lambda k, f: radial_lp_norm(k, f, 1.0), "L_1.0 norm of 'noisy'"),
+            (lambda k, f: _only(sphere_norms_of_radial_hat(k, [f], 2.0)), "transform of 'noisy'"),
         ],
-        ids=["lp_norm", "full_integral", "sphere_norm"],
+        ids=["lp_norm", "l1_norm", "sphere_norm"],
     )
     def test_norms_raise(self, compute, context):
         with pytest.raises(ConvergenceError, match="did not converge") as info:

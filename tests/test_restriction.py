@@ -275,6 +275,22 @@ class TestExtremal:
         norm = radial_lp_norm(RadialKernel(d), ext, p, 1e-9)
         assert norm == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "d, p, ratio",
+        [
+            (2, 1.1, 2.526808511833363),
+            (2, 1.25, 3.148590147283422),
+            (3, 1.2, 4.625406328923362),
+            (3, 1.4, 7.766210400458894),
+            (4, 1.3, 9.520321051595449),
+        ],
+    )
+    def test_ratio_frozen(self, d, p, ratio):
+        # Frozen from the profile's scalar form, before it was valued on
+        # arrays of nodes; the sharpness grid of the acceptance gate.
+        params = RestrictionParams(d, p, 2.0)
+        assert ratio_z(params, extremal_profile(params, 1e-10), 1e-9) == ratio
+
     @pytest.mark.parametrize("d,p", [(3, 1.2), (2, 1.25)])
     def test_sharpness(self, d, p):
         params = RestrictionParams(d, p, 2.0)

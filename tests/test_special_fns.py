@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from sphrestrict.errors import DomainError
+from sphrestrict.errors import ConvergenceError, DomainError
 from sphrestrict.special_fns import (
     BesselOrder,
     RadialKernel,
@@ -237,6 +237,39 @@ class TestBesselZeros:
     def test_bad_index(self):
         with pytest.raises(DomainError):
             bessel_j_zero(0.0, 0)
+
+    @pytest.mark.parametrize(
+        "nu, k, lost",
+        [(47.0, 2, 59.58132462439882), (50.0, 2, 62.807698764835365)],
+    )
+    def test_lost_zero_raises(self, nu, k, lost):
+        # McMahon's large-index seed is far from the first zeros of large
+        # orders: zeros 1 and 2 land on one zero, one ulp apart at nu = 50.
+        first = bessel_j_zero(nu, k - 1)
+        with pytest.raises(ConvergenceError) as info:
+            bessel_j_zero(nu, k)
+        assert str(info.value) == (
+            f"zero {k} of J_{nu} at {lost!r} lies less than pi/2 above zero "
+            f"{k - 1} at {first!r}: a zero was lost"
+        )
+        assert bessel_j_zero(nu, k + 1) - first > 0.5 * math.pi
+
+    def test_each_zero_keeps_its_own_error(self):
+        # Zeros found together still fail alone: the first two of J_155
+        # cannot be bracketed, and the next two overflow in J_156, the
+        # derivative's second order, each at its own iterate.
+        errors = []
+        for k in range(1, 5):
+            with pytest.raises((ConvergenceError, DomainError)) as info:
+                bessel_j_zero(155.0, k)
+            errors.append(str(info.value))
+        overflow = ": (x/2)^nu overflows double range in the Miller normalisation"
+        assert errors == [
+            "could not bracket a zero of J_155.0 near 180.2924497546002",
+            "could not bracket a zero of J_155.0 near 184.80277097915464",
+            "J_nu(x) at nu = 156.0, x = 189.25291527751187" + overflow,
+            "J_nu(x) at nu = 156.0, x = 193.6467311945139" + overflow,
+        ]
 
 
 def test_derivative_identity():
