@@ -9,7 +9,8 @@ of arches at once with ``_integrate_block``, and ``integrate_finite`` is
 the same engine on one interval with a scalar callable.
 ``sum_over_partition`` integrates blocks of cells with a scalar callable,
 through the kernel integrals' summation driver.  The references here are
-a node-by-node integrand, a one-node-at-a-time adaptive GK15 and one
+a node-by-node integrand (J from the pinned ``bessel_j_array``, the rest
+formed one node at a time), a one-node-at-a-time adaptive GK15 and one
 ``integrate_finite`` per cell.  The tail fit of a tight kernel integral
 turns 1e-16 differences in the partial sums into ~1e-13 in the result, so
 these tests compare with ``==``.
@@ -203,25 +204,34 @@ def scalar_integrand(spec, bessel=bessel_j):
     return integrand
 
 
-def recording_values(seen):
-    """``_integrand_values`` that also keeps each node's value in the dict
-    ``seen``."""
+def recording_values(nodes):
+    """``_integrand_values`` that also appends each array of nodes it is
+    asked for to the list ``nodes``."""
 
     def values(spec, r):
-        out = _integrand_values(spec, r)
-        seen.update(zip(r.tolist(), out.tolist()))
-        return out
+        nodes.append(np.array(r, dtype=float))
+        return _integrand_values(spec, r)
 
     return values
 
 
-def node_by_node(spec, seen):
-    """``scalar_integrand(spec)``, reading the nodes in ``seen`` from it: a
-    one-node reference for the engine that values J only where the block
-    did not (``test_integrand_values`` checks that the two integrands agree
-    node for node)."""
-    f = scalar_integrand(spec)
-    return lambda r: seen[r] if r in seen else f(r)
+def node_by_node(spec, nodes):
+    """``scalar_integrand(spec)`` with J_nu at the recorded ``nodes`` valued
+    by one ``bessel_j_array`` call, made when the reference first asks for
+    a node not yet valued (TestBesselArray pins those values, and a value
+    depends on its own point alone); any other node takes ``bessel_j``.
+    Everything else in the integrand, r^beta, the log-space branch and the
+    sign, is formed node by node apart from ``_integrand_values``."""
+    j = {}
+
+    def bessel(nu, x):
+        if x not in j and nodes:
+            xs = np.concatenate(nodes)
+            nodes.clear()
+            j.update(zip(xs.tolist(), bessel_j_array(nu, xs).tolist()))
+        return j[x] if x in j else bessel_j(nu, x)
+
+    return scalar_integrand(spec, bessel)
 
 
 def loop_gk15_rule(fs, h):
@@ -305,10 +315,10 @@ def arch_edges(nu, k0, k1):
 
 
 def assert_block_matches_finite(spec, edges, tol, abs_tol=1e-16):
-    seen = {}
-    values = recording_values(seen)
+    nodes = []
+    values = recording_values(nodes)
     block = _integrate_block(lambda r, _: values(spec, r), edges, tol, abs_tol, 4000)
-    f = node_by_node(spec, seen)
+    f = node_by_node(spec, nodes)
     scalar = [reference_finite(f, a, b, tol, abs_tol) for a, b in edges]
     assert block == scalar
     assert [integrate_finite(f, a, b, tol, abs_tol) for a, b in edges] == scalar
@@ -407,11 +417,11 @@ class TestBlockEngine:
         a = rng.uniform(0.0, 50.0, n).tolist()
         b = [lo + w for lo, w in zip(a, rng.uniform(1e-6, 5.0, n).tolist())]
         spec = kernel_spec(3, 1.3)
-        seen = {}
-        values = recording_values(seen)
+        nodes = []
+        values = recording_values(nodes)
         for batch_f, scalar_f in [
             (lambda r, _: r * r * r, lambda r: r * r * r),
-            (lambda r, _: values(spec, r), node_by_node(spec, seen)),
+            (lambda r, _: values(spec, r), node_by_node(spec, nodes)),
         ]:
             got = _gk15_batch(batch_f, a, b, list(range(n)))
             assert got == [reference_gk15(scalar_f, lo, hi) for lo, hi in zip(a, b)]
@@ -476,9 +486,9 @@ class TestLookahead:
         # arches 2..5 converge within a few splits, and a +-1e12 step at the
         # centre of 256 ulps bisects 255 times to machine resolution.
         spec = kernel_spec(2, 1.2)
-        seen = {}
-        values = recording_values(seen)
-        kernel = node_by_node(spec, seen)
+        nodes = []
+        values = recording_values(nodes)
+        kernel = node_by_node(spec, nodes)
         a = 1000.0 + 1.0 / 3.0
         b = a
         for _ in range(256):
@@ -589,11 +599,11 @@ class TestLookahead:
         assert rounds - 1 == 26 < AHEAD_SPLITS
 
 
-def scalar_oscillatory(spec, tol, seen):
+def scalar_oscillatory(spec, tol, nodes):
     """integrate_oscillatory_bessel with one scalar adaptive GK15 per arch,
-    reading the nodes in ``seen`` (see ``node_by_node``)."""
+    valuing J at the recorded ``nodes`` in one call (see ``node_by_node``)."""
     nu = spec.order.nu
-    f = node_by_node(spec, seen)
+    f = node_by_node(spec, nodes)
     arch_tol = min(1e-12, tol * 1e-2)
 
     def arch_block(k0, k1):
@@ -609,9 +619,9 @@ class TestKernelIntegral:
     )
     def test_same_result_as_per_arch_engine(self, monkeypatch, d, p, tol):
         spec = kernel_spec(d, p)
-        seen = {}
-        monkeypatch.setattr(quadrature, "_integrand_values", recording_values(seen))
-        assert integrate_oscillatory_bessel(spec, tol) == scalar_oscillatory(spec, tol, seen)
+        nodes = []
+        monkeypatch.setattr(quadrature, "_integrand_values", recording_values(nodes))
+        assert integrate_oscillatory_bessel(spec, tol) == scalar_oscillatory(spec, tol, nodes)
 
     @pytest.mark.parametrize(
         "schedule", [quadrature._POSITIVE, quadrature._ALTERNATING],
@@ -652,9 +662,9 @@ class TestKernelIntegral:
 
     def test_same_result_signed(self, monkeypatch):
         spec = OscillatoryIntegrand(BesselOrder(0.5), 0.0, 1.0, signed=True)
-        seen = {}
-        monkeypatch.setattr(quadrature, "_integrand_values", recording_values(seen))
-        assert integrate_oscillatory_bessel(spec, 1e-10) == scalar_oscillatory(spec, 1e-10, seen)
+        nodes = []
+        monkeypatch.setattr(quadrature, "_integrand_values", recording_values(nodes))
+        assert integrate_oscillatory_bessel(spec, 1e-10) == scalar_oscillatory(spec, 1e-10, nodes)
 
 
 def per_cell_partition_sum(f, boundary, tol, tail_exponent):
