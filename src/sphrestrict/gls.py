@@ -35,6 +35,7 @@ from .quadrature import DEFAULT_REL_TOL
 from .radial_fourier import RadialProfile, _sphere_modulus, radial_lp_norm
 from .restriction import (
     RestrictionParams,
+    _kernel_integrals,
     gaussian_lower_bound_optimized,
     radial_convergence_admissible,
     sharp_radial_constant,
@@ -213,7 +214,8 @@ def zeta_from_psi(
     (``radial_sharp``, the exact choice for radial verification) or the
     optimised Gaussian lower bounds (``gaussian_lower``, reporting only).
     The q-dependence of both enters through A(d)^(1/q) alone, so each p
-    costs one kernel integral regardless of the q grid.
+    costs one kernel integral regardless of the q grid, and the cut set's
+    kernel integrals are computed as one block.
     """
     if not q_grid:
         raise DomainError("zeta_from_psi needs a nonempty q grid")
@@ -229,6 +231,8 @@ def zeta_from_psi(
             f"in dimension {d}"
         )
     area = RadialKernel(d).sphere_area
+    if constant_source == "radial_sharp":
+        _kernel_integrals(d, kept, tol)
     # K(p, q) = area^(1/q) * factor(p) for both sources.
     factors: list[tuple[float, float]] = []
     for p in kept:

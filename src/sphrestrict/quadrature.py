@@ -13,8 +13,9 @@ caller-supplied partition (``sum_over_partition``).  The oscillatory
 integrand is always the power law r^beta |J_nu(r)|^power, described by the
 record ``OscillatoryIntegrand(order, beta, power, signed)``; its tail and
 zero exponents follow from beta and power, and where r^beta overflows a
-node is valued as exp(beta log r + power log |J|).  One driver,
-``_sum_cells``, sums them in one of two regimes:
+node is valued as exp(beta log r + power log |J|).  Each sum's partial
+sums live in a resumable ``_CellSum``, tested at the checkpoints of one of
+two regimes:
 
 * signed cells that alternate: Wynn's epsilon algorithm on the partial
   sums (rapid for alternating sequences);
@@ -36,14 +37,23 @@ one interval with an opaque scalar callable mapped over the nodes, and
 ``integrate_finite_block`` the engine itself; ``integrate_semi_infinite_block``
 maps a block of decaying integrands onto (0, 1), one interval each, and
 ``integrate_semi_infinite_decaying`` is its one-integrand case.  The radial
-profile integrals run a family of profiles as one such block.  ``_cells``
-hands the engine all cells between two checkpoints of the sum together:
-a kernel integral's rounds are each one call of
-``special_fns.bessel_j_array``, and ``sum_over_partition`` takes an array
-integrand of the same form, which ignores ``which``.  Every interval's
-result is the one it gets alone, evaluation counts included, and equals a
-one-node-at-a-time scalar rule bit for bit: the tail fit at tight
-tolerances amplifies last-digit differences ~1000-fold.
+profile integrals run a family of profiles as one such block.
+
+One summation loop, ``_sum_cells``, runs several sums over one partition in
+lockstep: at each step the cells up to the next checkpoint of every sum
+still running are one block of the engine, ``which`` naming the sum, and
+each sum then makes its own stopping decision.  Every nonnegative sum
+follows the same schedule, so the kernel integrals of one Bessel order,
+all exponents of one dimension (``integrate_oscillatory_bessel_block``),
+need the same arches at the same checkpoint: the arch edges are read
+once per step, and each round values J_nu once per distinct node with
+one ``special_fns.bessel_j_array`` call before each exponent applies its
+own power law.  ``integrate_oscillatory_bessel`` is the one-integrand
+block, and ``sum_over_partition`` is one sum through the same loop.
+Every interval's result is the one it gets alone, evaluation counts
+included, and equals a one-node-at-a-time scalar rule bit for bit: the
+tail fit at tight tolerances amplifies last-digit differences ~1000-fold.
+So each sum's outcome is the one it gets alone.
 
 The engine looks ahead: when an interval's worst panel has no children
 yet, it asks in the same call for the children of its
@@ -65,6 +75,7 @@ import heapq
 import math
 import operator
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -81,6 +92,7 @@ __all__ = [
     "integrate_semi_infinite_decaying",
     "integrate_semi_infinite_block",
     "integrate_oscillatory_bessel",
+    "integrate_oscillatory_bessel_block",
     "wynn_epsilon",
     "check_tolerance",
     "DEFAULT_REL_TOL",
@@ -606,9 +618,45 @@ class OscillatoryIntegrand:
 
 
 def _integrand_values(spec: OscillatoryIntegrand, r: np.ndarray) -> np.ndarray:
-    """The integrand of ``spec`` at the nodes ``r``, one array call:
-    r^beta J^power (signed) or r^beta |J|^power, with 0 at r <= 0 and
-    where J vanishes, and the product taken in log space below r = 1e-3,
+    """The integrand of ``spec`` at the nodes ``r``: ``_power_values`` of
+    one ``bessel_j_array`` call on them."""
+    return _power_values(spec, r, bessel_j_array(spec.order, np.maximum(r, 0.0)))
+
+
+def _block_values(specs: Sequence[OscillatoryIntegrand]) -> ArrayIntegrand:
+    """The array integrand ``f(r, which)`` of a block of integrands of one
+    order: J_nu by one ``bessel_j_array`` call on the round's distinct
+    nodes, then at each node r[i] the power law of ``specs[which[i]]``.  A
+    J value depends on its own node alone, so every value is the one
+    ``_integrand_values`` gives."""
+    order = specs[0].order
+
+    def f(r: np.ndarray, which: np.ndarray) -> np.ndarray:
+        # A round's nodes arrive in sorted runs, panel by panel along each
+        # cell, which a stable sort (timsort) exploits and np.unique's
+        # quicksort does not: on long tight-tolerance integrals that halves
+        # the cost of finding the distinct nodes.
+        perm = np.argsort(r, kind="stable")
+        ordered = r[perm]
+        first = np.empty(r.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        j = np.empty(r.size)
+        j[perm] = bessel_j_array(order, ordered[first])[np.cumsum(first) - 1]
+        out = np.empty(r.size)
+        for i, spec in enumerate(specs):
+            at = which == i
+            if at.any():
+                out[at] = _power_values(spec, r[at], j[at])
+        return out
+
+    return f
+
+
+def _power_values(spec: OscillatoryIntegrand, r: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The integrand of ``spec`` at the nodes ``r`` from j = J_nu(r):
+    r^beta j^power (signed) or r^beta |j|^power, with 0 at r <= 0 and
+    where j vanishes, and the product taken in log space below r = 1e-3,
     where a negative beta meets a vanishing Bessel factor, and wherever
     r^beta overflows.  Powers are Python's own ``**``, mapped over the
     nodes (see ``special_fns._pow_each``).
@@ -617,9 +665,8 @@ def _integrand_values(spec: OscillatoryIntegrand, r: np.ndarray) -> np.ndarray:
         out = np.zeros(r.size)
         positive = r > 0.0
         if positive.any():
-            out[positive] = _integrand_values(spec, r[positive])
+            out[positive] = _power_values(spec, r[positive], j[positive])
         return out
-    j = bessel_j_array(spec.order, r)
     if spec.signed:
         powered = map(operator.pow, j.tolist(), repeat(int(round(spec.power))))
         r_beta = map(operator.pow, r.tolist(), repeat(spec.beta))
@@ -690,102 +737,198 @@ _ALTERNATING = (16, 4, 200)
 _FIT_TERMS = 4
 _PROBE_CELLS = 10
 
-_CellBlock = Callable[[int, int], Sequence[QuadResult]]
+
+class _CellSum:
+    """The partial sums of one improper integral over cells, resumable:
+    ``add`` takes the next cells with their right edges, and once the sum
+    holds ``checkpoint`` cells it is tested against relative ``tol``.
+    ``outcome`` is None while the sum runs, then its result or the error
+    that ended it.
+
+    ``tail_exponent=None`` means alternating cells: Wynn's epsilon on the
+    last 60 partial sums, on the schedule ``_ALTERNATING``.  A number gamma
+    means nonnegative cells whose envelope decays like r^(-gamma), on
+    ``_POSITIVE``: the algebraic tail fit over the trailing half (at most
+    64) of the partial sums, with ``_FIT_TERMS`` and one fewer correction
+    terms; their spread, the fit residual, the cells' own error and half
+    the move since the last checkpoint bound the error.  Unconverged at the
+    last checkpoint, the result is the estimate with the least error.
+    """
+
+    def __init__(self, tail_exponent: Optional[float], tol: float) -> None:
+        self.tail_exponent = tail_exponent
+        self.tol = tol
+        self.checkpoint, self.every, self.count = (
+            _ALTERNATING if tail_exponent is None else _POSITIVE
+        )
+        self.partial: list[float] = []
+        self.xs: list[float] = []
+        self.total = 0.0
+        self.quad_err = 0.0
+        self.evals = 0
+        self.prev_est: Optional[float] = None
+        self.best: Optional[tuple[float, float]] = None
+        self.outcome: Optional[Union[QuadResult, DomainError, ConvergenceError]] = None
+
+    def add(self, cells: Sequence[QuadResult], xs: Sequence[float]) -> None:
+        for cell, x in zip(cells, xs):
+            self.evals += cell.evaluations
+            self.total += cell.value
+            self.quad_err += cell.error_estimate
+            self.xs.append(x)
+            self.partial.append(self.total)
+        if len(self.partial) == self.checkpoint:
+            self._test()
+
+    def _test(self) -> None:
+        if self.tail_exponent is None:
+            est, spread = wynn_epsilon(self.partial[-60:])
+            err = spread + self.quad_err
+        else:
+            window = min(self.checkpoint // 2, 64)
+            trailing = (self.xs[-window:], self.partial[-window:], self.tail_exponent)
+            est, resid = _algebraic_tail_fit(*trailing, _FIT_TERMS)
+            est_lo, _ = _algebraic_tail_fit(*trailing, _FIT_TERMS - 1)
+            err = abs(est - est_lo) + resid + self.quad_err
+            if self.prev_est is not None:
+                err = max(err, 0.5 * abs(est - self.prev_est) + self.quad_err)
+            self.prev_est = est
+        if self.best is None or err < self.best[1]:
+            self.best = (est, err)
+        if err <= self.tol * max(abs(est), 1e-300):
+            self.outcome = QuadResult(est, err, self.evals, True)
+        elif self.checkpoint == self.count:
+            self.outcome = QuadResult(*self.best, self.evals, False)
+        else:
+            self.checkpoint += self.every
 
 
-def _cells(f: ArrayIntegrand, boundary: Callable[[int], float], tol: float) -> _CellBlock:
-    """The cells [boundary(k), boundary(k + 1)] of ``f``, cell 0 starting at
-    0, as a block: ``block(k0, k1)`` integrates cells k0..k1-1 together with
-    ``_integrate_block``, at the per-cell tolerance of a sum to ``tol``;
-    ``which`` is then k - k0, which the integrand of one sum ignores."""
-    check_tolerance(tol)
-    cell_tol = min(1e-12, tol * 1e-2)
+def _cell_edges(boundary: Callable[[int], float], k0: int, k1: int) -> list[tuple[float, float]]:
+    """The cells k0..k1-1, [boundary(k), boundary(k + 1)], cell 0 from 0."""
+    points = [boundary(k) for k in range(max(k0, 1), k1 + 1)]
+    if k0 == 0:
+        points.insert(0, 0.0)
+    return list(zip(points, points[1:]))
 
-    def block(k0: int, k1: int) -> list[QuadResult]:
-        edges = [
-            (0.0 if k == 0 else boundary(k), boundary(k + 1)) for k in range(k0, k1)
-        ]
-        return _integrate_block(f, edges, cell_tol, 1e-16, _MAX_INTERVALS)
 
-    return block
+def _integrate_cells(
+    f: ArrayIntegrand, edges: Sequence[tuple[float, float]], tol: float
+) -> list[QuadResult]:
+    """The cells ``edges`` as one block, at the per-cell tolerance of a sum
+    to relative ``tol``."""
+    return _integrate_block(f, edges, min(1e-12, tol * 1e-2), 1e-16, _MAX_INTERVALS)
 
 
 def _sum_cells(
-    block: _CellBlock,
+    f: ArrayIntegrand,
     boundary: Callable[[int], float],
-    tail_exponent: Optional[float],
+    sums: Sequence[_CellSum],
     tol: float,
-) -> QuadResult:
-    """Sum the cells of ``block`` to relative ``tol``, testing at every
-    checkpoint of the regime's schedule.  The cells up to each checkpoint
-    are one ``block(start, end)`` call, so a sum that stops at a checkpoint
-    never computes a cell past it.
+) -> None:
+    """Run every sum of ``sums`` to its outcome over the cells
+    [boundary(k), boundary(k + 1)] of one partition, cell 0 from 0, summed
+    to relative ``tol``.
 
-    ``tail_exponent=None`` means alternating cells: Wynn's epsilon on the
-    last 60 partial sums.  A number gamma means nonnegative cells whose
-    envelope decays like r^(-gamma): the algebraic tail fit over the
-    trailing half (at most 64) of the partial sums, with ``_FIT_TERMS``
-    and one fewer correction terms; their spread, the fit residual, the
-    cells' own error and half the move since the last checkpoint bound the
-    error.  Unconverged, the result is the estimate with the least error.
+    Each step integrates, for every sum still running, its cells up to its
+    next checkpoint, all in one ``_integrate_block`` call at the per-cell
+    tolerance ``min(1e-12, tol * 1e-2)``: ``f(x, which)`` values the nodes
+    of sum ``which``.  A sum that stops at a checkpoint never has a cell
+    past it computed, and every cell is the one the sum gets alone, so
+    each outcome is that of the sum run by itself.  The edges of a span of
+    cells are read once per step; a ``boundary`` that raises
+    ``DomainError`` or ``ConvergenceError`` ends every sum that needs it
+    with that error.  The caller checks ``tol``.
     """
-    first, every, count = _ALTERNATING if tail_exponent is None else _POSITIVE
-    partial: list[float] = []
-    xs: list[float] = []
-    total = 0.0
-    quad_err = 0.0
-    evals = 0
-    prev_est: Optional[float] = None
-    best: Optional[tuple[float, float]] = None
-    start = 0
-    for end in range(first, count + 1, every):
-        for n, cell in enumerate(block(start, end), start + 1):
-            evals += cell.evaluations
-            total += cell.value
-            quad_err += cell.error_estimate
-            xs.append(boundary(n))
-            partial.append(total)
-        start = end
-        if tail_exponent is None:
-            est, spread = wynn_epsilon(partial[-60:])
-            err = spread + quad_err
-        else:
-            window = min(end // 2, 64)
-            trailing = (xs[-window:], partial[-window:], tail_exponent)
-            est, resid = _algebraic_tail_fit(*trailing, _FIT_TERMS)
-            est_lo, _ = _algebraic_tail_fit(*trailing, _FIT_TERMS - 1)
-            err = abs(est - est_lo) + resid + quad_err
-            if prev_est is not None:
-                err = max(err, 0.5 * abs(est - prev_est) + quad_err)
-            prev_est = est
-        if best is None or err < best[1]:
-            best = (est, err)
-        if err <= tol * max(abs(est), 1e-300):
-            return QuadResult(est, err, evals, True)
-    # Every schedule's count passes its first checkpoint, so best is set.
-    return QuadResult(best[0], best[1], evals, False)
+    while True:
+        spans: dict[tuple[int, int], Union[list, DomainError, ConvergenceError]] = {}
+        running = []
+        edges: list[tuple[float, float]] = []
+        owner: list[int] = []
+        for i, cell_sum in enumerate(sums):
+            if cell_sum.outcome is not None:
+                continue
+            span = (len(cell_sum.partial), cell_sum.checkpoint)
+            if span not in spans:
+                try:
+                    spans[span] = _cell_edges(boundary, *span)
+                except (DomainError, ConvergenceError) as exc:
+                    spans[span] = exc
+            cells = spans[span]
+            if isinstance(cells, Exception):
+                cell_sum.outcome = cells
+                continue
+            running.append((cell_sum, len(edges), cells))
+            edges += cells
+            owner += [i] * len(cells)
+        if not running:
+            return
+        owners = np.array(owner)
+        results = _integrate_cells(lambda x, which: f(x, owners[which]), edges, tol)
+        for cell_sum, start, cells in running:
+            cell_sum.add(results[start:start + len(cells)], [b for _, b in cells])
+
+
+def _only(outcomes: Sequence):
+    """The result of a one-item call, raising its error."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def integrate_oscillatory_bessel(
     spec: OscillatoryIntegrand, tol: float = DEFAULT_REL_TOL
 ) -> QuadResult:
-    """Integral of the Bessel-type integrand described by ``spec`` over [0, inf).
+    """Integral of the Bessel-type integrand described by ``spec`` over
+    [0, inf): the one-integrand block of
+    ``integrate_oscillatory_bessel_block``, raising its error."""
+    return _only(integrate_oscillatory_bessel_block([spec], tol))
 
-    The axis is partitioned at the zeros of J_nu, each round of the arches'
-    adaptive rule evaluates the integrand with one array call, and
-    ``_sum_cells`` pushes the partial sums to their limit.
+
+def integrate_oscillatory_bessel_block(
+    specs: Sequence[OscillatoryIntegrand], tol: float = DEFAULT_REL_TOL
+) -> list[Union[QuadResult, DomainError, ConvergenceError]]:
+    """The integral over [0, inf) of every integrand of ``specs``, or the
+    error it raised.
+
+    The axis is partitioned at the zeros of J_nu, and the integrands of one
+    order are summed in lockstep by ``_sum_cells``: each round of their
+    arches' adaptive rule values J_nu once per distinct node and then each
+    integrand's power law on its own nodes (``_block_values``).  An entry
+    is ``DivergenceError`` when the integrand fails
+    ``check_integrable``, the error of a zero of J_nu its sum needed, or
+    ``ConvergenceError`` when a nonnegative integrand's value is not
+    positive: its values underflow double range on every arch summed.
+    Otherwise it is the result, the one the integrand gets alone.
     """
-    spec.check_integrable()
-    nu = spec.order.nu
+    check_tolerance(tol)
+    outcomes: list = [None] * len(specs)
+    by_order: dict[float, list[int]] = {}
+    for i, spec in enumerate(specs):
+        try:
+            spec.check_integrable()
+        except DivergenceError as exc:
+            outcomes[i] = exc
+        else:
+            by_order.setdefault(spec.order.nu, []).append(i)
+    for nu, members in by_order.items():
+        group = [specs[i] for i in members]
+        sums = [_CellSum(None if s.alternates else s.tail_exponent, tol) for s in group]
+        _sum_cells(_block_values(group), partial(bessel_j_zero, nu), sums, tol)
+        for i, spec, cell_sum in zip(members, group, sums):
+            outcomes[i] = _positive(spec, cell_sum.outcome)
+    return outcomes
 
-    def boundary(k: int) -> float:
-        return bessel_j_zero(nu, k)
 
-    def integrand(r: np.ndarray, which: np.ndarray) -> np.ndarray:
-        return _integrand_values(spec, r)
-
-    gamma = None if spec.alternates else spec.tail_exponent
-    return _sum_cells(_cells(integrand, boundary, tol), boundary, gamma, tol)
+def _positive(spec: OscillatoryIntegrand, outcome):
+    """``outcome``, or a ``ConvergenceError`` where the integral of a
+    nonnegative integrand came out not positive."""
+    if spec.signed or not isinstance(outcome, QuadResult) or outcome.value > 0.0:
+        return outcome
+    return ConvergenceError(
+        f"the integral of r^{spec.beta!r} |J_{spec.order.nu}(r)|^{spec.power!r} came "
+        f"out {outcome.value!r}, not positive: its values underflow double range"
+    )
 
 
 def sum_over_partition(
@@ -800,18 +943,18 @@ def sum_over_partition(
     ``boundary(k)`` must give the k-th partition point for k >= 1, strictly
     increasing and unbounded.  The array integrand ``f(x, which)`` values
     each round's nodes of all cells between two checkpoints in one call, as
-    ``_cells`` passes them.
+    ``_sum_cells`` passes them; it ignores ``which``.
     The cells alternate when the signs of cells 2..9 of the first
     ``_PROBE_CELLS`` do, which the sum then reuses; otherwise
     ``tail_exponent`` is the algebraic decay rate of the cell envelope.
     """
-    cells = _cells(f, boundary, tol)
-    probe = cells(0, _PROBE_CELLS)
+    check_tolerance(tol)
+    edges = _cell_edges(boundary, 0, _PROBE_CELLS)
+    probe = _integrate_cells(f, edges, tol)
     signs = [math.copysign(1.0, c.value) for c in probe[2:] if c.value != 0.0]
     alternating = len(signs) >= 4 and all(a != b for a, b in zip(signs, signs[1:]))
-
-    def block(k0: int, k1: int) -> Sequence[QuadResult]:
-        # Both schedules' first block ends past the probe.
-        return probe + cells(_PROBE_CELLS, k1) if k0 == 0 else cells(k0, k1)
-
-    return _sum_cells(block, boundary, None if alternating else tail_exponent, tol)
+    cell_sum = _CellSum(None if alternating else tail_exponent, tol)
+    # Both schedules' first checkpoint lies past the probe.
+    cell_sum.add(probe, [b for _, b in edges])
+    _sum_cells(f, boundary, [cell_sum], tol)
+    return _only([cell_sum.outcome])

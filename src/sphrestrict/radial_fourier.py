@@ -42,6 +42,7 @@ from .quadrature import (
     DEFAULT_REL_TOL,
     ArrayIntegrand,
     QuadResult,
+    _only,
     integrate_finite_block,
     integrate_semi_infinite_block,
     sum_over_partition,
@@ -328,14 +329,6 @@ def _then(outcome: Outcome, step: Callable) -> Outcome:
         return step(outcome)
     except (DomainError, ConvergenceError) as exc:
         return exc
-
-
-def _only(outcomes: Sequence[Outcome[T]]) -> T:
-    """The result of a one-profile call, raising its error."""
-    (outcome,) = outcomes
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
 
 
 def radial_lp_norm(

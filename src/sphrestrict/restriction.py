@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -49,14 +48,14 @@ from .quadrature import (
     DEFAULT_REL_TOL,
     OscillatoryIntegrand,
     QuadResult,
+    _only,
     check_tolerance,
-    integrate_oscillatory_bessel,
+    integrate_oscillatory_bessel_block,
 )
 from .radial_fourier import (
     AlgebraicDecay,
     Outcome,
     RadialProfile,
-    _only,
     radial_lp_norms,
     sphere_norms_of_radial_hat,
 )
@@ -238,12 +237,34 @@ class SharpConstantResult:
         return self.k_rad_paper_closed_form / self.k_rad_first_principles
 
 
-@lru_cache(maxsize=256)
-def _kernel_integral_cached(d: int, p: float, tol: float) -> QuadResult:
-    # q does not enter the integral, so one entry serves every q.
-    params = RestrictionParams(d, p, 1.0)
-    spec = OscillatoryIntegrand(params.kernel.order, params.beta, params.p_prime)
-    return integrate_oscillatory_bessel(spec, tol)
+# Kernel integrals by (d, p, tol): the result, or the error computing it
+# raised.  q does not enter the integral, so one entry serves every q.
+_KERNEL_INTEGRALS: dict[tuple[int, float, float], Outcome[QuadResult]] = {}
+
+
+def _kernel_integrals(d: int, ps: Sequence[float], tol: float) -> None:
+    """Compute, as one block, the kernel integral of every exponent of
+    ``ps`` inside the convergence window that ``_KERNEL_INTEGRALS`` does
+    not hold yet, and store each result or error there.  The exponents of
+    one dimension share their arches, and each result is the one the
+    exponent gets alone (``integrate_oscillatory_bessel_block``)."""
+    check_tolerance(tol)
+    keys = [(d, p, tol) for p in dict.fromkeys(ps) if radial_convergence_admissible(d, p)]
+    keys = [key for key in keys if key not in _KERNEL_INTEGRALS]
+    if not keys:
+        return
+    # Past d = 343 there is no double sphere area; and a block that raises
+    # fails its own exponents, never the rest of a grid.
+    try:
+        order = RadialKernel(d).order
+        specs = []
+        for _, p, _ in keys:
+            params = RestrictionParams(d, p, 1.0)
+            specs.append(OscillatoryIntegrand(order, params.beta, params.p_prime))
+        outcomes = integrate_oscillatory_bessel_block(specs, tol)
+    except (DomainError, ConvergenceError) as exc:
+        outcomes = [exc] * len(keys)
+    _KERNEL_INTEGRALS.update(zip(keys, outcomes))
 
 
 def _kernel_integral(params: RestrictionParams, tol: float) -> QuadResult:
@@ -255,7 +276,8 @@ def _kernel_integral(params: RestrictionParams, tol: float) -> QuadResult:
             f"dimension {params.d}: the convergence window is 1 < p < "
             f"2d/(d+1) = {upper!r}"
         )
-    quad = _kernel_integral_cached(params.d, params.p, tol)
+    _kernel_integrals(params.d, [params.p], tol)
+    quad = _only([_KERNEL_INTEGRALS[(params.d, params.p, tol)]])
     return quad.expect_converged(f"kernel integral for (d={params.d}, p={params.p})")
 
 
@@ -411,10 +433,18 @@ def evaluate_grid(grid: Sequence[RestrictionParams], tol: float) -> list[GridPoi
     first.  A block that raises ``DomainError`` (``DivergenceError``
     included) or ``ConvergenceError`` leaves the error in its place; the
     other block and the rest of the grid still run.  A tolerance outside
-    0 < tol < inf is a ``DomainError`` before any grid point."""
+    0 < tol < inf is a ``DomainError`` before any grid point.
+
+    Before the first point of each dimension, the kernel integrals of all
+    its points are computed as one block (``_kernel_integrals``)."""
     check_tolerance(tol)
+    exponents: dict[int, list[float]] = {}
+    for params in grid:
+        exponents.setdefault(params.d, []).append(params.p)
     points = []
     for params in grid:
+        if params.d in exponents:
+            _kernel_integrals(params.d, exponents.pop(params.d), tol)
         try:
             gauss = gaussian_lower_bound_optimized(params)
         except (DomainError, ConvergenceError) as exc:

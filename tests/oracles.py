@@ -11,6 +11,7 @@ number can be recomputed.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 
 def bessel_series_oracle(nu: float, x: float, max_terms: int = 400) -> tuple[float, float]:
@@ -92,3 +93,21 @@ KERNEL_INTEGRALS = {
     (3, 1.4): (0.5619466956546591, 8e-9),
     (4, 1.3): (0.0683097580654046, 2e-12),
 }
+
+
+def sine_power_coefficient(m: int) -> Fraction:
+    """c_m, exact, with int_0^inf sin^(2m)(r) / r^(2m-2) dr = pi * c_m, m >= 2.
+
+    At d = 3, J_(1/2)(r) = sqrt(2/(pi r)) sin r, so the kernel integral at
+    p' = 2m (p = 2m/(2m-1), beta = 2 - m) is (2/pi)^m * pi * c_m.  The sum
+    is the classical closed form of int_0^inf sin^n(x) / x^k dx for even n
+    (Gradshteyn & Ryzhik 3.82x): c_2 = 1/4 gives I(3, 4/3) = 1/pi and c_3 =
+    1/8 gives I(3, 6/5) = 1/pi^2.
+    """
+    if m < 2:
+        raise ValueError(f"the integral diverges for m < 2, got {m}")
+    n = 2 * m
+    total = sum(
+        (-1) ** k * math.comb(n, k) * (n - 2 * k) ** (n - 3) for k in range(m + 1)
+    )
+    return Fraction(-total, 2**n * math.factorial(n - 3))

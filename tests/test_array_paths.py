@@ -35,13 +35,14 @@ from sphrestrict.quadrature import (
     _WG,
     _WGK,
     _XGK,
-    _cells,
+    _CellSum,
     _gk15_batch,
     _gk15_rule,
     _heap_result,
     _integrand_values,
     _integrate_block,
     _mapped,
+    _power_values,
     _sum_cells,
     integrate_finite,
     integrate_finite_block,
@@ -213,6 +214,28 @@ def recording_values(nodes):
         return _integrand_values(spec, r)
 
     return values
+
+
+def recording_power(nodes):
+    """``_power_values`` that also appends each array of nodes it is given
+    to the list ``nodes``: the nodes of every round of a kernel integral."""
+
+    def values(spec, r, j):
+        nodes.append(np.array(r, dtype=float))
+        return _power_values(spec, r, j)
+
+    return values
+
+
+def reference_sum(block, boundary, tail_exponent, tol):
+    """One ``_CellSum`` driven checkpoint by checkpoint, its cells from
+    ``block(k0, k1)``: what ``_sum_cells`` does for a sum run alone."""
+    total = _CellSum(tail_exponent, tol)
+    while total.outcome is None:
+        k0 = len(total.partial)
+        xs = [boundary(k) for k in range(k0 + 1, total.checkpoint + 1)]
+        total.add(block(k0, total.checkpoint), xs)
+    return total.outcome
 
 
 def node_by_node(spec, nodes):
@@ -610,7 +633,7 @@ def scalar_oscillatory(spec, tol, nodes):
         return [reference_finite(f, a, b, arch_tol, 1e-16) for a, b in arch_edges(nu, k0, k1)]
 
     gamma = None if spec.alternates else spec.tail_exponent
-    return _sum_cells(arch_block, lambda k: bessel_j_zero(nu, k), gamma, tol)
+    return reference_sum(arch_block, lambda k: bessel_j_zero(nu, k), gamma, tol)
 
 
 class TestKernelIntegral:
@@ -620,7 +643,7 @@ class TestKernelIntegral:
     def test_same_result_as_per_arch_engine(self, monkeypatch, d, p, tol):
         spec = kernel_spec(d, p)
         nodes = []
-        monkeypatch.setattr(quadrature, "_integrand_values", recording_values(nodes))
+        monkeypatch.setattr(quadrature, "_power_values", recording_power(nodes))
         assert integrate_oscillatory_bessel(spec, tol) == scalar_oscillatory(spec, tol, nodes)
 
     @pytest.mark.parametrize(
@@ -628,8 +651,8 @@ class TestKernelIntegral:
         ids=["positive", "alternating"],
     )
     def test_schedule_checkpoints_are_multiples_of_the_spacing(self, schedule):
-        # _sum_cells takes one block per checkpoint, range(first, count + 1,
-        # every): the first and the last checkpoint must be on that grid.
+        # A _CellSum is tested at checkpoints first, first + every, ...,
+        # count: the last checkpoint must be on that grid.
         first, every, count = schedule
         assert first % every == 0 and count % every == 0 and first <= count
 
@@ -641,7 +664,9 @@ class TestKernelIntegral:
     @pytest.mark.parametrize(
         "error, converged", [(0.0, True), (1.0, False)], ids=["converges", "runs_out"]
     )
-    def test_blocks_end_at_checkpoints(self, tail_exponent, schedule, error, converged):
+    def test_blocks_end_at_checkpoints(
+        self, monkeypatch, tail_exponent, schedule, error, converged
+    ):
         # A sum that stops at a checkpoint must not have computed an arch
         # past it; evaluation counts cannot show that, they count only the
         # arches summed.  Zero cells converge at the first checkpoint; cells
@@ -649,11 +674,14 @@ class TestKernelIntegral:
         first, every, count = schedule
         requested = []
 
-        def arch_block(k0, k1):
-            requested.append((k0, k1))
-            return [QuadResult(0.0, error, 15, True)] * (k1 - k0)
+        def integrate_cells(f, edges, tol):
+            requested.append((int(edges[0][0]), int(edges[-1][1])))
+            return [QuadResult(0.0, error, 15, True)] * len(edges)
 
-        res = _sum_cells(arch_block, float, tail_exponent, 1e-9)
+        monkeypatch.setattr(quadrature, "_integrate_cells", integrate_cells)
+        total = _CellSum(tail_exponent, 1e-9)
+        _sum_cells(None, float, [total], 1e-9)
+        res = total.outcome
         blocks = [(0, first)]
         if not converged:
             blocks += [(k, k + every) for k in range(first, count, every)]
@@ -663,7 +691,7 @@ class TestKernelIntegral:
     def test_same_result_signed(self, monkeypatch):
         spec = OscillatoryIntegrand(BesselOrder(0.5), 0.0, 1.0, signed=True)
         nodes = []
-        monkeypatch.setattr(quadrature, "_integrand_values", recording_values(nodes))
+        monkeypatch.setattr(quadrature, "_power_values", recording_power(nodes))
         assert integrate_oscillatory_bessel(spec, 1e-10) == scalar_oscillatory(spec, 1e-10, nodes)
 
 
@@ -685,7 +713,7 @@ def per_cell_partition_sum(f, boundary, tol, tail_exponent):
     def block(k0, k1):
         return [probe[k] if k < 10 else cell(k) for k in range(k0, k1)]
 
-    return _sum_cells(block, boundary, None if alternating else tail_exponent, tol)
+    return reference_sum(block, boundary, None if alternating else tail_exponent, tol)
 
 
 def counted(f):
@@ -754,8 +782,9 @@ class TestPartitionSum:
 
         got = sum_over_partition(_mapped(f), boundary, 1e-8, tail_exponent=2.0)
         assert got == per_cell_partition_sum(f, boundary, 1e-8, 2.0)
-        alternating = _sum_cells(_cells(_mapped(f), boundary, 1e-8), boundary, None, 1e-8)
-        assert got != alternating
+        alternating = _CellSum(None, 1e-8)
+        _sum_cells(_mapped(f), boundary, [alternating], 1e-8)
+        assert got != alternating.outcome
 
 
 class TestEnvelopeOverflow:

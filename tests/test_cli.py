@@ -10,7 +10,7 @@ import pytest
 from sphrestrict import radial_fourier
 from sphrestrict.cli import SWEEP_COLUMNS, main
 from sphrestrict.quadrature import QuadResult
-from sphrestrict.restriction import _kernel_integral_cached
+from sphrestrict import restriction
 
 
 def run_cli(capsys, *argv):
@@ -64,6 +64,13 @@ class TestConstant:
             assert json.loads(out)["kernel_integral"]["converged"] is True
         else:
             assert "did not converge" in err
+
+    def test_zero_kernel_integral_exits_3(self, capsys):
+        # At (60, 1.05) every arch of the kernel integrand underflows to 0
+        # (beta = -550); a positive integrand's integral of 0 is no result.
+        code, out, err = run_cli(capsys, "constant", "--d", "60", "--p", "1.05", "--q", "2")
+        assert (code, out) == (3, "")
+        assert "came out 0.0, not positive: its values underflow double range" in err
 
     def test_large_order_overflow_exits_2(self, capsys):
         # J_159 overflows double range in Miller's normalisation while the
@@ -412,6 +419,16 @@ class TestSweep:
         assert second["gauss_opt"] is None and second["gauss_paper"] is None
         assert second["tomas_stein_ok"] is False
 
+    def test_zero_kernel_integral_is_a_failed_row(self, capsys):
+        # p = 1.05 underflows to a zero integral at d = 60; p = 1.9 of the
+        # same dimension's block converges.
+        code, out, err = run_cli(capsys, "sweep", "--d", "60", "--p", "1.05:1.9:2", "--q", "2")
+        assert code == 0
+        assert err.count("not positive: its values underflow double range") == 1
+        rows = list(csv.DictReader(out.splitlines()))
+        assert [row["integral"] for row in rows][0] == "failed"
+        assert float(rows[1]["integral"]) > 0.0 and float(rows[0]["gauss_opt"]) > 0.0
+
     def test_too_large_dimension_is_a_failed_row(self, capsys):
         # Without a double sphere area (d >= 344) both blocks fail; the
         # d = 343 row of the same grid is still printed.
@@ -427,15 +444,23 @@ class TestSweep:
         reason = "sphere_area requires d <= 343, where Gamma(d/2) fits a double; got 344"
         assert err.count(reason) == 2
 
-    def test_one_kernel_integral_per_d_p(self, capsys):
-        _kernel_integral_cached.cache_clear()
+    def test_one_kernel_integral_per_d_p(self, capsys, monkeypatch):
+        # One block per dimension, holding each of its exponents once.
+        blocks = []
+
+        def record(specs, tol, _fn=restriction.integrate_oscillatory_bessel_block):
+            blocks.append([spec.power for spec in specs])
+            return _fn(specs, tol)
+
+        monkeypatch.setattr(restriction, "integrate_oscillatory_bessel_block", record)
+        monkeypatch.setattr(restriction, "_KERNEL_INTEGRALS", {})
         code, out, _ = run_cli(
             capsys, "sweep", "--d", "2:3:2", "--p", "1.1:1.2:2", "--q", "1:2:3",
             "--workers", "4",
         )
         assert code == 0
         assert len(out.splitlines()) == 1 + 2 * 2 * 3
-        assert _kernel_integral_cached.cache_info().misses == 4
+        assert blocks == [[p / (p - 1.0) for p in (1.1, 1.2)]] * 2
 
 
 class TestVerify:

@@ -1,0 +1,160 @@
+"""The kernel integrals of one dimension run as one block.
+
+``integrate_oscillatory_bessel_block`` sums the integrals of one Bessel
+order in lockstep: every checkpoint's cells of every integral still
+running are one ``_integrate_block`` call, and each round values J_nu once
+per distinct node.  Each integral must still end exactly as it does
+alone, its error included, and the block must make fewer, smaller
+``bessel_j_array`` calls than the integrals one at a time.
+"""
+
+import pytest
+
+from sphrestrict import quadrature, restriction
+from sphrestrict.cli import _grid, build_parser
+from sphrestrict.errors import ConvergenceError, DomainError
+from sphrestrict.quadrature import (
+    OscillatoryIntegrand,
+    integrate_oscillatory_bessel,
+    integrate_oscillatory_bessel_block,
+)
+from sphrestrict.restriction import RestrictionParams, evaluate_grid
+from sphrestrict.special_fns import BesselOrder
+
+# The grids of the benchmark's sweep and highdim jobs.
+SWEEP = ["sweep", "--d", "2:4:3", "--p", "1.1:1.6:12", "--q", "1:3:5"]
+HIGHDIM = ["report", "--d", "4:16:4", "--p", "1.05:1.55:6", "--q", "2"]
+
+
+def grid(argv):
+    return _grid(build_parser()[0].parse_args(argv))
+
+
+def kernel_specs(d, ps):
+    """The kernel integrands of the in-window exponents ``ps`` of ``d``."""
+    specs = []
+    for p in dict.fromkeys(ps):
+        params = RestrictionParams(d, p, 1.0)
+        if restriction.radial_convergence_admissible(d, p):
+            specs.append(OscillatoryIntegrand(params.kernel.order, params.beta, params.p_prime))
+    return specs
+
+
+def lone(spec, tol):
+    """``integrate_oscillatory_bessel`` of one integrand, or its error."""
+    try:
+        return integrate_oscillatory_bessel(spec, tol)
+    except (DomainError, ConvergenceError) as exc:
+        return exc
+
+
+def same_outcome(got, expected):
+    if isinstance(expected, Exception):
+        return type(got) is type(expected) and str(got) == str(expected)
+    return got == expected
+
+
+def by_dimension(argv):
+    dims = {}
+    for params in grid(argv):
+        dims.setdefault(params.d, []).append(params.p)
+    return dims
+
+
+@pytest.mark.parametrize("argv", [SWEEP, HIGHDIM], ids=["sweep", "highdim"])
+def test_every_grid_point_equals_its_lone_run(argv):
+    # QuadResult equality covers value, error_estimate, evaluations and
+    # converged; highdim holds 10 points that fail alone.
+    outcomes = []
+    for d, ps in by_dimension(argv).items():
+        specs = kernel_specs(d, ps)
+        block = integrate_oscillatory_bessel_block(specs, 1e-9)
+        for spec, got in zip(specs, block):
+            expected = lone(spec, 1e-9)
+            assert same_outcome(got, expected), (d, spec.power)
+            outcomes.append(got)
+    unconverged = [o for o in outcomes if isinstance(o, Exception) or not o.converged]
+    assert len(outcomes) == {"sweep": 26, "report": 24}[argv[0]]
+    assert len(unconverged) == {"sweep": 0, "report": 10}[argv[0]]
+
+
+def test_mixed_orders_and_regimes_in_one_block():
+    # Each order is its own partition; a signed integrand alternates on its
+    # own schedule; a divergent one fails alone.
+    specs = [
+        OscillatoryIntegrand(BesselOrder(0.5), 0.0, 1.0, signed=True),
+        OscillatoryIntegrand(BesselOrder(0.0), 2.0, 5.0),
+        *kernel_specs(3, [1.2, 1.4]),
+        *kernel_specs(2, [1.2]),
+    ]
+    block = integrate_oscillatory_bessel_block(specs, 1e-10)
+    for spec, got in zip(specs, block):
+        assert same_outcome(got, lone(spec, 1e-10))
+    assert "tail exponent" in str(block[1])
+
+
+def test_lost_zero_fails_only_the_exponents_still_running(monkeypatch):
+    # Alone at d = 3, p = 1.2 stops at the checkpoint of 24 arches, 1.3 at
+    # 32, 1.35 at 48 and 1.4 at 72.  With every zero past 40 lost, the
+    # checkpoint of 48 fails, and with it exactly the two exponents that
+    # reach it.
+    real = quadrature.bessel_j_zero
+
+    def zero(nu, k):
+        if k > 40:
+            raise ConvergenceError(f"zero {k} of J_{nu} withheld")
+        return real(nu, k)
+
+    monkeypatch.setattr(quadrature, "bessel_j_zero", zero)
+    specs = kernel_specs(3, [1.2, 1.3, 1.35, 1.4])
+    block = integrate_oscillatory_bessel_block(specs, 1e-9)
+    for spec, got in zip(specs, block):
+        assert same_outcome(got, lone(spec, 1e-9))
+    assert [type(o) for o in block] == [quadrature.QuadResult] * 2 + [ConvergenceError] * 2
+    assert str(block[2]) == "zero 41 of J_0.5 withheld"
+
+
+def test_zero_integral_fails_inside_a_batch():
+    # At d = 60 every arch of p = 1.05 underflows to 0 (beta = -550), while
+    # p = 1.9 in the same block converges.
+    specs = kernel_specs(60, [1.05, 1.9])
+    underflow, converged = integrate_oscillatory_bessel_block(specs, 1e-9)
+    assert isinstance(underflow, ConvergenceError)
+    assert "not positive" in str(underflow) and "underflow" in str(underflow)
+    assert converged.converged and converged.value > 0.0
+    with pytest.raises(ConvergenceError, match="underflow"):
+        integrate_oscillatory_bessel(specs[0], 1e-9)
+
+
+def test_sweep_grid_values_each_node_once_per_round(monkeypatch):
+    # One at a time, the sweep grid's 26 kernel integrals valued J at
+    # 239,460 nodes in 795 calls; its 99,390 distinct nodes per round of a
+    # dimension's block take 364.
+    calls = []
+    real = quadrature.bessel_j_array
+
+    def counted(order, x):
+        calls.append(len(x))
+        return real(order, x)
+
+    monkeypatch.setattr(quadrature, "bessel_j_array", counted)
+    monkeypatch.setattr(restriction, "_KERNEL_INTEGRALS", {})
+    points = evaluate_grid(grid(SWEEP), 1e-9)
+    assert sum(isinstance(pt.sharp, restriction.SharpConstantResult) for pt in points) == 130
+    assert sum(calls) <= 100_000 and len(calls) <= 400
+
+
+def test_memo_holds_errors(monkeypatch):
+    # A lost zero is computed once, not once per q.
+    blocks = []
+    real = restriction.integrate_oscillatory_bessel_block
+
+    def record(specs, tol):
+        blocks.append(len(specs))
+        return real(specs, tol)
+
+    monkeypatch.setattr(restriction, "integrate_oscillatory_bessel_block", record)
+    monkeypatch.setattr(restriction, "_KERNEL_INTEGRALS", {})
+    points = evaluate_grid([RestrictionParams(96, 1.02, q) for q in (1.0, 2.0, 3.0)], 1e-9)
+    assert blocks == [1]
+    assert all("a zero was lost" in str(pt.sharp) for pt in points)

@@ -1,0 +1,82 @@
+"""Kernel integrals at d = 3 against exact values, for every even p'.
+
+At d = 3 the kernel integral at p' = 2m (p = 2m/(2m-1), beta = 2 - m) is
+I_m = (2/pi)^m * pi * c_m with c_m rational (``oracles.sine_power_coefficient``).
+All 29 exponents m = 2..30 run as one block of ``evaluate_grid``, the
+widest block in the suite, and each must meet
+
+    |value - I_m| <= error_estimate + shift_m.
+
+``shift_m`` bounds how far the exact integral moves between (2 - m, 2m)
+and the (beta, p') that production forms from the double p: both are off
+by up to ~3e-13, which at m = 14 and 16 is more than the error estimate.
+It is derived below from the integrand itself; nothing else is loosened.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+from sphrestrict.restriction import RestrictionParams, SharpConstantResult, evaluate_grid
+
+from oracles import sine_power_coefficient
+
+M = range(2, 31)
+LOG_HALF_PI = math.log(0.5 * math.pi)
+
+
+def exact_integral(m):
+    """I_m = 2^m c_m pi^(1 - m), within 4e-15 relative: one rounding of
+    the rational 2^m c_m, and pi^(1 - m) in doubles."""
+    return float(2**m * sine_power_coefficient(m)) * math.pi ** (1 - m)
+
+
+def shift_bound(m, params):
+    """|I(beta, p') - I_m| / I_m for production's (beta, p'), to first order.
+
+    With g = |sin r| / r, the integrand at (2 - p'/2, p') is
+    (2/pi)^(p'/2) g^(p') r^2, and w ~ g^(2m) r^2 is the weight of the
+    exact point, Z = int w = pi c_m.  Two directions:
+
+    * along beta = 2 - p'/2, d log I / d p' = log(2/pi)/2 + E_w[log g].
+      On r <= pi/2, -log g <= log(pi/2); past it g^(2m) r^2 <= r^(2-2m),
+      and |sin|^(2m) (-log|sin|) <= 1/(2 m e).  So with L = pi/2 and
+      a = 2m - 3, |d log I / d p'| <= S =
+      (3/2) log L + L^(-a) (log L / a + 1/a^2 + 1/(2 m e a)) / Z;
+    * in beta at fixed p', d log I / d beta = E_w[log r], and
+      int_0^1 r^2 |log r| = 1/9, int_1^inf r^(2-2m) log r = 1/a^2, so
+      |d log I / d beta| <= B = (1/9 + 1/a^2) / Z.
+
+    Production's point is p' = 2m + dp, beta = 2 - p'/2 + off, both exact
+    as rationals of the doubles.  Over a segment that short the weight,
+    and with it both derivatives, moves by a relative ~1e-12; the factor
+    2 covers that, and 4e-15 covers the rounding of ``exact_integral``.
+    """
+    a = 2 * m - 3
+    z = math.pi * float(sine_power_coefficient(m))
+    tail = (0.5 * math.pi) ** (-a) * (LOG_HALF_PI / a + 1 / a**2 + 1 / (2 * m * math.e * a))
+    s = 1.5 * LOG_HALF_PI + tail / z
+    b = (1 / 9 + 1 / a**2) / z
+    p_prime = Fraction(params.p_prime)
+    dp = abs(float(p_prime - 2 * m))
+    off = abs(float(Fraction(params.beta) - (2 - p_prime / 2)))
+    return 2.0 * (s * dp + b * off) + 4e-15
+
+
+def test_coefficients_match_the_known_closed_forms():
+    assert sine_power_coefficient(2) == Fraction(1, 4)  # I(3, 4/3) = 1/pi
+    assert sine_power_coefficient(3) == Fraction(1, 8)  # I(3, 6/5) = 1/pi^2
+    assert exact_integral(3) == pytest.approx(1 / math.pi**2, rel=1e-15)
+
+
+def test_every_even_power_in_one_block():
+    grid = [RestrictionParams(3, 2 * m / (2 * m - 1), 2.0) for m in M]
+    points = evaluate_grid(grid, 1e-9)
+    for m, point in zip(M, points):
+        assert isinstance(point.sharp, SharpConstantResult), (m, point.errors)
+        quad = point.sharp.kernel_integral
+        exact = exact_integral(m)
+        assert quad.converged
+        shift = shift_bound(m, point.params) * exact
+        assert abs(quad.value - exact) <= quad.error_estimate + shift, m

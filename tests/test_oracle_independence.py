@@ -2,8 +2,9 @@
 
 1. ``verify`` (the oracle) imports nothing of the production integrator
    from ``quadrature``: no name starting with ``integrate``,
-   ``_integrate``, ``_gk15``, ``_cells`` or ``_sum``, neither imported nor
-   reached as an attribute of an imported ``quadrature`` module.
+   ``_integrate``, ``_gk15``, ``_cell``, ``_CellSum`` or ``_sum``, neither
+   imported nor reached as an attribute of an imported ``quadrature``
+   module.
 4. The numeric modules ``quadrature``, ``radial_fourier``, ``restriction``
    and ``gls`` never import ``verify``.
 
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sphrestrict"
-INTEGRATOR_PREFIXES = ("integrate", "_integrate", "_gk15", "_cells", "_sum")
+INTEGRATOR_PREFIXES = ("integrate", "_integrate", "_gk15", "_cell", "_CellSum", "_sum")
 NUMERIC_MODULES = ("quadrature", "radial_fourier", "restriction", "gls")
 
 
@@ -94,6 +95,7 @@ def test_numeric_module_does_not_import_verify(module):
         ("from sphrestrict.quadrature import _gk15_rule as rule", ["_gk15_rule"]),
         ("from . import quadrature\nquadrature._sum_cells(b, x, None, 1e-9)", ["_sum_cells"]),
         ("from . import quadrature as q\nq._cells(f, x, 1e-9)", ["_cells"]),
+        ("from .quadrature import _CellSum, _cell_edges", ["_CellSum", "_cell_edges"]),
         ("import sphrestrict.quadrature\nsphrestrict.quadrature._integrate_block", ["_integrate_block"]),
         ("from .quadrature import QuadResult, wynn_epsilon", []),
     ],
