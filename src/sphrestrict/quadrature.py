@@ -26,7 +26,14 @@ two regimes:
   known envelope exponent is exploited directly: the remainder past X has
   an expansion X^(1-gamma) (c0 + c1/X + c2/X^2 + ...), and a small least
   squares fit over trailing partial sums extrapolates to the limit with
-  residual O(X^(1-gamma-m)).
+  residual O(X^(1-gamma-m)).  For a kernel integral c0 is known in closed
+  form (``OscillatoryIntegrand.tail_coefficient``, from DLMF 10.17.3), so
+  the fit takes only the corrections; a caller's partition sum fits c0 too.
+
+Each cell is integrated to tol/100, at most 1e-12 and at least 100 eps:
+below GK15's 50 eps round-off floor the largest cells would refine to their
+panel limit and never converge.  A sum holding a cell that did not converge
+is not converged.
 
 One engine, ``_integrate_block``, runs the adaptive rule over several
 intervals at once, each with its own heap, and evaluates every round's new
@@ -591,6 +598,22 @@ class OscillatoryIntegrand:
         return 0.5 * self.power - self.beta
 
     @property
+    def tail_coefficient(self) -> float:
+        """c0, the leading coefficient of the remainder past X, c0 X^(1-gamma).
+
+        |J_nu(r)|^a ~ (2/(pi r))^(a/2) |cos(r - phi)|^a (DLMF 10.17.3), a =
+        power, and |cos|^a has the mean M(a) = Gamma((a+1)/2) / (sqrt(pi)
+        Gamma(a/2 + 1)), so c0 = (2/pi)^(a/2) M(a) / (gamma - 1).  gamma - 1
+        is summed exactly rounded: next to the window edge gamma - 1 is tiny
+        and ``tail_exponent - 1.0`` would lose its digits.
+        """
+        a = self.power
+        mean = math.exp(math.lgamma(0.5 * (a + 1.0)) - math.lgamma(0.5 * a + 1.0))
+        return (2.0 / math.pi) ** (0.5 * a) * mean / (
+            math.sqrt(math.pi) * math.fsum((0.5 * a, -self.beta, -1.0))
+        )
+
+    @property
     def zero_exponent(self) -> float:
         return self.beta
 
@@ -710,18 +733,30 @@ def _node_value(spec: OscillatoryIntegrand, r: float, aj: float) -> float:
 
 
 def _algebraic_tail_fit(
-    xs: Sequence[float], sums: Sequence[float], gamma_exp: float, n_terms: int
+    xs: Sequence[float],
+    sums: Sequence[float],
+    gamma_exp: float,
+    n_terms: int,
+    c0: Optional[float] = None,
 ) -> tuple[float, float]:
     """Least-squares fit S_n = S_inf - X_n^(1-gamma) * poly(x_ref/X_n).
 
-    Returns the extrapolated limit and the max fit residual.
+    The polynomial is c0 + c1 t + c2 t^2 + ...: with ``c0`` unknown, its
+    first ``n_terms`` coefficients are fitted; with ``c0`` given,
+    c0 X_n^(1-gamma) moves to the left side and the ``n_terms``
+    corrections c1.. are fitted.  Returns the extrapolated limit and the
+    max fit residual.
     """
     x = np.asarray(xs, dtype=float)
     s = np.asarray(sums, dtype=float)
     t = x[-1] / x
     w = x ** (1.0 - gamma_exp)
+    first = 0
+    if c0 is not None:
+        s = s + c0 * w
+        first = 1
     cols = [np.ones_like(x)]
-    for j in range(n_terms):
+    for j in range(first, first + n_terms):
         cols.append(-w * t**j)
     design = np.column_stack(cols)
     sol, *_ = np.linalg.lstsq(design, s, rcond=None)
@@ -750,14 +785,21 @@ class _CellSum:
     means nonnegative cells whose envelope decays like r^(-gamma), on
     ``_POSITIVE``: the algebraic tail fit over the trailing half (at most
     64) of the partial sums, with ``_FIT_TERMS`` and one fewer correction
-    terms; their spread, the fit residual, the cells' own error and half
-    the move since the last checkpoint bound the error.  Unconverged at the
-    last checkpoint, the result is the estimate with the least error.
+    terms, the leading coefficient ``c0`` of the remainder fixed when it is
+    known and fitted when it is None; their spread, the fit residual, the
+    cells' own error and half the move since the last checkpoint bound the
+    error.  Unconverged at the last checkpoint, the result is the estimate
+    with the least error.  A sum holding a cell that did not converge is
+    never converged.
     """
 
-    def __init__(self, tail_exponent: Optional[float], tol: float) -> None:
+    def __init__(
+        self, tail_exponent: Optional[float], tol: float, c0: Optional[float] = None
+    ) -> None:
         self.tail_exponent = tail_exponent
         self.tol = tol
+        self.c0 = c0
+        self.cells_converged = True
         self.checkpoint, self.every, self.count = (
             _ALTERNATING if tail_exponent is None else _POSITIVE
         )
@@ -775,6 +817,7 @@ class _CellSum:
             self.evals += cell.evaluations
             self.total += cell.value
             self.quad_err += cell.error_estimate
+            self.cells_converged = self.cells_converged and cell.converged
             self.xs.append(x)
             self.partial.append(self.total)
         if len(self.partial) == self.checkpoint:
@@ -787,8 +830,8 @@ class _CellSum:
         else:
             window = min(self.checkpoint // 2, 64)
             trailing = (self.xs[-window:], self.partial[-window:], self.tail_exponent)
-            est, resid = _algebraic_tail_fit(*trailing, _FIT_TERMS)
-            est_lo, _ = _algebraic_tail_fit(*trailing, _FIT_TERMS - 1)
+            est, resid = _algebraic_tail_fit(*trailing, _FIT_TERMS, self.c0)
+            est_lo, _ = _algebraic_tail_fit(*trailing, _FIT_TERMS - 1, self.c0)
             err = abs(est - est_lo) + resid + self.quad_err
             if self.prev_est is not None:
                 err = max(err, 0.5 * abs(est - self.prev_est) + self.quad_err)
@@ -796,7 +839,7 @@ class _CellSum:
         if self.best is None or err < self.best[1]:
             self.best = (est, err)
         if err <= self.tol * max(abs(est), 1e-300):
-            self.outcome = QuadResult(est, err, self.evals, True)
+            self.outcome = QuadResult(est, err, self.evals, self.cells_converged)
         elif self.checkpoint == self.count:
             self.outcome = QuadResult(*self.best, self.evals, False)
         else:
@@ -815,8 +858,11 @@ def _integrate_cells(
     f: ArrayIntegrand, edges: Sequence[tuple[float, float]], tol: float
 ) -> list[QuadResult]:
     """The cells ``edges`` as one block, at the per-cell tolerance of a sum
-    to relative ``tol``."""
-    return _integrate_block(f, edges, min(1e-12, tol * 1e-2), 1e-16, _MAX_INTERVALS)
+    to relative ``tol``: ``min(1e-12, tol * 1e-2)``, but never below twice
+    GK15's round-off floor ``_EPS50``, where the largest cells would refine
+    to ``max_intervals`` and still not converge."""
+    cell_tol = max(min(1e-12, tol * 1e-2), 2.0 * _EPS50)
+    return _integrate_block(f, edges, cell_tol, 1e-16, _MAX_INTERVALS)
 
 
 def _sum_cells(
@@ -831,7 +877,7 @@ def _sum_cells(
 
     Each step integrates, for every sum still running, its cells up to its
     next checkpoint, all in one ``_integrate_block`` call at the per-cell
-    tolerance ``min(1e-12, tol * 1e-2)``: ``f(x, which)`` values the nodes
+    tolerance of ``_integrate_cells``: ``f(x, which)`` values the nodes
     of sum ``which``.  A sum that stops at a checkpoint never has a cell
     past it computed, and every cell is the one the sum gets alone, so
     each outcome is that of the sum run by itself.  The edges of a span of
@@ -913,7 +959,11 @@ def integrate_oscillatory_bessel_block(
             by_order.setdefault(spec.order.nu, []).append(i)
     for nu, members in by_order.items():
         group = [specs[i] for i in members]
-        sums = [_CellSum(None if s.alternates else s.tail_exponent, tol) for s in group]
+        sums = [
+            _CellSum(None, tol) if s.alternates
+            else _CellSum(s.tail_exponent, tol, s.tail_coefficient)
+            for s in group
+        ]
         _sum_cells(_block_values(group), partial(bessel_j_zero, nu), sums, tol)
         for i, spec, cell_sum in zip(members, group, sums):
             outcomes[i] = _positive(spec, cell_sum.outcome)

@@ -111,3 +111,49 @@ def sine_power_coefficient(m: int) -> Fraction:
         (-1) ** k * math.comb(n, k) * (n - 2 * k) ** (n - 3) for k in range(m + 1)
     )
     return Fraction(-total, 2**n * math.factorial(n - 3))
+
+
+def hurwitz_kernel_integral(beta: float, p_prime: float, dps: int = 30, split: int = 2):
+    """The d = 3 kernel integral at any (beta, p'), as an mpmath number.
+
+    J_(1/2)(r) = sqrt(2/(pi r)) sin r, so with a = p' the integrand is
+    (2/pi)^(a/2) r^(-s) |sin r|^a, s = a/2 - beta.  Folding every arch
+    [k pi, (k+1) pi] onto [0, pi] with r = u + k pi sums r^(-s) into the
+    Hurwitz zeta function:
+
+        I = (2/pi)^(a/2) pi^(-s) int_0^pi sin^a(u) zeta(s, u/pi) du,
+
+    one finite integral, with no arch summation and no tail model.  It
+    converges for s > 1 (inside the window) and a - s > -1.  ``split``
+    panels of equal width; the value at (40 digits, 4 panels) against
+    (30, 2) is the uncertainty quoted with ``D3_HURWITZ``.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        a = mp.mpf(p_prime)
+        s = a / 2 - mp.mpf(beta)
+        panels = [mp.pi * k / split for k in range(split + 1)]
+        folded = mp.quad(lambda u: mp.sin(u) ** a * mp.zeta(s, u / mp.pi), panels)
+        return (2 / mp.pi) ** (a / 2) * mp.pi ** (-s) * folded
+
+
+# p: (beta, p', I) at d = 3, I = float(hurwitz_kernel_integral(beta, p')) at
+# the doubles beta and p' that ``RestrictionParams(3, p, q)`` forms: near
+# the window edge I ~ 1/(p' - 3), and rounding p' alone would move I by
+# ~1e-9.  Each value agrees with the (40 digits, 4 panels) run to 5e-30
+# relative; p = 1.2 gives 1/pi^2 and 4/3 gives 1/pi to the shift of their
+# doubles.  Recompute with [(p, *v[:2], float(hurwitz_kernel_integral(*v[:2])))
+# for p, v in D3_HURWITZ.items()], 0.5-2 s a point.
+D3_HURWITZ = {
+    1.02: (-23.49999999999998, 50.99999999999996, 1.7576267920731397e-07),
+    1.05: (-8.49999999999999, 20.999999999999982, 0.0005695743247293998),
+    1.1: (-3.4999999999999956, 10.999999999999991, 0.013901569857849298),
+    1.2: (-1.000000000000001, 6.000000000000001, 0.10132118364233773),
+    1.3: (-0.16666666666666605, 4.333333333333333, 0.2478799774687696),
+    1.4: (0.24999999999999972, 3.5000000000000004, 0.5619466956544139),
+    1.45: (0.3888888888888888, 3.2222222222222223, 1.1178068269953865),
+    1.49: (0.47959183673469385, 3.0408163265306123, 5.440729605731254),
+    1.4999: (0.49979995999199844, 3.000400080016003, 539.0044741741326),
+    1.499999: (0.49999799999600014, 3.0000040000079995, 53895.125857439954),
+}

@@ -227,10 +227,10 @@ def recording_power(nodes):
     return values
 
 
-def reference_sum(block, boundary, tail_exponent, tol):
+def reference_sum(block, boundary, tail_exponent, tol, c0=None):
     """One ``_CellSum`` driven checkpoint by checkpoint, its cells from
     ``block(k0, k1)``: what ``_sum_cells`` does for a sum run alone."""
-    total = _CellSum(tail_exponent, tol)
+    total = _CellSum(tail_exponent, tol, c0)
     while total.outcome is None:
         k0 = len(total.partial)
         xs = [boundary(k) for k in range(k0 + 1, total.checkpoint + 1)]
@@ -622,18 +622,41 @@ class TestLookahead:
         assert rounds - 1 == 26 < AHEAD_SPLITS
 
 
+def cell_tolerance(tol):
+    """The per-cell tolerance of a sum to relative ``tol``: tol / 100, at
+    most 1e-12 and at least 100 eps, twice GK15's round-off floor."""
+    return max(min(1e-12, tol * 1e-2), 100.0 * 2.220446049250313e-16)
+
+
+def remainder_coefficient(spec):
+    """c0 = (2/pi)^(a/2) M(a) / (gamma - 1), a = p', of the remainder
+    c0 X^(1-gamma) of a kernel sum: |J_nu(r)|^a ~ (2/(pi r))^(a/2)
+    |cos(r - phi)|^a, and M(a) = Gamma((a+1)/2) / (sqrt(pi) Gamma(a/2+1))
+    is the mean of |cos|^a.  The same operations as production, so the
+    sums can be compared with ``==``; ``test_quadrature`` checks
+    ``OscillatoryIntegrand.tail_coefficient`` against mpmath."""
+    a = spec.power
+    mean = math.exp(math.lgamma(0.5 * (a + 1.0)) - math.lgamma(0.5 * a + 1.0))
+    return (2.0 / math.pi) ** (0.5 * a) * mean / (
+        math.sqrt(math.pi) * math.fsum((0.5 * a, -spec.beta, -1.0))
+    )
+
+
 def scalar_oscillatory(spec, tol, nodes):
     """integrate_oscillatory_bessel with one scalar adaptive GK15 per arch,
     valuing J at the recorded ``nodes`` in one call (see ``node_by_node``)."""
     nu = spec.order.nu
     f = node_by_node(spec, nodes)
-    arch_tol = min(1e-12, tol * 1e-2)
+    arch_tol = cell_tolerance(tol)
 
     def arch_block(k0, k1):
         return [reference_finite(f, a, b, arch_tol, 1e-16) for a, b in arch_edges(nu, k0, k1)]
 
-    gamma = None if spec.alternates else spec.tail_exponent
-    return reference_sum(arch_block, lambda k: bessel_j_zero(nu, k), gamma, tol)
+    if spec.alternates:
+        gamma, c0 = None, None
+    else:
+        gamma, c0 = spec.tail_exponent, remainder_coefficient(spec)
+    return reference_sum(arch_block, lambda k: bessel_j_zero(nu, k), gamma, tol, c0)
 
 
 class TestKernelIntegral:
@@ -688,6 +711,19 @@ class TestKernelIntegral:
         assert requested == blocks
         assert (res.converged, res.evaluations) == (converged, 15 * blocks[-1][1])
 
+    @pytest.mark.parametrize("tail_exponent", [2.0, None], ids=["positive", "alternating"])
+    def test_unconverged_cell_leaves_the_sum_unconverged(self, monkeypatch, tail_exponent):
+        # Cells of value 0 and error 0 meet the tolerance at the first
+        # checkpoint; one cell that did not converge must not hide there.
+        def integrate_cells(f, edges, tol):
+            return [QuadResult(0.0, 0.0, 15, i != 3) for i in range(len(edges))]
+
+        monkeypatch.setattr(quadrature, "_integrate_cells", integrate_cells)
+        total = _CellSum(tail_exponent, 1e-9)
+        _sum_cells(None, float, [total], 1e-9)
+        first = (quadrature._POSITIVE if tail_exponent else quadrature._ALTERNATING)[0]
+        assert total.outcome == QuadResult(0.0, 0.0, 15 * first, False)
+
     def test_same_result_signed(self, monkeypatch):
         spec = OscillatoryIntegrand(BesselOrder(0.5), 0.0, 1.0, signed=True)
         nodes = []
@@ -699,7 +735,7 @@ def per_cell_partition_sum(f, boundary, tol, tail_exponent):
     """sum_over_partition with one lone ``integrate_finite`` per cell: the
     signs of cells 2..9 of a 10-cell probe choose the regime, and the sum
     takes those cells from the probe."""
-    cell_tol = min(1e-12, tol * 1e-2)
+    cell_tol = cell_tolerance(tol)
 
     def cell(k):
         return integrate_finite(

@@ -24,6 +24,7 @@ from sphrestrict.special_fns import BesselOrder
 # The grids of the benchmark's sweep and highdim jobs.
 SWEEP = ["sweep", "--d", "2:4:3", "--p", "1.1:1.6:12", "--q", "1:3:5"]
 HIGHDIM = ["report", "--d", "4:16:4", "--p", "1.05:1.55:6", "--q", "2"]
+TIGHT = ["sweep", "--d", "2:4:3", "--p", "1.2", "--q", "2"]
 
 
 def grid(argv):
@@ -94,24 +95,24 @@ def test_mixed_orders_and_regimes_in_one_block():
 
 
 def test_lost_zero_fails_only_the_exponents_still_running(monkeypatch):
-    # Alone at d = 3, p = 1.2 stops at the checkpoint of 24 arches, 1.3 at
-    # 32, 1.35 at 48 and 1.4 at 72.  With every zero past 40 lost, the
-    # checkpoint of 48 fails, and with it exactly the two exponents that
+    # Alone at d = 3, p = 1.2 and 1.3 stop at the checkpoint of 24 arches,
+    # 1.4 at 32 and 1.45 at 40.  With every zero past 30 lost, the
+    # checkpoint of 32 fails, and with it exactly the two exponents that
     # reach it.
     real = quadrature.bessel_j_zero
 
     def zero(nu, k):
-        if k > 40:
+        if k > 30:
             raise ConvergenceError(f"zero {k} of J_{nu} withheld")
         return real(nu, k)
 
     monkeypatch.setattr(quadrature, "bessel_j_zero", zero)
-    specs = kernel_specs(3, [1.2, 1.3, 1.35, 1.4])
+    specs = kernel_specs(3, [1.2, 1.3, 1.4, 1.45])
     block = integrate_oscillatory_bessel_block(specs, 1e-9)
     for spec, got in zip(specs, block):
         assert same_outcome(got, lone(spec, 1e-9))
     assert [type(o) for o in block] == [quadrature.QuadResult] * 2 + [ConvergenceError] * 2
-    assert str(block[2]) == "zero 41 of J_0.5 withheld"
+    assert str(block[2]) == "zero 31 of J_0.5 withheld"
 
 
 def test_zero_integral_fails_inside_a_batch():
@@ -142,6 +143,27 @@ def test_sweep_grid_values_each_node_once_per_round(monkeypatch):
     points = evaluate_grid(grid(SWEEP), 1e-9)
     assert sum(isinstance(pt.sharp, restriction.SharpConstantResult) for pt in points) == 130
     assert sum(calls) <= 100_000 and len(calls) <= 400
+
+
+def test_tight_grid_refines_no_arch_to_its_limit(monkeypatch):
+    # At tol = 1e-12 the arches' tol / 100 used to lie under GK15's 50 eps
+    # round-off floor: four arches refined to their 4,000-panel limit
+    # unconverged, 31,996 of the grid's 33,370 panels.  Clamped at 100 eps
+    # every arch converges, in 878 panels.
+    cells = []
+    real = quadrature._integrate_cells
+
+    def record(f, edges, tol):
+        results = real(f, edges, tol)
+        cells.extend(results)
+        return results
+
+    monkeypatch.setattr(quadrature, "_integrate_cells", record)
+    monkeypatch.setattr(restriction, "_KERNEL_INTEGRALS", {})
+    points = evaluate_grid(grid(TIGHT), 1e-12)
+    assert all(isinstance(pt.sharp, restriction.SharpConstantResult) for pt in points)
+    assert all(cell.converged for cell in cells)
+    assert sum(cell.evaluations for cell in cells) // 15 <= 2_000
 
 
 def test_memo_holds_errors(monkeypatch):

@@ -11,16 +11,29 @@ widest block in the suite, and each must meet
 and the (beta, p') that production forms from the double p: both are off
 by up to ~3e-13, which at m = 14 and 16 is more than the error estimate.
 It is derived below from the integrand itself; nothing else is loosened.
+At ``tol = 1e-12`` the points m = 15 and 22..30 end in ``ConvergenceError``:
+their values lie far below 1, and the absolute 1e-16 floor of each arch
+keeps their error estimates above 1e-12 relative.
+
+For any p, not only p' = 2m, the integral is one Hurwitz zeta integral
+(``oracles.hurwitz_kernel_integral``), frozen in ``oracles.D3_HURWITZ`` at
+production's own (beta, p'), so it needs no shift; each converged point
+must meet |value - I| <= error_estimate.
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
+import mpmath as mp
 import pytest
 
+from sphrestrict.errors import ConvergenceError
+from sphrestrict.quadrature import OscillatoryIntegrand, integrate_oscillatory_bessel_block
 from sphrestrict.restriction import RestrictionParams, SharpConstantResult, evaluate_grid
+from sphrestrict.special_fns import BesselOrder
 
-from oracles import sine_power_coefficient
+from oracles import D3_HURWITZ, hurwitz_kernel_integral, sine_power_coefficient
 
 M = range(2, 31)
 LOG_HALF_PI = math.log(0.5 * math.pi)
@@ -70,13 +83,75 @@ def test_coefficients_match_the_known_closed_forms():
     assert exact_integral(3) == pytest.approx(1 / math.pi**2, rel=1e-15)
 
 
-def test_every_even_power_in_one_block():
+# The m whose integral cannot reach tol = 1e-12 (see the module docstring),
+# and the most evaluations m = 2 and m = 5 may take there.
+FLOORED_AT_1E_12 = {15, *range(22, 31)}
+WORK_AT_1E_12 = {2: 10_000, 5: 2_000}
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+def test_every_even_power_in_one_block(tol):
     grid = [RestrictionParams(3, 2 * m / (2 * m - 1), 2.0) for m in M]
-    points = evaluate_grid(grid, 1e-9)
+    points = evaluate_grid(grid, tol)
+    failed = set()
     for m, point in zip(M, points):
+        if tol == 1e-12 and isinstance(point.sharp, ConvergenceError):
+            failed.add(m)
+            continue
         assert isinstance(point.sharp, SharpConstantResult), (m, point.errors)
         quad = point.sharp.kernel_integral
         exact = exact_integral(m)
         assert quad.converged
         shift = shift_bound(m, point.params) * exact
         assert abs(quad.value - exact) <= quad.error_estimate + shift, m
+        if tol == 1e-12 and m in WORK_AT_1E_12:
+            assert quad.evaluations <= WORK_AT_1E_12[m], m
+    assert failed <= FLOORED_AT_1E_12
+
+
+def test_hurwitz_recipe_reproduces_the_closed_forms():
+    assert hurwitz_kernel_integral(0.0, 4.0) == pytest.approx(1 / mp.pi, rel=1e-25)
+    assert hurwitz_kernel_integral(-1.0, 6.0) == pytest.approx(1 / mp.pi**2, rel=1e-25)
+    beta, p_prime, value = D3_HURWITZ[1.4]
+    assert float(hurwitz_kernel_integral(beta, p_prime)) == value
+
+
+@lru_cache(maxsize=None)
+def hurwitz_block(tol):
+    """Production's kernel integral at every ``D3_HURWITZ`` point, one block."""
+    specs = []
+    for p, (beta, p_prime, _) in D3_HURWITZ.items():
+        params = RestrictionParams(3, p, 2.0)
+        assert (params.beta, params.p_prime) == (beta, p_prime), p
+        specs.append(OscillatoryIntegrand(BesselOrder(0.5), beta, p_prime))
+    return dict(zip(D3_HURWITZ, integrate_oscillatory_bessel_block(specs, tol)))
+
+
+# At tol = 1e-12, p = 1.02 (I ~ 1.8e-7) meets the absolute arch floor and
+# does not converge.  At p = 1.05 the estimate misses by 0.6%: the value
+# is 82 ulps below I, all of it from the integrand, whose J_(1/2) is ~3 ulps
+# low below r = 2 (the series regime divides by Gamma(3/2), 3.4 ulps high),
+# raised to the power p' = 21; no term of the estimate accounts for it.
+HURWITZ_CASES = [
+    pytest.param(
+        p, tol,
+        marks=pytest.mark.xfail(
+            strict=True, reason="Bessel error amplified by p' = 21 exceeds the estimate"
+        ),
+    ) if (p, tol) == (1.05, 1e-12) else (p, tol)
+    for tol in (1e-9, 1e-12)
+    for p in D3_HURWITZ
+    if (p, tol) != (1.02, 1e-12)
+]
+
+
+@pytest.mark.parametrize("p, tol", HURWITZ_CASES)
+def test_error_estimate_covers_the_hurwitz_value(p, tol):
+    quad = hurwitz_block(tol)[p]
+    exact = D3_HURWITZ[p][2]
+    assert quad.converged
+    assert abs(quad.value - exact) <= quad.error_estimate
+
+
+def test_small_integral_does_not_converge_at_1e_12():
+    assert not hurwitz_block(1e-12)[1.02].converged

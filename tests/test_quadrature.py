@@ -3,6 +3,7 @@ Bessel integrals, and the acceleration utilities."""
 
 import math
 
+import mpmath as mp
 import pytest
 
 from sphrestrict.errors import DivergenceError, DomainError
@@ -202,6 +203,30 @@ class TestOscillatoryBessel:
         tail_cap = (2.0 / math.pi) ** 3 * 1.1 / prev
         assert res.value <= partials[-1] + tail_cap
 
+    @pytest.mark.parametrize(
+        "nu, beta, power",
+        [
+            (0.0, 1.0, 6.000000000000001),
+            (0.5, -8.49999999999999, 20.999999999999982),
+            (0.5, 0.49999799999600014, 3.0000040000079995),
+            (6.0, -192.99999999999983, 34.33333333333331),
+        ],
+        ids=["d2_p1.2", "d3_p1.05", "d3_p1.499999", "d14_p1.03"],
+    )
+    def test_tail_coefficient_against_mpmath(self, nu, beta, power):
+        # c0 = (2/pi)^(a/2) M(a) / (gamma - 1) at the (beta, p') of four
+        # (d, p), M(a) the mean of |cos|^a over a period, here by quadrature,
+        # and gamma - 1 from the exact doubles.
+        # At p = 1.499999 gamma - 1 = 4e-6, and forming it as
+        # tail_exponent - 1.0 would cost ~1e-10 relative.
+        spec = OscillatoryIntegrand(BesselOrder(nu), beta, power)
+        with mp.workdps(40):
+            a = mp.mpf(power)
+            mean = mp.quad(lambda u: abs(mp.cos(u)) ** a, [0, mp.pi / 2, mp.pi]) / mp.pi
+            gamma_less_one = a / 2 - mp.mpf(beta) - 1
+            c0 = (2 / mp.pi) ** (a / 2) * mean / gamma_less_one
+            assert abs(spec.tail_coefficient - c0) <= 1e-14 * c0
+
     def test_divergent_exponent_rejected(self):
         # gamma = p'/2 - beta must exceed 1 for absolute convergence.
         spec = OscillatoryIntegrand(BesselOrder(0.0), 2.0, 5.0)
@@ -235,7 +260,8 @@ class TestSumOverPartition:
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
     def test_tolerance_outside_zero_to_inf_rejected(self, tol):
         # A NaN is met by no error estimate and inf by every one; the
-        # per-cell min(1e-12, tol * 1e-2) would hide both.
+        # per-cell tolerance, tol / 100 clamped to [100 eps, 1e-12], would
+        # hide both.
         def f(r):
             return math.sin(r) / r if r > 0 else 1.0
 
@@ -246,6 +272,18 @@ class TestSumOverPartition:
         spec = OscillatoryIntegrand(BesselOrder(0.5), 0.0, 3.0)
         with pytest.raises(DomainError, match="0 < tol < inf"):
             integrate_oscillatory_bessel(spec, tol)
+
+    def test_tight_tolerance_stays_above_the_round_off_floor(self):
+        # At 1e-12 the cells' tol / 100 lies under GK15's 50 eps round-off
+        # floor; at that tolerance the cells would refine to their panel
+        # limit and still not converge (2,399,700 evaluations).  Clamped at
+        # 100 eps, each converges, and the sum takes 300.
+        def f(r):
+            return math.sin(r) / r if r > 0 else 1.0
+
+        res = sum_over_partition(_mapped(f), lambda k: k * math.pi, 1e-12, tail_exponent=1.0)
+        assert res.converged and res.evaluations <= 1_000
+        assert res.value == pytest.approx(math.pi / 2.0, abs=1e-12)
 
     def test_positive_with_tail_exponent(self):
         # int_0^inf sin^2(r)/r^2 dr = pi/2; cells decay like r^(-2).
