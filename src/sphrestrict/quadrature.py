@@ -35,6 +35,13 @@ below GK15's 50 eps round-off floor the largest cells would refine to their
 panel limit and never converge.  A sum holding a cell that did not converge
 is not converged.
 
+A sum ends unconverged at the first checkpoint where the cells' own summed
+error already exceeds tol * |estimate|, as QUADPACK's cycle-by-cycle
+Fourier rule (``dqawfe``, ier = 2) stops once round-off puts the tolerance
+out of reach.  Both regimes add that error to their error bound, and it
+never decreases, so a later checkpoint could pass only if the estimate
+itself grew past error / tol.
+
 One engine, ``_integrate_block``, runs the adaptive rule over several
 intervals at once, each with its own heap, and evaluates every round's new
 panels with one call of an array integrand ``f(x, which)``: ``which`` gives
@@ -788,8 +795,12 @@ class _CellSum:
     terms, the leading coefficient ``c0`` of the remainder fixed when it is
     known and fitted when it is None; their spread, the fit residual, the
     cells' own error and half the move since the last checkpoint bound the
-    error.  Unconverged at the last checkpoint, the result is the estimate
-    with the least error.  A sum holding a cell that did not converge is
+    error.  A sum stops unconverged at the last checkpoint, or earlier at
+    the first where the cells' own error ``quad_err`` alone exceeds
+    ``tol * |est|``: every error bound includes ``quad_err``, which only
+    grows, so no later checkpoint can pass unless the estimate grows past
+    ``quad_err / tol``.  Unconverged, the result is the estimate with the
+    least error so far.  A sum holding a cell that did not converge is
     never converged.
     """
 
@@ -838,9 +849,10 @@ class _CellSum:
             self.prev_est = est
         if self.best is None or err < self.best[1]:
             self.best = (est, err)
-        if err <= self.tol * max(abs(est), 1e-300):
+        bound = self.tol * max(abs(est), 1e-300)
+        if err <= bound:
             self.outcome = QuadResult(est, err, self.evals, self.cells_converged)
-        elif self.checkpoint == self.count:
+        elif self.checkpoint == self.count or self.quad_err > bound:
             self.outcome = QuadResult(*self.best, self.evals, False)
         else:
             self.checkpoint += self.every

@@ -685,28 +685,36 @@ class TestKernelIntegral:
         ids=["positive", "alternating"],
     )
     @pytest.mark.parametrize(
-        "error, converged", [(0.0, True), (1.0, False)], ids=["converges", "runs_out"]
+        "right_edge_value, error, converged, to_count",
+        [(False, 0.0, True, False), (False, 1.0, False, False), (True, 0.0, False, True)],
+        ids=["converges", "hopeless", "runs_out"],
     )
     def test_blocks_end_at_checkpoints(
-        self, monkeypatch, tail_exponent, schedule, error, converged
+        self, monkeypatch, tail_exponent, schedule, right_edge_value, error, converged,
+        to_count,
     ):
         # A sum that stops at a checkpoint must not have computed an arch
         # past it; evaluation counts cannot show that, they count only the
-        # arches summed.  Zero cells converge at the first checkpoint; cells
-        # with an error estimate of 1 never converge and run to the count.
+        # arches summed.  Zero cells converge at the first checkpoint.  Cells
+        # with an error estimate of 1 fail the tolerance by their own error
+        # there, which no later checkpoint can undo, and stop unconverged.
+        # Error-free cells valued at their right edge never settle and run
+        # to the count.
         first, every, count = schedule
         requested = []
 
         def integrate_cells(f, edges, tol):
             requested.append((int(edges[0][0]), int(edges[-1][1])))
-            return [QuadResult(0.0, error, 15, True)] * len(edges)
+            return [
+                QuadResult(b if right_edge_value else 0.0, error, 15, True) for _, b in edges
+            ]
 
         monkeypatch.setattr(quadrature, "_integrate_cells", integrate_cells)
         total = _CellSum(tail_exponent, 1e-9)
         _sum_cells(None, float, [total], 1e-9)
         res = total.outcome
         blocks = [(0, first)]
-        if not converged:
+        if to_count:
             blocks += [(k, k + every) for k in range(first, count, every)]
         assert requested == blocks
         assert (res.converged, res.evaluations) == (converged, 15 * blocks[-1][1])

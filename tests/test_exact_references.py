@@ -2,18 +2,21 @@
 
 At d = 3 the kernel integral at p' = 2m (p = 2m/(2m-1), beta = 2 - m) is
 I_m = (2/pi)^m * pi * c_m with c_m rational (``oracles.sine_power_coefficient``).
-All 29 exponents m = 2..30 run as one block of ``evaluate_grid``, the
+All 59 exponents m = 2..60 run as one block of ``evaluate_grid``, the
 widest block in the suite, and each must meet
 
-    |value - I_m| <= error_estimate + shift_m.
+    |value - I_m| <= error_estimate + shift_m,
 
-``shift_m`` bounds how far the exact integral moves between (2 - m, 2m)
-and the (beta, p') that production forms from the double p: both are off
-by up to ~3e-13, which at m = 14 and 16 is more than the error estimate.
-It is derived below from the integrand itself; nothing else is loosened.
-At ``tol = 1e-12`` the points m = 15 and 22..30 end in ``ConvergenceError``:
-their values lie far below 1, and the absolute 1e-16 floor of each arch
-keeps their error estimates above 1e-12 relative.
+or end in ``ConvergenceError`` with its sum stopped at the first
+checkpoint.  ``shift_m`` bounds how far the exact integral moves between
+(2 - m, 2m) and the (beta, p') that production forms from the double p:
+both are off by up to ~3e-13, which at m = 14 and 16 is more than the
+error estimate.  It is derived below from the integrand itself; nothing
+else is loosened.  The points m = 34..60 at ``tol = 1e-9``, and m = 15 and
+22..60 at ``tol = 1e-12``, end in ``ConvergenceError``: their values lie
+far below 1, and the absolute 1e-16 floor of each arch keeps the arches'
+own error above the tolerance from the first checkpoint on, which ends
+the sum there.
 
 For any p, not only p' = 2m, the integral is one Hurwitz zeta integral
 (``oracles.hurwitz_kernel_integral``), frozen in ``oracles.D3_HURWITZ`` at
@@ -28,14 +31,19 @@ from functools import lru_cache
 import mpmath as mp
 import pytest
 
+from sphrestrict import quadrature, restriction
 from sphrestrict.errors import ConvergenceError
-from sphrestrict.quadrature import OscillatoryIntegrand, integrate_oscillatory_bessel_block
+from sphrestrict.quadrature import (
+    OscillatoryIntegrand,
+    integrate_oscillatory_bessel,
+    integrate_oscillatory_bessel_block,
+)
 from sphrestrict.restriction import RestrictionParams, SharpConstantResult, evaluate_grid
 from sphrestrict.special_fns import BesselOrder
 
 from oracles import D3_HURWITZ, hurwitz_kernel_integral, sine_power_coefficient
 
-M = range(2, 31)
+M = range(2, 61)
 LOG_HALF_PI = math.log(0.5 * math.pi)
 
 
@@ -83,19 +91,37 @@ def test_coefficients_match_the_known_closed_forms():
     assert exact_integral(3) == pytest.approx(1 / math.pi**2, rel=1e-15)
 
 
-# The m whose integral cannot reach tol = 1e-12 (see the module docstring),
-# and the most evaluations m = 2 and m = 5 may take there.
-FLOORED_AT_1E_12 = {15, *range(22, 31)}
+# The m whose integral cannot reach each tol (see the module docstring),
+# and the most evaluations m = 2 and m = 5 may take at 1e-12.
+FLOORED = {1e-9: set(range(34, 61)), 1e-12: {15, *range(22, 61)}}
 WORK_AT_1E_12 = {2: 10_000, 5: 2_000}
+FIRST_CHECKPOINT = quadrature._POSITIVE[0]
+
+
+def recorded_sums(monkeypatch):
+    """The list that every ``_CellSum`` made from now on joins."""
+    sums = []
+
+    class Recorded(quadrature._CellSum):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sums.append(self)
+
+    monkeypatch.setattr(quadrature, "_CellSum", Recorded)
+    return sums
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-12])
-def test_every_even_power_in_one_block(tol):
+def test_every_even_power_in_one_block(monkeypatch, tol):
     grid = [RestrictionParams(3, 2 * m / (2 * m - 1), 2.0) for m in M]
+    monkeypatch.setattr(restriction, "_KERNEL_INTEGRALS", {})
+    sums = recorded_sums(monkeypatch)
     points = evaluate_grid(grid, tol)
+    assert len(sums) == len(M)
     failed = set()
-    for m, point in zip(M, points):
-        if tol == 1e-12 and isinstance(point.sharp, ConvergenceError):
+    for m, point, cell_sum in zip(M, points, sums):
+        if isinstance(point.sharp, ConvergenceError):
+            assert len(cell_sum.partial) <= FIRST_CHECKPOINT, m
             failed.add(m)
             continue
         assert isinstance(point.sharp, SharpConstantResult), (m, point.errors)
@@ -106,7 +132,7 @@ def test_every_even_power_in_one_block(tol):
         assert abs(quad.value - exact) <= quad.error_estimate + shift, m
         if tol == 1e-12 and m in WORK_AT_1E_12:
             assert quad.evaluations <= WORK_AT_1E_12[m], m
-    assert failed <= FLOORED_AT_1E_12
+    assert failed <= FLOORED[tol]
 
 
 def test_hurwitz_recipe_reproduces_the_closed_forms():
@@ -153,5 +179,16 @@ def test_error_estimate_covers_the_hurwitz_value(p, tol):
     assert abs(quad.value - exact) <= quad.error_estimate
 
 
-def test_small_integral_does_not_converge_at_1e_12():
-    assert not hurwitz_block(1e-12)[1.02].converged
+def test_small_integral_does_not_converge_at_1e_12(monkeypatch):
+    # The arches' own error fails the tolerance at the first checkpoint,
+    # which ends the sum there: 510 evaluations, where running to the last
+    # checkpoint took 12,150.
+    quad = hurwitz_block(1e-12)[1.02]
+    assert not quad.converged
+    sums = recorded_sums(monkeypatch)
+    beta, p_prime, _ = D3_HURWITZ[1.02]
+    spec = OscillatoryIntegrand(BesselOrder(0.5), beta, p_prime)
+    assert integrate_oscillatory_bessel(spec, 1e-12) == quad
+    (cell_sum,) = sums
+    assert len(cell_sum.partial) <= FIRST_CHECKPOINT
+    assert quad.evaluations <= 600
