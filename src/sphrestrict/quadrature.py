@@ -87,11 +87,9 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -276,10 +274,11 @@ def check_tolerance(tol: float) -> None:
 
 def _mapped(f: Callable[[float], float]) -> ArrayIntegrand:
     """The scalar callable ``f`` as an array integrand, mapped node by node;
-    every node's integrand is ``f``."""
+    every node's integrand is ``f``.  The one place a callable is mapped
+    over nodes: it adapts a caller's scalar integrand or profile."""
 
-    def f_array(x: np.ndarray, which: np.ndarray) -> np.ndarray:
-        return _floats(map(f, x.tolist()), x.size)
+    def f_array(x: np.ndarray, which: Optional[np.ndarray] = None) -> np.ndarray:
+        return np.fromiter(map(f, x.tolist()), float, count=x.size)
 
     return f_array
 
@@ -685,58 +684,21 @@ def _block_values(specs: Sequence[OscillatoryIntegrand]) -> ArrayIntegrand:
 
 def _power_values(spec: OscillatoryIntegrand, r: np.ndarray, j: np.ndarray) -> np.ndarray:
     """The integrand of ``spec`` at the nodes ``r`` from j = J_nu(r):
-    r^beta j^power (signed) or r^beta |j|^power, with 0 at r <= 0 and
-    where j vanishes, and the product taken in log space below r = 1e-3,
-    where a negative beta meets a vanishing Bessel factor, and wherever
-    r^beta overflows.  Powers are Python's own ``**``, mapped over the
-    nodes (see ``special_fns._pow_each``).
+    r^beta j^power (signed) or r^beta |j|^power, with 0 at r <= 0.  An
+    unsigned value is taken in log space, exp(beta log r + power log |j|),
+    below r = 1e-3, where a negative beta meets a vanishing Bessel factor,
+    and wherever r^beta overflows; it is 0 where j vanishes.
     """
-    if not r.min() > 0.0:
-        out = np.zeros(r.size)
-        positive = r > 0.0
-        if positive.any():
-            out[positive] = _power_values(spec, r[positive], j[positive])
-        return out
-    if spec.signed:
-        powered = map(operator.pow, j.tolist(), repeat(int(round(spec.power))))
-        r_beta = map(operator.pow, r.tolist(), repeat(spec.beta))
-        return _floats(r_beta, r.size) * _floats(powered, r.size)
-    aj = np.abs(j)
-    nonzero = aj != 0.0
-    direct = nonzero & (r >= 1e-3)
-    out = np.zeros(r.size)
-    rs = r[direct].tolist()
-    rest = nonzero & ~direct
-    try:
-        r_beta = _floats(map(operator.pow, rs, repeat(spec.beta)), len(rs))
-    except OverflowError:
-        rest = nonzero
-    else:
-        powered = map(operator.pow, aj[direct].tolist(), repeat(spec.power))
-        out[direct] = r_beta * _floats(powered, len(rs))
-    for i in np.flatnonzero(rest).tolist():
-        out[i] = _node_value(spec, float(r[i]), float(aj[i]))
+    with np.errstate(all="ignore"):
+        r_beta = np.power(r, spec.beta)
+        base = j if spec.signed else np.abs(j)
+        out = r_beta * np.power(base, spec.power)
+        if not spec.signed:
+            logs = (r < 1e-3) | np.isinf(r_beta)
+            if logs.any():
+                out[logs] = np.exp(spec.beta * np.log(r[logs]) + spec.power * np.log(base[logs]))
+    out[r <= 0.0] = 0.0
     return out
-
-
-def _floats(items: Iterable[float], count: int) -> np.ndarray:
-    return np.fromiter(items, float, count=count)
-
-
-def _node_value(spec: OscillatoryIntegrand, r: float, aj: float) -> float:
-    """r^beta aj^power at one node where aj = |J| is nonzero; below
-    r = 1e-3, or where r^beta overflows, the product is taken in log
-    space."""
-    power = spec.power
-    try:
-        r_beta = r**spec.beta
-    except OverflowError:
-        return math.exp(spec.beta * math.log(r) + power * math.log(aj))
-    if r >= 1e-3:
-        return r_beta * aj**power
-    if r_beta == 0.0:
-        return 0.0
-    return math.exp(math.log(r_beta) + power * math.log(aj))
 
 
 def _algebraic_tail_fit(

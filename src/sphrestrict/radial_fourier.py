@@ -23,10 +23,13 @@ of the adaptive rule (``_radial_integral``).  Profiles of one family held in
 array form (``RadialProfile.family``) share a block, so each round of
 refinement is one call of the family's ``values(r, which)`` for all of
 them; any other profile is a block of its own, its scalar ``f`` mapped over
-the nodes.  The transform's Bessel factor ``J_nu(s r)`` is
-``bessel_j_array`` on each round's nodes.  A profile's result is the one it
-gets alone, bit for bit, and ``radial_hat`` and ``radial_lp_norm`` are
-one-profile calls of that one path.
+the nodes.  A family profile's ``f`` is a one-point call of ``values``
+(``family_profile``).  The transform's Bessel factor ``J_nu(s r)`` is
+``bessel_j_array`` on each round's nodes, and the weights' powers are
+numpy's elementwise ``np.power``, so a node's value depends on that node
+alone.  A profile's result is the one it gets alone, bit for bit, and
+``radial_hat`` and ``radial_lp_norm`` are one-profile calls of that one
+path.
 """
 
 from __future__ import annotations
@@ -42,12 +45,13 @@ from .quadrature import (
     DEFAULT_REL_TOL,
     ArrayIntegrand,
     QuadResult,
+    _mapped,
     _only,
     integrate_finite_block,
     integrate_semi_infinite_block,
     sum_over_partition,
 )
-from .special_fns import RadialKernel, _pow_each, bessel_j_array, bessel_j_zero
+from .special_fns import RadialKernel, bessel_j_array, bessel_j_zero
 
 __all__ = [
     "GaussianDecay",
@@ -55,6 +59,7 @@ __all__ = [
     "AlgebraicDecay",
     "DecayClass",
     "RadialProfile",
+    "family_profile",
     "gaussian_profile",
     "radial_hat",
     "radial_lp_norm",
@@ -103,8 +108,9 @@ class RadialProfile:
     (k-th breakpoint for k >= 1, increasing); oscillatory transforms use
     them as additional partition points.  ``family`` optionally names the
     array form of the profile's family and the profile's index in it,
-    ``(values, i)``: ``values(r, full(i))`` must equal ``f`` node for node,
-    and profiles sharing ``values`` are integrated as one block.
+    ``(values, i)``, and profiles sharing ``values`` are integrated as one
+    block; ``family_profile`` builds such a profile with ``f`` derived from
+    ``values``.
     """
 
     f: Callable[[float], float]
@@ -112,6 +118,24 @@ class RadialProfile:
     label: str
     breakpoints: Optional[Callable[[int], float]] = None
     family: Optional[tuple[ProfileValues, int]] = None
+
+
+def family_profile(
+    values: ProfileValues,
+    i: int,
+    decay: DecayClass,
+    label: str,
+    breakpoints: Optional[Callable[[int], float]] = None,
+) -> RadialProfile:
+    """Profile ``i`` of the family ``values``.  Its ``f`` is a one-point
+    call of ``values`` (0 at r <= 0, as in every profile integral), so the
+    scalar and array forms agree by construction."""
+    which = np.array([i])
+
+    def f(r: float) -> float:
+        return 0.0 if r <= 0.0 else float(values(np.array([float(r)]), which)[0])
+
+    return RadialProfile(f, decay, label, breakpoints, family=(values, i))
 
 
 def gaussian_profile(sigma: float, d: int) -> RadialProfile:
@@ -186,7 +210,7 @@ def _radial_hats(
 
     def weight(r: np.ndarray, fr: np.ndarray) -> np.ndarray:
         return _at_radii(
-            lambda x: front * bessel_j_array(nu, s * x) * _pow_each(x, 0.5 * d), r
+            lambda x: front * bessel_j_array(nu, s * x) * np.power(x, 0.5 * d), r
         ) * fr
 
     def kernel_zeros(k: int) -> float:
@@ -275,10 +299,7 @@ def _integrand(
     family = block[0].family
     if family is None:
         (profile,) = block
-        f = profile.f
-
-        def values(r: np.ndarray, which: np.ndarray) -> np.ndarray:
-            return np.fromiter(map(f, r.tolist()), float, r.size)
+        values = _mapped(profile.f)
     else:
         index = np.array([profile.family[1] for profile in block])
 
@@ -291,7 +312,8 @@ def _integrand(
         fr = values(r[live], which[live])
         nonzero = fr != 0.0
         live = live[nonzero]
-        out[live] = weight(r[live], fr[nonzero])
+        with np.errstate(all="ignore"):
+            out[live] = weight(r[live], fr[nonzero])
         return out
 
     return integrand
@@ -358,7 +380,7 @@ def radial_lp_norms(
         return f"L_{p} norm of {profile.label!r}"
 
     def weight(r: np.ndarray, fr: np.ndarray) -> np.ndarray:
-        return _pow_each(r, d - 1) * _pow_each(np.abs(fr), p)
+        return np.power(r, d - 1) * np.power(np.abs(fr), p)
 
     quads = _radial_integral(
         what, profiles, weight, d - 1, p, tol, lambda profile: profile.breakpoints

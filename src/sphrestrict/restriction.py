@@ -56,10 +56,11 @@ from .radial_fourier import (
     AlgebraicDecay,
     Outcome,
     RadialProfile,
+    family_profile,
     radial_lp_norms,
     sphere_norms_of_radial_hat,
 )
-from .special_fns import RadialKernel, _pow_each, bessel_j_array, bessel_j_zero, gamma
+from .special_fns import RadialKernel, bessel_j_array, bessel_j_zero, gamma
 
 __all__ = [
     "RestrictionParams",
@@ -343,32 +344,25 @@ def extremal_profile(
         # the power r^((2-d)/2) can overflow on its own: stay in log space
         # until the exponents have been combined.
         j = bessel_j_array(nu, r)
-        far = np.flatnonzero((r >= 1e-3) & (j != 0.0))
-        near = np.flatnonzero((r < 1e-3) & (j != 0.0))
-        magnitude = np.zeros(r.size)
-        magnitude[far] = _pow_each(
-            front * _pow_each(r[far], half_2_minus_d) * np.abs(j[far]), inv_pm1
-        )
-        magnitude[near] = [
-            math.exp(inv_pm1 * (math.log(front) + half_2_minus_d * math.log(x) + math.log(abs(y))))
-            for x, y in zip(r[near].tolist(), j[near].tolist())
-        ]
+        aj = np.abs(j)
+        with np.errstate(all="ignore"):
+            magnitude = np.power(front * np.power(r, half_2_minus_d) * aj, inv_pm1)
+            near = np.flatnonzero(r < 1e-3)
+            magnitude[near] = np.exp(inv_pm1 * (
+                math.log(front) + half_2_minus_d * np.log(r[near]) + np.log(aj[near])
+            ))
         return np.where(j == 0.0, 0.0, c_norm * np.copysign(magnitude, j))
-
-    def f0(r: float) -> float:
-        return 0.0 if r <= 0.0 else float(values(np.array([float(r)]), np.zeros(1, int))[0])
 
     def breakpoints(k: int) -> float:
         return bessel_j_zero(nu, k)
 
     decay_exp = 0.5 * (d - 1.0) * inv_pm1
     decay_coeff = c_norm * (front * math.sqrt(2.0 / math.pi)) ** inv_pm1
-    return RadialProfile(
-        f=f0,
+    return family_profile(
+        values, 0,
         decay=AlgebraicDecay(coeff=decay_coeff, exponent=decay_exp),
         label=f"extremal(d={d}, p={params.p!r})",
         breakpoints=breakpoints,
-        family=(values, 0),
     )
 
 

@@ -25,10 +25,12 @@ inside the 1e-12 contract, and below 1e-13 relative away from zeros.
 ``bessel_j_array`` is the one implementation: a value depends only on its
 own point, and ``bessel_j`` is a one-point call of it.  The zero finder
 values J for a chunk of zeros per Newton round (``bessel_j_zero``), the
-arch quadrature and the transforms once per round of refinement.  Every
-value is pinned bit for bit in the tests (pow, exp and log stay on libm;
-see ``_pow_each``), because the kernel integrals' tail fit amplifies
-1e-16 differences in partial sums to ~1e-13 in the extrapolated value.
+arch quadrature and the transforms once per round of refinement.  All
+arithmetic on the points is numpy's elementwise (``np.power`` for
+(x/2)^nu), which gives a point the same double whatever array holds it.
+Every value is pinned bit for bit in the tests, so that repeat runs give
+the same bytes: the kernel integrals' tail fit amplifies 1e-16
+differences in partial sums to ~1e-13 in the extrapolated value.
 
 References: Watson, "A Treatise on the Theory of Bessel Functions";
 Abramowitz & Stegun ch. 9; DLMF ch. 10; Lanczos (1964) for the Gamma
@@ -40,7 +42,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
@@ -196,23 +197,11 @@ _PI_HI = 3.141592653589793
 _PI_LO = 1.2246467991473532e-16  # pi - _PI_HI to double-double accuracy
 
 
-# Elementwise +, -, *, /, sqrt, sin and cos run in numpy: on x86-64 with
-# numpy 2.4 they matched libm (``math``) on every one of 900,000 inputs.
-# pow, exp and log stay on scalar libm: numpy's SIMD versions differ from
-# it by one ulp on about 5% of inputs (exp on 49,653 and pow(x, 6.0) on
-# 49,622 of 900,000), and one ulp in an arch value is enough to move a
-# tight-tolerance kernel integral through its tail fit.
-def _pow_each(base: np.ndarray, exponent: float) -> np.ndarray:
-    return np.fromiter(
-        map(math.pow, base.tolist(), repeat(exponent)), float, count=base.size
-    )
-
-
 def _series_array(nu: float, x: np.ndarray) -> np.ndarray:
     # J_nu(x) = sum_k (-1)^k (x/2)^(nu+2k) / (k! Gamma(nu+k+1)), each
     # element summed until its own term is below 1e-18 of its sum.
     q = 0.25 * x * x
-    term = _pow_each(0.5 * x, nu) / _gamma_order_plus_one(nu)
+    term = np.power(0.5 * x, nu) / _gamma_order_plus_one(nu)
     total = term.copy()
     out = np.empty_like(x)
     live = np.arange(x.size)
@@ -289,15 +278,14 @@ def _miller_array(nu: float, x: np.ndarray) -> np.ndarray:
             break
         k += 1
         ck *= (nu + 2.0 * k) * (nu + k - 1.0) / ((nu + 2.0 * k - 2.0) * k)
-    try:
-        scale = _pow_each(0.5 * x, nu)
-    except OverflowError:
+    scale = np.power(0.5 * x, nu)
+    if np.isinf(scale).any():
         # (x/2)^nu leaves double range near orders 160-171 before the
         # normalised quotient does.
         raise DomainError(
             f"J_nu(x) at nu = {nu!r}, x = {float(x.max())!r}: (x/2)^nu overflows "
             "double range in the Miller normalisation"
-        ) from None
+        )
     return fs[0] * scale / total
 
 

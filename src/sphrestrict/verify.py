@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -30,9 +30,10 @@ from .quadrature import (
     DEFAULT_REL_TOL,
     OscillatoryIntegrand,
     QuadResult,
+    _mapped,
     wynn_epsilon,
 )
-from .radial_fourier import CompactSupport, GaussianDecay, RadialProfile
+from .radial_fourier import CompactSupport, GaussianDecay, RadialProfile, family_profile
 from .restriction import RestrictionParams, evaluate_grid, ratios_z
 from .special_fns import bessel_j_zero
 
@@ -68,60 +69,18 @@ class RandomRadialSpec:
             raise DomainError("count must be >= 0")
 
 
-def _mixture_profile(weights, sigmas, label: str) -> RadialProfile:
-    pairs = [(w, 0.5 / (s * s)) for w, s in zip(weights, sigmas)]
-
-    def f(r: float) -> float:
-        rr = r * r
-        return math.fsum(w * math.exp(-rr * c) for w, c in pairs)
-
-    return RadialProfile(f=f, decay=GaussianDecay(max(sigmas)), label=label)
-
-
-def _poly_gaussian_profile(coeffs, sigma, label: str) -> RadialProfile:
-    c = 0.5 / (sigma * sigma)
-
-    def f(r: float) -> float:
-        poly = 0.0
-        for a in reversed(coeffs):
-            poly = poly * r + a
-        return poly * math.exp(-r * r * c)
-
-    return RadialProfile(f=f, decay=GaussianDecay(sigma), label=label)
-
-
-def _bump_profile(amplitude, radius, label: str) -> RadialProfile:
-    # C-infinity bump exp(-1/(1-(r/R)^2)) scaled by the amplitude.
-    inv_r = 1.0 / radius
-
-    def f(r: float) -> float:
-        u = r * inv_r
-        if u >= 1.0:
-            return 0.0
-        return amplitude * math.exp(-1.0 / (1.0 - u * u))
-
-    return RadialProfile(f=f, decay=CompactSupport(radius), label=label)
-
-
 # Array forms of the three families: ``values(r, which)`` is F of profile
-# which[k] at r[k] for arrays, equal node for node to that profile's scalar
-# f above.  numpy does the elementwise + - * /, in the scalar f's order;
-# exp stays on scalar libm, mapped over the nodes (numpy's differs from it
-# by an ulp on some inputs).
-
-
-def _exp_each(x: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.exp, x.tolist()), float, count=x.size)
+# which[k] at r[k], elementwise in numpy, so a value depends on its own
+# node alone; each profile's scalar ``f`` is a one-point call of it
+# (``family_profile``).
 
 
 class _Mixtures:
-    """``_mixture_profile`` of each (weights, sigmas).  The nodes of the
-    profiles with k terms are valued together: a row of k terms per node,
-    then one ``math.fsum`` per row."""
+    """Sums of w exp(-r^2 / (2 sigma^2)) over each (weights, sigmas), every
+    row padded to the widest with w = 0 terms, which add exact zeros."""
 
     def __init__(self, params) -> None:
         width = max((len(weights) for weights, _ in params), default=1)
-        self.terms = np.array([len(weights) for weights, _ in params], dtype=int)
         self.w = np.zeros((len(params), width))
         self.c = np.zeros((len(params), width))
         for i, (weights, sigmas) in enumerate(params):
@@ -129,24 +88,15 @@ class _Mixtures:
             self.c[i, :len(sigmas)] = [0.5 / (s * s) for s in sigmas]
 
     def values(self, r: np.ndarray, which: np.ndarray) -> np.ndarray:
-        out = np.empty(r.size)
-        minus_rr = -(r * r)
-        terms = self.terms[which]
-        for k in range(1, self.w.shape[1] + 1):
-            nodes = np.flatnonzero(terms == k)
-            if nodes.size:
-                rows = which[nodes]
-                args = minus_rr[nodes, None] * self.c[rows, :k]
-                row_terms = self.w[rows, :k] * _exp_each(args.ravel()).reshape(-1, k)
-                out[nodes] = np.fromiter(map(math.fsum, row_terms.tolist()), float, count=nodes.size)
-        return out
+        terms = self.w[which] * np.exp(-(r * r)[:, None] * self.c[which])
+        return terms.sum(axis=1)
 
 
 class _PolyGaussians:
-    """``_poly_gaussian_profile`` of each (coeffs, sigma): Horner's rule
-    over the coefficients from the highest degree down, each row padded in
-    front with zeros, which keep the running value 0 until its first
-    coefficient."""
+    """Polynomial times exp(-r^2 / (2 sigma^2)) for each (coeffs, sigma):
+    Horner's rule over the coefficients from the highest degree down, each
+    row padded in front with zeros, which keep the running value 0 until
+    its first coefficient."""
 
     def __init__(self, params) -> None:
         width = max((len(coeffs) for coeffs, _ in params), default=1)
@@ -160,11 +110,12 @@ class _PolyGaussians:
         poly = np.zeros(r.size)
         for k in range(rows.shape[1]):
             poly = poly * r + rows[:, k]
-        return poly * _exp_each(-r * r * self.c[which])
+        return poly * np.exp(-r * r * self.c[which])
 
 
 class _Bumps:
-    """``_bump_profile`` of each (amplitude, radius)."""
+    """The C-infinity bump amplitude exp(-1/(1 - (r/R)^2)) of each
+    (amplitude, radius R), 0 from r = R on."""
 
     def __init__(self, params) -> None:
         self.amplitude = np.array([amplitude for amplitude, _ in params])
@@ -175,14 +126,14 @@ class _Bumps:
         out = np.zeros(r.size)
         inside = u < 1.0
         u = u[inside]
-        out[inside] = self.amplitude[which][inside] * _exp_each(-1.0 / (1.0 - u * u))
+        out[inside] = self.amplitude[which][inside] * np.exp(-1.0 / (1.0 - u * u))
         return out
 
 
 _FAMILY_FORMS = {
-    "gaussian_mixture": (_mixture_profile, _Mixtures),
-    "polynomial_times_gaussian": (_poly_gaussian_profile, _PolyGaussians),
-    "compact_bump": (_bump_profile, _Bumps),
+    "gaussian_mixture": _Mixtures,
+    "polynomial_times_gaussian": _PolyGaussians,
+    "compact_bump": _Bumps,
 }
 
 
@@ -209,7 +160,7 @@ def generate_profiles(spec: RandomRadialSpec) -> list[RadialProfile]:
                 f" w={[round(w, 12) for w in weights]}"
                 f" sigma={[round(s, 12) for s in sigmas]}"
             )
-            drawn.append(((weights, sigmas), label))
+            drawn.append(((weights, sigmas), GaussianDecay(max(sigmas)), label))
         elif spec.family == "polynomial_times_gaussian":
             degree = rng.randint(0, 6)
             coeffs = [rng.uniform(-1.5, 1.5) for _ in range(degree + 1)]
@@ -220,7 +171,7 @@ def generate_profiles(spec: RandomRadialSpec) -> list[RadialProfile]:
                 f"polynomial_times_gaussian[seed={spec.seed},i={i}]"
                 f" coeffs={[round(c, 12) for c in coeffs]} sigma={round(sigma, 12)}"
             )
-            drawn.append(((coeffs, sigma), label))
+            drawn.append(((coeffs, sigma), GaussianDecay(sigma), label))
         else:
             radius = rng.uniform(0.5, 5.0)
             amplitude = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0)
@@ -228,12 +179,11 @@ def generate_profiles(spec: RandomRadialSpec) -> list[RadialProfile]:
                 f"compact_bump[seed={spec.seed},i={i}]"
                 f" amplitude={round(amplitude, 12)} radius={round(radius, 12)}"
             )
-            drawn.append(((amplitude, radius), label))
-    scalar, array_form = _FAMILY_FORMS[spec.family]
-    values = array_form([params for params, _ in drawn]).values
+            drawn.append(((amplitude, radius), CompactSupport(radius), label))
+    values = _FAMILY_FORMS[spec.family]([params for params, _, _ in drawn]).values
     return [
-        replace(scalar(*params, label), family=(values, i))
-        for i, (params, label) in enumerate(drawn)
+        family_profile(values, i, decay, label)
+        for i, (_, decay, label) in enumerate(drawn)
     ]
 
 
@@ -354,8 +304,7 @@ def oracle_integrate(
     if isinstance(f, OscillatoryIntegrand):
         return _oracle_oscillatory(f, inner_tol)
 
-    def values(r: np.ndarray) -> np.ndarray:
-        return np.fromiter(map(f, r.tolist()), float, r.size)
+    values = _mapped(f)
 
     def mapped(t: np.ndarray) -> np.ndarray:
         # [0, inf) onto [0, 1) by r = t / (1 - t).

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 def bessel_series_oracle(nu: float, x: float, max_terms: int = 400) -> tuple[float, float]:
     """(value, remainder_bound) of the defining power series of J_nu.
@@ -65,6 +67,16 @@ def bisect_sign_change(f, lo: float, hi: float, iters: int = 200) -> float:
         else:
             lo, flo = mid, fmid
     return 0.5 * (lo + hi)
+
+
+def at_point(ufunc, *args: float) -> float:
+    """The numpy ufunc at one point, on one-element arrays.  The library
+    applies numpy's elementwise pow, exp and log to whole node arrays, and
+    such a ufunc gives a point the same double whatever array holds it, so
+    a node-by-node reference built on this equals the array path with
+    ``==``."""
+    with np.errstate(all="ignore"):
+        return float(ufunc(*(np.array([x], dtype=float) for x in args))[0])
 
 
 def gaussian_lp_norm_closed_form(d: int, sigma: float, p: float) -> float:

@@ -1,17 +1,17 @@
 """The array paths equal their references exactly, not to a tolerance.
 
 ``bessel_j_array`` is the one implementation of J_nu.  Its values on fixed
-grids, and the zeros found with it, are pinned by SHA-256 digests frozen
-while a scalar copy of every regime still checked it with ``==``; the
-pins also catch a numpy or libm whose elementwise sin, cos or sqrt stops
-matching the one they were made with.  Kernel integrals integrate a block
-of arches at once with ``_integrate_block``, and ``integrate_finite`` is
-the same engine on one interval with a scalar callable.
-``sum_over_partition`` integrates blocks of cells with a scalar callable,
-through the kernel integrals' summation driver.  The references here are
-a node-by-node integrand (J from the pinned ``bessel_j_array``, the rest
-formed one node at a time), a one-node-at-a-time adaptive GK15 and one
-``integrate_finite`` per cell.  The tail fit of a tight kernel integral
+grids, and the zeros found with it, are pinned by SHA-256 digests; the
+pins also catch a numpy whose elementwise ufuncs stop matching the ones
+they were made with.  Kernel integrals integrate a block of arches at once
+with ``_integrate_block``, and ``integrate_finite`` is the same engine on
+one interval with a scalar callable.  ``sum_over_partition`` integrates
+blocks of cells with a scalar callable, through the kernel integrals'
+summation driver.  The references here are a node-by-node integrand (J
+from the pinned ``bessel_j_array``, the rest formed one node at a time
+with numpy's ufuncs at that node alone), a one-node-at-a-time adaptive
+GK15 and one ``integrate_finite`` per cell; the integrand itself is
+checked against mpmath.  The tail fit of a tight kernel integral
 turns 1e-16 differences in the partial sums into ~1e-13 in the result, so
 these tests compare with ``==``.
 """
@@ -23,6 +23,7 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -61,13 +62,17 @@ from sphrestrict.special_fns import (
     bessel_j_zero,
 )
 
+from oracles import at_point
+
 ORDERS = [0.0, 0.3, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 6.5, 7.0]
 HALF_INTEGER_ORDERS = [nu for nu in ORDERS if nu % 1.0 == 0.5]
 GENERAL_ORDERS = [nu for nu in ORDERS if nu not in HALF_INTEGER_ORDERS]
 
 # SHA-256 of the bytes of J_nu on each grid below, and of zeros 1..800,
-# frozen from the code that still kept a scalar copy of every regime and
-# compared it with ``==``.
+# frozen while a scalar copy of every regime still checked the array path
+# with ``==``, and re-frozen once when (x/2)^nu moved from libm's pow to
+# numpy's: 3,888 of the 201,769 values on these grids moved by 1 to 4
+# ulps, the zeros not at all.
 PINS = json.loads((Path(__file__).resolve().parent / "frozen" / "bessel_sha256.json").read_text())
 
 
@@ -179,30 +184,49 @@ class TestBesselArray:
 
 
 def scalar_integrand(spec, bessel=bessel_j):
-    """The per-node integrand the oscillatory integral used before it was
-    batched, with J_nu(r) = ``bessel(nu, r)``; kept here as the reference."""
+    """The integrand one node at a time, with J_nu(r) = ``bessel(nu, r)``
+    and numpy's pow, exp and log at that node alone (``at_point``); kept
+    here as the reference of the array path."""
     nu = spec.order.nu
     power = spec.power
     beta = spec.beta
-    int_power = int(round(power))
 
     def integrand(r):
         if r <= 0.0:
             return 0.0
         j = bessel(nu, r)
+        r_beta = at_point(np.power, r, beta)
         if spec.signed:
-            return r**beta * j**int_power
+            return r_beta * at_point(np.power, j, power)
         aj = abs(j)
         if aj == 0.0:
             return 0.0
-        if r < 1e-3:
-            env = r**beta
-            if env == 0.0:
-                return 0.0
-            return math.copysign(math.exp(math.log(abs(env)) + power * math.log(aj)), env)
-        return r**beta * aj**power
+        if r < 1e-3 or math.isinf(r_beta):
+            return at_point(np.exp, beta * at_point(np.log, r) + power * at_point(np.log, aj))
+        return r_beta * at_point(np.power, aj, power)
 
     return integrand
+
+
+def assert_power_law_near_mpmath(spec, r, j, got, log_space=False):
+    """Each ``got`` within the error bound of its branch (see
+    ``test_integrand_values_match_mpmath``) of the exact r^beta |j|^power,
+    computed by mpmath at 200 bits from the doubles r and j; values the
+    exact one rounds to 0 must be 0."""
+    eps = mp.mpf(2) ** -52
+    tiny = mp.mpf(2) ** -1074
+    with mp.workprec(200):
+        for x, jx, g in zip(r, j, got):
+            exact = mp.mpf(x) ** mp.mpf(spec.beta) * abs(mp.mpf(jx)) ** mp.mpf(spec.power)
+            if log_space or x < 1e-3:
+                logs = abs(spec.beta * math.log(x))
+                logs += abs(spec.power * math.log(abs(jx))) if jx != 0.0 else 0.0
+                ulps = 2 * (1 + logs)
+            else:
+                ulps = 3
+            assert abs(mp.mpf(g) - exact) <= ulps * eps * exact + tiny, (x, jx, g)
+            if exact < tiny / 2:
+                assert g == 0.0, (x, jx, g)
 
 
 def recording_values(nodes):
@@ -420,17 +444,44 @@ class TestBlockEngine:
 
     @pytest.mark.parametrize("d, p", [(2, 1.2), (3, 1.4), (4, 1.3), (8, 1.5)])
     def test_integrand_values(self, d, p):
+        # A node's value is the one it gets alone: one-point calls equal one
+        # call over every node, bit for bit, both sides of r = 1e-3 and at 0.
         spec = kernel_spec(d, p)
         rng = np.random.default_rng(d)
         edge = [0.0, 1e-6, 1e-3, np.nextafter(1e-3, 0.0)]
         r = np.concatenate([edge, rng.uniform(0.0, 120.0, 3000)])
-        # J at every node in one call (TestBesselArray pins its values);
-        # the rest of the integrand node by node.
-        j = dict(zip(r.tolist(), bessel_j_array(spec.order, r).tolist()))
-        f = scalar_integrand(spec, lambda nu, x: j[x])
-        expected = [f(x) for x in r.tolist()]
-        assert _integrand_values(spec, r).tolist() == expected
-        assert spec(r).tolist() == expected
+        batch = _integrand_values(spec, r).tolist()
+        assert [_integrand_values(spec, np.array([x]))[0] for x in r.tolist()] == batch
+        assert spec(r).tolist() == batch
+
+    @pytest.mark.parametrize("d, p", [(2, 1.2), (3, 1.05), (8, 1.5), (16, 1.3)])
+    def test_integrand_values_match_mpmath(self, d, p):
+        # r^beta |j|^p' against mpmath at the doubles r and j = J_nu(r).
+        # Formed directly (r >= 1e-3) a value is within 3 ulps; in log
+        # space it is exp(beta log r + p' log |j|), which carries the
+        # rounding of both logs into the value, so within 2 ulps of
+        # 1 + |beta log r| + |p' log |j||.  Near 0 the integrand goes like
+        # r^(d-1), which underflows to 0 for d >= 3 at the smallest nodes.
+        spec = kernel_spec(d, p)
+        rng = np.random.default_rng(d)
+        r = np.concatenate([
+            [1e-300, 1e-100, 1e-30, 1e-6, np.nextafter(1e-3, 0.0), 1e-3],
+            np.geomspace(1e-8, 1e-3, 100), rng.uniform(0.0, 120.0, 1000),
+        ])
+        j = bessel_j_array(spec.order, r)
+        got = _integrand_values(spec, r).tolist()
+        assert_power_law_near_mpmath(spec, r.tolist(), j.tolist(), got)
+        assert (got[0] == 0.0) == (d >= 3)
+
+    def test_overflowing_r_beta_takes_log_space(self):
+        # r^3 overflows at r = 1e200 and 1e300, the value does not.
+        spec = OscillatoryIntegrand(BesselOrder(0.0), 3.0, 2.0)
+        r = np.array([1e100, 1e200, 1e200, 1e300, 1e300])
+        j = np.array([1e-100, 1e-250, -1e-310, 1e-300, 0.0])
+        got = _power_values(spec, r, j).tolist()
+        assert got[-1] == 0.0 and all(math.isfinite(v) and v > 0.0 for v in got[:-1])
+        assert [_power_values(spec, r[i:i + 1], j[i:i + 1])[0] for i in range(r.size)] == got
+        assert_power_law_near_mpmath(spec, r.tolist(), j.tolist(), got, log_space=True)
 
     @pytest.mark.parametrize("n", [1, 5, 400])
     def test_gk15_batch(self, n):
@@ -793,7 +844,9 @@ class TestPartitionSum:
 
         def integrand(r):
             fr = profile.f(r)
-            return 0.0 if fr == 0.0 else front * bessel_j(nu, s * r) * r ** (0.5 * kernel.d) * fr
+            return 0.0 if fr == 0.0 else (
+                front * bessel_j(nu, s * r) * at_point(np.power, r, 0.5 * kernel.d) * fr
+            )
 
         boundary = _merged_breakpoints(
             lambda k: bessel_j_zero(nu, k) / s, profile.breakpoints

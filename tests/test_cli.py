@@ -107,7 +107,9 @@ class TestFrozenConstants:
     """Exact stdout and stderr, frozen from the code before the kernel
     integrand became the (order, beta, power) record; the ``--tol 1e-12``
     points re-frozen when the tail fit took its leading coefficient in
-    closed form and the arch tolerance stopped at 100 eps.  At ``--tol 1e-12``
+    closed form and the arch tolerance stopped at 100 eps, and their error
+    estimates when pow, exp and log moved from libm to numpy's elementwise
+    ufuncs (the values kept every printed digit).  At ``--tol 1e-12``
     the tail fit turns a one-ulp change in any node value into a visible
     digit, and (3, 1.001) and (2, 1.0005) value their nodes through the
     log-space branch, so these catch any drift in how nodes are valued."""
@@ -122,7 +124,7 @@ class TestFrozenConstants:
   "k_rad_paper_closed_form": 0.863845978787441,
   "kernel_integral": {
     "converged": true,
-    "error_estimate": 2.46576588610951e-13,
+    "error_estimate": 2.46576587134755e-13,
     "evaluations": 9300,
     "value": 0.336827961766449
   },
@@ -139,7 +141,7 @@ class TestFrozenConstants:
   "k_rad_paper_closed_form": 0.231656274715647,
   "kernel_integral": {
     "converged": true,
-    "error_estimate": 8.21160820233759e-15,
+    "error_estimate": 8.21160834680315e-15,
     "evaluations": 2340,
     "value": 0.0116356812158278
   },
@@ -156,7 +158,7 @@ class TestFrozenConstants:
   "k_rad_paper_closed_form": 0.764755908644398,
   "kernel_integral": {
     "converged": true,
-    "error_estimate": 4.52312405316758e-13,
+    "error_estimate": 4.52312405316824e-13,
     "evaluations": 43080,
     "value": 0.561946695654357
   },
@@ -220,7 +222,8 @@ CONVERGENCE_5_105 = (
 
 class TestFrozenGrids:
     """Exact stdout and stderr of whole grids, frozen from the code before
-    ``sweep``, ``report`` and ``verify`` shared one grid runner.  The
+    ``sweep``, ``report`` and ``verify`` shared one grid runner, and
+    re-frozen when pow, exp and log moved from libm to numpy's ufuncs.  The
     ``report`` grid is the benchmark's ``highdim`` job: 14 ok rows and 10
     failed rows with their reasons.  The ``sweep`` grid has an ok row,
     ``skipped`` rows and a non-converging row whose four cells read
@@ -355,8 +358,9 @@ class TestSweep:
         assert entry["gauss_opt"] > 0.0
 
     def test_converging_grid_output_is_unchanged(self, capsys):
-        # Frozen output from before failed rows existed: a grid without a
-        # failure carries no "failed" marker or key.  The (2, 1.2) gauss_opt
+        # Frozen output from before failed rows existed, re-frozen when pow,
+        # exp and log moved to numpy's ufuncs: a grid without a failure
+        # carries no "failed" marker or key.  The (2, 1.2) gauss_opt
         # is the ratio at the closed-form maximiser sqrt(a).
         code, out, _ = run_cli(
             capsys, "sweep", "--d", "2:3:2", "--p", "1.2:1.4:2", "--q", "2",
@@ -365,13 +369,13 @@ class TestSweep:
         assert out == (
             "d,p,q,p_prime,beta,integral,integral_err,k_rad,k_rad_paper,"
             "gauss_opt,gauss_paper,tomas_stein_ok\n"
-            "2,1.2,2,6,1,0.336827961768126,1.38748368595644e-10,2.84023713778984,"
+            "2,1.2,2,6,1,0.336827961768124,1.38750922204362e-10,2.84023713778984,"
             "0.863845978788157,2.79384083777184,3.30053296559104,true\n"
             "2,1.4,2,3.5,1,skipped,skipped,skipped,skipped,3.45139696852194,"
             "4.59281604424495,false\n"
-            "3,1.2,2,6,-1,0.101321183642338,3.38840464818666e-14,4.62540632892367,"
+            "3,1.2,2,6,-1,0.101321183642338,3.38840461496508e-14,4.62540632892367,"
             "0.775840526584727,4.6163139528386,5.92746444685502,true\n"
-            "3,1.4,2,3.5,0.25,0.561946695656525,3.76384000783464e-10,7.76621040079966,"
+            "3,1.4,2,3.5,0.25,0.561946695656525,3.76384000783461e-10,7.76621040079966,"
             "0.764755908645241,6.81443860610952,10.4605926330794,false\n"
         )
         code, out, _ = run_cli(
@@ -385,8 +389,8 @@ class TestSweep:
     "d": 2,
     "gauss_opt": 2.79384083777184,
     "gauss_paper": 3.30053296559104,
-    "integral": 0.336827961768126,
-    "integral_err": 1.38748368595644e-10,
+    "integral": 0.336827961768124,
+    "integral_err": 1.38750922204362e-10,
     "k_rad": 2.84023713778984,
     "k_rad_paper": 0.863845978788157,
     "p": 1.2,

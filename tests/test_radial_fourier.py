@@ -5,6 +5,7 @@ import math
 from dataclasses import replace
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from sphrestrict import radial_fourier
@@ -33,7 +34,7 @@ from sphrestrict.restriction import RestrictionParams, extremal_profile
 from sphrestrict.special_fns import RadialKernel, bessel_j, bessel_j_zero
 from sphrestrict.verify import RandomRadialSpec, generate_profiles
 
-from oracles import gaussian_lp_norm_closed_form
+from oracles import at_point, gaussian_lp_norm_closed_form
 
 
 def indicator_profile(radius: float) -> RadialProfile:
@@ -186,8 +187,9 @@ class TestDivergenceRule:
 
 
 def reference_radial_hat(kernel, profile, s, tol=DEFAULT_REL_TOL):
-    """``radial_hat`` one node at a time: the scalar ``f`` and a plain
-    ``bessel_j`` call per node, through the scalar quadrature rules."""
+    """``radial_hat`` one node at a time: the scalar ``f``, a plain
+    ``bessel_j`` call and numpy's pow at that node alone (``at_point``),
+    through the scalar quadrature rules."""
     nu = kernel.order.nu
     d = kernel.d
     front = (2.0 * math.pi) ** (0.5 * d) * s ** (0.5 * (2 - d))
@@ -198,7 +200,7 @@ def reference_radial_hat(kernel, profile, s, tol=DEFAULT_REL_TOL):
         fr = profile.f(r)
         if fr == 0.0:
             return 0.0
-        return front * bessel_j(nu, s * r) * r ** (0.5 * d) * fr
+        return front * bessel_j(nu, s * r) * at_point(np.power, r, 0.5 * d) * fr
 
     decay = profile.decay
     if isinstance(decay, CompactSupport):

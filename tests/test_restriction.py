@@ -5,6 +5,7 @@ report."""
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from sphrestrict.errors import DivergenceError, DomainError
@@ -268,6 +269,26 @@ class TestExtremal:
                 assert ext.f(r) * j >= 0.0, r
             r += 0.61
 
+    @pytest.mark.parametrize("d,p", [(2, 1.25), (3, 1.2), (8, 1.5)])
+    def test_values_are_pointwise(self, d, p):
+        # f is the family's values at one point, and each node's value is
+        # the one it gets alone, bit for bit: below r = 1e-3 (log space),
+        # next to the kernel's zeros and on the arches.
+        ext = extremal_profile(RestrictionParams(d, p, 2.0), 1e-10)
+        values, index = ext.family
+        nu = 0.5 * (d - 2)
+        rng = np.random.default_rng(d)
+        r = np.concatenate([
+            [1e-300, 1e-8, 1e-3, np.nextafter(1e-3, 0.0)],
+            [bessel_j_zero(nu, k) for k in (1, 2, 7)],
+            np.geomspace(1e-6, 1e-2, 50), rng.uniform(0.0, 80.0, 500),
+        ])
+        batch = values(r, np.full(r.size, index)).tolist()
+        assert [ext.f(x) for x in r.tolist()] == batch
+        assert [values(np.array([x]), np.array([index]))[0] for x in r.tolist()] == batch
+        assert max(map(abs, batch[4:7])) < 1e-12 and all(map(math.isfinite, batch))
+        assert ext.f(0.0) == 0.0
+
     @pytest.mark.parametrize("d,p", [(2, 1.25), (3, 1.2), (4, 1.3)])
     def test_unit_norm(self, d, p):
         params = RestrictionParams(d, p, 2.0)
@@ -280,16 +301,16 @@ class TestExtremal:
         [
             (2, 1.1, 2.5268085118333645),
             (2, 1.25, 3.1485901472830187),
-            (3, 1.2, 4.625406328923347),
-            (3, 1.4, 7.766210400459124),
+            (3, 1.2, 4.625406328923357),
+            (3, 1.4, 7.766210400457864),
             (4, 1.3, 9.520321051595475),
         ],
     )
     def test_ratio_frozen(self, d, p, ratio):
         # Frozen from the profile's scalar form, before it was valued on
         # arrays of nodes, and re-frozen when the tail fit took its leading
-        # coefficient in closed form; the sharpness grid of the acceptance
-        # gate.
+        # coefficient in closed form and when pow, exp and log moved to
+        # numpy's ufuncs; the sharpness grid of the acceptance gate.
         params = RestrictionParams(d, p, 2.0)
         assert ratio_z(params, extremal_profile(params, 1e-10), 1e-9) == ratio
 

@@ -4,6 +4,7 @@ import json
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -388,23 +389,75 @@ class TestDominanceReuse:
         assert str(ratios[1]) == "profile 'zero' has zero L_1.2 norm"
 
 
+def family_nodes(seed, count):
+    """Nodes inside and past every bump's support, and far into the
+    Gaussian tails, where exp underflows and the value is 0, with the
+    profile index of each."""
+    rng = np.random.default_rng(seed)
+    r = np.concatenate(
+        [[0.0, 5.0, 50.0], rng.uniform(0.0, 6.0, 4000), np.geomspace(1e-8, 1e9, 300)]
+    )
+    return r, rng.integers(0, count, r.size)
+
+
+def family_reference(form, i, r):
+    """(value, scale) of profile i of a family's array form at r: each exp's
+    argument formed in doubles as ``values`` forms it, the exp and all that
+    follows in mpmath at 100 digits.  ``scale`` is the sum of the
+    magnitudes of the terms the double value is rounded from."""
+    with mp.workdps(100):
+        if isinstance(form, verify._Mixtures):
+            terms = [
+                mp.mpf(w) * mp.exp(-(r * r) * c)
+                for w, c in zip(form.w[i].tolist(), form.c[i].tolist())
+            ]
+            return mp.fsum(terms), mp.fsum(abs(t) for t in terms)
+        if isinstance(form, verify._PolyGaussians):
+            poly = 0.0
+            for a in form.horner[i].tolist():
+                poly = poly * r + a
+            value = poly * mp.exp(-r * r * form.c[i])
+        else:
+            u = r * form.inv_radius[i]
+            value = form.amplitude[i] * mp.exp(-1.0 / (1.0 - u * u)) if u < 1.0 else mp.mpf(0)
+        return value, abs(value)
+
+
 class TestFamilyArrayForms:
     @pytest.mark.parametrize("seed", [0, 3])
     @pytest.mark.parametrize("family", FAMILIES)
     def test_values_equal_scalar_f(self, family, seed):
+        # A profile's f is its family's values at one point, and a node's
+        # value is the one it gets alone, in any batch: bit for bit.
         profiles = generate_profiles(RandomRadialSpec(seed=seed, family=family, count=40))
         assert [p.family[1] for p in profiles] == list(range(40))
         (values,) = {p.family[0] for p in profiles}
-        rng = np.random.default_rng(seed)
-        # Inside and past every bump's support, and far into the Gaussian
-        # tails, where exp underflows and the value is 0.
-        r = np.concatenate(
-            [[0.0, 5.0, 50.0], rng.uniform(0.0, 6.0, 4000), np.geomspace(1e-8, 1e9, 300)]
-        )
-        which = rng.integers(0, len(profiles), r.size)
-        want = [profiles[i].f(x) for x, i in zip(r.tolist(), which.tolist())]
-        assert values(r, which).tolist() == want
-        assert 0.0 in want and any(w != 0.0 for w in want)
+        r, which = family_nodes(seed, len(profiles))
+        batch = values(r, which).tolist()
+        alone = [
+            values(np.array([x]), np.array([i]))[0] for x, i in zip(r.tolist(), which.tolist())
+        ]
+        assert alone == batch
+        assert [profiles[i].f(x) for x, i in zip(r[1:].tolist(), which[1:].tolist())] == batch[1:]
+        assert profiles[which[0]].f(0.0) == 0.0
+        assert 0.0 in batch and any(v != 0.0 for v in batch)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_values_match_mpmath(self, family):
+        # numpy's exp is within a few ulps: each value within 4 ulps of the
+        # magnitudes it sums, and 0 where the reference rounds to 0.
+        profiles = generate_profiles(RandomRadialSpec(seed=3, family=family, count=40))
+        values = profiles[0].family[0]
+        r, which = family_nodes(3, len(profiles))
+        tiny = mp.mpf(2) ** -1074
+        underflows = 0
+        for x, i, got in zip(r.tolist(), which.tolist(), values(r, which).tolist()):
+            value, scale = family_reference(values.__self__, i, x)
+            assert abs(got - value) <= 4 * 2.0**-52 * scale + tiny, (x, i, got)
+            if scale < tiny / 2:
+                assert got == 0.0
+                underflows += scale > 0
+        assert underflows > 0 or family == "compact_bump"
 
     def test_empty_family(self):
         assert generate_profiles(RandomRadialSpec(seed=0, family="compact_bump", count=0)) == []
