@@ -65,8 +65,10 @@ one ``special_fns.bessel_j_array`` call before each exponent applies its
 own power law.  ``integrate_oscillatory_bessel`` is the one-integrand
 block, and ``sum_over_partition`` is one sum through the same loop.
 Every interval's result is the one it gets alone, evaluation counts
-included, and equals a one-node-at-a-time scalar rule bit for bit: the
-tail fit at tight tolerances amplifies last-digit differences ~1000-fold.
+included, and equals QUADPACK's loop run one panel at a time, with numpy's
+pow for its 1.5 power, bit for bit: the tail fit at tight tolerances
+amplifies last-digit differences ~1000-fold.  The rule itself runs once per
+round, as elementwise ops over the columns of the round's values.
 So each sum's outcome is the one it gets alone.
 
 The engine looks ahead: when an interval's worst panel has no children
@@ -145,10 +147,12 @@ _WG = (
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 )
-_WGK0, _WGK1, _WGK2, _WGK3, _WGK4, _WGK5, _WGK6, _WGK7 = _WGK
-_WG0, _WG1, _WG2, _WG3 = _WG
 # Offsets of the 15 nodes from a panel's centre, in units of its half-width.
 _NODE_OFFSETS = np.array((0.0,) + tuple(-x for x in _XGK[:7]) + _XGK[:7])
+# Kronrod weights of the node pairs j = 0..6 and Gauss weights of the odd
+# pairs, as columns over a (pair, ..., panel) array.
+_WGK_PAIRS = np.array(_WGK[:7]).reshape(7, 1, 1)
+_WG_PAIRS = np.array(_WG[:3]).reshape(3, 1)
 _EPS50 = 50.0 * 2.220446049250313e-16
 _MAX_INTERVALS = 4000
 _SEMI_INFINITE_INTERVALS = 6000
@@ -175,64 +179,53 @@ class QuadResult:
         return self
 
 
-def _gk15_rule(fs: Sequence[float], h: float) -> tuple[float, float]:
-    """(G7, K15) value and error of a panel of half-width h from its 15
-    integrand values: the centre, then the left nodes c - h x_j, then the
-    right nodes c + h x_j, j = 0..6.
-
-    Straight-line code summing in QUADPACK's order (j = 0..6, the Gauss
-    terms at odd j): every partial sum is the double the loop gives."""
-    fc, l0, l1, l2, l3, l4, l5, l6, r0, r1, r2, r3, r4, r5, r6 = fs
-    s1 = l1 + r1
-    s3 = l3 + r3
-    s5 = l5 + r5
-    resg = fc * _WG3 + _WG0 * s1 + _WG1 * s3 + _WG2 * s5
-    resk = (
-        fc * _WGK7 + _WGK0 * (l0 + r0) + _WGK1 * s1 + _WGK2 * (l2 + r2)
-        + _WGK3 * s3 + _WGK4 * (l4 + r4) + _WGK5 * s5 + _WGK6 * (l6 + r6)
-    )
-    resabs = (
-        abs(fc) * _WGK7 + _WGK0 * (abs(l0) + abs(r0)) + _WGK1 * (abs(l1) + abs(r1))
-        + _WGK2 * (abs(l2) + abs(r2)) + _WGK3 * (abs(l3) + abs(r3))
-        + _WGK4 * (abs(l4) + abs(r4)) + _WGK5 * (abs(l5) + abs(r5))
-        + _WGK6 * (abs(l6) + abs(r6))
-    )
-    mean = 0.5 * resk
-    resasc = (
-        _WGK7 * abs(fc - mean) + _WGK0 * (abs(l0 - mean) + abs(r0 - mean))
-        + _WGK1 * (abs(l1 - mean) + abs(r1 - mean))
-        + _WGK2 * (abs(l2 - mean) + abs(r2 - mean))
-        + _WGK3 * (abs(l3 - mean) + abs(r3 - mean))
-        + _WGK4 * (abs(l4 - mean) + abs(r4 - mean))
-        + _WGK5 * (abs(l5 - mean) + abs(r5 - mean))
-        + _WGK6 * (abs(l6 - mean) + abs(r6 - mean))
-    )
-    ah = abs(h)
-    resk *= h
-    resg *= h
-    resabs *= ah
-    resasc *= ah
-    err = abs(resk - resg)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    # Round-off floor, as in QUADPACK.
-    if resabs > 1e-290:
-        err = max(err, _EPS50 * resabs)
-    return resk, err
-
-
 def _gk15_batch(
     f: ArrayIntegrand, a: list[float], b: list[float], which: list[int]
-) -> list[tuple[float, float]]:
-    """(G7, K15) value and error of each panel [a_i, b_i] of interval
-    ``which[i]``: one call of the array integrand ``f`` on all 15 n nodes,
-    then ``_gk15_rule`` panel by panel.  The node c + (-x_j) h is exactly
-    the double c - x_j h."""
-    c = [0.5 * (lo + hi) for lo, hi in zip(a, b)]
-    h = [0.5 * (hi - lo) for lo, hi in zip(a, b)]
-    ch = np.array((c, h)).T
-    fv = f((ch[:, :1] + ch[:, 1:] * _NODE_OFFSETS).ravel(), np.repeat(which, 15))
-    return list(map(_gk15_rule, fv.reshape(len(a), 15).tolist(), h))
+) -> tuple[list[float], list[float]]:
+    """(G7, K15) values and errors of the panels [a_i, b_i] of intervals
+    ``which[i]``, as two lists: one call of the array integrand ``f`` on
+    all 15 n nodes, then QUADPACK's rule (``dqk15``) once over the columns
+    of the values.
+
+    Column i holds panel i's values at its centre (row 0) and at its nodes
+    c - h x_j (row 1 + j) and c + h x_j (row 8 + j), j = 0..6; the node
+    c + (-x_j) h is exactly the double c - x_j h.  Each step of QUADPACK's
+    loop is one elementwise op over the columns, and each sum adds its
+    terms in the loop's order (j = 0..6, the Gauss terms at odd j), so
+    every partial sum is the double the loop gives; (200 err / resasc)^1.5
+    is numpy's pow and min, max are ``np.fmin``, ``np.maximum``.  A panel's
+    result depends on its own column alone: NaN or inf at one panel leaves
+    every other panel as it was, and raises no floating-point warning."""
+    ab = np.array((a, b))
+    c = 0.5 * (ab[0] + ab[1])
+    h = 0.5 * (ab[1] - ab[0])
+    fv = f((c[:, None] + h[:, None] * _NODE_OFFSETS).ravel(), np.array(which).repeat(15))
+    with np.errstate(all="ignore"):
+        # fs[:, 0] the values and fs[:, 1] their moduli, (15, 2, n); the
+        # pairs l_j + r_j and |l_j| + |r_j|, (7, 2, n).
+        fs = np.empty((15, 2, len(a)))
+        fs[:, 0] = fv.reshape(-1, 15).T
+        np.abs(fs[:, 0], out=fs[:, 1])
+        pairs = fs[1:8] + fs[8:]
+        g = _WG_PAIRS * pairs[1:6:2, 0]
+        resg = fs[0, 0] * _WG[3] + g[0] + g[1] + g[2]
+        # resk and resabs, as rows 0 and 1.
+        k = _WGK_PAIRS * pairs
+        kabs = fs[0] * _WGK[7] + k[0] + k[1] + k[2] + k[3] + k[4] + k[5] + k[6]
+        dev = np.abs(fs[:, 0] - 0.5 * kabs[0])
+        k = _WGK_PAIRS[:, 0] * (dev[1:8] + dev[8:])
+        resasc = dev[0] * _WGK[7] + k[0] + k[1] + k[2] + k[3] + k[4] + k[5] + k[6]
+        ah = np.abs(h)
+        resk = kabs[0] * h
+        resabs = kabs[1] * ah
+        resasc *= ah
+        err = np.abs(resk - resg * h)
+        scaled = resasc * np.fmin(1.0, np.power(200.0 * err / resasc, 1.5))
+        # Where resasc != 0 and err != 0, NaN included.
+        err = np.where(np.logical_and(resasc, err), scaled, err)
+        # Round-off floor, as in QUADPACK.
+        err = np.where(resabs > 1e-290, np.maximum(err, _EPS50 * resabs), err)
+    return resk.tolist(), err.tolist()
 
 
 def integrate_finite(
@@ -316,9 +309,9 @@ def _integrate_block(
         return []
     lo = [a for a, _ in edges]
     hi = [b for _, b in edges]
-    rules = _gk15_batch(f, lo, hi, list(range(len(edges))))
-    heaps = [[(-e, a, b, v, e)] for a, b, (v, e) in zip(lo, hi, rules)]
-    totals = [list(rule) for rule in rules]
+    values, errors = _gk15_batch(f, lo, hi, list(range(len(edges))))
+    heaps = [[(-e, a, b, v, e)] for a, b, v, e in zip(lo, hi, values, errors)]
+    totals = [[v, e] for v, e in zip(values, errors)]
     splits = [0] * len(edges)
     # Splits evaluated ahead, by interval and the left endpoint of the panel
     # they split: the changes (dv, de) of the running value and error and
@@ -372,9 +365,10 @@ def _integrate_block(
             lo += (a, mid)
             hi += (mid, b)
             owner += (i, i)
-        rules = _gk15_batch(f, lo, hi, owner)
-        for n, (i, (_, a, b, v, e), mid) in enumerate(requests):
-            (v1, e1), (v2, e2) = rules[2 * n], rules[2 * n + 1]
+        values, errors = _gk15_batch(f, lo, hi, owner)
+        for (i, (_, a, b, v, e), mid), v1, e1, v2, e2 in zip(
+            requests, values[::2], errors[::2], values[1::2], errors[1::2]
+        ):
             ahead[i][a] = (v1 + v2 - v, e1 + e2 - e, (-e1, a, mid, v1, e1), (-e2, mid, b, v2, e2))
         live = refining
     return results

@@ -380,7 +380,15 @@ def radial_lp_norms(
         return f"L_{p} norm of {profile.label!r}"
 
     def weight(r: np.ndarray, fr: np.ndarray) -> np.ndarray:
-        return np.power(r, d - 1) * np.power(np.abs(fr), p)
+        # Where r^(d-1) overflows (r = 1e9 from d = 36) the weight is taken
+        # in log space, exp((d-1) log r + p log |F|), as in
+        # ``quadrature._power_values``.
+        r_power = np.power(r, d - 1)
+        out = r_power * np.power(np.abs(fr), p)
+        logs = np.isinf(r_power)
+        if logs.any():
+            out[logs] = np.exp((d - 1) * np.log(r[logs]) + p * np.log(np.abs(fr[logs])))
+        return out
 
     quads = _radial_integral(
         what, profiles, weight, d - 1, p, tol, lambda profile: profile.breakpoints

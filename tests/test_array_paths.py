@@ -20,6 +20,7 @@ import hashlib
 import heapq
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,7 +39,6 @@ from sphrestrict.quadrature import (
     _XGK,
     _CellSum,
     _gk15_batch,
-    _gk15_rule,
     _heap_result,
     _integrand_values,
     _integrate_block,
@@ -282,8 +282,10 @@ def node_by_node(spec, nodes):
 
 
 def loop_gk15_rule(fs, h):
-    """``_gk15_rule`` as QUADPACK's loop over j = 0..6, the form it had
-    before it was written out; kept here as the reference."""
+    """QUADPACK's (G7, K15) rule (``dqk15``) on one panel of half-width h
+    from its 15 values (the centre, then the left nodes c - h x_j, then the
+    right nodes c + h x_j), as its loop over j = 0..6 in scalar floats;
+    (200 err / resasc)^1.5 is numpy's pow at that point alone."""
     fc = fs[0]
     resg = fc * _WG[3]
     resk = fc * _WGK[7]
@@ -306,7 +308,7 @@ def loop_gk15_rule(fs, h):
     resasc *= abs(h)
     err = abs(resk - resg)
     if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        err = resasc * min(1.0, at_point(np.power, 200.0 * err / resasc, 1.5))
     if resabs > 1e-290:
         err = max(err, quadrature._EPS50 * resabs)
     return resk, err
@@ -318,7 +320,19 @@ def reference_gk15(f, a, b):
     h = 0.5 * (b - a)
     left = [f(c - h * x) for x in _XGK[:7]]
     right = [f(c + h * x) for x in _XGK[:7]]
-    return _gk15_rule([f(c)] + left + right, h)
+    return loop_gk15_rule([f(c)] + left + right, h)
+
+
+def gk15_of_values(values, h):
+    """(value, error) of ``_gk15_batch`` on each panel (-h_i, h_i), whose
+    integrand gives the 15 values ``values[i]`` at panel i's nodes."""
+    values = np.array(values, dtype=float)
+
+    def f(x, which):
+        assert x.size == values.size
+        return values.ravel()
+
+    return list(zip(*_gk15_batch(f, [-w for w in h], list(h), list(range(len(h))))))
 
 
 def reference_finite(f, a, b, tol, abs_tol, max_intervals=4000, panels=None):
@@ -375,14 +389,53 @@ def assert_block_matches_finite(spec, edges, tol, abs_tol=1e-16):
 class TestBlockEngine:
     def test_gk15_rule_equals_loop(self):
         # Signed values and half-widths over 1e-30..1e30, a tenth of the
-        # values exactly 0, and panels that are all zeros.
+        # values exactly 0, panels that are all zeros, and constant panels,
+        # where resasc is often 0 while err is round-off: the column rule
+        # equals the loop bit for bit, on one batch of every panel and on
+        # one panel per call.
         rng = np.random.default_rng(15)
+        values = []
+        h = []
         for _ in range(20000):
             fs = rng.choice([-1.0, 1.0], 15) * 10.0 ** rng.uniform(-30.0, 30.0, 15)
             fs[rng.random(15) < 0.1] = 0.0
-            h = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-30.0, 30.0))
-            assert _gk15_rule(fs.tolist(), h) == loop_gk15_rule(fs.tolist(), h)
-        assert _gk15_rule([0.0] * 15, 0.5) == loop_gk15_rule([0.0] * 15, 0.5) == (0.0, 0.0)
+            values.append(fs)
+            h.append(float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-30.0, 30.0)))
+        values += [np.zeros(15)] * 2
+        h += [0.5, -3.0]
+        constants = rng.uniform(0.1, 10.0, 200).tolist() + [1e-300]
+        values += [np.full(15, c) for c in constants]
+        h += [0.5] * len(constants)
+        expected = [loop_gk15_rule(fs.tolist(), w) for fs, w in zip(values, h)]
+        assert expected[20000:20002] == [(0.0, 0.0), (0.0, 0.0)]
+        assert gk15_of_values(values, h) == expected
+        assert [gk15_of_values([fs], [w])[0] for fs, w in zip(values, h)] == expected
+
+    def test_nan_and_inf_stay_in_their_panel(self):
+        # A round holding panels with NaN or +-inf values leaves every other
+        # panel's (value, error) bit-identical to a round without them, each
+        # bad panel is the loop's, and no floating-point warning escapes.
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((40, 15)) * 10.0 ** rng.uniform(-5.0, 5.0, (40, 1))
+        h = rng.uniform(1e-3, 2.0, 40).tolist()
+        clean = gk15_of_values(values, h)
+        bad = values.copy()
+        bad[3, 0] = math.nan
+        bad[7, 5] = math.inf
+        bad[11, 2], bad[11, 9] = math.inf, -math.inf
+        bad[20] = math.nan
+        bad[25, 0] = -math.inf
+        bad[31, 1:] = math.inf
+        hit = {3, 7, 11, 20, 25, 31}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gk15_of_values(bad, h)
+        for i, (rule, alone) in enumerate(zip(got, clean)):
+            if i in hit:
+                assert repr(rule) == repr(loop_gk15_rule(bad[i].tolist(), h[i]))
+                assert not all(map(math.isfinite, rule))
+            else:
+                assert rule == alone
 
     def test_integrands_of_one_block(self):
         # Each interval has its own integrand, chosen by the interval index
@@ -497,7 +550,7 @@ class TestBlockEngine:
             (lambda r, _: r * r * r, lambda r: r * r * r),
             (lambda r, _: values(spec, r), node_by_node(spec, nodes)),
         ]:
-            got = _gk15_batch(batch_f, a, b, list(range(n)))
+            got = list(zip(*_gk15_batch(batch_f, a, b, list(range(n)))))
             assert got == [reference_gk15(scalar_f, lo, hi) for lo, hi in zip(a, b)]
 
     def test_arch_stopped_at_max_intervals(self):

@@ -431,6 +431,22 @@ class TestLpNorm:
         with pytest.raises(DomainError):
             radial_lp_norm(RadialKernel(2), gaussian_profile(1.0, 2), 0.5)
 
+    @pytest.mark.parametrize("d", [20, 36, 40, 50])
+    def test_algebraic_profile_in_high_dimension(self, d):
+        # F = (1 + r^2)^-15 has ||F||_2 = sqrt(A(d) B(d/2, 30 - d/2) / 2).
+        # From d = 36 the weight's r^(d-1) overflows at the decay probe
+        # r = 1e9, where the integrand is taken in log space.
+        profile = RadialProfile(
+            f=lambda r: (1.0 + r * r) ** -15, decay=AlgebraicDecay(1.0, 30.0), label="alg30"
+        )
+        got = radial_lp_norm(RadialKernel(d), profile, 2.0)
+        with mp.workdps(30):
+            half = mp.mpf(d) / 2
+            exact = mp.sqrt(mp.pi**half / mp.gamma(half) * mp.beta(half, 30 - half))
+        assert got == pytest.approx(float(exact), rel=DEFAULT_REL_TOL)
+        if d == 20:
+            assert got == 3.5894446761756197e-05
+
 
 class TestSphereNorm:
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
