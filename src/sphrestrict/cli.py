@@ -113,15 +113,19 @@ def _parse_range(text: str, integer: bool = False) -> list[float]:
 
 def _load_config(path: str) -> dict[str, str]:
     config: dict[str, str] = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            config[key.strip().replace("-", "_")] = value.strip()
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: cannot read the config file: {exc}") from None
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DomainError(f"{path}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        config[key.strip().replace("-", "_")] = value.strip()
     return config
 
 

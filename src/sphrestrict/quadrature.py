@@ -62,8 +62,9 @@ all exponents of one dimension (``integrate_oscillatory_bessel_block``),
 need the same arches at the same checkpoint: the arch edges are read
 once per step, and each round values J_nu once per distinct node with
 one ``special_fns.bessel_j_array`` call before each exponent applies its
-own power law.  ``integrate_oscillatory_bessel`` is the one-integrand
-block, and ``sum_over_partition`` is one sum through the same loop.
+own power law, ``_power_law``, which the radial L_p weight shares.
+``integrate_oscillatory_bessel`` is the one-integrand block, and
+``sum_over_partition`` is one sum through the same loop.
 Every interval's result is the one it gets alone, evaluation counts
 included, and equals QUADPACK's loop run one panel at a time, with numpy's
 pow for its 1.5 power, bit for bit: the tail fit at tight tolerances
@@ -641,56 +642,48 @@ class OscillatoryIntegrand:
 
 
 def _integrand_values(spec: OscillatoryIntegrand, r: np.ndarray) -> np.ndarray:
-    """The integrand of ``spec`` at the nodes ``r``: ``_power_values`` of
-    one ``bessel_j_array`` call on them."""
-    return _power_values(spec, r, bessel_j_array(spec.order, np.maximum(r, 0.0)))
+    """The integrand of ``spec`` at the nodes ``r``: its power law
+    (``_power_law``) of one ``bessel_j_array`` call on them."""
+    j = bessel_j_array(spec.order, np.maximum(r, 0.0))
+    return _power_law(r, spec.beta, j, spec.power, spec.signed)
 
 
 def _block_values(specs: Sequence[OscillatoryIntegrand]) -> ArrayIntegrand:
     """The array integrand ``f(r, which)`` of a block of integrands of one
-    order: J_nu by one ``bessel_j_array`` call on the round's distinct
-    nodes, then at each node r[i] the power law of ``specs[which[i]]``.  A
-    J value depends on its own node alone, so every value is the one
+    order: J_nu by one ``bessel_j_array`` call on the round's nodes, then
+    at each node r[i] the power law of ``specs[which[i]]``.  A J value
+    depends on its own node alone, so every value is the one
     ``_integrand_values`` gives."""
     order = specs[0].order
 
     def f(r: np.ndarray, which: np.ndarray) -> np.ndarray:
-        # A round's nodes arrive in sorted runs, panel by panel along each
-        # cell, which a stable sort (timsort) exploits and np.unique's
-        # quicksort does not: on long tight-tolerance integrals that halves
-        # the cost of finding the distinct nodes.
-        perm = np.argsort(r, kind="stable")
-        ordered = r[perm]
-        first = np.empty(r.size, dtype=bool)
-        first[:1] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        j = np.empty(r.size)
-        j[perm] = bessel_j_array(order, ordered[first])[np.cumsum(first) - 1]
+        j = bessel_j_array(order, r)
         out = np.empty(r.size)
         for i, spec in enumerate(specs):
             at = which == i
             if at.any():
-                out[at] = _power_values(spec, r[at], j[at])
+                out[at] = _power_law(r[at], spec.beta, j[at], spec.power, spec.signed)
         return out
 
     return f
 
 
-def _power_values(spec: OscillatoryIntegrand, r: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """The integrand of ``spec`` at the nodes ``r`` from j = J_nu(r):
-    r^beta j^power (signed) or r^beta |j|^power, with 0 at r <= 0.  An
-    unsigned value is taken in log space, exp(beta log r + power log |j|),
-    below r = 1e-3, where a negative beta meets a vanishing Bessel factor,
-    and wherever r^beta overflows; it is 0 where j vanishes.
+def _power_law(
+    r: np.ndarray, a: float, y: np.ndarray, b: float, signed: bool = False
+) -> np.ndarray:
+    """r^a y^b (signed) or r^a |y|^b at each node, with 0 at r <= 0.  An
+    unsigned value is taken in log space, exp(a log r + b log |y|), below
+    r = 1e-3, where a negative a meets a vanishing y, and wherever r^a
+    overflows; it is 0 where y vanishes.
     """
     with np.errstate(all="ignore"):
-        r_beta = np.power(r, spec.beta)
-        base = j if spec.signed else np.abs(j)
-        out = r_beta * np.power(base, spec.power)
-        if not spec.signed:
-            logs = (r < 1e-3) | np.isinf(r_beta)
+        r_a = np.power(r, a)
+        base = y if signed else np.abs(y)
+        out = r_a * np.power(base, b)
+        if not signed:
+            logs = (r < 1e-3) | np.isinf(r_a)
             if logs.any():
-                out[logs] = np.exp(spec.beta * np.log(r[logs]) + spec.power * np.log(base[logs]))
+                out[logs] = np.exp(a * np.log(r[logs]) + b * np.log(base[logs]))
     out[r <= 0.0] = 0.0
     return out
 

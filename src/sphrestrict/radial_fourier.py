@@ -25,11 +25,12 @@ refinement is one call of the family's ``values(r, which)`` for all of
 them; any other profile is a block of its own, its scalar ``f`` mapped over
 the nodes.  A family profile's ``f`` is a one-point call of ``values``
 (``family_profile``).  The transform's Bessel factor ``J_nu(s r)`` is
-``bessel_j_array`` on each round's nodes, and the weights' powers are
-numpy's elementwise ``np.power``, so a node's value depends on that node
-alone.  A profile's result is the one it gets alone, bit for bit, and
-``radial_hat`` and ``radial_lp_norm`` are one-profile calls of that one
-path.
+one ``bessel_j_array`` call on each round's nodes, which values each
+distinct radius once, and the weights' powers are numpy's elementwise
+``np.power`` (the L_p weight is ``quadrature._power_law``), so a node's
+value depends on that node alone.  A profile's result is the one it gets
+alone, bit for bit, and ``radial_hat`` and ``radial_lp_norm`` are
+one-profile calls of that one path.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .quadrature import (
     QuadResult,
     _mapped,
     _only,
+    _power_law,
     integrate_finite_block,
     integrate_semi_infinite_block,
     sum_over_partition,
@@ -140,18 +142,20 @@ def family_profile(
 
 def gaussian_profile(sigma: float, d: int) -> RadialProfile:
     """F(r) = (2 pi)^(-d/2) sigma^(-d) exp(-r^2 / (2 sigma^2)); its
-    integral over R^d is 1 for every sigma > 0."""
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma!r}")
-    norm = (2.0 * math.pi) ** (-0.5 * d) * sigma ** (-float(d))
+    integral over R^d is 1 for every finite sigma > 0."""
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise DomainError(f"sigma must be finite and positive, got {sigma!r}")
+    label = f"gaussian(sigma={sigma!r}, d={d})"
+    try:
+        norm = (2.0 * math.pi) ** (-0.5 * d) * sigma ** (-float(d))
+    except OverflowError:
+        raise DomainError(f"{label} exceeds double-precision range") from None
     inv_two_sigma_sq = 0.5 / (sigma * sigma)
 
     def f(r: float) -> float:
         return norm * math.exp(-r * r * inv_two_sigma_sq)
 
-    return RadialProfile(
-        f=f, decay=GaussianDecay(sigma), label=f"gaussian(sigma={sigma!r}, d={d})"
-    )
+    return RadialProfile(f=f, decay=GaussianDecay(sigma), label=label)
 
 
 def _merged_breakpoints(
@@ -209,9 +213,7 @@ def _radial_hats(
     front = (2.0 * math.pi) ** (0.5 * d) * s ** (0.5 * (2 - d))
 
     def weight(r: np.ndarray, fr: np.ndarray) -> np.ndarray:
-        return _at_radii(
-            lambda x: front * bessel_j_array(nu, s * x) * np.power(x, 0.5 * d), r
-        ) * fr
+        return front * bessel_j_array(nu, s * r) * np.power(r, 0.5 * d) * fr
 
     def kernel_zeros(k: int) -> float:
         return bessel_j_zero(nu, k) / s
@@ -319,17 +321,6 @@ def _integrand(
     return integrand
 
 
-def _at_radii(
-    radial: Callable[[np.ndarray], np.ndarray], r: np.ndarray
-) -> np.ndarray:
-    """``radial(r)`` for an elementwise ``radial``, valued once per distinct
-    radius: the profiles of a block share most of their nodes, and the
-    Bessel factor of a 6,000-node round would otherwise hold a Miller
-    table of ~70 rows per node."""
-    radii, node = np.unique(r, return_inverse=True)
-    return radial(radii)[node]
-
-
 def _settle(
     outcomes: list, members: Sequence[int], run: Callable[[], Sequence[Outcome[QuadResult]]]
 ) -> None:
@@ -379,19 +370,9 @@ def radial_lp_norms(
     def what(profile: RadialProfile) -> str:
         return f"L_{p} norm of {profile.label!r}"
 
-    def weight(r: np.ndarray, fr: np.ndarray) -> np.ndarray:
-        # Where r^(d-1) overflows (r = 1e9 from d = 36) the weight is taken
-        # in log space, exp((d-1) log r + p log |F|), as in
-        # ``quadrature._power_values``.
-        r_power = np.power(r, d - 1)
-        out = r_power * np.power(np.abs(fr), p)
-        logs = np.isinf(r_power)
-        if logs.any():
-            out[logs] = np.exp((d - 1) * np.log(r[logs]) + p * np.log(np.abs(fr[logs])))
-        return out
-
     quads = _radial_integral(
-        what, profiles, weight, d - 1, p, tol, lambda profile: profile.breakpoints
+        what, profiles, lambda r, fr: _power_law(r, d - 1, fr, p), d - 1, p, tol,
+        lambda profile: profile.breakpoints,
     )
     return [
         _then(quad, lambda q: (kernel.sphere_area * q.expect_converged(what(profile)).value)

@@ -147,8 +147,8 @@ def gaussian_lower_bound(params: RestrictionParams, sigma: float) -> float:
     Closed form e^(-sigma^2/2) A^(1/q) (2 pi)^((d/2)(1-1/p)) p^(d/(2p))
     sigma^(d(1-1/p)); every value is a lower bound for the sharp constant.
     """
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma!r}")
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise DomainError(f"sigma must be finite and positive, got {sigma!r}")
     return _gaussian_ratio(params, params.kernel.sphere_area, sigma)
 
 

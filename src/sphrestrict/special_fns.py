@@ -23,11 +23,12 @@ The regime boundaries were chosen by measuring absolute error against
 inside the 1e-12 contract, and below 1e-13 relative away from zeros.
 
 ``bessel_j_array`` is the one implementation: a value depends only on its
-own point, and ``bessel_j`` is a one-point call of it.  The zero finder
-values J for a chunk of zeros per Newton round (``bessel_j_zero``), the
-arch quadrature and the transforms once per round of refinement.  All
-arithmetic on the points is numpy's elementwise (``np.power`` for
-(x/2)^nu), which gives a point the same double whatever array holds it.
+own point, each distinct point of a call is valued once, and ``bessel_j``
+is a one-point call of it.  The zero finder values J for a chunk of
+zeros per Newton round (``bessel_j_zero``), the arch quadrature and the
+transforms once per round of refinement.  All arithmetic on the points
+is numpy's elementwise (``np.power`` for (x/2)^nu), which gives a point
+the same double whatever array holds it.
 Every value is pinned bit for bit in the tests, so that repeat runs give
 the same bytes: the kernel integrals' tail fit amplifies 1e-16
 differences in partial sums to ~1e-13 in the extrapolated value.
@@ -339,18 +340,24 @@ def bessel_j_array(order: "BesselOrder | float", x) -> np.ndarray:
     The regimes are consecutive intervals of x: 0, the series up to 2,
     Miller's recurrence, and above it the half-integer closed forms from
     x = nu or Hankel's expansion from x = max(30, nu(nu + 1)).  A value
-    depends only on its own point, never on the others in the call.
+    depends only on its own point, never on the others in the call, and
+    each distinct point is valued once.
     """
     nu = _as_nu(order)
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     if flat.size == 0:
         return np.empty_like(x)
-    # On sorted points each regime is one slice.
+    # On sorted points each regime is one slice.  Callers pass runs of
+    # sorted nodes, which a stable sort (timsort) exploits.
     perm = np.argsort(flat, kind="stable")
     xs = flat[perm]
     if not (xs[0] >= 0.0 and xs[-1] < math.inf):
         raise DomainError("bessel_j_array requires finite x >= 0")
+    first = np.empty(xs.size, dtype=bool)
+    first[0] = True
+    np.not_equal(xs[1:], xs[:-1], out=first[1:])
+    xs = xs[first]
     zero_end = int(np.searchsorted(xs, 0.0, "right"))
     series_end = int(np.searchsorted(xs, 2.0, "right"))
     if _is_half_integer(nu):
@@ -368,7 +375,7 @@ def bessel_j_array(order: "BesselOrder | float", x) -> np.ndarray:
             if hi > lo:
                 values[lo:hi] = regime(nu, xs[lo:hi])
     out = np.empty_like(flat)
-    out[perm] = values
+    out[perm] = values[np.cumsum(first) - 1]
     return out.reshape(x.shape)
 
 

@@ -20,6 +20,7 @@ import hashlib
 import heapq
 import json
 import math
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -43,7 +44,7 @@ from sphrestrict.quadrature import (
     _integrand_values,
     _integrate_block,
     _mapped,
-    _power_values,
+    _power_law,
     _sum_cells,
     integrate_finite,
     integrate_finite_block,
@@ -120,6 +121,14 @@ def mixed_grid(nu):
     return xs
 
 
+def repeated_points(nu):
+    """Every point of a grid spanning the regimes twice, shuffled, with
+    the regime edges 0, 2, nu and 30 among them."""
+    edges = [0.0, 2.0, nu, 30.0]
+    xs = np.concatenate([edges, np.linspace(0.1, 40.0, 100), mixed_grid(nu)[:100]])
+    return np.random.default_rng(7).permutation(np.concatenate([xs, xs]))
+
+
 GRIDS = [
     ("series", series_grid, ORDERS),
     ("half_integer", half_integer_grid, HALF_INTEGER_ORDERS),
@@ -158,6 +167,10 @@ class TestBesselArray:
         xs = mixed_grid(nu)[:400]
         assert [bessel_j(nu, x) for x in xs.tolist()] == bessel_j_array(nu, xs).tolist()
         assert bessel_j_array(nu, np.zeros(3)).tolist() == [1.0 if nu == 0.0 else 0.0] * 3
+        # Every point twice, shuffled, with the regime edges 0, 2, nu and
+        # 30: each distinct point is valued once and scattered back.
+        twice = repeated_points(nu)
+        assert [bessel_j(nu, x) for x in twice.tolist()] == bessel_j_array(nu, twice).tolist()
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 7.0])
     def test_small_batches(self, nu):
@@ -176,6 +189,10 @@ class TestBesselArray:
         got = bessel_j_array(1.0, xs)
         assert got.shape == xs.shape
         assert got.ravel().tolist() == bessel_j_array(1.0, xs.ravel()).tolist()
+        twice = repeated_points(2.5)[:120].reshape(2, 3, 20)
+        got = bessel_j_array(2.5, twice)
+        assert got.shape == twice.shape
+        assert got.ravel().tolist() == [bessel_j(2.5, x) for x in twice.ravel().tolist()]
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_rejects_bad_points(self, bad):
@@ -208,25 +225,26 @@ def scalar_integrand(spec, bessel=bessel_j):
     return integrand
 
 
-def assert_power_law_near_mpmath(spec, r, j, got, log_space=False):
+def assert_power_law_near_mpmath(a, b, r, y, got):
     """Each ``got`` within the error bound of its branch (see
-    ``test_integrand_values_match_mpmath``) of the exact r^beta |j|^power,
-    computed by mpmath at 200 bits from the doubles r and j; values the
-    exact one rounds to 0 must be 0."""
+    ``test_integrand_values_match_mpmath``) of the exact r^a |y|^b,
+    computed by mpmath at 200 bits from the doubles r and y; values the
+    exact one rounds to 0 must be 0.  The log-space branch is the one
+    ``_power_law`` takes: below r = 1e-3 and where r^a overflows."""
     eps = mp.mpf(2) ** -52
     tiny = mp.mpf(2) ** -1074
-    with mp.workprec(200):
-        for x, jx, g in zip(r, j, got):
-            exact = mp.mpf(x) ** mp.mpf(spec.beta) * abs(mp.mpf(jx)) ** mp.mpf(spec.power)
-            if log_space or x < 1e-3:
-                logs = abs(spec.beta * math.log(x))
-                logs += abs(spec.power * math.log(abs(jx))) if jx != 0.0 else 0.0
+    with mp.workprec(200), np.errstate(over="ignore"):
+        for x, yx, g in zip(r, y, got):
+            exact = mp.mpf(x) ** mp.mpf(a) * abs(mp.mpf(yx)) ** mp.mpf(b)
+            if x < 1e-3 or math.isinf(at_point(np.power, x, a)):
+                logs = abs(a * math.log(x))
+                logs += abs(b * math.log(abs(yx))) if yx != 0.0 else 0.0
                 ulps = 2 * (1 + logs)
             else:
                 ulps = 3
-            assert abs(mp.mpf(g) - exact) <= ulps * eps * exact + tiny, (x, jx, g)
+            assert abs(mp.mpf(g) - exact) <= ulps * eps * exact + tiny, (x, yx, g)
             if exact < tiny / 2:
-                assert g == 0.0, (x, jx, g)
+                assert g == 0.0, (x, yx, g)
 
 
 def recording_values(nodes):
@@ -241,12 +259,12 @@ def recording_values(nodes):
 
 
 def recording_power(nodes):
-    """``_power_values`` that also appends each array of nodes it is given
-    to the list ``nodes``: the nodes of every round of a kernel integral."""
+    """``_power_law`` that also appends each array of nodes it is given to
+    the list ``nodes``: the nodes of every round of a kernel integral."""
 
-    def values(spec, r, j):
+    def values(r, a, y, b, signed=False):
         nodes.append(np.array(r, dtype=float))
-        return _power_values(spec, r, j)
+        return _power_law(r, a, y, b, signed)
 
     return values
 
@@ -523,18 +541,33 @@ class TestBlockEngine:
         ])
         j = bessel_j_array(spec.order, r)
         got = _integrand_values(spec, r).tolist()
-        assert_power_law_near_mpmath(spec, r.tolist(), j.tolist(), got)
+        assert_power_law_near_mpmath(spec.beta, spec.power, r.tolist(), j.tolist(), got)
         assert (got[0] == 0.0) == (d >= 3)
+
+    @pytest.mark.parametrize("p", [1.2, 2.0])
+    def test_lp_weight_matches_mpmath(self, p):
+        # The L_p norm's weight r^(d-1) |F|^p (``radial_lp_norms``) in
+        # d = 36 is the same power law, with the same bounds: in log space
+        # below r = 1e-3, and at the decay probe r = 1e9, where r^35
+        # overflows and |F|^p of F = (1 + r^2)^-15 underflows.
+        r = np.concatenate([
+            [1e-300, 1e-30, 1e-6, np.nextafter(1e-3, 0.0)],
+            np.geomspace(1e-8, 1e-3, 100), [1e-3, 1.0, 1e9],
+        ])
+        fr = np.power(1.0 + r * r, -15.0)
+        got = _power_law(r, 35, fr, p).tolist()
+        assert_power_law_near_mpmath(35, p, r.tolist(), fr.tolist(), got)
+        assert 35 * math.log(1e9) > math.log(sys.float_info.max) and got[-1] > 0.0
 
     def test_overflowing_r_beta_takes_log_space(self):
         # r^3 overflows at r = 1e200 and 1e300, the value does not.
         spec = OscillatoryIntegrand(BesselOrder(0.0), 3.0, 2.0)
         r = np.array([1e100, 1e200, 1e200, 1e300, 1e300])
         j = np.array([1e-100, 1e-250, -1e-310, 1e-300, 0.0])
-        got = _power_values(spec, r, j).tolist()
+        got = _power_law(r, 3.0, j, 2.0).tolist()
         assert got[-1] == 0.0 and all(math.isfinite(v) and v > 0.0 for v in got[:-1])
-        assert [_power_values(spec, r[i:i + 1], j[i:i + 1])[0] for i in range(r.size)] == got
-        assert_power_law_near_mpmath(spec, r.tolist(), j.tolist(), got, log_space=True)
+        assert [_power_law(r[i:i + 1], 3.0, j[i:i + 1], 2.0)[0] for i in range(r.size)] == got
+        assert_power_law_near_mpmath(3.0, 2.0, r.tolist(), j.tolist(), got)
 
     @pytest.mark.parametrize("n", [1, 5, 400])
     def test_gk15_batch(self, n):
@@ -770,7 +803,7 @@ class TestKernelIntegral:
     def test_same_result_as_per_arch_engine(self, monkeypatch, d, p, tol):
         spec = kernel_spec(d, p)
         nodes = []
-        monkeypatch.setattr(quadrature, "_power_values", recording_power(nodes))
+        monkeypatch.setattr(quadrature, "_power_law", recording_power(nodes))
         assert integrate_oscillatory_bessel(spec, tol) == scalar_oscillatory(spec, tol, nodes)
 
     @pytest.mark.parametrize(
@@ -839,7 +872,7 @@ class TestKernelIntegral:
     def test_same_result_signed(self, monkeypatch):
         spec = OscillatoryIntegrand(BesselOrder(0.5), 0.0, 1.0, signed=True)
         nodes = []
-        monkeypatch.setattr(quadrature, "_power_values", recording_power(nodes))
+        monkeypatch.setattr(quadrature, "_power_law", recording_power(nodes))
         assert integrate_oscillatory_bessel(spec, 1e-10) == scalar_oscillatory(spec, 1e-10, nodes)
 
 

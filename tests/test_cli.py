@@ -693,6 +693,13 @@ class TestMalformedInput:
             (["verify", *GRID, "--trials", "2", "--tol", "nan"], "got nan"),
             (["verify", *GRID, "--trials", "2", "--ratio-tol", "nan"], "got nan"),
             (["gls", "--psi", "{psi}", "--d", "3", "--q", "2", "--tol", "nan"], "got nan"),
+            (["gaussian-bound", *GRID, "--sigma", "nan"], "got nan"),
+            (["gaussian-bound", *GRID, "--sigma", "inf"], "got inf"),
+            (["gls", "--psi", "{psi}", "--d", "3", "--q", "2",
+              "--check-profile", "gaussian:1e-300"], "exceeds double-precision range"),
+            (["gls", "--psi", "{psi}", "--d", "3", "--q", "2",
+              "--check-profile", "gaussian:inf"], "got inf"),
+            (["--config", "{not_utf8}", "constant", *GRID], "cannot read the config file"),
         ],
         ids=[
             "d_not_integral", "p_not_a_number", "steps_not_a_number", "d_infinite",
@@ -700,6 +707,8 @@ class TestMalformedInput:
             "config_tol", "config_format_not_a_choice",
             "profile_width", "constant_tol_nan", "constant_tol_inf", "sweep_tol_nan",
             "report_tol_inf", "verify_tol_nan", "verify_ratio_tol_nan", "gls_tol_nan",
+            "gaussian_sigma_nan", "gaussian_sigma_inf", "profile_width_tiny",
+            "profile_width_inf", "config_not_utf8",
         ],
     )
     def test_exits_2(self, capsys, tmp_path, argv, reason):
@@ -711,10 +720,13 @@ class TestMalformedInput:
             "bad_tol": "tol=abc\n",
             "bad_format": "format=xml\n",
             "psi": "p,psi\n1.05,3.5\n1.10,4.3\n1.15,5.5\n1.20,7.5\n",
+            "not_utf8": b"tol=1e-9\n# \xff\xfe latin-1 bytes\n",
         }
         paths = {name: tmp_path / name for name in files}
         for name, text in files.items():
-            if name != "missing":
+            if isinstance(text, bytes):
+                paths[name].write_bytes(text)
+            elif name != "missing":
                 paths[name].write_text(text)
         code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
         assert (code, out) == (2, "")

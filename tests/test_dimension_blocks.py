@@ -5,12 +5,13 @@ order in lockstep: every checkpoint's cells of every integral still
 running are one ``_integrate_block`` call, and each round values J_nu once
 per distinct node.  Each integral must still end exactly as it does
 alone, its error included, and the block must make fewer, smaller
-``bessel_j_array`` calls than the integrals one at a time.
+``bessel_j_array`` calls than the integrals one at a time.  The transforms
+of a block of profiles value each distinct radius of a round once too.
 """
 
 import pytest
 
-from sphrestrict import quadrature, restriction
+from sphrestrict import quadrature, radial_fourier, restriction, special_fns
 from sphrestrict.cli import _grid, build_parser
 from sphrestrict.errors import ConvergenceError, DomainError
 from sphrestrict.quadrature import (
@@ -20,6 +21,7 @@ from sphrestrict.quadrature import (
 )
 from sphrestrict.restriction import RestrictionParams, evaluate_grid
 from sphrestrict.special_fns import BesselOrder
+from sphrestrict.verify import RandomRadialSpec, generate_profiles
 
 # The grids of the benchmark's sweep and highdim jobs.
 SWEEP = ["sweep", "--d", "2:4:3", "--p", "1.1:1.6:12", "--q", "1:3:5"]
@@ -127,24 +129,61 @@ def test_zero_integral_fails_inside_a_batch():
         integrate_oscillatory_bessel(specs[0], 1e-9)
 
 
+REGIMES = ("_series_array", "_miller_array", "_half_integer_array", "_hankel_array")
+
+
+def valued_points(monkeypatch, module):
+    """Per call that ``module`` makes of ``bessel_j_array``, the number of
+    points it values: those its regime functions receive.  Each distinct
+    point is valued once, and a point at 0 is not valued."""
+    calls, active = [], []
+
+    def regime(real):
+        def counted(nu, x):
+            if active:
+                calls[-1] += x.size
+            return real(nu, x)
+
+        return counted
+
+    for name in REGIMES:
+        monkeypatch.setattr(special_fns, name, regime(getattr(special_fns, name)))
+    real = module.bessel_j_array
+
+    def counted(order, x):
+        calls.append(0)
+        active.append(True)
+        try:
+            return real(order, x)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(module, "bessel_j_array", counted)
+    return calls
+
+
 def test_sweep_grid_values_each_node_once_per_round(monkeypatch):
     # One at a time, the sweep grid's 26 kernel integrals valued J at
     # 239,460 nodes in 795 calls.  Valued once per distinct node in each
     # round of a dimension's block they took 99,390 nodes in 364 calls, and
-    # with the cell tolerance clamped at 100 eps 33,510 nodes in 78 calls:
-    # the bounds leave under 5% headroom over that.
-    calls = []
-    real = quadrature.bessel_j_array
-
-    def counted(order, x):
-        calls.append(len(x))
-        return real(order, x)
-
-    monkeypatch.setattr(quadrature, "bessel_j_array", counted)
+    # with the cell tolerance clamped at 100 eps 33,510 nodes (of 120,540
+    # passed) in 78 calls: the bounds leave under 5% headroom over that.
+    calls = valued_points(monkeypatch, quadrature)
     monkeypatch.setattr(restriction, "_KERNEL_INTEGRALS", {})
     points = evaluate_grid(grid(SWEEP), 1e-9)
     assert sum(isinstance(pt.sharp, restriction.SharpConstantResult) for pt in points) == 130
     assert sum(calls) <= 35_000 and len(calls) <= 81
+
+
+def test_mixture_transforms_value_each_radius_once_per_round(monkeypatch):
+    # The transforms of 200 mixture profiles share most of their nodes:
+    # valued once per distinct radius of a round they take 1,804 points in
+    # 14 calls; the bounds leave 5% headroom over that.
+    calls = valued_points(monkeypatch, radial_fourier)
+    profiles = generate_profiles(RandomRadialSpec(5, "gaussian_mixture", 200))
+    ratios = restriction.ratios_z(RestrictionParams(3, 1.2, 2.0), profiles)
+    assert not any(isinstance(ratio, Exception) for ratio in ratios)
+    assert sum(calls) <= 1_894 and len(calls) <= 14
 
 
 def test_tight_grid_refines_no_arch_to_its_limit(monkeypatch):
