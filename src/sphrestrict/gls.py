@@ -278,7 +278,9 @@ def verify_transfer(
     The left side is the grid supremum over q of the sphere norm divided
     by zeta(q); the right side the Grand Lebesgue norm of the profile over
     the weight's own grid.  The achieved ratio is reported (values near 1
-    indicate the inequality is tight for this profile).
+    indicate the inequality is tight for this profile).  A right side of 0
+    is a ``DomainError`` naming the profile, as a zero L_p norm is in
+    ``restriction.ratios_z``: the ratio is then undefined.
     """
     kernel = RadialKernel(d)
     zeta = zeta_from_psi(psi, q_grid, d, "radial_sharp", tol)
@@ -286,15 +288,19 @@ def verify_transfer(
         (p, radial_lp_norm(kernel, profile, p, tol)) for p in psi.grid
     )
     right = gls_norm(norm_samples, psi)
+    if right == 0.0:
+        raise DomainError(
+            f"profile {profile.label!r} has zero Grand Lebesgue norm: its L_p norm "
+            "came out 0 at every p of the weight's grid"
+        )
     g1 = _sphere_modulus(kernel, profile, tol)
     left = 0.0
     for q, z in zeta.samples:
         left = max(left, kernel.sphere_area ** (1.0 / q) * g1 / z)
-    ratio = left / right if right > 0.0 else (0.0 if left == 0.0 else math.inf)
     return TransferReport(
         left=left,
         right=right,
-        ratio=ratio,
-        ok=left <= right * (1.0 + tol) or (left == 0.0 and right == 0.0),
+        ratio=left / right,
+        ok=left <= right * (1.0 + tol),
         profile_label=profile.label,
     )

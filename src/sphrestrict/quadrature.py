@@ -77,13 +77,20 @@ yet, it asks in the same call for the children of its
 ``max(1, min(splits // 16, _AHEAD_PANELS))`` worst panels, and later
 rounds commit them one at a time while the heap's worst panel has its
 children ready.  Below 32 splits that is the worst panel alone, one split
-per round.  A GK15 panel's result depends only on its endpoints, so the
-heap, the running totals, the stopping decision and the result are those
-of one split per round; an arch refining to ``max_intervals`` then takes
-~20 times fewer array calls.  Children never committed are dropped, and
-only committed splits count as evaluations.  Children are evaluated ahead
-of need, so the integrand must not raise anywhere in an interval; a value
-it cannot give is NaN, which ends the interval only if committed.
+per round.  The cells of a sum (``_integrate_cells``) ask for at least
+their 2 worst panels, and for each of them that touches an end of the
+cell also for the children of its child at that end: an arch's integrand
+vanishes like |r - z|^power at both zeros, so its bisection runs as two
+chains toward the ends, and both advance two levels a round instead of
+taking turns one level a round.  A dimension's block of the ``sweep`` grid
+then takes 30 rounds, not 78.  A GK15 panel's result depends only on its
+endpoints, so the heap, the running totals, the stopping decision and the
+result are those of one split per round; an arch refining to
+``max_intervals`` then takes ~20 times fewer array calls.  Children never
+committed are dropped, and only committed splits count as evaluations.
+Children are evaluated ahead of need, so the integrand must not raise
+anywhere in an interval; a value it cannot give is NaN, which ends the
+interval only if committed.
 """
 
 from __future__ import annotations
@@ -283,6 +290,7 @@ def _integrate_block(
     tol: float,
     abs_tol: float,
     max_intervals: int,
+    _from_ends: bool = False,
 ) -> list[QuadResult]:
     """The adaptive rule over each interval of ``edges`` at once, for an
     array integrand ``f(x, which)``, ``which`` the index in ``edges`` of the
@@ -296,11 +304,16 @@ def _integrate_block(
     has no children yet asks for the children of its
     ``max(1, min(splits // 16, _AHEAD_PANELS))`` worst panels, and the
     next round commits splits for as long as its worst panel's children
-    are ready.  A panel's GK15 result depends only on its endpoints, so
-    every interval pops, pushes and sums exactly what it would alone, one
-    panel per round, and its result is that one field for field.
-    ``evaluations`` counts committed splits only; children evaluated ahead
-    and never committed are dropped with the interval.
+    are ready.  With ``_from_ends``, which only ``_integrate_cells`` sets,
+    an interval asks for at least its 2 worst panels, and for each of them
+    that touches an end of the interval also for the children of its child
+    at that end, one level deeper: a cell's integrand vanishes at both
+    ends, and its bisection runs as two chains toward them.  A panel's
+    GK15 result depends only on its endpoints, so every interval pops,
+    pushes and sums exactly what it would alone, one panel per round, and
+    its result is that one field for field.  ``evaluations`` counts
+    committed splits only; children evaluated ahead and never committed
+    are dropped with the interval.
     """
     for a, b in edges:
         if not (a < b):
@@ -314,10 +327,12 @@ def _integrate_block(
     heaps = [[(-e, a, b, v, e)] for a, b, v, e in zip(lo, hi, values, errors)]
     totals = [[v, e] for v, e in zip(values, errors)]
     splits = [0] * len(edges)
-    # Splits evaluated ahead, by interval and the left endpoint of the panel
-    # they split: the changes (dv, de) of the running value and error and
-    # the heap entries of the two halves.
+    # Splits evaluated ahead, by interval and the midpoint of the panel they
+    # split, which no other panel of a bisection shares: the changes
+    # (dv, de) of the running value and error and the heap entries of the
+    # two halves.
     ahead: list[dict] = [{} for _ in edges]
+    least = 2 if _from_ends else 1
     results: list = [None] * len(edges)
     live = range(len(edges))
     while True:
@@ -331,9 +346,10 @@ def _integrate_block(
             unready = False
             while total[1] > max(tol * abs(total[0]), abs_tol) and len(heap) < max_intervals:
                 _, a, b, _, _ = heap[0]
-                if not a < 0.5 * (a + b) < b:
+                mid = 0.5 * (a + b)
+                if not a < mid < b:
                     break  # The worst panel is at machine resolution.
-                split = ready.pop(a, None)
+                split = ready.pop(mid, None)
                 if split is None:
                     unready = True
                     break
@@ -345,13 +361,13 @@ def _integrate_block(
                 heapq.heappush(heap, right)
                 splits[i] += 1
             if unready:
-                k = min(splits[i] // 16, _AHEAD_PANELS)
+                k = max(least, min(splits[i] // 16, _AHEAD_PANELS))
                 if k > 1:
                     requests += [(i, *panel) for panel in _worst_unready(heap, ready, k)]
                 else:
                     # What the walk returns for k = 1, without its cost on
                     # the many one-interval rounds of a shallow integral.
-                    requests.append((i, heap[0], 0.5 * (a + b)))
+                    requests.append((i, heap[0], mid))
                 refining.append(i)
             else:
                 results[i] = _heap_result(heap, 15 + 30 * splits[i], tol, abs_tol)
@@ -366,11 +382,32 @@ def _integrate_block(
             lo += (a, mid)
             hi += (mid, b)
             owner += (i, i)
+        # (index in the round of a requested child at an end of its
+        # interval, i, and that child's a, mid, b) of the splits one level
+        # deeper, evaluated after the requested ones.
+        deeper = []
+        if _from_ends:
+            for n, (i, (_, a, b, _, _), mid) in enumerate(requests):
+                if a == edges[i][0]:
+                    deeper.append((2 * n, i, a, 0.5 * (a + mid), mid))
+                if b == edges[i][1]:
+                    deeper.append((2 * n + 1, i, mid, 0.5 * (mid + b), b))
+            deeper = [(j, i, a, mid, b) for j, i, a, mid, b in deeper if a < mid < b]
+            for _, i, a, mid, b in deeper:
+                lo += (a, mid)
+                hi += (mid, b)
+                owner += (i, i)
         values, errors = _gk15_batch(f, lo, hi, owner)
         for (i, (_, a, b, v, e), mid), v1, e1, v2, e2 in zip(
             requests, values[::2], errors[::2], values[1::2], errors[1::2]
         ):
-            ahead[i][a] = (v1 + v2 - v, e1 + e2 - e, (-e1, a, mid, v1, e1), (-e2, mid, b, v2, e2))
+            ahead[i][mid] = (v1 + v2 - v, e1 + e2 - e, (-e1, a, mid, v1, e1), (-e2, mid, b, v2, e2))
+        n = 2 * len(requests)
+        for (j, i, a, mid, b), v1, e1, v2, e2 in zip(
+            deeper, values[n::2], errors[n::2], values[n + 1::2], errors[n + 1::2]
+        ):
+            v, e = values[j], errors[j]
+            ahead[i][mid] = (v1 + v2 - v, e1 + e2 - e, (-e1, a, mid, v1, e1), (-e2, mid, b, v2, e2))
         live = refining
     return results
 
@@ -391,7 +428,7 @@ def _worst_unready(heap: list, ready: dict, k: int) -> list[tuple[tuple, float]]
         item = heap[j]
         a, b = item[1], item[2]
         mid = 0.5 * (a + b)
-        if a not in ready and a < mid < b:
+        if mid not in ready and a < mid < b:
             out.append((item, mid))
         child = 2 * j + 1
         if child < n:
@@ -821,9 +858,11 @@ def _integrate_cells(
     """The cells ``edges`` as one block, at the per-cell tolerance of a sum
     to relative ``tol``: ``min(1e-12, tol * 1e-2)``, but never below twice
     GK15's round-off floor ``_EPS50``, where the largest cells would refine
-    to ``max_intervals`` and still not converge."""
+    to ``max_intervals`` and still not converge.  Each round refines a cell
+    from both ends (``_integrate_block``'s ``_from_ends``); the profile
+    integrals' blocks keep the rule of one worst panel a round."""
     cell_tol = max(min(1e-12, tol * 1e-2), 2.0 * _EPS50)
-    return _integrate_block(f, edges, cell_tol, 1e-16, _MAX_INTERVALS)
+    return _integrate_block(f, edges, cell_tol, 1e-16, _MAX_INTERVALS, _from_ends=True)
 
 
 def _sum_cells(

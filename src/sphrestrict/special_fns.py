@@ -237,42 +237,49 @@ def _miller_array(nu: float, x: np.ndarray) -> np.ndarray:
     # Downward recurrence from m_start = x + max(nu, 1) + 40, rounded up to
     # even, normalised by the A&S 9.1.87 sum.  One sweep from the largest
     # m_start serves every element: above its own m_start an element's
-    # column stays exactly zero, and it is seeded with 1e-280 there.
+    # column stays exactly zero, and it is seeded with 1e-280 there.  The
+    # sweep runs ~70-120 rows whatever the width, so a row costs three
+    # in-place ufunc calls on views made once, and the elements seeded at
+    # each even m are a slice of one stable sort by m_start.
     m_start = (x + max(nu, 1.0) + 40.0).astype(np.int64)
     m_start += m_start % 2
-    top = int(m_start.max())
-    seeds = {m: np.flatnonzero(m_start == m) for m in range(int(m_start.min()), top + 1, 2)}
+    by_start = np.argsort(m_start, kind="stable")
+    shortest = int(m_start[by_start[0]])
+    top = int(m_start[by_start[-1]])
+    cuts = np.searchsorted(m_start[by_start], np.arange(shortest, top + 3, 2)).tolist()
     fs = np.zeros((top + 2, x.size))
+    rows = list(fs)
     inv_x = 2.0 / x
     max_inv_x = float(inv_x.max())
     # bound >= max |fs[m]| and bound_hi >= max |fs[m + 1]|, kept in plain
     # floats so the 1e250 test runs on the array only when it can fire.
     bound = bound_hi = 0.0
     for m in range(top, 0, -1):
-        seeded = seeds.get(m)
-        if seeded is not None:
-            fs[m, seeded] = 1e-280
+        if m >= shortest and m % 2 == 0:
+            j = (m - shortest) // 2
+            rows[m][by_start[cuts[j]:cuts[j + 1]]] = 1e-280
             bound = max(bound, 1e-280)
-        row = fs[m - 1]
+        row = rows[m - 1]
         np.multiply(inv_x, nu + m, out=row)
-        row *= fs[m]
-        row -= fs[m + 1]
+        np.multiply(row, rows[m], out=row)
+        np.subtract(row, rows[m + 1], out=row)
         bound, bound_hi = 1.001 * ((nu + m) * max_inv_x * bound + bound_hi), bound
         if bound > 1e250:
             big = np.abs(row) > 1e250
             if big.any():
                 fs[m - 1:, big] *= 1e-250
             bound = float(np.abs(row).max())
-            bound_hi = float(np.abs(fs[m]).max())
+            bound_hi = float(np.abs(rows[m]).max())
     g1 = _gamma_order_plus_one(nu)
     total = g1 * fs[0]
+    tmp = np.empty_like(total)
     ck = (nu + 2.0) * g1
-    shortest = int(m_start.min())
     k = 1
     while True:
         # Term k belongs to the elements whose m_start reaches 2k.
         if 2 * k <= shortest:
-            total += ck * fs[2 * k]
+            np.multiply(rows[2 * k], ck, out=tmp)
+            total += tmp
         else:
             total = np.where(2 * k <= m_start, total + ck * fs[2 * k], total)
         if 2 * (k + 1) > top:

@@ -22,7 +22,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import mpmath as mp
@@ -43,6 +42,7 @@ from sphrestrict.quadrature import (
     _heap_result,
     _integrand_values,
     _integrate_block,
+    _integrate_cells,
     _mapped,
     _power_law,
     _sum_cells,
@@ -765,6 +765,76 @@ def cell_tolerance(tol):
     return max(min(1e-12, tol * 1e-2), 100.0 * 2.220446049250313e-16)
 
 
+class TestCellsFromBothEnds:
+    """``_integrate_cells`` asks each round for the children of at least
+    its 2 worst panels per cell, and one level deeper at the cell's ends,
+    where an arch's integrand vanishes; every cell must still be the one of
+    one panel per round, in fewer rounds than the rule of other blocks."""
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-11, 1e-14])
+    @pytest.mark.parametrize("d, p", [(2, 1.2), (3, 1.05), (8, 1.5)])
+    def test_arches_equal_one_panel_per_round(self, d, p, tol):
+        spec = kernel_spec(d, p)
+        edges = arch_edges(spec.order.nu, 0, 24)
+        nodes = []
+        values = recording_values(nodes)
+        rounds = []
+
+        def f(r, which):
+            rounds.append(r.size)
+            return values(spec, r)
+
+        got = _integrate_cells(f, edges, tol)
+        kernel = node_by_node(spec, nodes)
+        assert got == [reference_finite(kernel, a, b, cell_tolerance(tol), 1e-16) for a, b in edges]
+        alone = []
+        _integrate_block(
+            lambda r, _: alone.append(r.size) or _integrand_values(spec, r),
+            edges, cell_tolerance(tol), 1e-16, 4000,
+        )
+        assert len(rounds) < len(alone)
+
+    def test_cells_at_their_limits(self):
+        # A sawtooth of 1e8 teeth per unit never resolves: its cell refines
+        # to the 4,000-panel limit unconverged, which one panel per round
+        # takes 4,000 array calls to reach.  1 / (r - a) on a cell of 8 ulps
+        # from a bisects to machine resolution at its singular end, where a
+        # split one level deeper would have no room.  Arch 0 of (2, 1.2)
+        # beside them converges.
+        spec = kernel_spec(2, 1.2)
+        a = 1.0 / 3.0
+        b = a
+        for _ in range(8):
+            b = math.nextafter(b, 1.0)
+        edges = arch_edges(0.0, 0, 1) + [(0.0, 1.0), (a, b)]
+        nodes = []
+        values = recording_values(nodes)
+        rounds = []
+
+        def f(r, which):
+            rounds.append(r.size)
+            out = np.mod(1e8 * r, 1.0)
+            out[which == 2] = 1.0 / np.maximum(r[which == 2] - a, 1e-300)
+            arch = which == 0
+            out[arch] = values(spec, r[arch])
+            return out
+
+        got = _integrate_cells(f, edges, 1e-11)
+        scalars = [
+            node_by_node(spec, nodes),
+            lambda x: (1e8 * x) % 1.0,
+            lambda x: 1.0 / max(x - a, 1e-300),
+        ]
+        expected = [
+            reference_finite(g, lo, hi, cell_tolerance(1e-11), 1e-16)
+            for g, (lo, hi) in zip(scalars, edges)
+        ]
+        assert got == expected
+        assert [res.converged for res in got] == [True, False, False]
+        assert got[1].evaluations == 15 + 30 * 3999 and got[2].evaluations < 30 * 8
+        assert len(rounds) <= 300
+
+
 def remainder_coefficient(spec):
     """c0 = (2/pi)^(a/2) M(a) / (gamma - 1), a = p', of the remainder
     c0 X^(1-gamma) of a kernel sum: |J_nu(r)|^a ~ (2/(pi r))^(a/2)
@@ -909,21 +979,26 @@ def counted(f):
 
 class TestPartitionSum:
     @pytest.mark.parametrize("s", [1.0, 1.7])
-    def test_extremal_transform(self, s):
+    def test_extremal_transform(self, monkeypatch, s):
         # The algebraic-decay transform that the sharpness check reaches.
         params = RestrictionParams(3, 1.2, 2.0)
         kernel = params.kernel
         profile = extremal_profile(params, 1e-10)
-        values, index = profile.family
-        nodes = []
+        cells = []
+        real = quadrature._integrate_cells
 
-        def counted_values(r, which):
-            nodes.append(r.size)
-            return values(r, which)
+        def record(f, edges, tol):
+            cells.extend(edges)
+            return real(f, edges, tol)
 
-        got = radial_hat(kernel, replace(profile, family=(counted_values, index)), s)
-        # Each node is valued once: no probe cell is integrated twice.
-        assert sum(nodes) == got.evaluations
+        monkeypatch.setattr(quadrature, "_integrate_cells", record)
+        got = radial_hat(kernel, profile, s)
+        # No probe cell is integrated twice: the cells asked for run from 0
+        # without a repeat or a gap, past the 10-cell probe.  (Splits
+        # evaluated ahead value more nodes than ``evaluations`` counts, so
+        # counting nodes cannot show it.)
+        assert [a for a, _ in cells] == [0.0] + [b for _, b in cells[:-1]]
+        assert len(cells) > 10
 
         nu = kernel.order.nu
         front = (2.0 * math.pi) ** (0.5 * kernel.d) * s ** (0.5 * (2 - kernel.d))

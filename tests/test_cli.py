@@ -699,6 +699,9 @@ class TestMalformedInput:
               "--check-profile", "gaussian:1e-300"], "exceeds double-precision range"),
             (["gls", "--psi", "{psi}", "--d", "3", "--q", "2",
               "--check-profile", "gaussian:inf"], "got inf"),
+            (["gls", "--psi", "{psi}", "--d", "3", "--q", "2",
+              "--check-profile", "gaussian:1e-4"],
+             "'gaussian(sigma=0.0001, d=3)' has zero Grand Lebesgue norm"),
             (["--config", "{not_utf8}", "constant", *GRID], "cannot read the config file"),
         ],
         ids=[
@@ -708,7 +711,7 @@ class TestMalformedInput:
             "profile_width", "constant_tol_nan", "constant_tol_inf", "sweep_tol_nan",
             "report_tol_inf", "verify_tol_nan", "verify_ratio_tol_nan", "gls_tol_nan",
             "gaussian_sigma_nan", "gaussian_sigma_inf", "profile_width_tiny",
-            "profile_width_inf", "config_not_utf8",
+            "profile_width_inf", "profile_norm_zero", "config_not_utf8",
         ],
     )
     def test_exits_2(self, capsys, tmp_path, argv, reason):

@@ -217,11 +217,11 @@ class TestTransfer:
         assert report.left <= report.right * (1.0 + 1e-8)
 
     def test_zero_profile(self):
+        # A right side of 0 leaves the ratio undefined: a typed error naming
+        # the profile, not "ok" with 0 <= 0.
         zero = RadialProfile(lambda r: 0.0, CompactSupport(1.0), "zero")
-        report = verify_transfer(self.make_psi(), zero, 3, [1.0, 2.0], 1e-8)
-        assert report.ok
-        assert report.left == 0.0
-        assert report.right == 0.0
+        with pytest.raises(DomainError, match="profile 'zero' has zero Grand Lebesgue norm"):
+            verify_transfer(self.make_psi(), zero, 3, [1.0, 2.0], 1e-8)
 
     def test_unconverged_transform_raises(self, monkeypatch):
         # The sphere side reads G(1) through the same checked path as
