@@ -60,7 +60,7 @@ from .radial_fourier import (
     radial_lp_norms,
     sphere_norms_of_radial_hat,
 )
-from .special_fns import RadialKernel, bessel_j_array, bessel_j_zero, gamma
+from .special_fns import RadialKernel, bessel_j_array, bessel_j_zero, find_first_zeros, gamma
 
 __all__ = [
     "RestrictionParams",
@@ -250,8 +250,7 @@ def _kernel_integrals(d: int, ps: Sequence[float], tol: float) -> None:
     one dimension share their arches, and each result is the one the
     exponent gets alone (``integrate_oscillatory_bessel_block``)."""
     check_tolerance(tol)
-    keys = [(d, p, tol) for p in dict.fromkeys(ps) if radial_convergence_admissible(d, p)]
-    keys = [key for key in keys if key not in _KERNEL_INTEGRALS]
+    keys = _uncomputed(d, ps, tol)
     if not keys:
         return
     # Past d = 343 there is no double sphere area; and a block that raises
@@ -266,6 +265,13 @@ def _kernel_integrals(d: int, ps: Sequence[float], tol: float) -> None:
     except (DomainError, ConvergenceError) as exc:
         outcomes = [exc] * len(keys)
     _KERNEL_INTEGRALS.update(zip(keys, outcomes))
+
+
+def _uncomputed(d: int, ps: Sequence[float], tol: float) -> list[tuple[int, float, float]]:
+    """The keys of the exponents of ``ps`` inside the convergence window
+    whose kernel integral ``_KERNEL_INTEGRALS`` does not hold yet."""
+    keys = [(d, p, tol) for p in dict.fromkeys(ps) if radial_convergence_admissible(d, p)]
+    return [key for key in keys if key not in _KERNEL_INTEGRALS]
 
 
 def _kernel_integral(params: RestrictionParams, tol: float) -> QuadResult:
@@ -429,12 +435,18 @@ def evaluate_grid(grid: Sequence[RestrictionParams], tol: float) -> list[GridPoi
     other block and the rest of the grid still run.  A tolerance outside
     0 < tol < inf is a ``DomainError`` before any grid point.
 
-    Before the first point of each dimension, the kernel integrals of all
-    its points are computed as one block (``_kernel_integrals``)."""
+    Before the first point, the first zeros of J_nu of every dimension
+    with a kernel integral to compute are found in one Newton run
+    (``special_fns.find_first_zeros``).  Before the first point of each
+    dimension, the kernel integrals of all its points are computed as one
+    block (``_kernel_integrals``)."""
     check_tolerance(tol)
     exponents: dict[int, list[float]] = {}
     for params in grid:
         exponents.setdefault(params.d, []).append(params.p)
+    # (d - 2) / 2 is RadialKernel(d)'s order, without the sphere area that
+    # leaves double range past d = 343.
+    find_first_zeros((d - 2) / 2.0 for d, ps in exponents.items() if _uncomputed(d, ps, tol))
     points = []
     for params in grid:
         if params.d in exponents:

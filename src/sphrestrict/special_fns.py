@@ -22,13 +22,19 @@ The regime boundaries were chosen by measuring absolute error against
 40-digit references; each regime stays below ~1e-15 absolute, comfortably
 inside the 1e-12 contract, and below 1e-13 relative away from zeros.
 
-``bessel_j_array`` is the one implementation: a value depends only on its
-own point, each distinct point of a call is valued once, and ``bessel_j``
-is a one-point call of it.  The zero finder values J for a chunk of
-zeros per Newton round (``bessel_j_zero``), the arch quadrature and the
-transforms once per round of refinement.  All arithmetic on the points
-is numpy's elementwise (``np.power`` for (x/2)^nu), which gives a point
-the same double whatever array holds it.
+``bessel_j_array`` is the one implementation: it takes one order, or one
+per point, a value depends only on its own order and point, each
+distinct (order, point) of a call is valued once, and ``bessel_j`` is a
+one-point call of it.  A regime values the points of all the orders of
+a call in one pass, so a call of several orders costs about what one
+order's call does.  The zero finder values J_nu and J_{nu+1} of all its
+live iterates in one call per Newton step; ``find_first_zeros`` finds
+the first chunk of zeros of every order a grid needs in one such run,
+and ``bessel_j_zero`` the later chunks order by order.  The arch
+quadrature and the transforms value J once per round of refinement.
+All arithmetic on the points is numpy's elementwise, with (x/2)^nu
+(``np.power``) and Gamma(nu + 1) taken once per order, which gives a
+point the same double whatever array holds it.
 Every value is pinned bit for bit in the tests, so that repeat runs give
 the same bytes: the kernel integrals' tail fit amplifies 1e-16
 differences in partial sums to ~1e-13 in the extrapolated value.
@@ -57,6 +63,7 @@ __all__ = [
     "bessel_j_array",
     "bessel_j_zero",
     "bessel_j_derivative",
+    "find_first_zeros",
 ]
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -198,11 +205,47 @@ _PI_HI = 3.141592653589793
 _PI_LO = 1.2246467991473532e-16  # pi - _PI_HI to double-double accuracy
 
 
-def _series_array(nu: float, x: np.ndarray) -> np.ndarray:
+def _order_runs(nu, size: int) -> list:
+    """``(lo, hi, order)`` for each run of points of one order: ``nu`` is
+    one order for all ``size`` points, or one per point in ascending order."""
+    if not isinstance(nu, np.ndarray):
+        return [(0, size, nu)]
+    cuts = [0, *(np.flatnonzero(nu[1:] != nu[:-1]) + 1).tolist(), size]
+    return [(lo, hi, float(nu[lo])) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _each_order(f, nu, x: np.ndarray):
+    """``f(order, x)`` of each order's points, as one array over ``x``.  A
+    regime takes its power of x/2 and Gamma(nu + 1) this way, so that a
+    value is the one its order gets alone: numpy's power takes fast paths
+    for some scalar exponents (0.5, 2, ...) that an array of them does not."""
+    if not isinstance(nu, np.ndarray):
+        return f(nu, x)
+    out = np.empty_like(x)
+    for lo, hi, order in _order_runs(nu, x.size):
+        out[lo:hi] = f(order, x[lo:hi])
+    return out
+
+
+def _rows(table: np.ndarray) -> list:
+    """The rows of a table indexed by its first axis, as Python floats
+    when it has one axis: a numpy scalar costs each ufunc call it enters
+    ~0.2 us more than a float."""
+    return table.tolist() if table.ndim == 1 else list(table)
+
+
+# Each regime takes one order, or one per point in ascending order, and
+# runs every element's own arithmetic: the same doubles whatever else the
+# call holds.
+
+
+def _series_array(nu, x: np.ndarray) -> np.ndarray:
     # J_nu(x) = sum_k (-1)^k (x/2)^(nu+2k) / (k! Gamma(nu+k+1)), each
     # element summed until its own term is below 1e-18 of its sum.
     q = 0.25 * x * x
-    term = np.power(0.5 * x, nu) / _gamma_order_plus_one(nu)
+    term = _each_order(
+        lambda order, x: np.power(0.5 * x, order) / _gamma_order_plus_one(order), nu, x
+    )
     total = term.copy()
     out = np.empty_like(x)
     live = np.arange(x.size)
@@ -215,33 +258,54 @@ def _series_array(nu: float, x: np.ndarray) -> np.ndarray:
                 out[live[done]] = total[done]
                 keep = ~done
                 live, q, term, total = live[keep], q[keep], term[keep], total[keep]
+                if isinstance(nu, np.ndarray):
+                    nu = nu[keep]
                 if live.size == 0:
                     return out
     out[live] = total
     return out
 
 
-def _half_integer_array(nu: float, x: np.ndarray) -> np.ndarray:
+def _half_integer_array(nu, x: np.ndarray) -> np.ndarray:
     # Upward recurrence from J_{-1/2}, J_{1/2}; stable for x >= nu.
-    envelope = _SQRT_2_OVER_PI / np.sqrt(x)
-    jm = envelope * np.cos(x)
-    jc = envelope * np.sin(x)
-    mu = 0.5
-    for _ in range(int(round(nu - 0.5))):
-        jm, jc = jc, (2.0 * mu / x) * jc - jm
-        mu += 1.0
-    return jc
+    def upward(order: float, x: np.ndarray) -> np.ndarray:
+        envelope = _SQRT_2_OVER_PI / np.sqrt(x)
+        jm = envelope * np.cos(x)
+        jc = envelope * np.sin(x)
+        mu = 0.5
+        for _ in range(int(round(order - 0.5))):
+            jm, jc = jc, (2.0 * mu / x) * jc - jm
+            mu += 1.0
+        return jc
+
+    return _each_order(upward, nu, x)
 
 
-def _miller_array(nu: float, x: np.ndarray) -> np.ndarray:
+def _miller_array(nu, x: np.ndarray) -> np.ndarray:
     # Downward recurrence from m_start = x + max(nu, 1) + 40, rounded up to
     # even, normalised by the A&S 9.1.87 sum.  One sweep from the largest
     # m_start serves every element: above its own m_start an element's
     # column stays exactly zero, and it is seeded with 1e-280 there.  The
     # sweep runs ~70-120 rows whatever the width, so a row costs three
     # in-place ufunc calls on views made once, and the elements seeded at
-    # each even m are a slice of one stable sort by m_start.
-    m_start = (x + max(nu, 1.0) + 40.0).astype(np.int64)
+    # each even m are a slice of one stable sort by m_start.  Gamma(nu + 1)
+    # and (x/2)^nu, which can leave double range, come first: an order
+    # that fails costs no sweep.
+    g1 = _each_order(lambda order, x: _gamma_order_plus_one(order), nu, x)
+
+    def half_x_power(order: float, x: np.ndarray) -> np.ndarray:
+        power = np.power(0.5 * x, order)
+        if np.isinf(power).any():
+            # (x/2)^nu leaves double range near orders 160-171 before the
+            # normalised quotient does.
+            raise DomainError(
+                f"J_nu(x) at nu = {order!r}, x = {float(x.max())!r}: (x/2)^nu overflows "
+                "double range in the Miller normalisation"
+            )
+        return power
+
+    scale = _each_order(half_x_power, nu, x)
+    m_start = (x + np.maximum(nu, 1.0) + 40.0).astype(np.int64)
     m_start += m_start % 2
     by_start = np.argsort(m_start, kind="stable")
     shortest = int(m_start[by_start[0]])
@@ -251,8 +315,11 @@ def _miller_array(nu: float, x: np.ndarray) -> np.ndarray:
     rows = list(fs)
     inv_x = 2.0 / x
     max_inv_x = float(inv_x.max())
+    shifted = _rows(np.add.outer(np.arange(top + 1.0), nu))  # nu + m for row m
+    nu_top = float(nu.max()) if isinstance(nu, np.ndarray) else nu
     # bound >= max |fs[m]| and bound_hi >= max |fs[m + 1]|, kept in plain
-    # floats so the 1e250 test runs on the array only when it can fire.
+    # floats (from the largest order) so the 1e250 test runs on the array
+    # only when it can fire.
     bound = bound_hi = 0.0
     for m in range(top, 0, -1):
         if m >= shortest and m % 2 == 0:
@@ -260,44 +327,41 @@ def _miller_array(nu: float, x: np.ndarray) -> np.ndarray:
             rows[m][by_start[cuts[j]:cuts[j + 1]]] = 1e-280
             bound = max(bound, 1e-280)
         row = rows[m - 1]
-        np.multiply(inv_x, nu + m, out=row)
+        np.multiply(inv_x, shifted[m], out=row)
         np.multiply(row, rows[m], out=row)
         np.subtract(row, rows[m + 1], out=row)
-        bound, bound_hi = 1.001 * ((nu + m) * max_inv_x * bound + bound_hi), bound
+        bound, bound_hi = 1.001 * ((nu_top + m) * max_inv_x * bound + bound_hi), bound
         if bound > 1e250:
             big = np.abs(row) > 1e250
             if big.any():
                 fs[m - 1:, big] *= 1e-250
             bound = float(np.abs(row).max())
             bound_hi = float(np.abs(rows[m]).max())
-    g1 = _gamma_order_plus_one(nu)
     total = g1 * fs[0]
     tmp = np.empty_like(total)
-    ck = (nu + 2.0) * g1
-    k = 1
-    while True:
-        # Term k belongs to the elements whose m_start reaches 2k.
-        if 2 * k <= shortest:
-            np.multiply(rows[2 * k], ck, out=tmp)
+    # Term k = 1..top/2 has the factor ck = (nu + 2k) Gamma(nu + k) / k!,
+    # a product accumulated in order of k.  It belongs to the elements
+    # whose m_start reaches 2k; above that an element's column is exactly
+    # 0, which a finite ck keeps 0 and an infinite one would make NaN.
+    terms = top // 2
+    k = np.arange(2, terms + 1)
+    if isinstance(nu, np.ndarray):
+        k = k[:, None]
+    ratios = (nu + 2.0 * k) * (nu + k - 1.0) / ((nu + 2.0 * k - 2.0) * k)
+    ck = np.concatenate([[(nu + 2.0) * g1], ratios])
+    np.multiply.accumulate(ck, axis=0, out=ck)
+    finite = np.isfinite(ck).reshape(terms, -1).all(axis=1).tolist()
+    ck = _rows(ck)
+    for k in range(1, terms + 1):
+        if finite[k - 1]:
+            np.multiply(rows[2 * k], ck[k - 1], out=tmp)
             total += tmp
         else:
-            total = np.where(2 * k <= m_start, total + ck * fs[2 * k], total)
-        if 2 * (k + 1) > top:
-            break
-        k += 1
-        ck *= (nu + 2.0 * k) * (nu + k - 1.0) / ((nu + 2.0 * k - 2.0) * k)
-    scale = np.power(0.5 * x, nu)
-    if np.isinf(scale).any():
-        # (x/2)^nu leaves double range near orders 160-171 before the
-        # normalised quotient does.
-        raise DomainError(
-            f"J_nu(x) at nu = {nu!r}, x = {float(x.max())!r}: (x/2)^nu overflows "
-            "double range in the Miller normalisation"
-        )
+            total = np.where(2 * k <= m_start, total + ck[k - 1] * fs[2 * k], total)
     return fs[0] * scale / total
 
 
-def _hankel_array(nu: float, x: np.ndarray) -> np.ndarray:
+def _hankel_array(nu, x: np.ndarray) -> np.ndarray:
     # J_nu(x) ~ sqrt(2/(pi x)) (P cos(chi) - Q sin(chi)),
     # chi = x - (nu/2 + 1/4) pi   (DLMF 10.17.3).
     mu = 4.0 * nu * nu
@@ -322,6 +386,8 @@ def _hankel_array(nu: float, x: np.ndarray) -> np.ndarray:
             q_out[live[done]] = q[done]
             keep = ~done
             live, xl, p, q, term = live[keep], xl[keep], p[keep], q[keep], term[keep]
+            if isinstance(mu, np.ndarray):
+                mu = mu[keep]
             if live.size == 0:
                 break
     p_out[live] = p
@@ -341,46 +407,88 @@ def _hankel_array(nu: float, x: np.ndarray) -> np.ndarray:
     return _SQRT_2_OVER_PI / np.sqrt(x) * (p_out * cos_chi - q_out * sin_chi)
 
 
-def bessel_j_array(order: "BesselOrder | float", x) -> np.ndarray:
-    """J_nu at every point of the array ``x`` (all >= 0).
+def bessel_j_array(order, x) -> np.ndarray:
+    """J_nu at every point of the array ``x`` (all >= 0): ``order`` is one
+    order (a ``BesselOrder`` or a float), or an array of orders that
+    broadcasts to ``x``, one per point.
 
-    The regimes are consecutive intervals of x: 0, the series up to 2,
-    Miller's recurrence, and above it the half-integer closed forms from
-    x = nu or Hankel's expansion from x = max(30, nu(nu + 1)).  A value
-    depends only on its own point, never on the others in the call, and
-    each distinct point is valued once.
+    For each order the regimes are consecutive intervals of x: 0, the
+    series up to 2, Miller's recurrence, and above it the half-integer
+    closed forms from x = nu or Hankel's expansion from x = max(30,
+    nu(nu + 1)).  A regime values the points of every order it holds in
+    one pass.  A value depends only on its own order and point, never on
+    the others in the call, and each distinct (order, point) is valued
+    once.  A call of several orders that raises raises the error of its
+    lowest order that raises alone, as that order's call would.
     """
-    nu = _as_nu(order)
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
+    # On sorted points each regime of an order is one slice.  Callers pass
+    # runs of sorted nodes, which a stable sort (timsort) exploits.
+    if not isinstance(order, (np.ndarray, list, tuple)):
+        nu = _as_nu(order)
+        perm = np.argsort(flat, kind="stable")
+    else:
+        nu = np.broadcast_to(np.asarray(order, dtype=float), x.shape).ravel()
+        perm = np.lexsort((flat, nu))
+        nu = nu[perm]
+        if nu.size and not (nu[0] >= 0.0 and nu[-1] < math.inf):
+            bad = nu[0] if nu[0] < 0.0 else nu[-1]
+            raise DomainError(f"Bessel order must be a finite real >= 0, got {bad!r}")
     if flat.size == 0:
         return np.empty_like(x)
-    # On sorted points each regime is one slice.  Callers pass runs of
-    # sorted nodes, which a stable sort (timsort) exploits.
-    perm = np.argsort(flat, kind="stable")
     xs = flat[perm]
-    if not (xs[0] >= 0.0 and xs[-1] < math.inf):
-        raise DomainError("bessel_j_array requires finite x >= 0")
     first = np.empty(xs.size, dtype=bool)
     first[0] = True
     np.not_equal(xs[1:], xs[:-1], out=first[1:])
+    if isinstance(nu, np.ndarray):
+        first[1:] |= nu[1:] != nu[:-1]
+        nu = nu[first]
     xs = xs[first]
-    zero_end = int(np.searchsorted(xs, 0.0, "right"))
-    series_end = int(np.searchsorted(xs, 2.0, "right"))
-    if _is_half_integer(nu):
-        upper = _half_integer_array
-        miller_end = int(np.searchsorted(xs, nu, "left"))
-    else:
-        upper = _hankel_array
-        miller_end = int(np.searchsorted(xs, max(30.0, nu * (nu + 1.0)), "left"))
-    ends = (zero_end, series_end, max(miller_end, series_end), xs.size)
     values = np.empty_like(xs)
-    values[:zero_end] = 1.0 if nu == 0.0 else 0.0
+    runs = _order_runs(nu, xs.size)
+    # Per regime, the (lo, hi, order) slice of each order's points.
+    spans: dict = {
+        _series_array: [], _miller_array: [], _half_integer_array: [], _hankel_array: []
+    }
+    for lo, hi, run_nu in runs:
+        run = xs[lo:hi]
+        if not (run[0] >= 0.0 and run[-1] < math.inf):
+            raise DomainError("bessel_j_array requires finite x >= 0")
+        zero_end = lo + int(np.searchsorted(run, 0.0, "right"))
+        series_end = lo + int(np.searchsorted(run, 2.0, "right"))
+        if _is_half_integer(run_nu):
+            upper, edge = _half_integer_array, run_nu
+        else:
+            upper, edge = _hankel_array, max(30.0, run_nu * (run_nu + 1.0))
+        miller_end = max(lo + int(np.searchsorted(run, edge, "left")), series_end)
+        values[lo:zero_end] = 1.0 if run_nu == 0.0 else 0.0
+        for regime, a, b in (
+            (_series_array, zero_end, series_end),
+            (_miller_array, series_end, miller_end),
+            (upper, miller_end, hi),
+        ):
+            if b > a:
+                spans[regime].append((a, b, run_nu))
+    error = None
     # Python floats overflow to inf silently; so do these arrays.
     with np.errstate(all="ignore"):
-        for lo, hi, regime in zip(ends, ends[1:], (_series_array, _miller_array, upper)):
-            if hi > lo:
-                values[lo:hi] = regime(nu, xs[lo:hi])
+        try:
+            for regime, parts in spans.items():
+                if len(parts) == 1:
+                    a, b, run_nu = parts[0]
+                    values[a:b] = regime(run_nu, xs[a:b])
+                elif parts:
+                    where = np.concatenate([np.arange(a, b) for a, b, _ in parts])
+                    values[where] = regime(nu[where], xs[where])
+        except (DomainError, OverflowError) as exc:
+            if len(runs) == 1:
+                raise
+            error = exc
+    if error is not None:
+        for lo, hi, run_nu in runs:
+            bessel_j_array(run_nu, xs[lo:hi])
+        raise error
     out = np.empty_like(flat)
     out[perm] = values[np.cumsum(first) - 1]
     return out.reshape(x.shape)
@@ -439,31 +547,61 @@ def bessel_j_zero(order: "BesselOrder | float", k: int) -> float:
     found = _ZEROS.setdefault(nu, [])
     while len(found) < k:
         first = len(found) + 1
-        for k_new, zero in enumerate(_find_zeros(nu, range(first, first + _ZERO_CHUNK)), first):
-            previous = found[-1] if found else None
-            if isinstance(zero, float) and math.isnan(zero):
-                zero = ConvergenceError(
-                    f"could not bracket a zero of J_{nu} near {_mcmahon_guess(nu, k_new)}"
-                )
-            elif isinstance(zero, float) and isinstance(previous, float) and (
-                zero - previous < 0.5 * math.pi
-            ):
-                zero = ConvergenceError(
-                    f"zero {k_new} of J_{nu} at {zero!r} lies less than pi/2 above "
-                    f"zero {k_new - 1} at {previous!r}: a zero was lost"
-                )
-            found.append(zero)
+        _store_zeros(nu, _find_zeros(nu, range(first, first + _ZERO_CHUNK)))
     zero = found[int(k) - 1]
     if isinstance(zero, Exception):
         raise zero.with_traceback(None)
     return zero
 
 
-def _find_zeros(nu: float, ks: range) -> list:
-    """``_newton_zeros`` of ``ks``; where J raises ``DomainError`` on the
-    way, that error stands for the zero whose iterate raised it."""
+def find_first_zeros(orders) -> None:
+    """Find zeros 1.._ZERO_CHUNK of every order of ``orders`` that
+    ``bessel_j_zero`` holds none of yet, in one Newton run: each step
+    values J of all of them in one call.  A zero comes out as it does
+    alone.  Where that run raises, nothing is kept: each order's zeros are
+    then found alone as ``bessel_j_zero`` asks for them, and each order
+    gets the zeros, or the error, that it gets alone."""
+    nus = [nu for nu in dict.fromkeys(map(_as_nu, orders)) if not _ZEROS.get(nu)]
+    if not nus:
+        return
+    ks = range(1, _ZERO_CHUNK + 1)
     try:
-        return _newton_zeros(nu, ks).tolist()
+        chunks = _newton_zeros([(nu, ks) for nu in nus])
+    except (DomainError, OverflowError):
+        return
+    for nu, zeros in zip(nus, chunks):
+        _ZEROS[nu] = []
+        _store_zeros(nu, zeros.tolist())
+
+
+def _store_zeros(nu: float, zeros: list) -> None:
+    """Append the next zeros of J_nu to ``_ZEROS[nu]``.  A NaN (a zero that
+    could not be bracketed) and a zero less than pi/2 above the one before
+    it are stored as the ``ConvergenceError`` that a request raises."""
+    found = _ZEROS[nu]
+    for zero in zeros:
+        k_new = len(found) + 1
+        previous = found[-1] if found else None
+        if isinstance(zero, float) and math.isnan(zero):
+            zero = ConvergenceError(
+                f"could not bracket a zero of J_{nu} near {_mcmahon_guess(nu, k_new)}"
+            )
+        elif isinstance(zero, float) and isinstance(previous, float) and (
+            zero - previous < 0.5 * math.pi
+        ):
+            zero = ConvergenceError(
+                f"zero {k_new} of J_{nu} at {zero!r} lies less than pi/2 above "
+                f"zero {k_new - 1} at {previous!r}: a zero was lost"
+            )
+        found.append(zero)
+
+
+def _find_zeros(nu: float, ks: range) -> list:
+    """Zeros ``ks`` of J_nu by ``_newton_zeros``; where J raises
+    ``DomainError`` on the way, that error stands for the zero whose
+    iterate raised it."""
+    try:
+        return _newton_zeros([(nu, ks)])[0].tolist()
     except DomainError as exc:
         if len(ks) == 1:
             return [exc]
@@ -471,17 +609,23 @@ def _find_zeros(nu: float, ks: range) -> list:
         return _find_zeros(nu, ks[:half]) + _find_zeros(nu, ks[half:])
 
 
-def _newton_zeros(nu: float, ks: range) -> np.ndarray:
-    """Zeros ``ks`` of J_nu by Newton's method from McMahon's guess, kept
-    inside guess -+ 1.5.  A zero whose iterate leaves that bracket, meets
-    J' = 0 or has not converged in 40 steps is bisected instead.  Each zero
-    takes its own course; a round values J at all live iterates at once."""
-    guess = np.array([_mcmahon_guess(nu, k) for k in ks])
+def _newton_zeros(requests: list[tuple[float, range]]) -> list[np.ndarray]:
+    """Zeros ``ks`` of J_nu for each request ``(nu, ks)``, by Newton's
+    method from McMahon's guess, kept inside guess -+ 1.5.  A zero whose
+    iterate leaves that bracket, meets J' = 0 or has not converged in 40
+    steps is bisected instead.  Each zero takes its own course; a step
+    values J_nu and J_{nu+1} at the live iterates of every request in one
+    call."""
+    nu = np.concatenate([np.full(len(ks), order) for order, ks in requests])
+    guess = np.array([_mcmahon_guess(order, k) for order, ks in requests for k in ks])
     lo = guess - 1.5
     hi = guess + 1.5
-    if ks[0] == 1:
-        # First zero sits above max(nu, small); keep the bracket positive.
-        lo[0] = max(lo[0], 0.25 * guess[0], 1e-8)
+    start = 0
+    for _, ks in requests:
+        if ks[0] == 1:
+            # First zero sits above max(nu, small); keep the bracket positive.
+            lo[start] = max(lo[start], 0.25 * guess[start], 1e-8)
+        start += len(ks)
     zeros = np.full(guess.size, math.nan)
     x = guess.copy()
     small_step = np.zeros(guess.size, dtype=bool)
@@ -491,15 +635,16 @@ def _newton_zeros(nu: float, ks: range) -> np.ndarray:
             if steps == 40:
                 # After the last step only its convergence test is left.
                 live = live[small_step[live]]
-            fx = bessel_j_array(nu, x[live])
+            xl, nl = x[live], nu[live]
+            fx, fx_up = np.split(bessel_j_array(np.concatenate([nl, nl + 1.0]), np.tile(xl, 2)), 2)
             # Converged: the last step was at most 1e-15 x and |J| <= 1e-12.
             done = small_step[live] & (np.abs(fx) <= 1e-12)
-            zeros[live[done]] = x[live[done]]
-            live, fx = live[~done], fx[~done]
+            zeros[live[done]] = xl[done]
+            keep = ~done
+            live, xl, nl, fx, fx_up = live[keep], xl[keep], nl[keep], fx[keep], fx_up[keep]
             if steps == 40 or not live.size:
                 break
-            xl = x[live]
-            dfx = (nu / xl) * fx - bessel_j_array(nu + 1.0, xl)
+            dfx = (nl / xl) * fx - fx_up
             step = fx / dfx
             x_new = xl - step
             stays = (dfx != 0.0) & (lo[live] < x_new) & (x_new < hi[live])
@@ -508,15 +653,15 @@ def _newton_zeros(nu: float, ks: range) -> np.ndarray:
             small_step[live] = np.abs(step[stays]) <= 1e-15 * x_new[stays]
     lost = np.flatnonzero(np.isnan(zeros))
     if lost.size:
-        zeros[lost] = _bisected_zeros(nu, guess[lost])
-    return zeros
+        zeros[lost] = _bisected_zeros(nu[lost], guess[lost])
+    return np.split(zeros, np.cumsum([len(ks) for _, ks in requests])[:-1])
 
 
-def _bisected_zeros(nu: float, guess: np.ndarray) -> np.ndarray:
-    """The zero of J_nu near each guess, bisecting the first of the
-    brackets guess -+ 0.4 * 1.6^n, n = 0..4 (clipped at 1e-8), on which J_nu
-    changes sign, until an exact zero, width 1e-15 hi or 200 halvings; NaN
-    where no bracket has a sign change."""
+def _bisected_zeros(nu: np.ndarray, guess: np.ndarray) -> np.ndarray:
+    """The zero of J_nu near each guess, one order per guess, bisecting the
+    first of the brackets guess -+ 0.4 * 1.6^n, n = 0..4 (clipped at
+    1e-8), on which J_nu changes sign, until an exact zero, width 1e-15 hi
+    or 200 halvings; NaN where no bracket has a sign change."""
     lo = np.full(guess.size, math.nan)
     hi = lo.copy()
     open_ = np.arange(guess.size)
@@ -524,14 +669,14 @@ def _bisected_zeros(nu: float, guess: np.ndarray) -> np.ndarray:
     while width < 4.0 and open_.size:
         a = np.maximum(guess[open_] - width, 1e-8)
         b = guess[open_] + width
-        straddles = bessel_j_array(nu, a) * bessel_j_array(nu, b) < 0.0
+        straddles = bessel_j_array(nu[open_], a) * bessel_j_array(nu[open_], b) < 0.0
         lo[open_[straddles]] = a[straddles]
         hi[open_[straddles]] = b[straddles]
         open_ = open_[~straddles]
         width *= 1.6
     roots = lo.copy()
     live = np.flatnonzero(~np.isnan(lo))
-    a, b = lo[live], hi[live]
+    a, b, nu = lo[live], hi[live], nu[live]
     fa = bessel_j_array(nu, a)
     for _ in range(200):
         if not live.size:
@@ -543,5 +688,5 @@ def _bisected_zeros(nu: float, guess: np.ndarray) -> np.ndarray:
         exact = fmid == 0.0
         roots[live] = np.where(exact, mid, 0.5 * (a + b))
         going = ~exact & (b - a > 1e-15 * b)
-        live, a, b, fa = live[going], a[going], b[going], fa[going]
+        live, a, b, fa, nu = live[going], a[going], b[going], fa[going], nu[going]
     return roots

@@ -28,7 +28,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from sphrestrict import quadrature
+from sphrestrict import quadrature, special_fns
 from sphrestrict.errors import ConvergenceError, DomainError
 from sphrestrict.quadrature import (
     ABS_FLOOR,
@@ -198,6 +198,94 @@ class TestBesselArray:
     def test_rejects_bad_points(self, bad):
         with pytest.raises(DomainError):
             bessel_j_array(0.0, np.array([1.0, bad]))
+        with pytest.raises(DomainError):
+            bessel_j_array([0.0, 1.0], np.array([1.0, bad]))
+        with pytest.raises(DomainError, match="Bessel order"):
+            bessel_j_array([0.0, bad], np.array([1.0, 2.0]))
+
+    def test_order_per_point(self, monkeypatch):
+        # One call of several orders gives each point the double that its
+        # order's own call gives, in every regime and at each order's
+        # regime edges x = 0, 2, nu, 30 and nu(nu + 1); each regime values
+        # the points of all its orders in one pass.
+        orders = [0.0, 0.5, 1.0, 2.0, 3.0, 7.0, 20.5]
+        grids = {}
+        for nu in orders:
+            edges = [0.0, 2.0, nu, 30.0, nu * (nu + 1.0)]
+            grids[nu] = np.concatenate([
+                edges, np.nextafter(edges, 0.0), np.nextafter(edges, math.inf),
+                np.linspace(0.05, 2.0, 40), np.linspace(2.0, 600.0, 400),
+            ])
+        nus = np.concatenate([np.full(xs.size, nu) for nu, xs in grids.items()])
+        xs = np.concatenate(list(grids.values()))
+        # Shuffled, each (order, point) twice.
+        shuffle = np.random.default_rng(5).permutation(2 * xs.size)
+        nus, xs = np.tile(nus, 2)[shuffle], np.tile(xs, 2)[shuffle]
+        passes = []
+
+        def counted(name):
+            real = getattr(special_fns, name)
+
+            def regime(nu, x):
+                passes.append(name)
+                return real(nu, x)
+
+            return regime
+
+        for name in ("_series_array", "_miller_array", "_half_integer_array", "_hankel_array"):
+            monkeypatch.setattr(special_fns, name, counted(name))
+        got = bessel_j_array(nus, xs)
+        assert sorted(passes) == [
+            "_half_integer_array", "_hankel_array", "_miller_array", "_series_array"
+        ]
+        monkeypatch.undo()
+        for nu in orders:
+            mine = nus == nu
+            assert got[mine].tolist() == bessel_j_array(nu, xs[mine]).tolist(), nu
+        # The orders broadcast against the points.
+        square = np.linspace(0.5, 60.0, 12).reshape(3, 4)
+        column = np.array([[0.0], [2.5], [7.0]])
+        got = bessel_j_array(column, square)
+        assert got.shape == (3, 4)
+        for row, nu in enumerate(column.ravel().tolist()):
+            assert got[row].tolist() == bessel_j_array(nu, square[row]).tolist()
+
+    def test_overflowing_normalisation_terms_stay_masked(self):
+        # At nu = 140 the factors (nu + 2k) Gamma(nu + k) / k! of Miller's
+        # normalisation sum leave double range; an element's zero column
+        # above its own m_start must not turn inf * 0 into NaN.
+        xs = np.linspace(2.5, 60.0, 200)
+        assert not np.isnan(bessel_j_array(140.0, xs)).any()
+        assert not np.isnan(bessel_j_array(np.repeat([7.0, 140.0], 200), np.tile(xs, 2))).any()
+
+    def test_orders_fail_as_they_do_alone(self):
+        # J_170 overflows in Miller's normalisation and J_171 already in
+        # Gamma(172): a call of both raises the error of the lower order's
+        # own call, whatever order its regimes run in.
+        xs = np.array([5.0, 190.0, 197.0])
+        with pytest.raises(DomainError) as alone:
+            bessel_j_array(170.0, xs)
+        with pytest.raises(OverflowError):
+            bessel_j_array(171.0, xs)
+        with pytest.raises(DomainError) as mixed:
+            bessel_j_array(np.repeat([1.0, 170.0, 171.0], 3), np.tile(xs, 3))
+        assert str(mixed.value) == str(alone.value)
+        assert "nu = 170.0" in str(alone.value)
+        with pytest.raises(OverflowError, match="gamma"):
+            bessel_j_array(np.repeat([1.0, 171.0], 3), np.tile(xs, 2))
+
+    def test_batched_zeros_equal_each_order_alone(self, monkeypatch):
+        # Zeros 1..32 of J_nu, nu = (d - 2)/2 for d = 2..60, found in one
+        # Newton run equal those each order finds alone.
+        orders = [(d - 2) / 2.0 for d in range(2, 61)]
+        monkeypatch.setattr(special_fns, "_ZEROS", {})
+        special_fns.find_first_zeros(orders)
+        batched = dict(special_fns._ZEROS)
+        assert sorted(batched) == orders
+        for nu in orders:
+            monkeypatch.setattr(special_fns, "_ZEROS", {})
+            alone = [bessel_j_zero(nu, k) for k in range(1, 33)]
+            assert batched[nu] == alone, nu
 
 
 def scalar_integrand(spec, bessel=bessel_j):

@@ -251,3 +251,41 @@ def test_memo_holds_errors(monkeypatch):
     points = evaluate_grid([RestrictionParams(96, 1.02, q) for q in (1.0, 2.0, 3.0)], 1e-9)
     assert blocks == [1]
     assert all("a zero was lost" in str(pt.sharp) for pt in points)
+
+
+@pytest.mark.parametrize(
+    "argv, tol, bound",
+    [(SWEEP, 1e-9, 9), (TIGHT, 1e-12, 9), (HIGHDIM, 1e-9, 5)],
+    ids=["sweep", "tight", "highdim"],
+)
+def test_first_zeros_of_a_grid_take_one_newton_run(monkeypatch, argv, tol, bound):
+    # The zero finder made one J_nu and one J_{nu+1} call per Newton step
+    # of each order: 25 calls on sweep and tight, 34 on highdim.  The first
+    # zeros of every order in one run, J_nu and J_{nu+1} in one call per
+    # step, take 9, 9 and 5.
+    calls = valued_points(monkeypatch, special_fns)
+    monkeypatch.setattr(special_fns, "_ZEROS", {})
+    monkeypatch.setattr(restriction, "_KERNEL_INTEGRALS", {})
+    evaluate_grid(grid(argv), tol)
+    assert len(calls) <= bound
+
+
+@pytest.mark.parametrize("big", [340, 342, 344])
+def test_an_order_that_fails_leaves_the_others_their_lone_run(monkeypatch, big):
+    # J_169 and J_170 overflow in Miller's normalisation and J_171 in
+    # Gamma(172), so the first zeros of d = 3 and d = big cannot come from
+    # one Newton run: each dimension gets what it gets alone, its error
+    # included (past d = 343 there is no sphere area).
+    grid_points = [RestrictionParams(3, 1.2, 2.0), RestrictionParams(big, 1.2, 2.0)]
+
+    def run(points):
+        monkeypatch.setattr(special_fns, "_ZEROS", {})
+        monkeypatch.setattr(restriction, "_KERNEL_INTEGRALS", {})
+        return evaluate_grid(points, 1e-9)
+
+    small, large = run(grid_points)
+    assert small == run(grid_points[:1])[0]
+    assert isinstance(large.sharp, DomainError)
+    assert large.errors == run(grid_points[1:])[0].errors
+    if big == 340:
+        assert "nu = 169.0" in str(large.sharp) and "overflows double range" in str(large.sharp)
