@@ -12,8 +12,9 @@ zeros of the Bessel factor (``integrate_oscillatory_bessel``) or a
 caller-supplied partition (``sum_over_partition``).  The oscillatory
 integrand is always the power law r^beta |J_nu(r)|^power, described by the
 record ``OscillatoryIntegrand(order, beta, power, signed)``; its tail and
-zero exponents follow from beta and power, and where r^beta overflows a
-node is valued as exp(beta log r + power log |J|).  Each sum's partial
+zero exponents follow from beta and power, and where r^beta overflows, or
+|J|^power underflows while r^beta > 1, a node is valued as
+exp(beta log r + power log |J|).  Each sum's partial
 sums live in a resumable ``_CellSum``, tested at the checkpoints of one of
 two regimes:
 
@@ -88,6 +89,9 @@ endpoints, so the heap, the running totals, the stopping decision and the
 result are those of one split per round; an arch refining to
 ``max_intervals`` then takes ~20 times fewer array calls.  Children never
 committed are dropped, and only committed splits count as evaluations.
+The commits of a round are a Python loop over heaps, so it keeps each
+interval's running value and error in plain floats, written back once
+per interval and round.
 Children are evaluated ahead of need, so the integrand must not raise
 anywhere in an interval; a value it cannot give is NaN, which ends the
 interval only if committed.
@@ -95,10 +99,10 @@ interval only if committed.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import partial
+from heapq import heappop, heappush, heapreplace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -323,9 +327,9 @@ def _integrate_block(
         return []
     lo = [a for a, _ in edges]
     hi = [b for _, b in edges]
-    values, errors = _gk15_batch(f, lo, hi, list(range(len(edges))))
-    heaps = [[(-e, a, b, v, e)] for a, b, v, e in zip(lo, hi, values, errors)]
-    totals = [[v, e] for v, e in zip(values, errors)]
+    # Each interval's running value and error, from its one panel on.
+    value_sums, error_sums = _gk15_batch(f, lo, hi, list(range(len(edges))))
+    heaps = [[(-e, a, b, v, e)] for a, b, v, e in zip(lo, hi, value_sums, error_sums)]
     splits = [0] * len(edges)
     # Splits evaluated ahead, by interval and the midpoint of the panel they
     # split, which no other panel of a bisection shares: the changes
@@ -341,10 +345,14 @@ def _integrate_block(
         refining = []
         for i in live:
             heap = heaps[i]
-            total = totals[i]
             ready = ahead[i]
+            value = value_sums[i]
+            error = error_sums[i]
+            done = splits[i]
             unready = False
-            while total[1] > max(tol * abs(total[0]), abs_tol) and len(heap) < max_intervals:
+            # The test error > max(tol * |value|, abs_tol), NaN and inf
+            # included, without the call of max.
+            while error > tol * abs(value) and error > abs_tol and len(heap) < max_intervals:
                 _, a, b, _, _ = heap[0]
                 mid = 0.5 * (a + b)
                 if not a < mid < b:
@@ -353,24 +361,28 @@ def _integrate_block(
                 if split is None:
                     unready = True
                     break
-                heapq.heappop(heap)
+                heappop(heap)
                 dv, de, left, right = split
-                total[0] += dv
-                total[1] += de
-                heapq.heappush(heap, left)
-                heapq.heappush(heap, right)
-                splits[i] += 1
+                value += dv
+                error += de
+                heappush(heap, left)
+                heappush(heap, right)
+                done += 1
+            value_sums[i] = value
+            error_sums[i] = error
+            splits[i] = done
             if unready:
-                k = max(least, min(splits[i] // 16, _AHEAD_PANELS))
-                if k > 1:
-                    requests += [(i, *panel) for panel in _worst_unready(heap, ready, k)]
-                else:
-                    # What the walk returns for k = 1, without its cost on
-                    # the many one-interval rounds of a shallow integral.
+                # k = max(least, min(done // 16, _AHEAD_PANELS)) panels; for
+                # k = 1 the worst one, as the walk returns it, without its
+                # cost on the many one-panel rounds of a shallow integral.
+                if done < 32 and least == 1:
                     requests.append((i, heap[0], mid))
+                else:
+                    k = max(least, min(done // 16, _AHEAD_PANELS))
+                    requests += [(i, *panel) for panel in _worst_unready(heap, ready, k)]
                 refining.append(i)
             else:
-                results[i] = _heap_result(heap, 15 + 30 * splits[i], tol, abs_tol)
+                results[i] = _heap_result(heap, 15 + 30 * done, tol, abs_tol)
                 heaps[i] = []
                 ahead[i] = {}
         if not refining:
@@ -432,17 +444,17 @@ def _worst_unready(heap: list, ready: dict, k: int) -> list[tuple[tuple, float]]
             out.append((item, mid))
         child = 2 * j + 1
         if child < n:
-            heapq.heapreplace(frontier, (heap[child][0], child))
+            heapreplace(frontier, (heap[child][0], child))
             if child + 1 < n:
-                heapq.heappush(frontier, (heap[child + 1][0], child + 1))
+                heappush(frontier, (heap[child + 1][0], child + 1))
         else:
-            heapq.heappop(frontier)
+            heappop(frontier)
     return out
 
 
 def _heap_result(heap: list, evals: int, tol: float, abs_tol: float) -> QuadResult:
-    total_v = math.fsum(item[3] for item in heap)
-    total_e = math.fsum(item[4] for item in heap)
+    total_v = math.fsum([item[3] for item in heap])
+    total_e = math.fsum([item[4] for item in heap])
     converged = total_e <= max(tol * abs(total_v), abs_tol)
     return QuadResult(total_v, total_e, evals, converged)
 
@@ -710,15 +722,16 @@ def _power_law(
 ) -> np.ndarray:
     """r^a y^b (signed) or r^a |y|^b at each node, with 0 at r <= 0.  An
     unsigned value is taken in log space, exp(a log r + b log |y|), below
-    r = 1e-3, where a negative a meets a vanishing y, and wherever r^a
-    overflows; it is 0 where y vanishes.
+    r = 1e-3, where a negative a meets a vanishing y, wherever r^a
+    overflows, and where |y|^b underflows to 0 while r^a > 1 can keep the
+    product in range; it is 0 where y vanishes.
     """
     with np.errstate(all="ignore"):
         r_a = np.power(r, a)
         base = y if signed else np.abs(y)
         out = r_a * np.power(base, b)
         if not signed:
-            logs = (r < 1e-3) | np.isinf(r_a)
+            logs = (r < 1e-3) | np.isinf(r_a) | ((out == 0.0) & (base != 0.0) & (r_a > 1.0))
             if logs.any():
                 out[logs] = np.exp(a * np.log(r[logs]) + b * np.log(base[logs]))
     out[r <= 0.0] = 0.0

@@ -423,11 +423,12 @@ def bessel_j_array(order, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
-    # On sorted points each regime of an order is one slice.  Callers pass
-    # runs of sorted nodes, which a stable sort (timsort) exploits.
+    # On sorted points each regime of an order is one slice, and equal
+    # points are neighbours.  Equal points get one value, so their order
+    # does not matter, and numpy's default sort, not a stable one, serves.
     if not isinstance(order, (np.ndarray, list, tuple)):
         nu = _as_nu(order)
-        perm = np.argsort(flat, kind="stable")
+        perm = np.argsort(flat)
     else:
         nu = np.broadcast_to(np.asarray(order, dtype=float), x.shape).ravel()
         perm = np.lexsort((flat, nu))

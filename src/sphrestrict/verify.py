@@ -76,41 +76,51 @@ class RandomRadialSpec:
 
 
 class _Mixtures:
-    """Sums of w exp(-r^2 / (2 sigma^2)) over each (weights, sigmas), every
-    row padded to the widest with w = 0 terms, which add exact zeros."""
+    """Sums of w exp(-r^2 / (2 sigma^2)) over each (weights, sigmas).  Row
+    k of ``w`` and ``c`` holds every profile's k-th term, each profile
+    padded to the widest with w = 0 terms, which add exact zeros."""
 
     def __init__(self, params) -> None:
         width = max((len(weights) for weights, _ in params), default=1)
-        self.w = np.zeros((len(params), width))
-        self.c = np.zeros((len(params), width))
+        self.w = np.zeros((width, len(params)))
+        self.c = np.zeros((width, len(params)))
         for i, (weights, sigmas) in enumerate(params):
-            self.w[i, :len(weights)] = weights
-            self.c[i, :len(sigmas)] = [0.5 / (s * s) for s in sigmas]
+            self.w[:len(weights), i] = weights
+            self.c[:len(sigmas), i] = [0.5 / (s * s) for s in sigmas]
 
     def values(self, r: np.ndarray, which: np.ndarray) -> np.ndarray:
-        terms = self.w[which] * np.exp(-(r * r)[:, None] * self.c[which])
-        return terms.sum(axis=1)
+        # Term by term, in numpy's own row-sum order 0.0 + t0 + t1 + ...,
+        # so terms that are all -0.0 sum to +0.0.
+        minus_r2 = -(r * r)
+        out = np.zeros(r.size)
+        for w, c in zip(self.w, self.c):
+            term = np.take(c, which)
+            term *= minus_r2
+            np.exp(term, out=term)
+            term *= np.take(w, which)
+            out += term
+        return out
 
 
 class _PolyGaussians:
     """Polynomial times exp(-r^2 / (2 sigma^2)) for each (coeffs, sigma):
-    Horner's rule over the coefficients from the highest degree down, each
-    row padded in front with zeros, which keep the running value 0 until
-    its first coefficient."""
+    Horner's rule over the coefficients from the highest degree down.  Row
+    k of ``horner`` holds every profile's k-th Horner coefficient, each
+    profile padded in front with zeros, which keep the running value 0
+    until its first coefficient."""
 
     def __init__(self, params) -> None:
         width = max((len(coeffs) for coeffs, _ in params), default=1)
-        self.horner = np.zeros((len(params), width))
+        self.horner = np.zeros((width, len(params)))
         for i, (coeffs, _) in enumerate(params):
-            self.horner[i, width - len(coeffs):] = coeffs[::-1]
+            self.horner[width - len(coeffs):, i] = coeffs[::-1]
         self.c = np.array([0.5 / (sigma * sigma) for _, sigma in params])
 
     def values(self, r: np.ndarray, which: np.ndarray) -> np.ndarray:
-        rows = self.horner[which]
         poly = np.zeros(r.size)
-        for k in range(rows.shape[1]):
-            poly = poly * r + rows[:, k]
-        return poly * np.exp(-r * r * self.c[which])
+        for column in self.horner:
+            poly = poly * r + np.take(column, which)
+        return poly * np.exp(-r * r * np.take(self.c, which))
 
 
 class _Bumps:
@@ -122,11 +132,11 @@ class _Bumps:
         self.inv_radius = np.array([1.0 / radius for _, radius in params])
 
     def values(self, r: np.ndarray, which: np.ndarray) -> np.ndarray:
-        u = r * self.inv_radius[which]
+        u = r * np.take(self.inv_radius, which)
         out = np.zeros(r.size)
         inside = u < 1.0
         u = u[inside]
-        out[inside] = self.amplitude[which][inside] * np.exp(-1.0 / (1.0 - u * u))
+        out[inside] = np.take(self.amplitude, which[inside]) * np.exp(-1.0 / (1.0 - u * u))
         return out
 
 

@@ -107,6 +107,25 @@ KERNEL_INTEGRALS = {
 }
 
 
+def sphere_convolution_kernel_2(d: int, dps: int = 30):
+    """The kernel integral at p = 4/3 (p' = 4) in dimension d >= 3, exact,
+    as an mpmath number:
+
+        I_2(d) = (2 pi)^(-d) A(d-1)^2 2^(d-3) B(nu, 2 nu),  nu = (d - 2)/2,
+
+    A(n) = 2 pi^(n/2) / Gamma(n/2) the area of the unit sphere in R^n.  By
+    Plancherel, int |sigma_hat|^4 is the squared L_2 norm of sigma * sigma,
+    whose density is elementary (Foschi 2015); it gives 1/pi at d = 3 and
+    1/pi^2 at d = 4.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        nu = mp.mpf(d - 2) / 2
+        area = 2 * mp.pi ** (mp.mpf(d - 1) / 2) / mp.gamma(mp.mpf(d - 1) / 2)
+        return (2 * mp.pi) ** (-d) * area**2 * mp.mpf(2) ** (d - 3) * mp.beta(nu, 2 * nu)
+
+
 def sine_power_coefficient(m: int) -> Fraction:
     """c_m, exact, with int_0^inf sin^(2m)(r) / r^(2m-2) dr = pi * c_m, m >= 2.
 

@@ -306,9 +306,10 @@ def scalar_integrand(spec, bessel=bessel_j):
         aj = abs(j)
         if aj == 0.0:
             return 0.0
-        if r < 1e-3 or math.isinf(r_beta):
+        direct = r_beta * at_point(np.power, aj, power)
+        if r < 1e-3 or math.isinf(r_beta) or (direct == 0.0 and r_beta > 1.0):
             return at_point(np.exp, beta * at_point(np.log, r) + power * at_point(np.log, aj))
-        return r_beta * at_point(np.power, aj, power)
+        return direct
 
     return integrand
 
@@ -318,13 +319,16 @@ def assert_power_law_near_mpmath(a, b, r, y, got):
     ``test_integrand_values_match_mpmath``) of the exact r^a |y|^b,
     computed by mpmath at 200 bits from the doubles r and y; values the
     exact one rounds to 0 must be 0.  The log-space branch is the one
-    ``_power_law`` takes: below r = 1e-3 and where r^a overflows."""
+    ``_power_law`` takes: below r = 1e-3, where r^a overflows, and where
+    |y|^b underflows to 0 while r^a > 1."""
     eps = mp.mpf(2) ** -52
     tiny = mp.mpf(2) ** -1074
     with mp.workprec(200), np.errstate(over="ignore"):
         for x, yx, g in zip(r, y, got):
             exact = mp.mpf(x) ** mp.mpf(a) * abs(mp.mpf(yx)) ** mp.mpf(b)
-            if x < 1e-3 or math.isinf(at_point(np.power, x, a)):
+            r_a = at_point(np.power, x, a)
+            underflows = yx != 0.0 and r_a > 1.0 and r_a * at_point(np.power, abs(yx), b) == 0.0
+            if x < 1e-3 or math.isinf(r_a) or underflows:
                 logs = abs(a * math.log(x))
                 logs += abs(b * math.log(abs(yx))) if yx != 0.0 else 0.0
                 ulps = 2 * (1 + logs)
@@ -636,16 +640,19 @@ class TestBlockEngine:
     def test_lp_weight_matches_mpmath(self, p):
         # The L_p norm's weight r^(d-1) |F|^p (``radial_lp_norms``) in
         # d = 36 is the same power law, with the same bounds: in log space
-        # below r = 1e-3, and at the decay probe r = 1e9, where r^35
-        # overflows and |F|^p of F = (1 + r^2)^-15 underflows.
+        # below r = 1e-3, at the decay probe r = 1e9, where r^35
+        # overflows and |F|^p of F = (1 + r^2)^-15 underflows, and at
+        # r = 1e6, where r^35 = 1e210 is finite but |F|^2 = 1e-360
+        # underflows while the weight, 1e-150, does not.
         r = np.concatenate([
             [1e-300, 1e-30, 1e-6, np.nextafter(1e-3, 0.0)],
-            np.geomspace(1e-8, 1e-3, 100), [1e-3, 1.0, 1e9],
+            np.geomspace(1e-8, 1e-3, 100), [1e-3, 1.0, 1e6, 1e9],
         ])
         fr = np.power(1.0 + r * r, -15.0)
         got = _power_law(r, 35, fr, p).tolist()
         assert_power_law_near_mpmath(35, p, r.tolist(), fr.tolist(), got)
         assert 35 * math.log(1e9) > math.log(sys.float_info.max) and got[-1] > 0.0
+        assert got[-2] > 0.0
 
     def test_overflowing_r_beta_takes_log_space(self):
         # r^3 overflows at r = 1e200 and 1e300, the value does not.

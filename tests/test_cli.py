@@ -227,7 +227,10 @@ class TestFrozenGrids:
     ``report`` grid is the benchmark's ``highdim`` job: 14 ok rows and 10
     failed rows with their reasons.  The ``sweep`` grid has an ok row,
     ``skipped`` rows and a non-converging row whose four cells read
-    ``failed``."""
+    ``failed``.  The ``verify`` grid is the benchmark's ``dominance`` job at
+    seed 5, frozen before the mixture profiles were valued by term column:
+    600 profile ratios through the block engine, whose maxima and margins
+    print every digit."""
 
     @pytest.mark.parametrize(
         "argv, frozen, err",
@@ -240,8 +243,11 @@ class TestFrozenGrids:
              "sweep_mixed.csv", CONVERGENCE_5_105),
             (["sweep", "--d", "4:5:2", "--p", "1.05:1.7:2", "--q", "2",
               "--format", "json"], "sweep_mixed.json", CONVERGENCE_5_105),
+            (["verify", "--d", "2:4:3", "--p", "1.2", "--q", "2", "--seed", "5",
+              "--trials", "200", "--family", "gaussian_mixture"],
+             "verify_dominance.json", ""),
         ],
-        ids=["report_csv", "report_json", "sweep_csv", "sweep_json"],
+        ids=["report_csv", "report_json", "sweep_csv", "sweep_json", "verify_dominance"],
     )
     def test_output(self, capsys, argv, frozen, err):
         expected = (FROZEN / frozen).read_text()

@@ -409,12 +409,12 @@ def family_reference(form, i, r):
         if isinstance(form, verify._Mixtures):
             terms = [
                 mp.mpf(w) * mp.exp(-(r * r) * c)
-                for w, c in zip(form.w[i].tolist(), form.c[i].tolist())
+                for w, c in zip(form.w[:, i].tolist(), form.c[:, i].tolist())
             ]
             return mp.fsum(terms), mp.fsum(abs(t) for t in terms)
         if isinstance(form, verify._PolyGaussians):
             poly = 0.0
-            for a in form.horner[i].tolist():
+            for a in form.horner[:, i].tolist():
                 poly = poly * r + a
             value = poly * mp.exp(-r * r * form.c[i])
         else:
@@ -423,7 +423,50 @@ def family_reference(form, i, r):
         return value, abs(value)
 
 
+def previous_values(form, r, which):
+    """Each family form's ``values`` as it was first written: 2-D fancy
+    gathers of a (profiles x width) table, the mixture's terms summed by
+    ``sum(axis=1)``, and every bump's amplitude gathered before its
+    ``inside`` nodes were picked."""
+    if isinstance(form, verify._Mixtures):
+        terms = form.w.T[which] * np.exp(-(r * r)[:, None] * form.c.T[which])
+        return terms.sum(axis=1)
+    if isinstance(form, verify._PolyGaussians):
+        rows = form.horner.T[which]
+        poly = np.zeros(r.size)
+        for k in range(rows.shape[1]):
+            poly = poly * r + rows[:, k]
+        return poly * np.exp(-r * r * form.c[which])
+    u = r * form.inv_radius[which]
+    out = np.zeros(r.size)
+    inside = u < 1.0
+    u = u[inside]
+    out[inside] = form.amplitude[which][inside] * np.exp(-1.0 / (1.0 - u * u))
+    return out
+
+
 class TestFamilyArrayForms:
+    @pytest.mark.parametrize("seed", range(7))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_values_equal_previous_formula(self, family, seed):
+        # Bit for bit, so the sign of every zero counts: a negative bump or
+        # polynomial keeps its -0.0 past its underflow.
+        profiles = generate_profiles(RandomRadialSpec(seed=seed, family=family, count=40))
+        values = profiles[0].family[0]
+        r, which = family_nodes(seed, len(profiles))
+        got = values(r, which)
+        expected = previous_values(values.__self__, r, which)
+        assert got.tobytes() == expected.tobytes()
+        assert (expected == 0.0).any()
+
+    def test_mixture_of_negative_zeros_is_positive_zero(self):
+        # Every term is -1 or -2 times an exp that underflows: -0.0.
+        form = verify._Mixtures([([-1.0, -2.0], [0.5, 1.0])])
+        r = np.array([1e3, 1e9])
+        which = np.zeros(2, dtype=int)
+        got = form.values(r, which).tobytes()
+        assert got == previous_values(form, r, which).tobytes() == np.zeros(2).tobytes()
+
     @pytest.mark.parametrize("seed", [0, 3])
     @pytest.mark.parametrize("family", FAMILIES)
     def test_values_equal_scalar_f(self, family, seed):
