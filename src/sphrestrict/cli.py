@@ -131,8 +131,11 @@ def _load_config(path: str) -> dict[str, str]:
 
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
-        with open(output, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write the output file: {exc}") from None
     else:
         sys.stdout.write(text)
 

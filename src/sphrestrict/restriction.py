@@ -444,9 +444,11 @@ def evaluate_grid(grid: Sequence[RestrictionParams], tol: float) -> list[GridPoi
     exponents: dict[int, list[float]] = {}
     for params in grid:
         exponents.setdefault(params.d, []).append(params.p)
-    # (d - 2) / 2 is RadialKernel(d)'s order, without the sphere area that
-    # leaves double range past d = 343.
-    find_first_zeros((d - 2) / 2.0 for d, ps in exponents.items() if _uncomputed(d, ps, tol))
+    # (d - 2) / 2 is RadialKernel(d)'s order.  Past d = 343 the sphere area
+    # leaves double range, so no kernel integral there asks for zeros.
+    find_first_zeros(
+        (d - 2) / 2.0 for d, ps in exponents.items() if d <= 343 and _uncomputed(d, ps, tol)
+    )
     points = []
     for params in grid:
         if params.d in exponents:

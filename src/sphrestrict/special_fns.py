@@ -30,7 +30,10 @@ a call in one pass, so a call of several orders costs about what one
 order's call does.  The zero finder values J_nu and J_{nu+1} of all its
 live iterates in one call per Newton step; ``find_first_zeros`` finds
 the first chunk of zeros of every order a grid needs in one such run,
-and ``bessel_j_zero`` the later chunks order by order.  The arch
+and ``bessel_j_zero`` the later chunks order by order, both through
+``_next_zeros``.  A call of J that raises just raises; ``_next_zeros``
+is the one place that isolates a failing order, by splitting its run
+down to the zero whose iterate raised.  The arch
 quadrature and the transforms value J once per round of refinement.
 All arithmetic on the points is numpy's elementwise, with (x/2)^nu
 (``np.power``) and Gamma(nu + 1) taken once per order, which gives a
@@ -198,7 +201,12 @@ def _as_nu(order: "BesselOrder | float") -> float:
 def _gamma_order_plus_one(nu: float) -> float:
     # Gamma(nu + 1) normalises the series and Miller's sum at every point of
     # a fixed order; compute it once per order.
-    return gamma(nu + 1.0)
+    try:
+        return gamma(nu + 1.0)
+    except OverflowError:
+        raise DomainError(
+            f"J_nu(x) at nu = {nu!r}: Gamma(nu + 1) overflows double range"
+        ) from None
 
 
 _PI_HI = 3.141592653589793
@@ -289,11 +297,12 @@ def _miller_array(nu, x: np.ndarray) -> np.ndarray:
     # sweep runs ~70-120 rows whatever the width, so a row costs three
     # in-place ufunc calls on views made once, and the elements seeded at
     # each even m are a slice of one stable sort by m_start.  Gamma(nu + 1)
-    # and (x/2)^nu, which can leave double range, come first: an order
-    # that fails costs no sweep.
-    g1 = _each_order(lambda order, x: _gamma_order_plus_one(order), nu, x)
+    # and (x/2)^nu, which can leave double range, come first, order by
+    # order: an order that fails costs no sweep, and the lowest one raises
+    # what it raises alone.
 
     def half_x_power(order: float, x: np.ndarray) -> np.ndarray:
+        _gamma_order_plus_one(order)
         power = np.power(0.5 * x, order)
         if np.isinf(power).any():
             # (x/2)^nu leaves double range near orders 160-171 before the
@@ -305,6 +314,7 @@ def _miller_array(nu, x: np.ndarray) -> np.ndarray:
         return power
 
     scale = _each_order(half_x_power, nu, x)
+    g1 = _each_order(lambda order, x: _gamma_order_plus_one(order), nu, x)
     m_start = (x + np.maximum(nu, 1.0) + 40.0).astype(np.int64)
     m_start += m_start % 2
     by_start = np.argsort(m_start, kind="stable")
@@ -418,8 +428,9 @@ def bessel_j_array(order, x) -> np.ndarray:
     nu(nu + 1)).  A regime values the points of every order it holds in
     one pass.  A value depends only on its own order and point, never on
     the others in the call, and each distinct (order, point) is valued
-    once.  A call of several orders that raises raises the error of its
-    lowest order that raises alone, as that order's call would.
+    once.  A call of several orders that raises gives the ``DomainError``
+    of one of its failing orders; the zero finder, which batches orders,
+    isolates which (``_next_zeros``).
     """
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
@@ -447,12 +458,11 @@ def bessel_j_array(order, x) -> np.ndarray:
         nu = nu[first]
     xs = xs[first]
     values = np.empty_like(xs)
-    runs = _order_runs(nu, xs.size)
     # Per regime, the (lo, hi, order) slice of each order's points.
     spans: dict = {
         _series_array: [], _miller_array: [], _half_integer_array: [], _hankel_array: []
     }
-    for lo, hi, run_nu in runs:
+    for lo, hi, run_nu in _order_runs(nu, xs.size):
         run = xs[lo:hi]
         if not (run[0] >= 0.0 and run[-1] < math.inf):
             raise DomainError("bessel_j_array requires finite x >= 0")
@@ -471,25 +481,15 @@ def bessel_j_array(order, x) -> np.ndarray:
         ):
             if b > a:
                 spans[regime].append((a, b, run_nu))
-    error = None
     # Python floats overflow to inf silently; so do these arrays.
     with np.errstate(all="ignore"):
-        try:
-            for regime, parts in spans.items():
-                if len(parts) == 1:
-                    a, b, run_nu = parts[0]
-                    values[a:b] = regime(run_nu, xs[a:b])
-                elif parts:
-                    where = np.concatenate([np.arange(a, b) for a, b, _ in parts])
-                    values[where] = regime(nu[where], xs[where])
-        except (DomainError, OverflowError) as exc:
-            if len(runs) == 1:
-                raise
-            error = exc
-    if error is not None:
-        for lo, hi, run_nu in runs:
-            bessel_j_array(run_nu, xs[lo:hi])
-        raise error
+        for regime, parts in spans.items():
+            if len(parts) == 1:
+                a, b, run_nu = parts[0]
+                values[a:b] = regime(run_nu, xs[a:b])
+            elif parts:
+                where = np.concatenate([np.arange(a, b) for a, b, _ in parts])
+                values[where] = regime(nu[where], xs[where])
     out = np.empty_like(flat)
     out[perm] = values[np.cumsum(first) - 1]
     return out.reshape(x.shape)
@@ -547,8 +547,7 @@ def bessel_j_zero(order: "BesselOrder | float", k: int) -> float:
         raise DomainError(f"zero index must be an integer >= 1, got {k!r}")
     found = _ZEROS.setdefault(nu, [])
     while len(found) < k:
-        first = len(found) + 1
-        _store_zeros(nu, _find_zeros(nu, range(first, first + _ZERO_CHUNK)))
+        _next_zeros([nu])
     zero = found[int(k) - 1]
     if isinstance(zero, Exception):
         raise zero.with_traceback(None)
@@ -558,20 +557,37 @@ def bessel_j_zero(order: "BesselOrder | float", k: int) -> float:
 def find_first_zeros(orders) -> None:
     """Find zeros 1.._ZERO_CHUNK of every order of ``orders`` that
     ``bessel_j_zero`` holds none of yet, in one Newton run: each step
-    values J of all of them in one call.  A zero comes out as it does
-    alone.  Where that run raises, nothing is kept: each order's zeros are
-    then found alone as ``bessel_j_zero`` asks for them, and each order
-    gets the zeros, or the error, that it gets alone."""
+    values J of all of them in one call.  Each order gets the zeros, or
+    the errors, that it gets alone."""
     nus = [nu for nu in dict.fromkeys(map(_as_nu, orders)) if not _ZEROS.get(nu)]
-    if not nus:
-        return
-    ks = range(1, _ZERO_CHUNK + 1)
+    if nus:
+        _next_zeros(nus)
+
+
+def _next_zeros(nus: list, count: int = _ZERO_CHUNK) -> None:
+    """Find the next ``count`` zeros of each order of ``nus`` in one
+    ``_newton_zeros`` run and store them.  Where J raises ``DomainError``
+    on the way, the run is split: into its orders, then one order's zeros
+    into halves, down to the zero whose iterate raised, and that error is
+    stored for it.  A zero takes its own course in any run, so each zero,
+    and each error, is the one its order gets alone."""
+    requests = []
+    for nu in nus:
+        first = len(_ZEROS.setdefault(nu, [])) + 1
+        requests.append((nu, range(first, first + count)))
     try:
-        chunks = _newton_zeros([(nu, ks) for nu in nus])
-    except (DomainError, OverflowError):
+        chunks = _newton_zeros(requests)
+    except DomainError as exc:
+        if len(nus) > 1:
+            for nu in nus:
+                _next_zeros([nu], count)
+        elif count == 1:
+            _store_zeros(nus[0], [exc])
+        else:
+            _next_zeros(nus, count // 2)
+            _next_zeros(nus, count - count // 2)
         return
     for nu, zeros in zip(nus, chunks):
-        _ZEROS[nu] = []
         _store_zeros(nu, zeros.tolist())
 
 
@@ -595,19 +611,6 @@ def _store_zeros(nu: float, zeros: list) -> None:
                 f"zero {k_new - 1} at {previous!r}: a zero was lost"
             )
         found.append(zero)
-
-
-def _find_zeros(nu: float, ks: range) -> list:
-    """Zeros ``ks`` of J_nu by ``_newton_zeros``; where J raises
-    ``DomainError`` on the way, that error stands for the zero whose
-    iterate raised it."""
-    try:
-        return _newton_zeros([(nu, ks)])[0].tolist()
-    except DomainError as exc:
-        if len(ks) == 1:
-            return [exc]
-        half = len(ks) // 2
-        return _find_zeros(nu, ks[:half]) + _find_zeros(nu, ks[half:])
 
 
 def _newton_zeros(requests: list[tuple[float, range]]) -> list[np.ndarray]:

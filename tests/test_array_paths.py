@@ -258,34 +258,62 @@ class TestBesselArray:
         assert not np.isnan(bessel_j_array(140.0, xs)).any()
         assert not np.isnan(bessel_j_array(np.repeat([7.0, 140.0], 200), np.tile(xs, 2))).any()
 
-    def test_orders_fail_as_they_do_alone(self):
+    def test_orders_fail_as_they_do_alone(self, monkeypatch):
         # J_170 overflows in Miller's normalisation and J_171 already in
-        # Gamma(172): a call of both raises the error of the lower order's
-        # own call, whatever order its regimes run in.
+        # Gamma(172), each a DomainError.  A call of several orders raises
+        # the DomainError of one of its failing orders, in its one pass:
+        # it calls no order alone again.  Miller's recurrence takes Gamma
+        # and (x/2)^nu order by order, so there the lowest failing order
+        # raises what it raises alone.
         xs = np.array([5.0, 190.0, 197.0])
         with pytest.raises(DomainError) as alone:
             bessel_j_array(170.0, xs)
-        with pytest.raises(OverflowError):
+        assert "nu = 170.0" in str(alone.value) and "(x/2)^nu overflows" in str(alone.value)
+        gamma_overflow = r"nu = 171\.0: Gamma\(nu \+ 1\) overflows double range"
+        with pytest.raises(DomainError, match=gamma_overflow) as gamma_171:
             bessel_j_array(171.0, xs)
+        calls = []
+        real = special_fns.bessel_j_array
+
+        def counted(order, x):
+            calls.append(order)
+            return real(order, x)
+
+        monkeypatch.setattr(special_fns, "bessel_j_array", counted)
         with pytest.raises(DomainError) as mixed:
-            bessel_j_array(np.repeat([1.0, 170.0, 171.0], 3), np.tile(xs, 3))
+            special_fns.bessel_j_array(np.repeat([1.0, 170.0, 171.0], 3), np.tile(xs, 3))
         assert str(mixed.value) == str(alone.value)
-        assert "nu = 170.0" in str(alone.value)
-        with pytest.raises(OverflowError, match="gamma"):
-            bessel_j_array(np.repeat([1.0, 171.0], 3), np.tile(xs, 2))
+        with pytest.raises(DomainError) as mixed:
+            special_fns.bessel_j_array(np.repeat([1.0, 171.0], 3), np.tile(xs, 2))
+        assert str(mixed.value) == str(gamma_171.value)
+        assert len(calls) == 2
 
     def test_batched_zeros_equal_each_order_alone(self, monkeypatch):
-        # Zeros 1..32 of J_nu, nu = (d - 2)/2 for d = 2..60, found in one
-        # Newton run equal those each order finds alone.
-        orders = [(d - 2) / 2.0 for d in range(2, 61)]
+        # Zeros 1..32 of J_nu, nu = (d - 2)/2 for d = 2..60, and of the
+        # orders 149-171 that fail on the way (zeros not bracketed or lost,
+        # (x/2)^nu or Gamma(nu + 1) overflowing), found in one Newton run,
+        # equal those each order finds alone, errors included.
+        orders = [(d - 2) / 2.0 for d in range(2, 61)] + [149.0, 159.0, 169.0, 170.5, 171.0]
+
+        def outcomes(zeros):
+            return [
+                (type(z).__name__, str(z)) if isinstance(z, Exception) else z for z in zeros
+            ]
+
         monkeypatch.setattr(special_fns, "_ZEROS", {})
         special_fns.find_first_zeros(orders)
         batched = dict(special_fns._ZEROS)
         assert sorted(batched) == orders
         for nu in orders:
             monkeypatch.setattr(special_fns, "_ZEROS", {})
-            alone = [bessel_j_zero(nu, k) for k in range(1, 33)]
-            assert batched[nu] == alone, nu
+            alone = []
+            for k in range(1, 33):
+                try:
+                    alone.append(bessel_j_zero(nu, k))
+                except (ConvergenceError, DomainError) as exc:
+                    alone.append(exc)
+            assert outcomes(batched[nu]) == outcomes(alone), nu
+            assert all(isinstance(z, float) for z in alone) == (nu < 149.0), nu
 
 
 def scalar_integrand(spec, bessel=bessel_j):

@@ -709,6 +709,8 @@ class TestMalformedInput:
               "--check-profile", "gaussian:1e-4"],
              "'gaussian(sigma=0.0001, d=3)' has zero Grand Lebesgue norm"),
             (["--config", "{not_utf8}", "constant", *GRID], "cannot read the config file"),
+            (["constant", *GRID, "--output", "{tmp}/absent/x.csv"], "cannot write"),
+            (["constant", *GRID, "--output", "{tmp}"], "cannot write"),
         ],
         ids=[
             "d_not_integral", "p_not_a_number", "steps_not_a_number", "d_infinite",
@@ -718,6 +720,7 @@ class TestMalformedInput:
             "report_tol_inf", "verify_tol_nan", "verify_ratio_tol_nan", "gls_tol_nan",
             "gaussian_sigma_nan", "gaussian_sigma_inf", "profile_width_tiny",
             "profile_width_inf", "profile_norm_zero", "config_not_utf8",
+            "output_dir_missing", "output_is_a_dir",
         ],
     )
     def test_exits_2(self, capsys, tmp_path, argv, reason):
@@ -737,7 +740,7 @@ class TestMalformedInput:
                 paths[name].write_bytes(text)
             elif name != "missing":
                 paths[name].write_text(text)
-        code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+        code, out, err = run_cli(capsys, *(arg.format(tmp=tmp_path, **paths) for arg in argv))
         assert (code, out) == (2, "")
         assert err.startswith("sphrestrict: ") and err.count("\n") == 1
         assert reason in err

@@ -270,12 +270,33 @@ def test_first_zeros_of_a_grid_take_one_newton_run(monkeypatch, argv, tol, bound
     assert len(calls) <= bound
 
 
+def test_a_failing_order_is_split_by_the_zero_finder_alone(monkeypatch):
+    # The zeros of J_169 (d = 340) overflow in Miller's normalisation, so
+    # the grid's first Newton run raises.  When J replayed each order of a
+    # call that raised, on top of the zero finder splitting the run, the
+    # zero finder made 132 calls; split by the zero finder alone, 66.
+    calls = valued_points(monkeypatch, special_fns)
+    monkeypatch.setattr(special_fns, "_ZEROS", {})
+    monkeypatch.setattr(restriction, "_KERNEL_INTEGRALS", {})
+    small, large = evaluate_grid(
+        [RestrictionParams(3, 1.2, 2.0), RestrictionParams(340, 1.002, 2.0)], 1e-9
+    )
+    assert isinstance(small.sharp, restriction.SharpConstantResult)
+    assert isinstance(large.sharp, DomainError)
+    assert len(calls) <= 66
+    # Past d = 343 there is no sphere area, so no zeros are sought there.
+    calls.clear()
+    monkeypatch.setattr(special_fns, "_ZEROS", {})
+    evaluate_grid([RestrictionParams(344, 1.2, 2.0)], 1e-9)
+    assert calls == [] and special_fns._ZEROS == {}
+
+
 @pytest.mark.parametrize("big", [340, 342, 344])
 def test_an_order_that_fails_leaves_the_others_their_lone_run(monkeypatch, big):
     # J_169 and J_170 overflow in Miller's normalisation and J_171 in
     # Gamma(172), so the first zeros of d = 3 and d = big cannot come from
     # one Newton run: each dimension gets what it gets alone, its error
-    # included (past d = 343 there is no sphere area).
+    # included (past d = 343 there is no sphere area, and no zeros are sought).
     grid_points = [RestrictionParams(3, 1.2, 2.0), RestrictionParams(big, 1.2, 2.0)]
 
     def run(points):

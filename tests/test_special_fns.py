@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from sphrestrict import special_fns
 from sphrestrict.errors import ConvergenceError, DomainError
 from sphrestrict.special_fns import (
     BesselOrder,
@@ -193,6 +194,22 @@ class TestBesselJ:
             bessel_j_array(159.0, np.linspace(150.0, 190.0, 100))
         xs = np.linspace(150.0, 173.0, 100)
         assert bessel_j_array(159.0, xs).tolist() == [bessel_j(159.0, x) for x in xs.tolist()]
+
+    def test_gamma_overflow_is_a_domain_error(self, monkeypatch):
+        # Gamma(201) leaves double range: the series and Miller's sum of
+        # J_200 raise a DomainError naming the order, and so does its first
+        # zero.  Hankel's expansion needs no Gamma.
+        overflow = r"^J_nu\(x\) at nu = 200\.0: Gamma\(nu \+ 1\) overflows double range$"
+        with pytest.raises(DomainError, match=overflow):
+            bessel_j(200, 5.0)
+        with pytest.raises(DomainError, match=overflow):
+            bessel_j(200, 1.0)
+        with pytest.raises(DomainError, match=overflow):
+            bessel_j_array(200.0, [5.0])
+        monkeypatch.setattr(special_fns, "_ZEROS", {})
+        with pytest.raises(DomainError, match=overflow):
+            bessel_j_zero(200, 1)
+        assert bessel_j(200, 1e6) == 3.4549521335498594e-4
 
 
 class TestBesselZeros:
