@@ -32,6 +32,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -129,6 +130,16 @@ def _load_config(path: str) -> dict[str, str]:
     return config
 
 
+def _check_output(output: str) -> None:
+    """Reject, before any work and creating nothing, an output path that is a
+    directory or whose directory is missing; ``_emit`` reports other failures."""
+    if os.path.isdir(output):
+        raise DomainError(f"cannot write the output file: {output!r} is a directory")
+    folder = os.path.dirname(output) or "."
+    if not os.path.isdir(folder):
+        raise DomainError(f"cannot write the output file: no directory {folder!r}")
+
+
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
         try:
@@ -173,12 +184,7 @@ def _cmd_constant(args) -> int:
         "beta": params.beta,
         "k_rad_first_principles": result.k_rad_first_principles,
         "k_rad_paper_closed_form": result.k_rad_paper_closed_form,
-        "kernel_integral": {
-            "value": result.kernel_integral.value,
-            "error_estimate": result.kernel_integral.error_estimate,
-            "evaluations": result.kernel_integral.evaluations,
-            "converged": result.kernel_integral.converged,
-        },
+        "kernel_integral": result.kernel_integral._asdict(),
         "tomas_stein_ok": tomas_stein_admissible(params),
     }
     if args.format == "json":
@@ -472,6 +478,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
     args = parser.parse_args(argv)
     try:
+        if args.output:
+            _check_output(args.output)
         return args.func(args)
     except DomainError as exc:
         print(f"sphrestrict: {exc}", file=sys.stderr)

@@ -26,9 +26,8 @@ from __future__ import annotations
 import bisect
 import csv
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError
 from .quadrature import DEFAULT_REL_TOL
@@ -41,7 +40,7 @@ from .restriction import (
     sharp_radial_constant,
     tomas_stein_admissible,
 )
-from .special_fns import RadialKernel
+from .special_fns import RadialKernel, _replace_validated
 
 __all__ = [
     "PsiWeight",
@@ -56,33 +55,32 @@ __all__ = [
 CONSTANT_SOURCES = ("radial_sharp", "gaussian_lower")
 
 
-@dataclass(frozen=True)
-class PsiWeight:
+class PsiWeight(NamedTuple("PsiWeight", [("a", float), ("b", float), ("samples", tuple)])):
     """A sampled weight psi(p) on the exponent interval (a, b).
 
     Sample abscissae must be strictly increasing and inside (a, b), and
     the sampled values bounded away from zero.  ``b`` may be ``math.inf``.
     """
 
-    a: float
-    b: float
-    samples: tuple[tuple[float, float], ...]
+    __slots__ = ()
+    _replace = _replace_validated
 
-    def __post_init__(self) -> None:
-        if not (1.0 <= self.a < self.b):
-            raise DomainError(f"need 1 <= a < b, got a={self.a!r}, b={self.b!r}")
-        if not self.samples:
+    def __new__(cls, a: float, b: float, samples: tuple[tuple[float, float], ...]) -> "PsiWeight":
+        if not (1.0 <= a < b):
+            raise DomainError(f"need 1 <= a < b, got a={a!r}, b={b!r}")
+        if not samples:
             raise DomainError("psi weight needs at least one sample")
-        ps = [p for p, _ in self.samples]
-        if any(not self.a < p < self.b for p in ps):
-            raise DomainError(f"sample abscissae must lie inside ({self.a}, {self.b})")
+        ps = [p for p, _ in samples]
+        if any(not a < p < b for p in ps):
+            raise DomainError(f"sample abscissae must lie inside ({a}, {b})")
         if any(ps[i] >= ps[i + 1] for i in range(len(ps) - 1)):
             raise DomainError("sample abscissae must be strictly increasing")
-        for p, v in self.samples:
+        for p, v in samples:
             if not v > 0.0:  # NaN included
                 raise DomainError(
                     f"psi must be bounded below by a positive constant, got psi({p!r}) = {v!r}"
                 )
+        return super().__new__(cls, a, b, samples)
 
     @property
     def grid(self) -> tuple[float, ...]:
@@ -140,8 +138,7 @@ class PsiWeight:
         return cls(a=lo, b=hi, samples=tuple(rows))
 
 
-@dataclass(frozen=True)
-class ZetaWeight:
+class ZetaWeight(NamedTuple):
     """The transfer weight zeta(q), with the constant table it came from.
 
     ``constant_table`` rows are (p, K-factor) with the q-dependence
@@ -150,7 +147,7 @@ class ZetaWeight:
 
     samples: tuple[tuple[float, float], ...]
     source: str
-    constant_table: tuple[tuple[float, float], ...] = field(default=(), repr=False)
+    constant_table: tuple[tuple[float, float], ...] = ()
 
 
 def gls_norm(
@@ -255,8 +252,7 @@ def zeta_from_psi(
     )
 
 
-@dataclass
-class TransferReport:
+class TransferReport(NamedTuple):
     """Both sides of the transfer inequality for one profile."""
 
     left: float

@@ -100,15 +100,14 @@ interval only if committed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush, heapreplace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ConvergenceError, DivergenceError, DomainError
-from .special_fns import BesselOrder, bessel_j_array, bessel_j_zero
+from .special_fns import BesselOrder, _replace_validated, bessel_j_array, bessel_j_zero
 
 __all__ = [
     "QuadResult",
@@ -173,8 +172,7 @@ _SEMI_INFINITE_INTERVALS = 6000
 _AHEAD_PANELS = 32
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     """Numeric value with an error estimate and the evaluation count."""
 
     value: float
@@ -617,8 +615,9 @@ def wynn_epsilon(seq: Sequence[float]) -> tuple[float, float]:
     return best, best_err
 
 
-@dataclass(frozen=True)
-class OscillatoryIntegrand:
+class OscillatoryIntegrand(NamedTuple("OscillatoryIntegrand", [
+    ("order", BesselOrder), ("beta", float), ("power", float), ("signed", bool),
+])):
     """The integrand r^beta |J_nu(r)|^power on [0, inf), nu = ``order.nu``.
 
     Every kernel integral is of this one form.  Its tail decays like
@@ -632,16 +631,15 @@ class OscillatoryIntegrand:
     of nodes values it there (``_integrand_values``).
     """
 
-    order: BesselOrder
-    beta: float
-    power: float
-    signed: bool = False
+    __slots__ = ()
+    _replace = _replace_validated
 
-    def __post_init__(self) -> None:
-        if self.power < 1.0:
-            raise DomainError(f"power must be >= 1, got {self.power!r}")
-        if self.signed and self.power != round(self.power):
+    def __new__(cls, order, beta, power, signed=False) -> "OscillatoryIntegrand":
+        if power < 1.0:
+            raise DomainError(f"power must be >= 1, got {power!r}")
+        if signed and power != round(power):
             raise DomainError("signed integrands need an integer power")
+        return super().__new__(cls, order, beta, power, signed)
 
     @property
     def tail_exponent(self) -> float:

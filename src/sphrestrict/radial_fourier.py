@@ -36,8 +36,7 @@ one-profile calls of that one path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TypeVar, Union
+from typing import Callable, NamedTuple, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -70,22 +69,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GaussianDecay:
+class GaussianDecay(NamedTuple):
     """|F(r)| bounded by c * exp(-r^2 / (2 sigma^2)) for large r."""
 
     sigma: float
 
 
-@dataclass(frozen=True)
-class CompactSupport:
+class CompactSupport(NamedTuple):
     """F vanishes outside [0, radius]."""
 
     radius: float
 
 
-@dataclass(frozen=True)
-class AlgebraicDecay:
+class AlgebraicDecay(NamedTuple):
     """|F(r)| ~ coeff * r^(-exponent) for large r."""
 
     coeff: float
@@ -102,8 +98,7 @@ T = TypeVar("T")
 Outcome = Union[T, DomainError, ConvergenceError]
 
 
-@dataclass
-class RadialProfile:
+class RadialProfile(NamedTuple):
     """A scalar profile F(r), r > 0, standing for the radial f(x) = F(|x|).
 
     ``breakpoints`` optionally exposes the profile's sign-change points

@@ -38,7 +38,6 @@ s^2 = a); both are reported, and the discrepancy factor is part of what
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -60,7 +59,9 @@ from .radial_fourier import (
     radial_lp_norms,
     sphere_norms_of_radial_hat,
 )
-from .special_fns import RadialKernel, bessel_j_array, bessel_j_zero, find_first_zeros, gamma
+from .special_fns import (
+    RadialKernel, _replace_validated, bessel_j_array, bessel_j_zero, find_first_zeros, gamma,
+)
 
 __all__ = [
     "RestrictionParams",
@@ -79,8 +80,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RestrictionParams:
+class RestrictionParams(NamedTuple("RestrictionParams", [
+    ("d", int), ("p", float), ("q", float), ("p_prime", float), ("beta", float),
+])):
     """The exponent triple (d, p, q) with its derived quantities.
 
     ``p_prime`` is the Hoelder conjugate (infinite at p = 1); ``beta`` is
@@ -88,30 +90,24 @@ class RestrictionParams:
     degenerates.
     """
 
-    d: int
-    p: float
-    q: float
-    p_prime: float = field(init=False)
-    beta: float = field(init=False)
+    __slots__ = ()
+    _replace = _replace_validated
 
-    def __post_init__(self) -> None:
-        if int(self.d) != self.d or self.d < 2:
-            raise DomainError(f"dimension must be an integer >= 2, got {self.d!r}")
-        object.__setattr__(self, "d", int(self.d))
-        if not (math.isfinite(self.p) and self.p >= 1.0):
-            raise DomainError(f"p must be a real >= 1, got {self.p!r}")
-        if not (math.isfinite(self.q) and self.q >= 1.0):
-            raise DomainError(f"q must be a real >= 1, got {self.q!r}")
-        if self.p == 1.0:
-            object.__setattr__(self, "p_prime", math.inf)
-            object.__setattr__(self, "beta", math.nan)
-        else:
-            object.__setattr__(self, "p_prime", self.p / (self.p - 1.0))
-            object.__setattr__(
-                self,
-                "beta",
-                (2.0 + self.d * (self.p - 2.0)) / (2.0 * (self.p - 1.0)),
-            )
+    def __new__(cls, d: int, p: float, q: float) -> "RestrictionParams":
+        if int(d) != d or d < 2:
+            raise DomainError(f"dimension must be an integer >= 2, got {d!r}")
+        d = int(d)
+        if not (math.isfinite(p) and p >= 1.0):
+            raise DomainError(f"p must be a real >= 1, got {p!r}")
+        if not (math.isfinite(q) and q >= 1.0):
+            raise DomainError(f"q must be a real >= 1, got {q!r}")
+        if p == 1.0:
+            return super().__new__(cls, d, p, q, math.inf, math.nan)
+        beta = (2.0 + d * (p - 2.0)) / (2.0 * (p - 1.0))
+        return super().__new__(cls, d, p, q, p / (p - 1.0), beta)
+
+    def __getnewargs__(self) -> tuple:
+        return (self.d, self.p, self.q)
 
     @property
     def kernel(self) -> RadialKernel:
@@ -224,8 +220,7 @@ def gaussian_lower_bound_optimized(params: RestrictionParams) -> GaussianBound:
     )
 
 
-@dataclass
-class SharpConstantResult:
+class SharpConstantResult(NamedTuple):
     """Both routes to the sharp radial constant, plus the kernel integral."""
 
     k_rad_first_principles: float

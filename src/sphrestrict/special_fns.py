@@ -50,8 +50,8 @@ approximation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,31 +161,43 @@ def _is_half_integer(nu: float) -> bool:
     return twice == round(twice) and int(round(twice)) % 2 == 1
 
 
-@dataclass(frozen=True)
-class BesselOrder:
+def _replace_validated(record, **changes):
+    """``_replace`` of a record whose ``__new__`` validates: the copy is built by
+    ``__new__`` from its changed inputs, its leading fields, so derived fields follow."""
+    names = record._fields[:len(record.__getnewargs__())]
+    if not changes.keys() <= set(names):
+        raise ValueError(f"{type(record).__name__} replaces only {names}, got {sorted(changes)}")
+    return type(record)(*(changes.get(name, value) for name, value in zip(names, record)))
+
+
+class BesselOrder(NamedTuple("BesselOrder", [("nu", float)])):
     """A nonnegative real Bessel order."""
 
-    nu: float
+    __slots__ = ()
+    _replace = _replace_validated
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.nu) or self.nu < 0.0:
-            raise DomainError(f"Bessel order must be a finite real >= 0, got {self.nu!r}")
+    def __new__(cls, nu: float) -> "BesselOrder":
+        if not math.isfinite(nu) or nu < 0.0:
+            raise DomainError(f"Bessel order must be a finite real >= 0, got {nu!r}")
+        return super().__new__(cls, nu)
 
 
-@dataclass(frozen=True)
-class RadialKernel:
+class RadialKernel(
+    NamedTuple("RadialKernel", [("d", int), ("order", BesselOrder), ("sphere_area", float)])
+):
     """Dimension d >= 2 with its derived Bessel order (d-2)/2 and sphere area A(d)."""
 
-    d: int
-    order: BesselOrder = field(init=False)
-    sphere_area: float = field(init=False)
+    __slots__ = ()
+    _replace = _replace_validated
 
-    def __post_init__(self) -> None:
-        if int(self.d) != self.d or self.d < 2:
-            raise DomainError(f"dimension must be an integer >= 2, got {self.d!r}")
-        object.__setattr__(self, "d", int(self.d))
-        object.__setattr__(self, "order", BesselOrder((self.d - 2) / 2.0))
-        object.__setattr__(self, "sphere_area", sphere_area(self.d))
+    def __new__(cls, d: int) -> "RadialKernel":
+        if int(d) != d or d < 2:
+            raise DomainError(f"dimension must be an integer >= 2, got {d!r}")
+        d = int(d)
+        return super().__new__(cls, d, BesselOrder((d - 2) / 2.0), sphere_area(d))
+
+    def __getnewargs__(self) -> tuple:
+        return (self.d,)
 
 
 def _as_nu(order: "BesselOrder | float") -> float:
@@ -437,7 +449,7 @@ def bessel_j_array(order, x) -> np.ndarray:
     # On sorted points each regime of an order is one slice, and equal
     # points are neighbours.  Equal points get one value, so their order
     # does not matter, and numpy's default sort, not a stable one, serves.
-    if not isinstance(order, (np.ndarray, list, tuple)):
+    if isinstance(order, BesselOrder) or not isinstance(order, (np.ndarray, list, tuple)):
         nu = _as_nu(order)
         perm = np.argsort(flat)
     else:

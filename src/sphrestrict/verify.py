@@ -20,8 +20,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .quadrature import (
 )
 from .radial_fourier import CompactSupport, GaussianDecay, RadialProfile, family_profile
 from .restriction import RestrictionParams, evaluate_grid, ratios_z
-from .special_fns import bessel_j_zero
+from .special_fns import _replace_validated, bessel_j_zero
 
 __all__ = [
     "RandomRadialSpec",
@@ -48,25 +47,24 @@ __all__ = [
 FAMILIES = ("gaussian_mixture", "polynomial_times_gaussian", "compact_bump")
 
 
-@dataclass(frozen=True)
-class RandomRadialSpec:
+class RandomRadialSpec(
+    NamedTuple("RandomRadialSpec", [("seed", int), ("family", str), ("count", int)])
+):
     """Seeded description of a random radial profile family.
 
     The same seed and spec always produce bit-identical parameter
     streams.  Every family is built so all L_p norms (p >= 1) are finite.
     """
 
-    seed: int
-    family: str
-    count: int
+    __slots__ = ()
+    _replace = _replace_validated
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise DomainError(
-                f"unknown family {self.family!r}; expected one of {FAMILIES}"
-            )
-        if self.count < 0:
+    def __new__(cls, seed: int, family: str, count: int) -> "RandomRadialSpec":
+        if family not in FAMILIES:
+            raise DomainError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        if count < 0:
             raise DomainError("count must be >= 0")
+        return super().__new__(cls, seed, family, count)
 
 
 # Array forms of the three families: ``values(r, which)`` is F of profile
@@ -333,37 +331,32 @@ def oracle_integrate(
 # --- dominance suite --------------------------------------------------------
 
 
-@dataclass
-class DominancePoint:
+class DominancePoint(NamedTuple("DominancePoint", [
+    ("d", int), ("p", float), ("q", float), ("trials", int), ("max_ratio", Optional[float]),
+    ("k_rad", Optional[float]), ("margin", Optional[float]), ("argmax_label", str),
+    ("failures", list[dict]), ("error", Optional[str]),
+])):
     """One grid point of the suite.  ``error`` is set, and ``k_rad``,
     ``max_ratio`` and ``margin`` are None, where the sharp constant raised
-    ``DomainError`` or ``ConvergenceError``."""
+    ``DomainError`` or ``ConvergenceError``.  A point made without
+    ``failures`` gets its own empty list."""
 
-    d: int
-    p: float
-    q: float
-    trials: int
-    max_ratio: Optional[float] = None
-    k_rad: Optional[float] = None
-    margin: Optional[float] = None
-    argmax_label: str = ""
-    failures: list[dict] = field(default_factory=list)
-    error: Optional[str] = None
+    __slots__ = ()
+
+    def __new__(cls, d, p, q, trials, max_ratio=None, k_rad=None, margin=None,
+                argmax_label="", failures=None, error=None) -> "DominancePoint":
+        return super().__new__(cls, d, p, q, trials, max_ratio, k_rad, margin, argmax_label,
+                               [] if failures is None else failures, error)
 
 
-@dataclass
-class DominanceReport:
+class DominanceReport(NamedTuple):
     spec: RandomRadialSpec
     tol: float
     points: list[DominancePoint]
 
     def to_json(self) -> str:
         payload = {
-            "spec": {
-                "seed": self.spec.seed,
-                "family": self.spec.family,
-                "count": self.spec.count,
-            },
+            "spec": self.spec._asdict(),
             "tol": self.tol,
             "points": [
                 {
@@ -420,20 +413,22 @@ def run_dominance_suite(
     profiles = generate_profiles(spec) + list(extra_profiles)
     points = []
     for params, sharp in zip(params_grid, sharps):
-        point = DominancePoint(d=params.d, p=params.p, q=params.q, trials=len(profiles))
-        points.append(point)
+        where = (params.d, params.p, params.q, len(profiles))
         if isinstance(sharp, Exception):
-            point.error = str(sharp)
+            points.append(DominancePoint(*where, error=str(sharp)))
             continue
-        k_rad = point.k_rad = sharp.k_rad_first_principles
-        point.max_ratio = 0.0
+        k_rad = sharp.k_rad_first_principles
+        max_ratio, argmax_label, failures = 0.0, "", []
         for profile, ratio in zip(profiles, ratios_z(params, profiles, quad_tol)):
             if isinstance(ratio, Exception):
-                point.failures.append({"label": profile.label, "error": str(ratio)})
+                failures.append({"label": profile.label, "error": str(ratio)})
                 continue
-            if ratio > point.max_ratio:
-                point.max_ratio, point.argmax_label = ratio, profile.label
+            if ratio > max_ratio:
+                max_ratio, argmax_label = ratio, profile.label
             if ratio > k_rad * (1.0 + tol):
-                point.failures.append({"label": profile.label, "ratio": ratio})
-        point.margin = k_rad * (1.0 + tol) - point.max_ratio
+                failures.append({"label": profile.label, "ratio": ratio})
+        margin = k_rad * (1.0 + tol) - max_ratio
+        points.append(
+            DominancePoint(*where, max_ratio, k_rad, margin, argmax_label, failures)
+        )
     return DominanceReport(spec=spec, tol=tol, points=points)

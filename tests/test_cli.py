@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sphrestrict import radial_fourier
+from sphrestrict import cli, radial_fourier, verify
 from sphrestrict.cli import SWEEP_COLUMNS, main
 from sphrestrict.quadrature import QuadResult
 from sphrestrict import restriction
@@ -744,6 +744,38 @@ class TestMalformedInput:
         assert (code, out) == (2, "")
         assert err.startswith("sphrestrict: ") and err.count("\n") == 1
         assert reason in err
+
+    @pytest.mark.parametrize("output", ["absent/x.csv", "."], ids=["dir_missing", "is_a_dir"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["constant", *GRID],
+            ["sweep", *GRID],
+            ["report", *GRID],
+            ["verify", *GRID, "--trials", "2"],
+            ["gls", "--psi", "{psi}", "--d", "3", "--q", "2", "--check-profile", "gaussian:1.0"],
+        ],
+        ids=["constant", "sweep", "report", "verify", "gls"],
+    )
+    def test_unwritable_output_fails_before_any_work(
+        self, capsys, tmp_path, monkeypatch, argv, output
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the job ran before its output path was checked")
+
+        for module, name in [
+            (cli, "sharp_radial_constant"), (cli, "evaluate_grid"),
+            (cli, "zeta_from_psi"), (verify, "evaluate_grid"),
+        ]:
+            monkeypatch.setattr(module, name, no_work)
+        psi = tmp_path / "psi.csv"
+        psi.write_text("p,psi\n1.05,3.5\n1.10,4.3\n")
+        argv = [arg.format(psi=psi) for arg in argv] + ["--output", str(tmp_path / output)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("sphrestrict: cannot write the output file: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [psi]
 
     def test_scalar_is_a_one_step_range(self, capsys):
         _, expected, _ = run_cli(capsys, "sweep", "--d", "3", "--p", "1.2", "--q", "2")

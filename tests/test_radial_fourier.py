@@ -2,7 +2,6 @@
 norms, and transform limits."""
 
 import math
-from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -234,7 +233,7 @@ def bump_profile():
 
 def scalar(profile):
     """The profile without its family's array form: its ``f`` alone."""
-    return replace(profile, family=None)
+    return profile._replace(family=None)
 
 
 def outcome(compute):

@@ -2,7 +2,6 @@
 
 import json
 import math
-from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -278,7 +277,7 @@ def reference_dominance_json(grid, spec, tol, quad_tol, extra_profiles):
     profile valued by its scalar ``f``, without its family's array form."""
     k_rads = [sharp_radial_constant(pt, quad_tol).k_rad_first_principles for pt in grid]
     profiles = [
-        replace(profile, family=None)
+        profile._replace(family=None)
         for profile in generate_profiles(spec) + list(extra_profiles)
     ]
     points = []
@@ -341,7 +340,7 @@ class TestDominanceReuse:
         params = RestrictionParams(3, 1.2, 2.0)
         for family in FAMILIES:
             profiles = generate_profiles(RandomRadialSpec(seed=9, family=family, count=200))
-            expected = [ratio_z(params, replace(p, family=None)) for p in profiles[::25]]
+            expected = [ratio_z(params, p._replace(family=None)) for p in profiles[::25]]
             assert ratios_z(params, profiles)[::25] == expected
 
     @pytest.mark.parametrize("family", FAMILIES)
