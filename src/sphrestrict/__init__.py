@@ -16,10 +16,18 @@ The package is organised bottom-up:
 - :mod:`sphrestrict.verify` -- seeded random profiles and independent
   oracle integrators;
 - :mod:`sphrestrict.cli` -- the batch command-line interface.
+
+Importing the package loads ``errors``, ``special_fns``, ``quadrature``
+and ``restriction``.  The public names of ``radial_fourier``, ``gls`` and
+``verify``, and those three submodules themselves, resolve on first
+access (PEP 562 ``__getattr__``): a cold ``sweep``, ``tight`` or
+``report`` job never loads them, and ``dir``, ``from sphrestrict import
+*`` and ``sphrestrict.radial_lp_norm`` work as if they were imported.
 """
 
+import importlib
+
 from .errors import ConvergenceError, DivergenceError, DomainError
-from .gls import PsiWeight, ZetaWeight, cut_set, gls_norm, verify_transfer, zeta_from_psi
 from .quadrature import (
     OscillatoryIntegrand,
     QuadResult,
@@ -27,15 +35,6 @@ from .quadrature import (
     integrate_oscillatory_bessel,
     integrate_semi_infinite_decaying,
     wynn_epsilon,
-)
-from .radial_fourier import (
-    AlgebraicDecay,
-    CompactSupport,
-    GaussianDecay,
-    RadialProfile,
-    gaussian_profile,
-    radial_hat,
-    radial_lp_norm,
 )
 from .restriction import (
     GaussianBound,
@@ -60,12 +59,40 @@ from .special_fns import (
     gamma,
     sphere_area,
 )
-from .verify import (
-    RandomRadialSpec,
-    generate_profiles,
-    oracle_integrate,
-    run_dominance_suite,
-)
+
+# Name -> submodule of each name resolved on first access; a submodule's
+# own name maps to itself.
+_LAZY = {
+    name: layer
+    for layer, names in {
+        "radial_fourier": (
+            "AlgebraicDecay", "CompactSupport", "GaussianDecay", "RadialProfile",
+            "gaussian_profile", "radial_hat", "radial_lp_norm",
+        ),
+        "gls": (
+            "PsiWeight", "ZetaWeight", "cut_set", "gls_norm", "verify_transfer",
+            "zeta_from_psi",
+        ),
+        "verify": (
+            "RandomRadialSpec", "generate_profiles", "oracle_integrate",
+            "run_dominance_suite",
+        ),
+    }.items()
+    for name in (layer, *names)
+}
+
+
+def __getattr__(name: str):
+    layer = _LAZY.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{layer}")
+    return module if name == layer else getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

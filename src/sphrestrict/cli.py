@@ -20,25 +20,25 @@ floating point output is printed with 15 significant digits.  No
 arithmetic happens here beyond formatting; every number is produced by a
 library operation.
 
-A flat ``key=value`` config file can pre-set any long flag (for example
-``tol=1e-10`` or ``format=csv``); explicit flags win over the file.
-Grids run serially, in grid order.
+A flat ``key=value`` config file can pre-set any long flag of the invoked
+subcommand (for example ``tol=1e-10``, ``format=csv`` or ``d=2:4:3``, which
+makes a required flag optional); explicit flags win over the file, and
+entries the subcommand has no flag for are ignored.  Grids run serially,
+in grid order.  The ``gls``, ``verify`` and ``radial_fourier`` layers and
+the ``csv`` and ``json`` writers are imported by the subcommands that use
+them, so a cold job loads only what it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import os
 import sys
 from typing import Optional, Sequence
 
 from .errors import ConvergenceError, DomainError
-from .gls import PsiWeight, verify_transfer, zeta_from_psi
-from .radial_fourier import gaussian_profile
 from .restriction import (
     GridPoint,
     RestrictionParams,
@@ -49,7 +49,6 @@ from .restriction import (
     sharp_radial_constant,
     tomas_stein_admissible,
 )
-from .verify import RandomRadialSpec, run_dominance_suite
 
 SWEEP_COLUMNS = (
     "d", "p", "q", "p_prime", "beta", "integral", "integral_err",
@@ -152,6 +151,8 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def _csv_text(columns: Sequence[str], rows: Sequence[Sequence]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -161,6 +162,8 @@ def _csv_text(columns: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 
 def _json_text(payload) -> str:
+    import json
+
     return json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n"
 
 
@@ -275,6 +278,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import RandomRadialSpec, run_dominance_suite
+
     spec = RandomRadialSpec(seed=args.seed, family=args.family, count=args.trials)
     report = run_dominance_suite(
         _grid(args), spec, tol=args.ratio_tol, quad_tol=args.tol
@@ -285,6 +290,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gls(args) -> int:
+    from .gls import PsiWeight, verify_transfer, zeta_from_psi
+
     psi = PsiWeight.from_csv(args.psi, a=args.a, b=args.b)
     q_grid = _parse_range(args.q)
     payload: dict = {}
@@ -311,6 +318,8 @@ def _cmd_gls(args) -> int:
 
 
 def _parse_profile(text: str, d: int):
+    from .radial_fourier import gaussian_profile
+
     kind, _, param = text.partition(":")
     if kind != "gaussian":
         raise DomainError(
@@ -361,7 +370,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     parser.add_argument("--config", help="flat key=value file pre-setting flags")
     sub = parser.add_subparsers(dest="command", required=True)
-    registry: dict[str, argparse.ArgumentParser] = {}
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--tol", type=float, default=1e-9,
@@ -427,52 +435,62 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     common(p_report)
     p_report.set_defaults(func=_cmd_report)
 
-    registry.update(
-        constant=p_const,
-        gaussian_bound=p_gauss,
-        sweep=p_sweep,
-        verify=p_verify,
-        gls=p_gls,
-        report=p_report,
-    )
-    return parser, registry
+    # The subcommand parsers by name.
+    return parser, sub.choices
 
 
-def _apply_config(
-    registry: dict[str, argparse.ArgumentParser], config: dict[str, str]
-) -> None:
-    # Config entries become subcommand defaults (converted through each
-    # option's own type and checked against its choices); flags given on
-    # the command line still win.
-    for sub_parser in registry.values():
-        converted = {}
-        for action in sub_parser._actions:  # noqa: SLF001 - argparse offers no public view
-            if action.dest in config:
-                raw = config[action.dest]
-                try:
-                    value = action.type(raw) if action.type else raw
-                except ValueError:
-                    raise DomainError(f"config entry {action.dest}={raw!r} is malformed") from None
-                if action.choices is not None and value not in action.choices:
-                    raise DomainError(
-                        f"config entry {action.dest}={raw!r} is malformed: expected one "
-                        f"of {', '.join(map(str, action.choices))}"
-                    )
-                converted[action.dest] = value
-        if converted:
-            sub_parser.set_defaults(**converted)
+def _apply_config(sub_parser: argparse.ArgumentParser, config: dict[str, str]) -> None:
+    # Config entries become the invoked subcommand's defaults (converted
+    # through each option's own type and checked against its choices), and
+    # a flag they pre-set is no longer required; flags given on the command
+    # line still win.
+    converted = {}
+    for action in sub_parser._actions:  # noqa: SLF001 - argparse offers no public view
+        if action.dest in config:
+            raw = config[action.dest]
+            try:
+                value = action.type(raw) if action.type else raw
+            except ValueError:
+                raise DomainError(f"config entry {action.dest}={raw!r} is malformed") from None
+            if action.choices is not None and value not in action.choices:
+                raise DomainError(
+                    f"config entry {action.dest}={raw!r} is malformed: expected one "
+                    f"of {', '.join(map(str, action.choices))}"
+                )
+            converted[action.dest] = value
+            action.required = False
+    sub_parser.set_defaults(**converted)
+
+
+def _config_request(argv: Sequence[str], commands: Sequence[str]) -> Optional[tuple[str, str]]:
+    """``(config path, subcommand)`` when ``argv`` gives ``--config`` and names
+    a subcommand, else None; a malformed command line is left to the full
+    parser.  The subcommand is looked for only when there is a config."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        config = pre.parse_known_args(argv)[0].config
+        if not config:
+            return None
+        stubs = pre.add_subparsers(dest="command")
+        for name in commands:
+            stubs.add_parser(name, add_help=False)
+        command = pre.parse_known_args(argv)[0].command
+    except argparse.ArgumentError:
+        return None
+    return (config, command) if command else None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, registry = build_parser()
-    # Config file values become parser defaults; explicit flags still win.
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
-    if known.config:
+    # Config file values become defaults of the invoked subcommand only;
+    # explicit flags still win.
+    request = _config_request(argv, list(registry))
+    if request:
+        config, command = request
         try:
-            _apply_config(registry, _load_config(known.config))
+            _apply_config(registry[command], _load_config(config))
         except (OSError, DomainError) as exc:
             print(f"sphrestrict: {exc}", file=sys.stderr)
             return 2

@@ -38,7 +38,7 @@ s^2 = a); both are reported, and the discrepancy factor is part of what
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -51,17 +51,12 @@ from .quadrature import (
     check_tolerance,
     integrate_oscillatory_bessel_block,
 )
-from .radial_fourier import (
-    AlgebraicDecay,
-    Outcome,
-    RadialProfile,
-    family_profile,
-    radial_lp_norms,
-    sphere_norms_of_radial_hat,
-)
 from .special_fns import (
     RadialKernel, _replace_validated, bessel_j_array, bessel_j_zero, find_first_zeros, gamma,
 )
+
+if TYPE_CHECKING:
+    from .radial_fourier import Outcome, RadialProfile
 
 __all__ = [
     "RestrictionParams",
@@ -325,6 +320,8 @@ def extremal_profile(
     with matching signs, which is the stated formula; the sign factor is
     essential because g changes sign at every Bessel zero.
     """
+    from .radial_fourier import AlgebraicDecay, family_profile
+
     quad = _kernel_integral(params, tol)
     d = params.d
     nu = params.kernel.order.nu
@@ -386,6 +383,8 @@ def ratios_z(
     transform.  The norms run in blocks, then the transforms of the
     profiles with a nonzero norm (see ``radial_fourier._radial_integral``).
     """
+    from .radial_fourier import radial_lp_norms, sphere_norms_of_radial_hat
+
     kernel = params.kernel
     ratios = radial_lp_norms(kernel, profiles, params.p, tol)
     for i, (profile, denom) in enumerate(zip(profiles, ratios)):

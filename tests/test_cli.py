@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sphrestrict import cli, radial_fourier, verify
+from sphrestrict import cli, gls, radial_fourier, verify
 from sphrestrict.cli import SWEEP_COLUMNS, main
 from sphrestrict.quadrature import QuadResult
 from sphrestrict import restriction
@@ -661,6 +661,30 @@ class TestConfig:
         assert code == 0
         json.loads(out)
 
+    @pytest.mark.parametrize(
+        "command", [["sweep"], ["report"], ["verify", "--trials", "2"]],
+        ids=["sweep", "report", "verify"],
+    )
+    def test_config_entries_convert_for_the_invoked_subcommand_only(
+        self, capsys, tmp_path, command
+    ):
+        # constant, gaussian-bound and gls take an int --d, so a range read
+        # as every subcommand's default was a malformed entry for any job.
+        # A config entry also stands in for a required flag.
+        config = tmp_path / "grid.cfg"
+        config.write_text("d=2:3:2\np=1.2\nq=2\n")
+        flags = run_cli(capsys, *command, "--d", "2:3:2", "--p", "1.2", "--q", "2")
+        assert flags[0] == 0
+        assert run_cli(capsys, "--config", str(config), *command) == flags
+
+    def test_config_entry_malformed_for_the_invoked_subcommand_exits_2(self, capsys, tmp_path):
+        config = tmp_path / "grid.cfg"
+        config.write_text("d=2:3:2\np=1.2\nq=2\n")
+        code, out, err = run_cli(
+            capsys, "--config", str(config), "constant", "--d", "3", "--p", "1.2", "--q", "2"
+        )
+        assert (code, out, err) == (2, "", "sphrestrict: config entry d='2:3:2' is malformed\n")
+
     def test_malformed_config_exits_2(self, capsys, tmp_path):
         config = tmp_path / "broken.cfg"
         config.write_text("this is not a key value pair\n")
@@ -765,7 +789,7 @@ class TestMalformedInput:
 
         for module, name in [
             (cli, "sharp_radial_constant"), (cli, "evaluate_grid"),
-            (cli, "zeta_from_psi"), (verify, "evaluate_grid"),
+            (gls, "zeta_from_psi"), (verify, "evaluate_grid"),
         ]:
             monkeypatch.setattr(module, name, no_work)
         psi = tmp_path / "psi.csv"

@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from sphrestrict import quadrature, restriction, verify
+from sphrestrict import quadrature, radial_fourier, verify
 from sphrestrict.cli import main
 from sphrestrict.errors import ConvergenceError, DivergenceError, DomainError
 from sphrestrict.quadrature import (
@@ -371,7 +371,7 @@ class TestDominanceReuse:
             for label in ("both", "zero", "transform", "ok")
         ]
         monkeypatch.setattr(
-            restriction, "radial_lp_norms",
+            radial_fourier, "radial_lp_norms",
             lambda kernel, block, p, tol: [norm_error, 0.0, 2.0, 4.0],
         )
         asked = []
@@ -380,7 +380,7 @@ class TestDominanceReuse:
             asked.append([profile.label for profile in block])
             return [hat_error if p.label in ("both", "transform") else 3.0 for p in block]
 
-        monkeypatch.setattr(restriction, "sphere_norms_of_radial_hat", sphere_norms)
+        monkeypatch.setattr(radial_fourier, "sphere_norms_of_radial_hat", sphere_norms)
         ratios = ratios_z(RestrictionParams(3, 1.2, 2.0), profiles)
         assert asked == [["transform", "ok"]]
         assert ratios[0] is norm_error and ratios[2] is hat_error and ratios[3] == 0.75
