@@ -126,6 +126,101 @@ def sphere_convolution_kernel_2(d: int, dps: int = 30):
         return (2 * mp.pi) ** (-d) * area**2 * mp.mpf(2) ** (d - 3) * mp.beta(nu, 2 * nu)
 
 
+def sphere_convolution_kernel_3(d: int, dps: int = 20):
+    """The kernel integral at p = 6/5 (p' = 6) in dimension d >= 2, as an
+    mpmath number, by two nested quadratures:
+
+        I_3(d) = (2 pi)^(-2d) int_0^3 s3(r)^2 r^(d-1) dr,
+
+    where s3 is the density of sigma * sigma * sigma, sigma the surface
+    measure of S^(d-1), at radius r.  By Plancherel int |sigma_hat|^6 is
+    (2 pi)^d ||s3||_2^2, and int |sigma_hat|^6 = (2 pi)^(3d) A(d) I_3(d).
+    With the sigma * sigma density G(R) = A(d-1) (1 - R^2/4)^e / R on
+    0 < R < 2 (Foschi 2015), e = (d - 3)/2 and t = (r^2 + 1 - R^2)/(2r),
+
+        s3(r) = (A(d-1) / r) int G(R) (1 - t^2)^e R dR,  |r - 1| < R < min(r + 1, 2),
+
+    and (1 - R^2/4)(1 - t^2) is a product of six linear factors in R.  Two
+    of them vanish at each end of the R range, as s (s + c) in the distance
+    s from that end, c = 2|r - 1| or |r - 1|: each half of the range is
+    integrated in w, s = c sinh(w)^2, which takes (s (s + c))^e ds to the
+    smooth 2 c^(2e+1) (sinh w cosh w)^(2e+1) dw even as r -> 1, where s3
+    has a log singularity at d = 2.  At d = 3, e = 0 and the recipe gives
+    1/pi^2.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        e = mp.mpf(d - 3) / 2
+        area = 2 * mp.pi ** (mp.mpf(d - 1) / 2) / mp.gamma(mp.mpf(d - 1) / 2)
+
+        def s3(r):
+            a, b = abs(r - 1), min(r + 1, mp.mpf(2))
+            half = (b - a) / 2
+
+            def from_end(c, rest):
+                def h(w):
+                    sh, ch = mp.sinh(w), mp.cosh(w)
+                    return 2 * c * sh * ch * (c * sh * ch) ** (2 * e) * rest(c * sh * sh) ** e
+
+                return mp.quad(h, [0, mp.asinh(mp.sqrt(half / c))])
+
+            def near_a(s):  # R = a + s: (R - a)(R + a) = s (s + 2a)
+                big = a + s
+                return (2 - big) * (2 + big) * (r + 1 - big) * (r + 1 + big) / (16 * r * r)
+
+            def near_b(s):  # R = b - s: (2 - R)(r + 1 - R) = s (s + a)
+                big = b - s
+                return (2 + big) * (r + 1 + big) * (big - a) * (big + a) / (16 * r * r)
+
+            return area**2 / r * (from_end(2 * a, near_a) + from_end(a, near_b))
+
+        return (2 * mp.pi) ** (-2 * d) * mp.quad(lambda r: s3(r) ** 2 * r ** (d - 1), [0, 1, 3])
+
+
+def kernel_log_moments_3(d: int, arches: int = 40, dps: int = 15):
+    """Upper bounds on int w |log r| dr and int w (-log |J_nu|) dr, w = r^beta
+    |J_nu(r)|^6 the integrand of I_3(d), beta = 5 - 2d: the derivatives of
+    the kernel integral in beta and in p' are at most these in magnitude
+    (|J_nu| <= 1).  mpmath sums the first ``arches`` arches; past their end
+    X, |J_nu(r)|^2 <= 2 * 2/(pi r) (twice the leading term of DLMF 10.18.17,
+    for nu <= 3 and X > 100) and |J|^6 (-log |J|) <= |J|^5 / e bound the
+    tails in closed form."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        nu = mp.mpf(d - 2) / 2
+
+        def w(r):
+            return r ** (5 - 2 * d) * mp.besselj(nu, r) ** 6
+
+        edges = [mp.mpf(0)] + [mp.besseljzero(nu, k) for k in range(1, arches + 1)]
+        log_r = log_j = mp.mpf(0)
+        for a, b in zip(edges, edges[1:]):
+            log_r += mp.quad(lambda r: w(r) * abs(mp.log(r)), [a, 1, b] if a < 1 < b else [a, b])
+            log_j -= mp.quad(lambda r: w(r) * mp.log(abs(mp.besselj(nu, r))), [a, b])
+        x, s = edges[-1], 2 * d - 3
+        log_r += 8 * (2 / mp.pi) ** 3 * x ** (-s) * (mp.log(x) / s + mp.mpf(1) / s**2)
+        log_j += (4 / mp.pi) ** 2.5 / mp.e * x ** (3.5 - 2 * d) / (2 * d - 3.5)
+        return log_r, log_j
+
+
+# d: (I_3(d), int w |log r|, int w (-log |J_nu|)) at p' = 6, beta = 5 - 2d.
+# I_3 = float(sphere_convolution_kernel_3(d, 30)), which agrees with the
+# 20-digit run to 3e-21 relative; d = 3 is 1/pi^2 and d = 2 agrees with
+# KERNEL_INTEGRALS[(2, 1.2)].  The two moments are kernel_log_moments_3(d)
+# rounded up to three digits.  Recompute with 5-25 s a point.
+SPHERE_CONVOLUTION_3 = {
+    2: (0.3368279617664489, 0.343, 0.205),
+    3: (0.10132118364233778, 0.0370, 0.0490),
+    4: (0.011722710384379281, 0.00477, 0.00837),
+    5: (0.0006810978889310662, 0.000385, 0.000616),
+    6: (2.358001692625945e-05, 1.75e-05, 2.53e-05),
+    7: (5.401251996332958e-07, 4.86e-07, 6.59e-07),
+    8: (8.778378094216389e-09, 9.14e-09, 1.20e-08),
+}
+
+
 def sine_power_coefficient(m: int) -> Fraction:
     """c_m, exact, with int_0^inf sin^(2m)(r) / r^(2m-2) dr = pi * c_m, m >= 2.
 

@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 
 from sphrestrict import quadrature, special_fns
+from sphrestrict.cli import _grid, build_parser
 from sphrestrict.errors import ConvergenceError, DomainError
 from sphrestrict.quadrature import (
     ABS_FLOOR,
@@ -49,12 +50,17 @@ from sphrestrict.quadrature import (
     integrate_finite,
     integrate_finite_block,
     integrate_oscillatory_bessel,
+    integrate_oscillatory_bessel_block,
     integrate_semi_infinite_block,
     integrate_semi_infinite_decaying,
     sum_over_partition,
 )
 from sphrestrict.radial_fourier import _merged_breakpoints, radial_hat
-from sphrestrict.restriction import RestrictionParams, extremal_profile
+from sphrestrict.restriction import (
+    RestrictionParams,
+    extremal_profile,
+    radial_convergence_admissible,
+)
 from sphrestrict.special_fns import (
     BesselOrder,
     _miller_array,
@@ -398,6 +404,57 @@ def reference_sum(block, boundary, tail_exponent, tol, c0=None):
         xs = [boundary(k) for k in range(k0 + 1, total.checkpoint + 1)]
         total.add(block(k0, total.checkpoint), xs)
     return total.outcome
+
+
+def previous_sum_cells(f, boundary, sums, tol):
+    """``quadrature._sum_cells`` as it was when every block ended at the
+    next checkpoint of each sum: a sum that stops never has a cell past
+    its checkpoint computed."""
+    while True:
+        spans = {}
+        running = []
+        edges = []
+        owner = []
+        for i, cell_sum in enumerate(sums):
+            if cell_sum.outcome is not None:
+                continue
+            span = (len(cell_sum.partial), cell_sum.checkpoint)
+            if span not in spans:
+                try:
+                    spans[span] = quadrature._cell_edges(boundary, *span)
+                except (DomainError, ConvergenceError) as exc:
+                    spans[span] = exc
+            cells = spans[span]
+            if isinstance(cells, Exception):
+                cell_sum.outcome = cells
+                continue
+            running.append((cell_sum, len(edges), cells))
+            edges += cells
+            owner += [i] * len(cells)
+        if not running:
+            return
+        owners = np.array(owner)
+        results = quadrature._integrate_cells(lambda x, which: f(x, owners[which]), edges, tol)
+        for cell_sum, start, cells in running:
+            cell_sum.add(results[start:start + len(cells)], [b for _, b in cells])
+
+
+def previous_outcome(boundary, tail_exponent, tol=1e-9):
+    """The outcome of one sum over ``boundary`` under ``previous_sum_cells``."""
+    total = _CellSum(tail_exponent, tol)
+    previous_sum_cells(None, boundary, [total], tol)
+    return total.outcome
+
+
+def fake_cells(requested, value, error=0.0):
+    """An ``_integrate_cells`` stand-in that records each block's first and
+    last edge and gives every cell [a, b] the converged result
+    ``value(b)`` with ``error`` and 15 evaluations."""
+    def integrate_cells(f, edges, tol):
+        requested.append((int(edges[0][0]), int(edges[-1][1])))
+        return [QuadResult(value(b), error, 15, True) for _, b in edges]
+
+    return integrate_cells
 
 
 def node_by_node(spec, nodes):
@@ -1023,31 +1080,50 @@ class TestKernelIntegral:
         self, monkeypatch, tail_exponent, schedule, right_edge_value, error, converged,
         to_count,
     ):
-        # A sum that stops at a checkpoint must not have computed an arch
-        # past it; evaluation counts cannot show that, they count only the
-        # arches summed.  Zero cells converge at the first checkpoint.  Cells
-        # with an error estimate of 1 fail the tolerance by their own error
-        # there, which no later checkpoint can undo, and stop unconverged.
-        # Error-free cells valued at their right edge never settle and run
-        # to the count.
-        first, every, count = schedule
+        # A sum's blocks end at its next checkpoint until it has failed
+        # three, and then at the end of the zero chunk (32 zeros) that its
+        # next checkpoint needs; evaluation counts cannot show the cells
+        # integrated ahead, they count only the arches summed.  Zero cells
+        # converge at the first checkpoint.  Cells with an error estimate
+        # of 1 fail the tolerance by their own error there, which no later
+        # checkpoint can undo, and stop unconverged.  Error-free cells
+        # valued at their right edge never settle and run to the count:
+        # the one-checkpoint blocks took 98 and 47 steps.
+        first = schedule[0]
         requested = []
-
-        def integrate_cells(f, edges, tol):
-            requested.append((int(edges[0][0]), int(edges[-1][1])))
-            return [
-                QuadResult(b if right_edge_value else 0.0, error, 15, True) for _, b in edges
-            ]
-
-        monkeypatch.setattr(quadrature, "_integrate_cells", integrate_cells)
+        monkeypatch.setattr(quadrature, "_integrate_cells", fake_cells(
+            requested, lambda b: b if right_edge_value else 0.0, error
+        ))
         total = _CellSum(tail_exponent, 1e-9)
         _sum_cells(None, float, [total], 1e-9)
         res = total.outcome
         blocks = [(0, first)]
-        if to_count:
-            blocks += [(k, k + every) for k in range(first, count, every)]
+        if to_count and tail_exponent is None:
+            blocks += [(16, 20), (20, 24), (24, 32)]
+            blocks += [(k, min(k + 32, 200)) for k in range(32, 200, 32)]
+            assert len(blocks) == 10
+        elif to_count:
+            blocks += [(24, 32), (32, 40), (40, 64)]
+            blocks += [(k, k + 32) for k in range(64, 800, 32)]
+            assert len(blocks) == 27
         assert requested == blocks
         assert (res.converged, res.evaluations) == (converged, 15 * blocks[-1][1])
+
+    def test_sum_stopping_inside_a_block_drops_the_cells_past_it(self, monkeypatch):
+        # Cells 0..23 are valued at their right edge and the rest are 0, so
+        # the tail fit's trailing windows are flat from checkpoint 48 on and
+        # the sum converges at 56, inside the block of cells 40..63: the
+        # outcome, evaluations included, is the one-checkpoint loop's.
+        requested = []
+        monkeypatch.setattr(quadrature, "_integrate_cells", fake_cells(
+            requested, lambda b: b if b <= 24 else 0.0
+        ))
+        total = _CellSum(2.0, 1e-9)
+        _sum_cells(None, float, [total], 1e-9)
+        assert requested == [(0, 24), (24, 32), (32, 40), (40, 64)]
+        assert len(total.partial) == 56 and total.outcome.converged
+        assert total.outcome.evaluations == 15 * 56
+        assert total.outcome == previous_outcome(float, 2.0)
 
     @pytest.mark.parametrize("tail_exponent", [2.0, None], ids=["positive", "alternating"])
     def test_unconverged_cell_leaves_the_sum_unconverged(self, monkeypatch, tail_exponent):
@@ -1067,6 +1143,112 @@ class TestKernelIntegral:
         nodes = []
         monkeypatch.setattr(quadrature, "_power_law", recording_power(nodes))
         assert integrate_oscillatory_bessel(spec, 1e-10) == scalar_oscillatory(spec, 1e-10, nodes)
+
+
+def withheld(limit):
+    """A partition at the integers whose points past ``limit`` raise."""
+    def boundary(k):
+        if k > limit:
+            raise ConvergenceError(f"point {k} withheld")
+        return float(k)
+
+    return boundary
+
+
+def blocks_and_outcomes(monkeypatch, run):
+    """``run()`` and its ``_integrate_cells`` call count, first under
+    ``_sum_cells``, then under ``previous_sum_cells``."""
+    calls = []
+    real = quadrature._integrate_cells
+
+    def integrate_cells(f, edges, tol):
+        calls[-1] += 1
+        return real(f, edges, tol)
+
+    monkeypatch.setattr(quadrature, "_integrate_cells", integrate_cells)
+    runs = []
+    for loop in (quadrature._sum_cells, previous_sum_cells):
+        monkeypatch.setattr(quadrature, "_sum_cells", loop)
+        calls.append(0)
+        runs.append(run())
+    return calls, runs
+
+
+class TestZeroChunkLookahead:
+    """A sum that has failed three checkpoints integrates ahead to the end
+    of the zero chunk its next checkpoint needs; every outcome, each
+    ``QuadResult`` field included, must be the one of the loop that
+    integrates one checkpoint a step (``previous_sum_cells``)."""
+
+    def test_tight_grid(self, monkeypatch):
+        specs = [kernel_spec(d, 1.2) for d in (2, 3, 4)]
+        calls, (got, expected) = blocks_and_outcomes(
+            monkeypatch, lambda: integrate_oscillatory_bessel_block(specs, 1e-12)
+        )
+        assert got == expected
+        assert calls == [7, 11]
+
+    def test_sweep_dimension_block_at_1e_12(self, monkeypatch):
+        # The 6 in-window exponents of d = 2 on the sweep grid, one block.
+        grid = _grid(build_parser()[0].parse_args(
+            ["sweep", "--d", "2", "--p", "1.1:1.6:12", "--q", "2", "--tol", "1e-12"]
+        ))
+        specs = [
+            kernel_spec(2, params.p) for params in grid
+            if radial_convergence_admissible(2, params.p)
+        ]
+        assert len(specs) == 6
+        calls, (got, expected) = blocks_and_outcomes(
+            monkeypatch, lambda: integrate_oscillatory_bessel_block(specs, 1e-12)
+        )
+        assert got == expected
+        assert calls[0] < calls[1]
+
+    @pytest.mark.parametrize("d, p", [(3, 1.2), (4, 1.3)])
+    def test_alternating_extremal_transform(self, monkeypatch, d, p):
+        # At s = 1.7 the transform's cells alternate; both sums fail more
+        # than three checkpoints (they stop at 52 and 92 cells).
+        params = RestrictionParams(d, p, 2.0)
+        profile = extremal_profile(params, 1e-12)
+        sums = []
+        real = quadrature._CellSum
+
+        def recorded(*args):
+            sums.append(real(*args))
+            return sums[-1]
+
+        monkeypatch.setattr(quadrature, "_CellSum", recorded)
+        calls, (got, expected) = blocks_and_outcomes(
+            monkeypatch, lambda: radial_hat(params.kernel, profile, 1.7, 1e-12)
+        )
+        assert got == expected
+        assert calls[0] < calls[1]
+        assert all(s.tail_exponent is None and s.failed > 3 for s in sums)
+
+    def test_boundary_raising_inside_the_ahead_span(self, monkeypatch):
+        # Points past 60 raise: the blocks read up to the checkpoint only,
+        # and the sum converges at 56 as before.
+        requested = []
+        monkeypatch.setattr(quadrature, "_integrate_cells", fake_cells(
+            requested, lambda b: b if b <= 24 else 0.0
+        ))
+        total = _CellSum(2.0, 1e-9)
+        _sum_cells(None, withheld(60), [total], 1e-9)
+        assert requested == [(0, 24), (24, 32), (32, 40), (40, 48), (48, 56)]
+        assert total.outcome.converged
+        assert total.outcome == previous_outcome(withheld(60), 2.0)
+
+    def test_boundary_raising_before_the_checkpoint(self, monkeypatch):
+        # Points past 44 raise, and the checkpoint of 48 needs them: the
+        # sum ends with that error, as before.
+        requested = []
+        monkeypatch.setattr(quadrature, "_integrate_cells", fake_cells(requested, float))
+        total = _CellSum(2.0, 1e-9)
+        _sum_cells(None, withheld(44), [total], 1e-9)
+        expected = previous_outcome(withheld(44), 2.0)
+        assert isinstance(total.outcome, ConvergenceError)
+        assert str(total.outcome) == str(expected) == "point 45 withheld"
+        assert requested == [(0, 24), (24, 32), (32, 40)] * 2
 
 
 def per_cell_partition_sum(f, boundary, tol, tail_exponent):

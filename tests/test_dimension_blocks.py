@@ -12,7 +12,7 @@ of a block of profiles value each distinct radius of a round once too.
 import pytest
 
 from sphrestrict import quadrature, radial_fourier, restriction, special_fns
-from sphrestrict.cli import _grid, build_parser
+from sphrestrict.cli import _grid, build_parser, main
 from sphrestrict.errors import ConvergenceError, DomainError
 from sphrestrict.quadrature import (
     OscillatoryIntegrand,
@@ -268,6 +268,58 @@ def test_first_zeros_of_a_grid_take_one_newton_run(monkeypatch, argv, tol, bound
     monkeypatch.setattr(restriction, "_KERNEL_INTEGRALS", {})
     evaluate_grid(grid(argv), tol)
     assert len(calls) <= bound
+
+
+def test_tight_grid_sums_its_slow_arches_by_zero_chunk(monkeypatch):
+    # At 1e-12 the d = 2 sum fails 8 checkpoints (24 -> 88 arches).  One
+    # block per checkpoint took 11 ``_integrate_cells`` calls and 24 GK15
+    # rounds; past its third failed checkpoint a sum integrates ahead to
+    # the end of its zero chunk, and the grid takes 7 and 16.
+    blocks = []
+    real = quadrature._integrate_cells
+
+    def record(f, edges, tol):
+        blocks.append(len(edges))
+        return real(f, edges, tol)
+
+    monkeypatch.setattr(quadrature, "_integrate_cells", record)
+    rounds = valued_points(monkeypatch, quadrature)
+    monkeypatch.setattr(restriction, "_KERNEL_INTEGRALS", {})
+    evaluate_grid(grid(TIGHT), 1e-12)
+    assert len(blocks) <= 7 and len(rounds) <= 16
+
+
+DOMINANCE = [
+    "verify", "--d", "2:4:3", "--p", "1.2", "--q", "2", "--seed", "0",
+    "--trials", "200", "--family", "gaussian_mixture",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, tol, runs",
+    [(TIGHT, 1e-12, 3), (SWEEP, 1e-9, 3), (HIGHDIM, 1e-9, 1), (DOMINANCE, None, 1)],
+    ids=["tight", "sweep", "highdim", "dominance"],
+)
+def test_newton_runs_of_a_grid(monkeypatch, capsys, argv, tol, runs):
+    # The first 32 zeros of every order come from one Newton run, and each
+    # later chunk of 32 from one more; integrating ahead stops at the end
+    # of the chunk a checkpoint needs, so it starts no run of its own.
+    calls = []
+    real = special_fns._newton_zeros
+
+    def record(requests):
+        calls.append(requests)
+        return real(requests)
+
+    monkeypatch.setattr(special_fns, "_newton_zeros", record)
+    monkeypatch.setattr(special_fns, "_ZEROS", {})
+    monkeypatch.setattr(restriction, "_KERNEL_INTEGRALS", {})
+    if tol is None:
+        assert main([*argv, "--workers", "1"]) == 0
+        capsys.readouterr()
+    else:
+        evaluate_grid(grid(argv), tol)
+    assert len(calls) == runs
 
 
 def test_a_failing_order_is_split_by_the_zero_finder_alone(monkeypatch):

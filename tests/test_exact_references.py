@@ -27,6 +27,13 @@ At p = 4/3 (p' = 4) the integral has a closed form in every dimension,
 ``oracles.sphere_convolution_kernel_2``; production's value must lie within
 its error estimate of it for d = 3..11.  Its p' and beta are off by a few
 ulps there too, which moves the value far less than the estimate.
+
+At p = 6/5 (p' = 6) it is the squared L_2 norm of sigma * sigma * sigma,
+two nested mpmath quadratures (``oracles.sphere_convolution_kernel_3``),
+frozen for d = 2..8 in ``oracles.SPHERE_CONVOLUTION_3``.  The double 1.2
+gives p' = 6.000000000000001 and a beta a few ulps off 5 - 2d, so
+production's value must lie within its error estimate plus a shift that
+bounds that move.
 """
 
 import math
@@ -48,9 +55,12 @@ from sphrestrict.special_fns import BesselOrder
 
 from oracles import (
     D3_HURWITZ,
+    KERNEL_INTEGRALS,
+    SPHERE_CONVOLUTION_3,
     hurwitz_kernel_integral,
     sine_power_coefficient,
     sphere_convolution_kernel_2,
+    sphere_convolution_kernel_3,
 )
 
 M = range(2, 61)
@@ -224,3 +234,49 @@ def test_error_estimate_covers_the_p_4_3_closed_form(d):
     (quad,) = integrate_oscillatory_bessel_block([spec], 1e-9)
     assert quad.converged
     assert abs(quad.value - sphere_convolution_kernel_2(d)) <= quad.error_estimate
+
+
+def test_sphere_convolution_3_recipe_reproduces_the_closed_form():
+    with mp.workdps(20):
+        assert abs(sphere_convolution_kernel_3(3) * mp.pi**2 - 1) < 1e-19
+    assert SPHERE_CONVOLUTION_3[3][0] == 1 / math.pi**2
+    value, unc = KERNEL_INTEGRALS[(2, 1.2)]
+    assert abs(SPHERE_CONVOLUTION_3[2][0] - value) <= unc
+
+
+def convolution_shift(d, params):
+    """A bound on |I(beta, p') - I_3(d)| for production's (beta, p').
+
+    Along the segment from (5 - 2d, 6) to (beta, p'), the integral is
+    convex (int exp(beta log r + p' log |J|) is log-convex), so its change
+    lies between the segment's slope at either end.  At (5 - 2d, 6) that
+    slope is at most |dbeta| int w |log r| + |dp'| int w (-log |J|), the
+    frozen moments; across a segment a few ulps long the weight, and with it
+    the slope, moves by a relative ~1e-14, which the factor 2 covers.  One
+    rounding of the frozen value adds 2^-52 of it."""
+    exact, log_r, log_j = SPHERE_CONVOLUTION_3[d]
+    dp = abs(float(Fraction(params.p_prime) - 6))
+    dbeta = abs(float(Fraction(params.beta) - (5 - 2 * d)))
+    return 2.0 * (dbeta * log_r + dp * log_j) + 2.0**-52 * exact
+
+
+# The (d, tol) whose value is too small for the absolute 1e-16 floor of
+# each arch (ROADMAP item 1): the arches' own summed error fails the
+# tolerance at the first checkpoint, and the integral ends unconverged.
+P_6_5_FLOORED = {(8, 1e-9), (6, 1e-12), (7, 1e-12), (8, 1e-12)}
+
+
+@pytest.mark.parametrize("d, tol", [
+    pytest.param(d, tol, marks=pytest.mark.xfail(
+        strict=True, reason="the absolute arch floor keeps a value this small unconverged"
+    )) if (d, tol) in P_6_5_FLOORED else (d, tol)
+    for tol in (1e-9, 1e-12)
+    for d in SPHERE_CONVOLUTION_3
+])
+def test_error_estimate_covers_the_p_6_5_value(d, tol):
+    params = RestrictionParams(d, 1.2, 2.0)
+    spec = OscillatoryIntegrand(BesselOrder(0.5 * d - 1), params.beta, params.p_prime)
+    (quad,) = integrate_oscillatory_bessel_block([spec], tol)
+    exact = SPHERE_CONVOLUTION_3[d][0]
+    assert quad.converged
+    assert abs(quad.value - exact) <= quad.error_estimate + convolution_shift(d, params)
