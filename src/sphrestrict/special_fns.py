@@ -31,8 +31,12 @@ order's call does.  The zero finder values J_nu and J_{nu+1} of all its
 live iterates in one call per Newton step; ``find_first_zeros`` finds
 the first chunk of zeros of every order a grid needs in one such run,
 and ``bessel_j_zero`` the later chunks order by order, both through
-``_next_zeros``.  A call of J that raises just raises; ``_next_zeros``
-is the one place that isolates a failing order, by splitting its run
+``_next_zeros``.  Zeros 1..96 of the orders of d = 2..33 are the
+finder's own doubles in the generated ``_zero_table.py`` (``python
+tools/gen_zero_table.py`` rewrites it), and ``_next_zeros`` takes a chunk
+from there when it holds all of it, so that a cold job need not find
+them again.  A call of J that raises just raises; ``_next_zeros`` is the
+one place that isolates a failing order, by splitting its run
 down to the zero whose iterate raised.  The arch
 quadrature and the transforms value J once per round of refinement.
 All arithmetic on the points is numpy's elementwise, with (x/2)^nu
@@ -547,6 +551,15 @@ _ZERO_CHUNK = 32
 _ZEROS: dict[float, list] = {}
 
 
+@lru_cache(maxsize=1)
+def _zero_table() -> dict:
+    """Per order, the zeros that ``_next_zeros`` takes from the table the
+    finder wrote (``_zero_table.py``), loaded when a zero is first needed."""
+    from ._zero_table import ZEROS
+
+    return ZEROS
+
+
 def bessel_j_zero(order: "BesselOrder | float", k: int) -> float:
     """The k-th positive zero of J_nu (k >= 1), strictly increasing in k.
 
@@ -568,25 +581,34 @@ def bessel_j_zero(order: "BesselOrder | float", k: int) -> float:
 
 def find_first_zeros(orders) -> None:
     """Find zeros 1.._ZERO_CHUNK of every order of ``orders`` that
-    ``bessel_j_zero`` holds none of yet, in one Newton run: each step
-    values J of all of them in one call.  Each order gets the zeros, or
-    the errors, that it gets alone."""
+    ``bessel_j_zero`` holds none of yet: from the table, or in one Newton
+    run whose every step values J of all the untabled orders in one call.
+    Each order gets the zeros, or the errors, that it gets alone."""
     nus = [nu for nu in dict.fromkeys(map(_as_nu, orders)) if not _ZEROS.get(nu)]
     if nus:
         _next_zeros(nus)
 
 
 def _next_zeros(nus: list, count: int = _ZERO_CHUNK) -> None:
-    """Find the next ``count`` zeros of each order of ``nus`` in one
-    ``_newton_zeros`` run and store them.  Where J raises ``DomainError``
-    on the way, the run is split: into its orders, then one order's zeros
-    into halves, down to the zero whose iterate raised, and that error is
-    stored for it.  A zero takes its own course in any run, so each zero,
-    and each error, is the one its order gets alone."""
+    """Find the next ``count`` zeros of each order of ``nus`` and store
+    them: from ``_zero_table()`` where it holds them all, the finder's own
+    doubles, and for the other orders in one ``_newton_zeros`` run.  Where
+    J raises ``DomainError`` on the way, the run is split: into its
+    orders, then one order's zeros into halves, down to the zero whose
+    iterate raised, and that error is stored for it.  A zero takes its own
+    course in any run, so each zero, and each error, is the one its order
+    gets alone."""
     requests = []
     for nu in nus:
-        first = len(_ZEROS.setdefault(nu, [])) + 1
-        requests.append((nu, range(first, first + count)))
+        found = len(_ZEROS.setdefault(nu, []))
+        tabled = _zero_table().get(nu, ())[found:found + count]
+        if len(tabled) == count:
+            _store_zeros(nu, list(tabled))
+        else:
+            requests.append((nu, range(found + 1, found + 1 + count)))
+    if not requests:
+        return
+    nus = [nu for nu, _ in requests]
     try:
         chunks = _newton_zeros(requests)
     except DomainError as exc:

@@ -298,7 +298,8 @@ class TestBesselArray:
         # Zeros 1..32 of J_nu, nu = (d - 2)/2 for d = 2..60, and of the
         # orders 149-171 that fail on the way (zeros not bracketed or lost,
         # (x/2)^nu or Gamma(nu + 1) overflowing), found in one Newton run,
-        # equal those each order finds alone, errors included.
+        # equal those each order finds alone, errors included.  The zero
+        # table is emptied, so that both come from Newton runs.
         orders = [(d - 2) / 2.0 for d in range(2, 61)] + [149.0, 159.0, 169.0, 170.5, 171.0]
 
         def outcomes(zeros):
@@ -306,6 +307,7 @@ class TestBesselArray:
                 (type(z).__name__, str(z)) if isinstance(z, Exception) else z for z in zeros
             ]
 
+        monkeypatch.setattr(special_fns, "_zero_table", dict)
         monkeypatch.setattr(special_fns, "_ZEROS", {})
         special_fns.find_first_zeros(orders)
         batched = dict(special_fns._ZEROS)

@@ -262,8 +262,10 @@ def test_first_zeros_of_a_grid_take_one_newton_run(monkeypatch, argv, tol, bound
     # The zero finder made one J_nu and one J_{nu+1} call per Newton step
     # of each order: 25 calls on sweep and tight, 34 on highdim.  The first
     # zeros of every order in one run, J_nu and J_{nu+1} in one call per
-    # step, take 9, 9 and 5.
+    # step, take 9, 9 and 5.  The zero table is emptied, so that every
+    # zero comes from a Newton run.
     calls = valued_points(monkeypatch, special_fns)
+    monkeypatch.setattr(special_fns, "_zero_table", dict)
     monkeypatch.setattr(special_fns, "_ZEROS", {})
     monkeypatch.setattr(restriction, "_KERNEL_INTEGRALS", {})
     evaluate_grid(grid(argv), tol)
@@ -295,15 +297,9 @@ DOMINANCE = [
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, tol, runs",
-    [(TIGHT, 1e-12, 3), (SWEEP, 1e-9, 3), (HIGHDIM, 1e-9, 1), (DOMINANCE, None, 1)],
-    ids=["tight", "sweep", "highdim", "dominance"],
-)
-def test_newton_runs_of_a_grid(monkeypatch, capsys, argv, tol, runs):
-    # The first 32 zeros of every order come from one Newton run, and each
-    # later chunk of 32 from one more; integrating ahead stops at the end
-    # of the chunk a checkpoint needs, so it starts no run of its own.
+def zero_finder_work(monkeypatch, capsys, argv, tol):
+    """The ``_newton_zeros`` requests and the zero finder's ``bessel_j_array``
+    calls of one grid (or ``verify`` job, ``tol`` None) with cold caches."""
     calls = []
     real = special_fns._newton_zeros
 
@@ -312,6 +308,7 @@ def test_newton_runs_of_a_grid(monkeypatch, capsys, argv, tol, runs):
         return real(requests)
 
     monkeypatch.setattr(special_fns, "_newton_zeros", record)
+    finder_j = valued_points(monkeypatch, special_fns)
     monkeypatch.setattr(special_fns, "_ZEROS", {})
     monkeypatch.setattr(restriction, "_KERNEL_INTEGRALS", {})
     if tol is None:
@@ -319,15 +316,44 @@ def test_newton_runs_of_a_grid(monkeypatch, capsys, argv, tol, runs):
         capsys.readouterr()
     else:
         evaluate_grid(grid(argv), tol)
+    return calls, finder_j
+
+
+@pytest.mark.parametrize(
+    "argv, tol, runs",
+    [(TIGHT, 1e-12, 3), (SWEEP, 1e-9, 3), (HIGHDIM, 1e-9, 1), (DOMINANCE, None, 1)],
+    ids=["tight", "sweep", "highdim", "dominance"],
+)
+def test_newton_runs_of_a_grid(monkeypatch, capsys, argv, tol, runs):
+    # The first 32 zeros of every order come from one Newton run, and each
+    # later chunk of 32 from one more; integrating ahead stops at the end
+    # of the chunk a checkpoint needs, so it starts no run of its own.  The
+    # zero table is emptied, so that every zero comes from a Newton run.
+    monkeypatch.setattr(special_fns, "_zero_table", dict)
+    calls, _ = zero_finder_work(monkeypatch, capsys, argv, tol)
     assert len(calls) == runs
+
+
+@pytest.mark.parametrize(
+    "argv, tol", [(TIGHT, 1e-12), (SWEEP, 1e-9), (HIGHDIM, 1e-9), (DOMINANCE, None)],
+    ids=["tight", "sweep", "highdim", "dominance"],
+)
+def test_tabled_zeros_serve_every_grid_without_a_newton_run(monkeypatch, capsys, argv, tol):
+    # Every sum of these grids stops within zero 96, and every order has
+    # d <= 33, so all their zeros come from the table: the 3/3/1/1 Newton
+    # runs and the zero finder's 9/9/5/5 J calls are gone.
+    calls, finder_j = zero_finder_work(monkeypatch, capsys, argv, tol)
+    assert calls == [] and finder_j == []
 
 
 def test_a_failing_order_is_split_by_the_zero_finder_alone(monkeypatch):
     # The zeros of J_169 (d = 340) overflow in Miller's normalisation, so
     # the grid's first Newton run raises.  When J replayed each order of a
     # call that raised, on top of the zero finder splitting the run, the
-    # zero finder made 132 calls; split by the zero finder alone, 66.
+    # zero finder made 132 calls; split by the zero finder alone, 66.  The
+    # zero table, which holds d = 3, is emptied.
     calls = valued_points(monkeypatch, special_fns)
+    monkeypatch.setattr(special_fns, "_zero_table", dict)
     monkeypatch.setattr(special_fns, "_ZEROS", {})
     monkeypatch.setattr(restriction, "_KERNEL_INTEGRALS", {})
     small, large = evaluate_grid(
@@ -349,7 +375,9 @@ def test_an_order_that_fails_leaves_the_others_their_lone_run(monkeypatch, big):
     # Gamma(172), so the first zeros of d = 3 and d = big cannot come from
     # one Newton run: each dimension gets what it gets alone, its error
     # included (past d = 343 there is no sphere area, and no zeros are sought).
+    # The zero table, which holds d = 3, is emptied.
     grid_points = [RestrictionParams(3, 1.2, 2.0), RestrictionParams(big, 1.2, 2.0)]
+    monkeypatch.setattr(special_fns, "_zero_table", dict)
 
     def run(points):
         monkeypatch.setattr(special_fns, "_ZEROS", {})

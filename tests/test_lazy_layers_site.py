@@ -6,12 +6,14 @@ is paid by every job.  ``sweep``, ``tight`` and ``report`` never use the
 of that import, so ``cli`` imports them inside the subcommands that run
 them, ``restriction`` imports ``radial_fourier`` inside the two functions
 that use it, and the package resolves their public names on first access.
-The ``csv`` and ``json`` writers are imported by the jobs that write them.
+The ``csv`` and ``json`` writers are imported by the jobs that write them,
+and the table of first Bessel zeros by the first job that needs a zero.
 
 In a fresh interpreter, ``import numpy`` then ``import sphrestrict.cli``
-loads none of the three layers and neither writer; a ``report`` job (JSON)
-and a ``sweep`` job (CSV) add none of the layers, a ``verify`` job adds
-``verify`` and ``radial_fourier`` only, and a ``gls`` job adds ``gls``.
+loads none of the three layers, neither writer and not the zero table; a
+``report`` job (JSON) adds the zero table and a ``sweep`` job (CSV) adds
+none of the layers, a ``verify`` job adds ``verify`` and
+``radial_fourier`` only, and a ``gls`` job adds ``gls``.
 The public API still answers every name in ``__all__``.
 """
 
@@ -31,7 +33,10 @@ PACKAGE = ROOT / "src" / "sphrestrict"
 SCRIPT = """
 import contextlib, io, sys
 import numpy
-watched = ("sphrestrict.gls", "sphrestrict.verify", "sphrestrict.radial_fourier", "csv", "json")
+watched = (
+    "sphrestrict.gls", "sphrestrict.verify", "sphrestrict.radial_fourier",
+    "sphrestrict._zero_table", "csv", "json",
+)
 
 def loaded():
     return {name for name in watched if name in sys.modules}
@@ -73,7 +78,7 @@ def test_cold_jobs_import_only_the_layers_they_run(tmp_path):
     assert result["codes"] == [0] * 4
     assert result["steps"] == {
         "import": [],
-        "report": ["json"],
+        "report": ["json", "sphrestrict._zero_table"],
         "sweep": ["csv"],
         "verify": ["sphrestrict.radial_fourier", "sphrestrict.verify"],
         "gls": ["sphrestrict.gls"],

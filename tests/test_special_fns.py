@@ -213,6 +213,13 @@ class TestBesselJ:
 
 
 class TestBesselZeros:
+    @pytest.fixture(autouse=True)
+    def newton_only(self, monkeypatch):
+        # The zero table and the zeros found so far are emptied, so that
+        # every zero here comes from the finder's Newton run.
+        monkeypatch.setattr(special_fns, "_zero_table", dict)
+        monkeypatch.setattr(special_fns, "_ZEROS", {})
+
     def test_first_zeros_of_j0(self):
         # Independent oracle: bisection on the sign change of the series.
         oracle = bisect_sign_change(lambda x: bessel_series_oracle(0.0, x)[0], 2.0, 3.0)
