@@ -24,16 +24,15 @@ A flat ``key=value`` config file can pre-set any long flag of the invoked
 subcommand (for example ``tol=1e-10``, ``format=csv`` or ``d=2:4:3``, which
 makes a required flag optional); explicit flags win over the file, and
 entries the subcommand has no flag for are ignored.  Grids run serially,
-in grid order.  The ``gls``, ``verify`` and ``radial_fourier`` layers and
-the ``csv`` and ``json`` writers are imported by the subcommands that use
-them, so a cold job loads only what it runs.
+in grid order.  A cold job loads only what it runs: ``main`` builds the
+parser of the subcommand it finds in ``argv`` (all six only for help and
+usage errors that name none), the ``gls``, ``verify``, ``radial_fourier``
+and ``json`` modules load where they are used, and CSV is joined by hand.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
-import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -65,17 +64,11 @@ REPORT_COLUMNS = (
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return format(value, ".15g")
-    return str(value)
+    return format(value, ".15g") if isinstance(value, float) else str(value)
 
 
 def _round_floats(obj):
     if isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            return obj
         return float(format(obj, ".15g"))
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
@@ -118,6 +111,8 @@ def _load_config(path: str) -> dict[str, str]:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: cannot read the config file: {exc}") from None
+    except OSError as exc:
+        raise DomainError(str(exc)) from None
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -151,14 +146,11 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def _csv_text(columns: Sequence[str], rows: Sequence[Sequence]) -> str:
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(v) if v is not None else "" for v in row])
-    return buf.getvalue()
+    # No column name or cell (a formatted number or bool, "skipped",
+    # "failed" or empty) holds a comma, quote or line break, so plain joins
+    # give csv.writer's bytes with lineterminator="\n".
+    lines = [columns, *([_fmt(v) if v is not None else "" for v in row] for row in rows)]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 def _json_text(payload) -> str:
@@ -226,8 +218,7 @@ def _cmd_gaussian_bound(args) -> int:
     if args.format == "json":
         _emit(_json_text(payload), args.output)
     else:
-        columns = tuple(payload.keys())
-        _emit(_csv_text(columns, [tuple(payload.values())]), args.output)
+        _emit(_csv_text(tuple(payload), [tuple(payload.values())]), args.output)
     return 0
 
 
@@ -265,13 +256,11 @@ def _cmd_sweep(args) -> int:
     else:
         payload = []
         for row in rows:
-            entry = dict(zip(SWEEP_COLUMNS, row))
+            entry = {key: None if value in ("skipped", "failed") else value
+                     for key, value in zip(SWEEP_COLUMNS, row)}
             entry["skipped"] = row[5] == "skipped"
             if "failed" in row:
                 entry["failed"] = True
-            for key, value in entry.items():
-                if value in ("skipped", "failed"):
-                    entry[key] = None
             payload.append(entry)
         _emit(_json_text(payload), args.output)
     return 0
@@ -285,7 +274,7 @@ def _cmd_verify(args) -> int:
         _grid(args), spec, tol=args.ratio_tol, quad_tol=args.tol
     )
     # Dominance violations are report content, not process failures.
-    _emit(report.to_json() + "\n", args.output)
+    _emit(_json_text(report.to_dict()), args.output)
     return 0
 
 
@@ -294,11 +283,12 @@ def _cmd_gls(args) -> int:
 
     psi = PsiWeight.from_csv(args.psi, a=args.a, b=args.b)
     q_grid = _parse_range(args.q)
-    payload: dict = {}
     zeta = zeta_from_psi(psi, q_grid, args.d, args.source, args.tol)
-    payload["source"] = zeta.source
-    payload["cut_set"] = [p for p, _ in zeta.constant_table]
-    payload["zeta"] = [{"q": q, "zeta": z} for q, z in zeta.samples]
+    payload: dict = {
+        "source": zeta.source,
+        "cut_set": [p for p, _ in zeta.constant_table],
+        "zeta": [{"q": q, "zeta": z} for q, z in zeta.samples],
+    }
     if args.check_profile is not None:
         profile = _parse_profile(args.check_profile, args.d)
         transfer = verify_transfer(psi, profile, args.d, q_grid, args.transfer_tol)
@@ -312,8 +302,7 @@ def _cmd_gls(args) -> int:
     if args.format == "json":
         _emit(_json_text(payload), args.output)
     else:
-        rows = [(q, z) for q, z in zeta.samples]
-        _emit(_csv_text(("q", "zeta"), rows), args.output)
+        _emit(_csv_text(("q", "zeta"), zeta.samples), args.output)
     return 0
 
 
@@ -363,87 +352,104 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _point_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--q", type=float, required=True)
+
+
+def _gaussian_flags(p: argparse.ArgumentParser) -> None:
+    _point_flags(p)
+    p.add_argument("--sigma", type=float, default=None,
+                   help="evaluate at this sigma instead of maximising")
+
+
+def _sweep_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--d", required=True, help="dimension or min:max:steps")
+    p.add_argument("--p", required=True, help="value or min:max:steps")
+    p.add_argument("--q", required=True, help="value or min:max:steps")
+
+
+def _verify_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--d", default="3")
+    p.add_argument("--p", default="1.2")
+    p.add_argument("--q", default="2")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--family", default="gaussian_mixture")
+    p.add_argument("--ratio-tol", type=float, default=1e-6,
+                   help="dominance assertion tolerance")
+
+
+def _gls_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--psi", required=True, help="CSV with header p,psi")
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--q", required=True, help="value or min:max:steps")
+    p.add_argument("--a", type=float, default=None)
+    p.add_argument("--b", type=float, default=None)
+    p.add_argument("--source", choices=("radial_sharp", "gaussian_lower"),
+                   default="radial_sharp")
+    p.add_argument("--check-profile", default=None,
+                   help="verify the transfer on a profile, e.g. gaussian:1.0")
+    p.add_argument("--transfer-tol", type=float, default=1e-8)
+
+
+def _report_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--d", required=True)
+    p.add_argument("--p", required=True)
+    p.add_argument("--q", required=True)
+
+
+_JSON_CSV = ("json", "csv")
+
+# Subcommand -> (help, flag adder, handler, --format choices, defaults), in
+# the order ``--help`` lists them.
+COMMANDS = {
+    "constant": ("sharp radial constant at one point", _point_flags, _cmd_constant, _JSON_CSV, {}),
+    "gaussian-bound": ("Gaussian lower bound", _gaussian_flags, _cmd_gaussian_bound, _JSON_CSV, {}),
+    "sweep": ("grid sweep (CSV schema stable)", _sweep_flags, _cmd_sweep, _JSON_CSV,
+              {"format": "csv"}),
+    "verify": ("seeded dominance suite", _verify_flags, _cmd_verify, ("json",), {}),
+    "gls": ("transfer weight from a psi CSV", _gls_flags, _cmd_gls, _JSON_CSV, {}),
+    "report": ("consistency report", _report_flags, _cmd_report, _JSON_CSV, {}),
+}
+
+
+def build_parser(
+    command: Optional[str] = None,
+) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name: the parser of
+    ``command`` alone, or of every subcommand where ``command`` is None."""
     parser = argparse.ArgumentParser(
         prog="sphrestrict",
         description="Sharp spherical restriction constants for radial functions.",
     )
     parser.add_argument("--config", help="flat key=value file pre-setting flags")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    # The usage line lists every name either way; with all six parsers
+    # argparse lists them itself, and names the argument "command" in errors.
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}",
+    )
+    for name, (text, add_flags, handler, formats, defaults) in COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=text)
+        add_flags(p)
         p.add_argument("--tol", type=float, default=1e-9,
                        help="quadrature relative tolerance (default 1e-9)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--output", help="output path (default stdout)")
         p.add_argument("--workers", type=int, default=None,
                        help="accepted for compatibility; jobs run serially")
-
-    p_const = sub.add_parser("constant", help="sharp radial constant at one point")
-    p_const.add_argument("--d", type=int, required=True)
-    p_const.add_argument("--p", type=float, required=True)
-    p_const.add_argument("--q", type=float, required=True)
-    common(p_const)
-    p_const.set_defaults(func=_cmd_constant)
-
-    p_gauss = sub.add_parser("gaussian-bound", help="Gaussian lower bound")
-    p_gauss.add_argument("--d", type=int, required=True)
-    p_gauss.add_argument("--p", type=float, required=True)
-    p_gauss.add_argument("--q", type=float, required=True)
-    p_gauss.add_argument("--sigma", type=float, default=None,
-                         help="evaluate at this sigma instead of maximising")
-    common(p_gauss)
-    p_gauss.set_defaults(func=_cmd_gaussian_bound)
-
-    p_sweep = sub.add_parser("sweep", help="grid sweep (CSV schema stable)")
-    p_sweep.add_argument("--d", required=True, help="dimension or min:max:steps")
-    p_sweep.add_argument("--p", required=True, help="value or min:max:steps")
-    p_sweep.add_argument("--q", required=True, help="value or min:max:steps")
-    common(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep, format="csv")
-
-    p_verify = sub.add_parser("verify", help="seeded dominance suite")
-    p_verify.add_argument("--d", default="3")
-    p_verify.add_argument("--p", default="1.2")
-    p_verify.add_argument("--q", default="2")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--trials", type=int, default=200)
-    p_verify.add_argument("--family", default="gaussian_mixture")
-    p_verify.add_argument("--ratio-tol", type=float, default=1e-6,
-                          help="dominance assertion tolerance")
-    common(p_verify)
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_gls = sub.add_parser("gls", help="transfer weight from a psi CSV")
-    p_gls.add_argument("--psi", required=True, help="CSV with header p,psi")
-    p_gls.add_argument("--d", type=int, required=True)
-    p_gls.add_argument("--q", required=True, help="value or min:max:steps")
-    p_gls.add_argument("--a", type=float, default=None)
-    p_gls.add_argument("--b", type=float, default=None)
-    p_gls.add_argument("--source", choices=("radial_sharp", "gaussian_lower"),
-                       default="radial_sharp")
-    p_gls.add_argument("--check-profile", default=None,
-                       help="verify the transfer on a profile, e.g. gaussian:1.0")
-    p_gls.add_argument("--transfer-tol", type=float, default=1e-8)
-    common(p_gls)
-    p_gls.set_defaults(func=_cmd_gls)
-
-    p_report = sub.add_parser("report", help="consistency report")
-    p_report.add_argument("--d", required=True)
-    p_report.add_argument("--p", required=True)
-    p_report.add_argument("--q", required=True)
-    common(p_report)
-    p_report.set_defaults(func=_cmd_report)
-
-    # The subcommand parsers by name.
+        p.set_defaults(func=handler, **defaults)
     return parser, sub.choices
 
 
 def _apply_config(sub_parser: argparse.ArgumentParser, config: dict[str, str]) -> None:
-    # Config entries become the invoked subcommand's defaults (converted
-    # through each option's own type and checked against its choices), and
-    # a flag they pre-set is no longer required; flags given on the command
-    # line still win.
+    # Config entries become the invoked subcommand's defaults only (converted
+    # through each option's own type and checked against its choices), and a
+    # flag they pre-set is no longer required; explicit flags still win.
     converted = {}
     for action in sub_parser._actions:  # noqa: SLF001 - argparse offers no public view
         if action.dest in config:
@@ -462,40 +468,35 @@ def _apply_config(sub_parser: argparse.ArgumentParser, config: dict[str, str]) -
     sub_parser.set_defaults(**converted)
 
 
-def _config_request(argv: Sequence[str], commands: Sequence[str]) -> Optional[tuple[str, str]]:
-    """``(config path, subcommand)`` when ``argv`` gives ``--config`` and names
-    a subcommand, else None; a malformed command line is left to the full
-    parser.  The subcommand is looked for only when there is a config."""
-    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    pre.add_argument("--config")
-    try:
-        config = pre.parse_known_args(argv)[0].config
-        if not config:
-            return None
-        stubs = pre.add_subparsers(dest="command")
-        for name in commands:
-            stubs.add_parser(name, add_help=False)
-        command = pre.parse_known_args(argv)[0].command
-    except argparse.ArgumentError:
-        return None
-    return (config, command) if command else None
+def _scan(argv: Sequence[str]) -> tuple[Optional[str], Optional[str]]:
+    """``(config path, subcommand)`` from ``--config PATH``, ``--config=PATH``
+    or an abbreviation (``--conf``), the last one winning, then the
+    subcommand; both None where any other token or a spaced ``-`` path
+    comes first, for the parser of every subcommand to report."""
+    config = None
+    tokens = iter(argv)
+    for token in tokens:
+        name, equals, value = token.partition("=")
+        if len(name) < 3 or not "--config".startswith(name):
+            return (config, token) if token in COMMANDS else (None, None)
+        if not equals:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None, None
+        config = value
+    return None, None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, registry = build_parser()
-    # Config file values become defaults of the invoked subcommand only;
-    # explicit flags still win.
-    request = _config_request(argv, list(registry))
-    if request:
-        config, command = request
-        try:
-            _apply_config(registry[command], _load_config(config))
-        except (OSError, DomainError) as exc:
-            print(f"sphrestrict: {exc}", file=sys.stderr)
-            return 2
-    args = parser.parse_args(argv)
+    config, command = _scan(argv)
+    parser, registry = build_parser(command)
     try:
+        if config:
+            _apply_config(registry[command], _load_config(config))
+        args = parser.parse_args(argv)
+        if args.config and command is None:  # a spaced path such as "-1"
+            parser.error("argument --config: give a path that begins with '-' as --config=PATH")
         if args.output:
             _check_output(args.output)
         return args.func(args)

@@ -17,7 +17,6 @@ seed and tolerances, byte-for-byte.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -354,8 +353,9 @@ class DominanceReport(NamedTuple):
     tol: float
     points: list[DominancePoint]
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        """The report as JSON-ready dicts and lists; the CLI writes it."""
+        return {
             "spec": self.spec._asdict(),
             "tol": self.tol,
             "points": [
@@ -372,7 +372,6 @@ class DominanceReport(NamedTuple):
                 for pt in self.points
             ],
         }
-        return json.dumps(payload, sort_keys=True, indent=2)
 
 
 def run_dominance_suite(

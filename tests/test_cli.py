@@ -230,7 +230,9 @@ class TestFrozenGrids:
     ``failed``.  The ``verify`` grid is the benchmark's ``dominance`` job at
     seed 5, frozen before the mixture profiles were valued by term column:
     600 profile ratios through the block engine, whose maxima and margins
-    print every digit."""
+    printed every digit until ``verify`` rounded its report to the 15
+    significant digits of every other JSON output (re-frozen then: the
+    seven moved values are each their own 15-digit rounding)."""
 
     @pytest.mark.parametrize(
         "argv, frozen, err",
@@ -685,6 +687,30 @@ class TestConfig:
         )
         assert (code, out, err) == (2, "", "sphrestrict: config entry d='2:3:2' is malformed\n")
 
+    def test_config_after_the_subcommand_is_an_unknown_flag(self, capsys):
+        # The file is not opened: the subcommand's parser has no --config.
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--d", "3", "--p", "1.2", "--q", "2", "--config", "missing.cfg"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "sphrestrict: error: unrecognized arguments: --config missing.cfg\n"
+        )
+
+    def test_config_path_beginning_with_a_dash(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-1").write_text("format=json\n")
+        grid = ["sweep", "--d", "3", "--p", "1.2", "--q", "2"]
+        code, out, _ = run_cli(capsys, "--config=-1", *grid)
+        assert code == 0
+        assert json.loads(out)[0]["d"] == 3
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", "-1", *grid])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "sphrestrict: error: argument --config: give a path that begins with '-' "
+            "as --config=PATH\n"
+        )
+
     def test_malformed_config_exits_2(self, capsys, tmp_path):
         config = tmp_path / "broken.cfg"
         config.write_text("this is not a key value pair\n")
@@ -714,6 +740,8 @@ class TestMalformedInput:
             (["gls", "--psi", "{nan_row}", "--d", "3", "--q", "1:2:3"], "psi(1.1) = nan"),
             (["--config", "{bad_tol}", "constant", *GRID], "tol='abc'"),
             (["--config", "{bad_format}", "constant", *GRID], "format='xml'"),
+            (["--config", "{csv_format}", "verify", *GRID, "--trials", "2"],
+             "config entry format='csv' is malformed: expected one of json"),
             (["gls", "--psi", "{psi}", "--d", "3", "--q", "2",
               "--check-profile", "gaussian:abc"], "gaussian:abc"),
             (["constant", *GRID, "--tol", "nan"], "got nan"),
@@ -739,7 +767,7 @@ class TestMalformedInput:
         ids=[
             "d_not_integral", "p_not_a_number", "steps_not_a_number", "d_infinite",
             "psi_missing", "psi_value_not_a_number", "psi_row_short", "psi_value_nan",
-            "config_tol", "config_format_not_a_choice",
+            "config_tol", "config_format_not_a_choice", "config_verify_format_csv",
             "profile_width", "constant_tol_nan", "constant_tol_inf", "sweep_tol_nan",
             "report_tol_inf", "verify_tol_nan", "verify_ratio_tol_nan", "gls_tol_nan",
             "gaussian_sigma_nan", "gaussian_sigma_inf", "profile_width_tiny",
@@ -755,6 +783,7 @@ class TestMalformedInput:
             "nan_row": "p,psi\n1.05,3.5\n1.10,nan\n1.15,5.5\n",
             "bad_tol": "tol=abc\n",
             "bad_format": "format=xml\n",
+            "csv_format": "format=csv\n",
             "psi": "p,psi\n1.05,3.5\n1.10,4.3\n1.15,5.5\n1.20,7.5\n",
             "not_utf8": b"tol=1e-9\n# \xff\xfe latin-1 bytes\n",
         }
@@ -768,6 +797,17 @@ class TestMalformedInput:
         assert (code, out) == (2, "")
         assert err.startswith("sphrestrict: ") and err.count("\n") == 1
         assert reason in err
+
+    def test_verify_format_csv_is_a_usage_error(self, capsys):
+        # verify writes JSON only; --format csv used to print JSON silently.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *self.GRID, "--trials", "2", "--format", "csv"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.endswith(
+            "sphrestrict verify: error: argument --format: invalid choice: 'csv' "
+            "(choose from 'json')\n"
+        )
 
     @pytest.mark.parametrize("output", ["absent/x.csv", "."], ids=["dir_missing", "is_a_dir"])
     @pytest.mark.parametrize(

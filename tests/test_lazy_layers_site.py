@@ -6,14 +6,15 @@ is paid by every job.  ``sweep``, ``tight`` and ``report`` never use the
 of that import, so ``cli`` imports them inside the subcommands that run
 them, ``restriction`` imports ``radial_fourier`` inside the two functions
 that use it, and the package resolves their public names on first access.
-The ``csv`` and ``json`` writers are imported by the jobs that write them,
-and the table of first Bessel zeros by the first job that needs a zero.
+The ``json`` writer is imported by the jobs that write JSON, and the table
+of first Bessel zeros by the first job that needs a zero; CSV is written
+without the ``csv`` module, which only ``gls`` imports, to read psi files.
 
 In a fresh interpreter, ``import numpy`` then ``import sphrestrict.cli``
-loads none of the three layers, neither writer and not the zero table; a
-``report`` job (JSON) adds the zero table and a ``sweep`` job (CSV) adds
-none of the layers, a ``verify`` job adds ``verify`` and
-``radial_fourier`` only, and a ``gls`` job adds ``gls``.
+loads none of the three layers, neither module and not the zero table; a
+``report`` job (JSON) adds ``json`` and the zero table, a ``sweep`` job
+(CSV) then adds nothing, a ``verify`` job adds ``verify`` and
+``radial_fourier`` only, and a ``gls`` job adds ``gls`` and ``csv``.
 The public API still answers every name in ``__all__``.
 """
 
@@ -79,9 +80,9 @@ def test_cold_jobs_import_only_the_layers_they_run(tmp_path):
     assert result["steps"] == {
         "import": [],
         "report": ["json", "sphrestrict._zero_table"],
-        "sweep": ["csv"],
+        "sweep": [],
         "verify": ["sphrestrict.radial_fourier", "sphrestrict.verify"],
-        "gls": ["sphrestrict.gls"],
+        "gls": ["csv", "sphrestrict.gls"],
     }
 
 

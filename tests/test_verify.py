@@ -162,10 +162,10 @@ class TestDominanceSuite:
     def test_report_json_deterministic(self):
         grid = [RestrictionParams(3, 1.2, 2.0)]
         spec = RandomRadialSpec(seed=3, family="polynomial_times_gaussian", count=6)
-        a = run_dominance_suite(grid, spec, tol=1e-6).to_json()
-        b = run_dominance_suite(grid, spec, tol=1e-6).to_json()
+        a = run_dominance_suite(grid, spec, tol=1e-6).to_dict()
+        b = run_dominance_suite(grid, spec, tol=1e-6).to_dict()
         assert a == b
-        assert '"seed": 3' in a
+        assert a["spec"]["seed"] == 3
 
     def test_inadmissible_grid_fails_before_profile_work(self):
         calls = []
@@ -201,14 +201,14 @@ class TestDominanceFailures:
         alone = run_dominance_suite(grid[:1], spec)
         assert report.points[0] == alone.points[0]
 
-        failed = json.loads(report.to_json())["points"][1]
+        failed = report.to_dict()["points"][1]
         assert failed["failed"] is True
         assert "(d=5, p=1.05)" in failed["error"]
         assert failed["k_rad"] is None
         assert failed["max_ratio"] is None
         assert failed["margin"] is None
         assert failed["failures"] == []
-        assert "failed" not in json.loads(report.to_json())["points"][0]
+        assert "failed" not in report.to_dict()["points"][0]
 
     def test_domain_error_point_reported_failed(self):
         # No sphere area fits a double at d = 400; (3, 1.2) is unaffected.
@@ -272,7 +272,7 @@ class TestDominanceFailures:
         assert "did not converge" in point.failures[0]["error"]
 
 
-def reference_dominance_json(grid, spec, tol, quad_tol, extra_profiles):
+def reference_dominance_dict(grid, spec, tol, quad_tol, extra_profiles):
     """The suite as a grid-outer loop of one-profile ``ratio_z`` calls, each
     profile valued by its scalar ``f``, without its family's array form."""
     k_rads = [sharp_radial_constant(pt, quad_tol).k_rad_first_principles for pt in grid]
@@ -295,7 +295,7 @@ def reference_dominance_json(grid, spec, tol, quad_tol, extra_profiles):
             margin=k_rad * (1.0 + tol) - max_ratio,
             argmax_label=argmax_label, failures=failures,
         ))
-    return DominanceReport(spec=spec, tol=tol, points=points).to_json()
+    return DominanceReport(spec=spec, tol=tol, points=points).to_dict()
 
 
 class TestDominanceReuse:
@@ -320,8 +320,8 @@ class TestDominanceReuse:
         # must come in profile order, not ratio order; each family's sits
         # between its smaller and its larger ratios at every grid point.
         got = run_dominance_suite(self.GRID, spec, tol=tol, extra_profiles=twins)
-        expected = reference_dominance_json(self.GRID, spec, tol, 1e-9, twins)
-        assert got.to_json() == expected
+        expected = reference_dominance_dict(self.GRID, spec, tol, 1e-9, twins)
+        assert got.to_dict() == expected
         for point in got.points:
             assert 4 <= len(point.failures) < point.trials
             assert not point.argmax_label.startswith("twin")
