@@ -10,7 +10,8 @@ Subcommands::
     report          closed-form vs first-principles consistency table
 
 Exit codes: 0 success, 2 domain errors (inadmissible exponents, divergent
-integrals, malformed inputs), 3 numerical non-convergence.  ``sweep``,
+integrals, malformed inputs; ``gls --check-profile`` with ``--format csv``,
+which has no place for the check), 3 numerical non-convergence.  ``sweep``,
 ``report`` and ``verify`` format the grid points of
 ``restriction.evaluate_grid``: a block that raised ``DomainError`` or
 ``ConvergenceError`` there is a failed cell, row or point, and the rest of
@@ -24,18 +25,21 @@ A flat ``key=value`` config file can pre-set any long flag of the invoked
 subcommand (for example ``tol=1e-10``, ``format=csv`` or ``d=2:4:3``, which
 makes a required flag optional); explicit flags win over the file, and
 entries the subcommand has no flag for are ignored.  Grids run serially,
-in grid order.  A cold job loads only what it runs: ``main`` builds the
-parser of the subcommand it finds in ``argv`` (all six only for help and
-usage errors that name none), the ``gls``, ``verify``, ``radial_fourier``
-and ``json`` modules load where they are used, and CSV is joined by hand.
+in grid order.  A cold job loads only what it runs: ``_parse`` reads a
+well-formed job line without argparse, from the flag records of
+``COMMANDS``; help, usage errors and any line it declines go to argparse,
+whose parser ``build_parser`` makes from the same records (for the
+subcommand the line names, or all six), so its texts are unchanged.  The
+``gls``, ``verify``, ``radial_fourier`` and ``json`` modules load where
+they are used, and CSV is joined by hand.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from .errors import ConvergenceError, DomainError
 from .restriction import (
@@ -48,6 +52,9 @@ from .restriction import (
     sharp_radial_constant,
     tomas_stein_admissible,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 SWEEP_COLUMNS = (
     "d", "p", "q", "p_prime", "beta", "integral", "integral_err",
@@ -281,6 +288,8 @@ def _cmd_verify(args) -> int:
 def _cmd_gls(args) -> int:
     from .gls import PsiWeight, verify_transfer, zeta_from_psi
 
+    if args.check_profile is not None and args.format == "csv":
+        raise DomainError("--check-profile reports in JSON only: give --format json")
     psi = PsiWeight.from_csv(args.psi, a=args.a, b=args.b)
     q_grid = _parse_range(args.q)
     zeta = zeta_from_psi(psi, q_grid, args.d, args.source, args.tol)
@@ -352,74 +361,98 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _point_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--q", type=float, required=True)
+class Flag(NamedTuple):
+    """A long flag of a subcommand: the keywords of argparse's ``add_argument``."""
+
+    name: str
+    type: Callable[[str], object] = str
+    default: object = None
+    required: bool = False
+    choices: Optional[tuple[str, ...]] = None
+    help: Optional[str] = None
+
+    @property
+    def dest(self) -> str:
+        return self.name[2:].replace("-", "_")
 
 
-def _gaussian_flags(p: argparse.ArgumentParser) -> None:
-    _point_flags(p)
-    p.add_argument("--sigma", type=float, default=None,
-                   help="evaluate at this sigma instead of maximising")
-
-
-def _sweep_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d", required=True, help="dimension or min:max:steps")
-    p.add_argument("--p", required=True, help="value or min:max:steps")
-    p.add_argument("--q", required=True, help="value or min:max:steps")
-
-
-def _verify_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d", default="3")
-    p.add_argument("--p", default="1.2")
-    p.add_argument("--q", default="2")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--family", default="gaussian_mixture")
-    p.add_argument("--ratio-tol", type=float, default=1e-6,
-                   help="dominance assertion tolerance")
-
-
-def _gls_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--psi", required=True, help="CSV with header p,psi")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--q", required=True, help="value or min:max:steps")
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--source", choices=("radial_sharp", "gaussian_lower"),
-                   default="radial_sharp")
-    p.add_argument("--check-profile", default=None,
-                   help="verify the transfer on a profile, e.g. gaussian:1.0")
-    p.add_argument("--transfer-tol", type=float, default=1e-8)
-
-
-def _report_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d", required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--q", required=True)
-
-
+_POINT = (Flag("--d", int, required=True), Flag("--p", float, required=True),
+          Flag("--q", float, required=True))
+_RANGE = "value or min:max:steps"
 _JSON_CSV = ("json", "csv")
 
-# Subcommand -> (help, flag adder, handler, --format choices, defaults), in
+# Subcommand -> (help, own flags, handler, --format choices, defaults), in
 # the order ``--help`` lists them.
 COMMANDS = {
-    "constant": ("sharp radial constant at one point", _point_flags, _cmd_constant, _JSON_CSV, {}),
-    "gaussian-bound": ("Gaussian lower bound", _gaussian_flags, _cmd_gaussian_bound, _JSON_CSV, {}),
-    "sweep": ("grid sweep (CSV schema stable)", _sweep_flags, _cmd_sweep, _JSON_CSV,
-              {"format": "csv"}),
-    "verify": ("seeded dominance suite", _verify_flags, _cmd_verify, ("json",), {}),
-    "gls": ("transfer weight from a psi CSV", _gls_flags, _cmd_gls, _JSON_CSV, {}),
-    "report": ("consistency report", _report_flags, _cmd_report, _JSON_CSV, {}),
+    "constant": ("sharp radial constant at one point", _POINT, _cmd_constant, _JSON_CSV, {}),
+    "gaussian-bound": ("Gaussian lower bound", (
+        *_POINT, Flag("--sigma", float, help="evaluate at this sigma instead of maximising"),
+    ), _cmd_gaussian_bound, _JSON_CSV, {}),
+    "sweep": ("grid sweep (CSV schema stable)", (
+        Flag("--d", required=True, help="dimension or min:max:steps"),
+        Flag("--p", required=True, help=_RANGE), Flag("--q", required=True, help=_RANGE),
+    ), _cmd_sweep, _JSON_CSV, {"format": "csv"}),
+    "verify": ("seeded dominance suite", (
+        Flag("--d", default="3"), Flag("--p", default="1.2"), Flag("--q", default="2"),
+        Flag("--seed", int, 0), Flag("--trials", int, 200),
+        Flag("--family", default="gaussian_mixture"),
+        Flag("--ratio-tol", float, 1e-6, help="dominance assertion tolerance"),
+    ), _cmd_verify, ("json",), {}),
+    "gls": ("transfer weight from a psi CSV", (
+        Flag("--psi", required=True, help="CSV with header p,psi"),
+        Flag("--d", int, required=True), Flag("--q", required=True, help=_RANGE),
+        Flag("--a", float), Flag("--b", float),
+        Flag("--source", default="radial_sharp", choices=("radial_sharp", "gaussian_lower")),
+        Flag("--check-profile", help="verify the transfer on a profile, e.g. gaussian:1.0"),
+        Flag("--transfer-tol", float, 1e-8),
+    ), _cmd_gls, _JSON_CSV, {}),
+    "report": ("consistency report", tuple(Flag(f"--{x}", required=True) for x in "dpq"),
+               _cmd_report, _JSON_CSV, {}),
 }
 
 
+def _flags(command: str) -> tuple[Flag, ...]:
+    """Every flag of ``command``, in the order its ``--help`` lists them."""
+    _, own, _, formats, _ = COMMANDS[command]
+    return (
+        *own,
+        Flag("--tol", float, 1e-9, help="quadrature relative tolerance (default 1e-9)"),
+        Flag("--format", default="json", choices=formats),
+        Flag("--output", help="output path (default stdout)"),
+        Flag("--workers", int, help="accepted for compatibility; jobs run serially"),
+    )
+
+
+def _convert(flag: Flag, raw: str):
+    """``raw`` through the flag's type and choices, or a config entry's error."""
+    try:
+        value = flag.type(raw)
+    except ValueError:
+        raise DomainError(f"config entry {flag.dest}={raw!r} is malformed") from None
+    if flag.choices and value not in flag.choices:
+        raise DomainError(f"config entry {flag.dest}={raw!r} is malformed: expected one "
+                          f"of {', '.join(flag.choices)}")
+    return value
+
+
+def _config_values(command: Optional[str], path: Optional[str]) -> dict:
+    """The converted entries of the config file for the flags of ``command``,
+    by dest: its defaults, which make a flag they set optional."""
+    if not path:
+        return {}
+    config = _load_config(path)
+    return {f.dest: _convert(f, config[f.dest]) for f in _flags(command) if f.dest in config}
+
+
 def build_parser(
-    command: Optional[str] = None,
+    command: Optional[str] = None, preset: Optional[dict] = None,
 ) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and its subcommand parsers by name: the parser of
-    ``command`` alone, or of every subcommand where ``command`` is None."""
+    ``command`` alone, or of every subcommand where ``command`` is None.
+    ``preset`` holds the converted config values of ``command``."""
+    import argparse
+
+    preset = preset or {}
     parser = argparse.ArgumentParser(
         prog="sphrestrict",
         description="Sharp spherical restriction constants for radial functions.",
@@ -431,72 +464,80 @@ def build_parser(
         dest="command", required=True,
         metavar=None if command is None else "{" + ",".join(COMMANDS) + "}",
     )
-    for name, (text, add_flags, handler, formats, defaults) in COMMANDS.items():
+    for name, (text, _, handler, _, defaults) in COMMANDS.items():
         if command not in (None, name):
             continue
         p = sub.add_parser(name, help=text)
-        add_flags(p)
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="quadrature relative tolerance (default 1e-9)")
-        p.add_argument("--format", choices=formats, default="json")
-        p.add_argument("--output", help="output path (default stdout)")
-        p.add_argument("--workers", type=int, default=None,
-                       help="accepted for compatibility; jobs run serially")
-        p.set_defaults(func=handler, **defaults)
+        for flag in _flags(name):
+            p.add_argument(flag.name, type=flag.type, default=flag.default,
+                           required=flag.required and flag.dest not in preset,
+                           choices=flag.choices, help=flag.help)
+        p.set_defaults(func=handler, **{**defaults, **preset})
     return parser, sub.choices
 
 
-def _apply_config(sub_parser: argparse.ArgumentParser, config: dict[str, str]) -> None:
-    # Config entries become the invoked subcommand's defaults only (converted
-    # through each option's own type and checked against its choices), and a
-    # flag they pre-set is no longer required; explicit flags still win.
-    converted = {}
-    for action in sub_parser._actions:  # noqa: SLF001 - argparse offers no public view
-        if action.dest in config:
-            raw = config[action.dest]
-            try:
-                value = action.type(raw) if action.type else raw
-            except ValueError:
-                raise DomainError(f"config entry {action.dest}={raw!r} is malformed") from None
-            if action.choices is not None and value not in action.choices:
-                raise DomainError(
-                    f"config entry {action.dest}={raw!r} is malformed: expected one "
-                    f"of {', '.join(map(str, action.choices))}"
-                )
-            converted[action.dest] = value
-            action.required = False
-    sub_parser.set_defaults(**converted)
-
-
-def _scan(argv: Sequence[str]) -> tuple[Optional[str], Optional[str]]:
-    """``(config path, subcommand)`` from ``--config PATH``, ``--config=PATH``
-    or an abbreviation (``--conf``), the last one winning, then the
-    subcommand; both None where any other token or a spaced ``-`` path
-    comes first, for the parser of every subcommand to report."""
+def _scan(argv: Sequence[str]) -> tuple[Optional[str], Optional[str], list[str]]:
+    """``(config path, subcommand, the tokens after it)`` from ``--config
+    PATH``, ``--config=PATH`` or an abbreviation (``--conf``), the last one
+    winning, then the subcommand; ``(None, None, [])`` where any other token
+    or a spaced ``-`` path comes first, for every subcommand's parser."""
     config = None
     tokens = iter(argv)
     for token in tokens:
         name, equals, value = token.partition("=")
         if len(name) < 3 or not "--config".startswith(name):
-            return (config, token) if token in COMMANDS else (None, None)
+            return (config, token, list(tokens)) if token in COMMANDS else (None, None, [])
         if not equals:
             value = next(tokens, "-")
             if value.startswith("-"):
-                return None, None
+                break
         config = value
-    return None, None
+    return None, None, []
+
+
+def _parse(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """argparse's namespace for a subcommand (after any ``--config``) whose
+    later tokens are each an exact long flag of it, given once as ``--flag
+    VALUE`` (VALUE not beginning with ``-``) or ``--flag=VALUE`` with a value
+    its type and choices accept, every required flag given or set by the
+    config file; None, for argparse to read and report, for any other line."""
+    config, command, rest = _scan(argv)
+    if command is None:
+        return None
+    flags = {flag.name: flag for flag in _flags(command)}
+    given = {}
+    tokens = iter(rest)
+    for token in tokens:
+        name, equals, value = token.partition("=")
+        flag = flags.get(name)
+        if flag is None or flag.dest in given:
+            return None
+        if not equals:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+        try:
+            given[flag.dest] = _convert(flag, value)
+        except DomainError:
+            return None
+    preset = _config_values(command, config)
+    if any(f.required and f.dest not in given and f.dest not in preset for f in flags.values()):
+        return None
+    _, _, handler, _, defaults = COMMANDS[command]
+    values = {**{f.dest: f.default for f in flags.values()}, **defaults, **preset, **given}
+    return SimpleNamespace(config=config, command=command, func=handler, **values)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    config, command = _scan(argv)
-    parser, registry = build_parser(command)
     try:
-        if config:
-            _apply_config(registry[command], _load_config(config))
-        args = parser.parse_args(argv)
-        if args.config and command is None:  # a spaced path such as "-1"
-            parser.error("argument --config: give a path that begins with '-' as --config=PATH")
+        args = _parse(argv)
+        if args is None:  # help, a usage error or a line only argparse reads
+            config, command, _ = _scan(argv)
+            parser = build_parser(command, _config_values(command, config))[0]
+            args = parser.parse_args(argv)
+            if args.config and command is None:  # a spaced path such as "-1"
+                parser.error("argument --config: give a path that begins with '-' as --config=PATH")
         if args.output:
             _check_output(args.output)
         return args.func(args)

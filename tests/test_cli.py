@@ -559,6 +559,29 @@ class TestGls:
         assert payload["transfer"]["left"] <= payload["transfer"]["right"] * (1 + 1e-8)
         assert payload["cut_set"] == [1.05, 1.1, 1.15, 1.2, 1.25, 1.3]
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_transfer_check_in_csv_exits_2_before_any_work(
+        self, capsys, psi_csv, tmp_path, monkeypatch, where
+    ):
+        # The CSV holds the zeta rows only, so it would drop the check's
+        # result, a failed check ("ok": false) included.
+        def no_work(*args, **kwargs):
+            raise AssertionError("the job ran before its flags were checked")
+
+        monkeypatch.setattr(gls, "zeta_from_psi", no_work)
+        monkeypatch.setattr(gls.PsiWeight, "from_csv", no_work)
+        config = tmp_path / "csv.cfg"
+        config.write_text("format=csv\n")
+        prefix = ["--config", str(config)] if where == "config" else []
+        suffix = ["--format", "csv"] if where == "flag" else []
+        code, out, err = run_cli(
+            capsys, *prefix, "gls", "--psi", str(psi_csv), "--d", "3", "--q", "1:2:2",
+            "--check-profile", "gaussian:5e-4", *suffix,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("sphrestrict: ") and err.count("\n") == 1
+        assert "--format json" in err
+
     def test_unconverged_transform_exits_3(self, capsys, psi_csv, monkeypatch):
         monkeypatch.setattr(
             radial_fourier, "_radial_hats",

@@ -6,9 +6,13 @@ unknown subcommand, an unknown flag, a missing required flag, a format
 outside the choices, each way of naming ``--config`` (``--config P``,
 ``--config=P``, the abbreviations ``--conf P`` and ``--c=P``), a config
 file named like a subcommand, a missing config file, and tokens the
-parser rejects before the subcommand.  ``tests/frozen/cli_texts.json``
-holds the texts, frozen with Python 3.11 at an 80-column terminal; the
-one entry frozen later is ``verify --help``, whose ``--format`` offers
+parser rejects before the subcommand.  Well-formed jobs, which ``cli``
+reads without argparse, are pinned too: one or two per subcommand, in
+each format it offers, one in the ``--flag=value`` form and a ``report``
+whose required flags come from a config file; they were frozen while
+argparse still read every line.  ``tests/frozen/cli_texts.json`` holds
+the texts, frozen with Python 3.11 at an 80-column terminal; the one
+entry frozen later is ``verify --help``, whose ``--format`` offers
 ``json`` only.  Run this file as a script to re-freeze it.
 """
 
@@ -27,6 +31,7 @@ FILES = {
     "run.cfg": "format=json\ntol=1e-8\n",
     "grid.cfg": "d=3\np=1.2\nq=2\n",
     "sweep": "format=json\n",
+    "psi.csv": "p,psi\n1.05,3.5\n1.10,4.3\n1.15,5.5\n1.20,7.5\n",
 }
 GRID = ["--d", "3", "--p", "1.2", "--q", "2"]
 COMMANDS = ("constant", "gaussian-bound", "sweep", "verify", "gls", "report")
@@ -57,6 +62,21 @@ CORPUS = {
     "config_value_is_an_option": ["--config", "--help", "sweep", *GRID],
     "config_unknown_command": ["--config", "run.cfg", "frobnicate"],
     "config_after_command": ["sweep", *GRID, "--config", "run.cfg"],
+    "constant_json": ["constant", *GRID],
+    "constant_csv_equals_form": ["constant", "--d=3", "--p=1.2", "--q=2", "--format=csv"],
+    "gaussian_bound_json": ["gaussian-bound", *GRID],
+    "gaussian_bound_csv": ["gaussian-bound", *GRID, "--sigma", "0.7", "--format", "csv"],
+    "sweep_csv": ["sweep", "--d", "2:3:2", "--p", "1.2:1.4:2", "--q", "2", "--workers", "1"],
+    "sweep_json": ["sweep", "--d", "2:3:2", "--p", "1.2", "--q", "2", "--format", "json",
+                   "--tol", "1e-10"],
+    "verify_json": ["verify", *GRID, "--seed", "1", "--trials", "2",
+                    "--family", "compact_bump", "--ratio-tol", "1e-5"],
+    "gls_json": ["gls", "--psi", "psi.csv", "--d", "3", "--q", "1:2:2",
+                 "--source", "gaussian_lower", "--check-profile", "gaussian:1.0"],
+    "gls_csv": ["gls", "--psi", "psi.csv", "--d", "3", "--q", "1:2:2", "--a", "1.01",
+                "--b", "1.3", "--format", "csv"],
+    "report_json": ["report", "--d", "3:4:2", "--p", "1.2", "--q", "2"],
+    "report_csv_from_config": ["--config", "grid.cfg", "report", "--format", "csv"],
 }
 
 

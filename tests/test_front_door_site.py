@@ -1,10 +1,11 @@
 """The command line's front door does only the work of the job it runs.
 
-A cold job builds the top-level parser and the parser of the subcommand it
-runs: two ``argparse.ArgumentParser``s, with or without ``--config``,
-where building all six subcommand parsers made seven.  Help and usage
-errors that name no subcommand still build all seven, so they print what
-they printed (``tests/test_cli_texts.py`` pins the texts).
+A well-formed job line, with or without ``--config``, is read without
+argparse and builds no ``argparse.ArgumentParser``.  Any other line goes
+to argparse: help and usage errors that name a subcommand (``sweep
+--help``, an unknown flag) build the top-level parser and that
+subcommand's, two, and those that name none build all seven, so they
+print what they printed (``tests/test_cli_texts.py`` pins the texts).
 
 CSV is written with plain joins, not the ``csv`` module: no column name
 or cell the CLI writes (a formatted number or bool, ``skipped``,
@@ -52,17 +53,18 @@ print(repr(counts))
 
 GRID = "--d 3 --p 1.2 --q 2"
 PARSERS = {
-    f"sweep {GRID}": 2,
-    f"report {GRID}": 2,
-    f"verify {GRID} --trials 2": 2,
-    f"--config run.cfg sweep {GRID}": 2,
+    f"sweep {GRID}": 0,
+    f"report {GRID}": 0,
+    f"verify {GRID} --trials 2": 0,
+    f"--config run.cfg sweep {GRID}": 0,
+    f"sweep {GRID} --bogus": 2,
     "sweep --help": 2,
     "--help": 7,
     "frobnicate": 7,
 }
 
 
-def test_a_job_builds_two_parsers(tmp_path):
+def test_parsers_a_line_builds(tmp_path):
     (tmp_path / "run.cfg").write_text("tol=1e-8\n")
     done = subprocess.run(
         [sys.executable, "-c", SCRIPT, *PARSERS],

@@ -9,12 +9,15 @@ that use it, and the package resolves their public names on first access.
 The ``json`` writer is imported by the jobs that write JSON, and the table
 of first Bessel zeros by the first job that needs a zero; CSV is written
 without the ``csv`` module, which only ``gls`` imports, to read psi files.
+A well-formed job line is read without ``argparse`` (and so without the
+``gettext`` and ``locale`` it imports); help loads it.
 
 In a fresh interpreter, ``import numpy`` then ``import sphrestrict.cli``
-loads none of the three layers, neither module and not the zero table; a
-``report`` job (JSON) adds ``json`` and the zero table, a ``sweep`` job
-(CSV) then adds nothing, a ``verify`` job adds ``verify`` and
-``radial_fourier`` only, and a ``gls`` job adds ``gls`` and ``csv``.
+loads none of the three layers, none of those modules and not the zero
+table; a ``report`` job (JSON) adds ``json`` and the zero table, a
+``sweep`` job (CSV) then adds nothing, a ``verify`` job adds ``verify``
+and ``radial_fourier`` only, a ``gls`` job adds ``gls`` and ``csv``, and
+``sweep --help`` adds ``argparse``, ``gettext`` and ``locale``.
 The public API still answers every name in ``__all__``.
 """
 
@@ -36,7 +39,7 @@ import contextlib, io, sys
 import numpy
 watched = (
     "sphrestrict.gls", "sphrestrict.verify", "sphrestrict.radial_fourier",
-    "sphrestrict._zero_table", "csv", "json",
+    "sphrestrict._zero_table", "csv", "json", "argparse", "gettext", "locale",
 )
 
 def loaded():
@@ -50,12 +53,16 @@ jobs = {
     "sweep": ["sweep", *grid],
     "verify": ["verify", *grid, "--trials", "2"],
     "gls": ["gls", "--psi", sys.argv[1], "--d", "3", "--q", "2"],
+    "sweep --help": ["sweep", "--help"],
 }
 codes = []
 for name, argv in jobs.items():
     before = loaded()
     with contextlib.redirect_stdout(io.StringIO()):
-        codes.append(cli.main(argv))
+        try:
+            codes.append(cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
     steps[name] = sorted(loaded() - before)
 # repr, not json: the script must not import what it watches.
 print(repr({"cli": cli.__file__, "codes": codes, "steps": steps}))
@@ -76,13 +83,14 @@ def test_cold_jobs_import_only_the_layers_they_run(tmp_path):
     )
     result = ast.literal_eval(done.stdout.splitlines()[-1])
     assert Path(result["cli"]).resolve() == PACKAGE / "cli.py"
-    assert result["codes"] == [0] * 4
+    assert result["codes"] == [0] * 5
     assert result["steps"] == {
         "import": [],
         "report": ["json", "sphrestrict._zero_table"],
         "sweep": [],
         "verify": ["sphrestrict.radial_fourier", "sphrestrict.verify"],
         "gls": ["csv", "sphrestrict.gls"],
+        "sweep --help": ["argparse", "gettext", "locale"],
     }
 
 
